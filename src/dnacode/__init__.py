@@ -57,7 +57,6 @@ from .errors import (
 from .matching import (
     BipartiteGraph,
     HallViolator,
-    MatchingResult,
     PerfectMatching,
     assignment_feasible,
     bijection_within_or_violator,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Protocol
 
-from .errors import ShapeMismatch, SpaceTooLarge, ValidationError
+from .errors import SpaceTooLarge, ValidationError
 from .matching import assignment_feasible
 from .model import (
     DEFAULT_SPACE_CAP,
@@ -34,6 +34,7 @@ from .model import (
     ReadPool,
     Strand,
     SystemParams,
+    check_shape,
     flip_positions,
 )
 
@@ -118,7 +119,7 @@ def sample_ball(
     Strands are processed in canonical (sorted) order, K reads each; the
     result is checked against ``assignment_feasible`` before returning.
     """
-    _check_shape(z, params)
+    check_shape(z, params=params)
     policy = noise if noise is not None else UniformNoise()
     rng = random.Random(seed)
     provenance: list[ReadProvenance] = []
@@ -131,7 +132,8 @@ def sample_ball(
             )
     pool = ReadPool.from_reads([p.read for p in provenance], params.length)
     sample = ChannelSample(pool, tuple(provenance), seed)
-    assert assignment_feasible(pool, z, params), "sampled pool must lie in the ball"
+    if not assignment_feasible(pool, z, params):
+        raise AssertionError("sampled pool must lie in the ball")
     return sample
 
 
@@ -190,8 +192,7 @@ def oracle_balls_intersect(
     each with ``in_ball`` against both messages.  Exact, deterministic,
     and independent of the matching-based decision procedures.
     """
-    _check_shape(z1, params)
-    _check_shape(z2, params)
+    check_shape(z1, z2, params=params)
     if z1 == z2:
         return True
 
@@ -227,10 +228,3 @@ def oracle_balls_intersect(
             return True
     return False
 
-
-def _check_shape(z: Message, params: SystemParams) -> None:
-    if z.m != params.m or z.length != params.length or z.index_len != params.index_len:
-        raise ShapeMismatch(
-            f"message shape (M={z.m},L={z.length},l={z.index_len}) does not match "
-            f"params (M={params.m},L={params.length},l={params.index_len})"
-        )

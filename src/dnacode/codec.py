@@ -25,16 +25,16 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import (
-    DuplicateCodeword,
-    EdNonZero,
-    ParamMismatch,
-    ShapeMismatch,
-    ValidationError,
-)
+from .errors import DuplicateCodeword, EdNonZero, ValidationError
 from .matching import Bijection, exists_bijection_within
 from .metrics import min_dna_distance, pair_leq, split_distance
-from .model import Message, SystemParams, has_distinct_data, in_restricted_space
+from .model import (
+    Message,
+    SystemParams,
+    check_shape,
+    has_distinct_data,
+    in_restricted_space,
+)
 
 UNPROVED_REASON = "necessity unproved outside restricted spaces"
 LOW_TAU_REASON = "regime not characterized; use oracle"
@@ -105,12 +105,7 @@ def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> Intersect
     Yes always and for No when both messages satisfy a restricted-space
     hypothesis (checked per pair); Unknown otherwise and in low tau.
     """
-    if not z1.same_shape(z2):
-        raise ShapeMismatch(
-            f"messages have shapes (M={z1.m},L={z1.length},l={z1.index_len}) and "
-            f"(M={z2.m},L={z2.length},l={z2.index_len})"
-        )
-    _check_params(z1, params)
+    check_shape(z1, z2, params=params)
     if z1 == z2:
         return IntersectionResult(Answer.YES, tuple((s, s) for s in z1.strands))
     regime = classify_regime(params)
@@ -229,8 +224,8 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     threshold = 2 * params.e_i if tag.regime is Regime.TAU_ONE else params.e_i
     if distance <= threshold:
         bij = exists_bijection_within(za, zb, (threshold, 0))
-        # DNA-distance <= r guarantees a bijection within (r, 0)
-        assert bij is not None
+        if bij is None:
+            raise AssertionError("DNA-distance <= r guarantees a bijection within (r, 0)")
         witness = Witness((za, zb), bij, (threshold, 0))
         return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
     if tag.regime is Regime.TAU_ONE or all(has_distinct_data(z) for z in codewords):
@@ -238,17 +233,8 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     return Verdict(VerdictKind.INDETERMINATE, tag, reason=ED0_MIXED_REASON)
 
 
-def _check_params(z: Message, params: SystemParams) -> None:
-    if z.m != params.m or z.length != params.length or z.index_len != params.index_len:
-        raise ParamMismatch(
-            f"message shape (M={z.m},L={z.length},l={z.index_len}) does not match "
-            f"params (M={params.m},L={params.length},l={params.index_len})"
-        )
-
-
 def _validated_code(code: Sequence[Message], params: SystemParams) -> tuple[Message, ...]:
-    for z in code:
-        _check_params(z, params)
+    check_shape(*code, params=params)
     if len(set(code)) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
     return tuple(sorted(code))

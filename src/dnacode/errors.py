@@ -32,7 +32,9 @@ class DuplicateStrand(ValidationError):
 
 
 class ShapeMismatch(ValidationError):
-    pass
+    """Inputs that must share a shape disagree with each other: two
+    messages with different (M, L, l), strands of different (L, l), or a
+    pool whose read length is not L."""
 
 
 class SizeMismatch(ValidationError):
@@ -52,7 +54,8 @@ class DuplicateCodeword(ValidationError):
 
 
 class ParamMismatch(ValidationError):
-    pass
+    """Inputs disagree with the parameters: the common (M, L, l) of the
+    messages is not the one SystemParams fixes, or file headers conflict."""
 
 
 class EdNonZero(ValidationError):

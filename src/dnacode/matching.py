@@ -27,15 +27,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .errors import (
-    ShapeMismatch,
-    SizeMismatch,
-    ValidationError,
-    WrongPoolSize,
-)
-from .model import Message, ReadPool, Strand, SystemParams
+from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
+from .model import Message, ReadPool, Strand, SystemParams, check_shape, split_popcount
 
 
 @dataclass(frozen=True)
@@ -78,12 +73,6 @@ class PerfectMatching:
         if lefts != sorted(set(lefts)) or len(set(rights)) != len(rights):
             raise ValidationError("matching pairs must pair distinct vertices")
 
-    def right_of(self, left: int) -> int:
-        for u, v in self.pairs:
-            if u == left:
-                return v
-        raise KeyError(left)
-
 
 @dataclass(frozen=True)
 class HallViolator:
@@ -98,9 +87,6 @@ class HallViolator:
                 f"not a violator: |Y| = {len(self.left_set)} <= "
                 f"|N(Y)| = {len(self.neighborhood)}"
             )
-
-
-MatchingResult = Union[PerfectMatching, HallViolator]
 
 
 def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -136,15 +122,34 @@ def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
                     q.append(w)
         return reachable_free
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = infinity
-        return False
+    def dfs(root: int) -> None:
+        # explicit stack, since an augmenting path can be as long as the
+        # graph: it holds each vertex above u on the path, with its
+        # iterator over the neighbors it has not tried yet
+        stack: list[tuple[int, Iterator[int]]] = []
+        u, nbrs, level = root, iter(adj[root]), dist[root] + 1
+        while True:
+            for v in nbrs:
+                w = match_r[v]
+                if w == -1:
+                    # flip the path: u takes v, its old partner goes to its parent
+                    while True:
+                        prev = match_l[u]
+                        match_l[u] = v
+                        match_r[v] = u
+                        if not stack:
+                            return
+                        u, v = stack.pop()[0], prev
+                if dist[w] == level:
+                    stack.append((u, nbrs))
+                    u, nbrs, level = w, iter(adj[w]), level + 1
+                    break
+            else:
+                dist[u] = infinity
+                if not stack:
+                    return
+                u, nbrs = stack.pop()
+                level -= 1
 
     while bfs():
         for u in range(nl):
@@ -153,7 +158,7 @@ def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(match_l), tuple(match_r)
 
 
-def perfect_matching_or_violator(g: BipartiteGraph) -> MatchingResult:
+def perfect_matching_or_violator(g: BipartiteGraph) -> Union[PerfectMatching, HallViolator]:
     """A left-perfect matching, or a Hall violator when none exists.
 
     The violator is the set of left vertices reachable by alternating
@@ -178,26 +183,17 @@ def perfect_matching_or_violator(g: BipartiteGraph) -> MatchingResult:
     return HallViolator(frozenset(reach_l), frozenset(reach_r))
 
 
-def _strand_split(a: Strand, b: Strand) -> tuple[int, int]:
-    return (
-        (a.index_bits ^ b.index_bits).bit_count(),
-        (a.data_bits ^ b.data_bits).bit_count(),
-    )
-
-
 def bijection_graph(z1: Message, z2: Message, bound: tuple[int, int]) -> BipartiteGraph:
     """Graph on Z1 x Z2 with an edge iff the split distance is within ``bound``."""
-    if not z1.same_shape(z2):
-        raise ShapeMismatch(
-            f"messages have shapes (M={z1.m},L={z1.length},l={z1.index_len}) and "
-            f"(M={z2.m},L={z2.length},l={z2.index_len})"
-        )
+    check_shape(z1, z2)
     r1, r2 = bound
+    data_len = z1.data_len
+    right = [y.bits for y in z2.strands]
     adjacency = tuple(
         tuple(
             j
-            for j, y in enumerate(z2.strands)
-            if (d := _strand_split(x, y))[0] <= r1 and d[1] <= r2
+            for j, b in enumerate(right)
+            if (d := split_popcount(x.bits ^ b, data_len))[0] <= r1 and d[1] <= r2
         )
         for x in z1.strands
     )
@@ -294,11 +290,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
     """True iff the pool splits into M groups of K reads, one per strand,
     with every read within (e_i, e_d) of its strand and at most
     floor(tau*K) reads per group differing from it."""
-    if z.m != params.m or z.length != params.length or z.index_len != params.index_len:
-        raise ShapeMismatch(
-            f"message shape (M={z.m},L={z.length},l={z.index_len}) does not match "
-            f"params (M={params.m},L={params.length},l={params.index_len})"
-        )
+    check_shape(z, params=params)
     if pool.length != params.length:
         raise ShapeMismatch(
             f"pool reads have length {pool.length}, expected {params.length}"
@@ -332,8 +324,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
             if v == s.bits:
                 net.add_edge(value_node[v], exact_node(j), big)
             else:
-                di = ((v >> data_len) ^ s.index_bits).bit_count()
-                dd = ((v & ((1 << data_len) - 1)) ^ s.data_bits).bit_count()
+                di, dd = split_popcount(v ^ s.bits, data_len)
                 if di <= params.e_i and dd <= params.e_d:
                     net.add_edge(value_node[v], noisy_node(j), big)
     return net.max_flow(source, sink) == params.pool_size

@@ -15,7 +15,15 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
 from .matching import bottleneck_bijection
-from .model import Message, Strand, data_field_multiset, data_field_set, index_group
+from .model import (
+    Message,
+    Strand,
+    check_shape,
+    data_field_multiset,
+    data_field_set,
+    index_group,
+    split_popcount,
+)
 
 
 class PairDistance(NamedTuple):
@@ -35,16 +43,16 @@ def hamming(a: int, b: int) -> int:
 
 
 def split_weight(x: Strand) -> PairDistance:
-    return PairDistance(x.index_bits.bit_count(), x.data_bits.bit_count())
+    return PairDistance(*split_popcount(x.bits, x.data_len))
 
 
 def split_distance(x: Strand, y: Strand) -> PairDistance:
     """Hamming distances of the index fields and of the data fields."""
-    if not x.same_shape(y):
+    if (x.length, x.index_len) != (y.length, y.index_len):
         raise ShapeMismatch(
             f"strands have shapes ({x.length},{x.index_len}) and ({y.length},{y.index_len})"
         )
-    return PairDistance(hamming(x.index_bits, y.index_bits), hamming(x.data_bits, y.data_bits))
+    return PairDistance(*split_popcount(x.bits ^ y.bits, x.data_len))
 
 
 DnaDistance = Union[int, float]
@@ -59,11 +67,7 @@ def dna_distance(z1: Message, z2: Message) -> DnaDistance:
     groups I(u, Z1) and I(u, Z2) (minimum over bijections of the maximum
     index Hamming distance) and return the worst value over u.
     """
-    if not z1.same_shape(z2):
-        raise ShapeMismatch(
-            f"messages have shapes (M={z1.m},L={z1.length},l={z1.index_len}) and "
-            f"(M={z2.m},L={z2.length},l={z2.index_len})"
-        )
+    check_shape(z1, z2)
     if data_field_multiset(z1) != data_field_multiset(z2):
         return math.inf
     worst = 0

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import (
     DuplicateIndex,
     DuplicateStrand,
+    ParamMismatch,
     ShapeMismatch,
     SpaceTooLarge,
     ValidationError,
@@ -97,9 +98,6 @@ class Strand:
     def from_fields(cls, index_bits: int, data_bits: int, length: int, index_len: int) -> "Strand":
         return cls((index_bits << (length - index_len)) | data_bits, length, index_len)
 
-    def same_shape(self, other: "Strand") -> bool:
-        return self.length == other.length and self.index_len == other.index_len
-
     def __str__(self) -> str:
         return bits_to_string(self.bits, self.length)
 
@@ -115,28 +113,35 @@ class Message:
     strands: tuple[Strand, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.strands))
+        given = tuple(self.strands)
+        ordered = tuple(sorted(given))
         object.__setattr__(self, "strands", ordered)
         if not ordered:
             raise WrongCount("a message needs at least one strand")
         first = ordered[0]
-        seen_bits: set[int] = set()
-        seen_index: dict[int, Strand] = {}
+        shape = (first.length, first.index_len)
         for s in ordered:
-            if not s.same_shape(first):
+            if (s.length, s.index_len) != shape:
                 raise ShapeMismatch(
                     f"strand {s} has shape ({s.length},{s.index_len}), "
                     f"expected ({first.length},{first.index_len})"
                 )
-            if s.bits in seen_bits:
+        # every repeated strand is reported before any shared index field
+        seen: set[int] = set()
+        for s in given:
+            if s.bits in seen:
                 raise DuplicateStrand(f"strand {s} appears twice")
-            seen_bits.add(s.bits)
-            if s.index_bits in seen_index:
+            seen.add(s.bits)
+        data_len = first.data_len
+        by_index: dict[int, Strand] = {}
+        for s in ordered:
+            index = s.bits >> data_len
+            if index in by_index:
                 raise DuplicateIndex(
-                    f"strands {seen_index[s.index_bits]} and {s} share index field "
-                    f"{bits_to_string(s.index_bits, s.index_len)}"
+                    f"strands {by_index[index]} and {s} share index field "
+                    f"{bits_to_string(index, s.index_len)}"
                 )
-            seen_index[s.index_bits] = s
+            by_index[index] = s
 
     @property
     def m(self) -> int:
@@ -153,13 +158,6 @@ class Message:
     @property
     def data_len(self) -> int:
         return self.strands[0].data_len
-
-    def same_shape(self, other: "Message") -> bool:
-        return (
-            self.m == other.m
-            and self.length == other.length
-            and self.index_len == other.index_len
-        )
 
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.strands) + "}"
@@ -264,6 +262,40 @@ class SystemParams:
         return Strand(bits, self.length, self.index_len)
 
 
+def split_popcount(x: int, data_len: int) -> tuple[int, int]:
+    """Set bits of ``x`` in the index field and in the data field.
+
+    On ``a ^ b`` for two packed strands this is their split distance,
+    the quantity every intersection criterion is stated on.
+    """
+    return (x >> data_len).bit_count(), (x & ((1 << data_len) - 1)).bit_count()
+
+
+def _shape_text(m: int, length: int, index_len: int) -> str:
+    return f"(M={m},L={length},l={index_len})"
+
+
+def check_shape(*messages: Message, params: SystemParams | None = None) -> None:
+    """Require the messages to share one (M, L, l) shape, the one ``params`` fixes.
+
+    Raises ShapeMismatch when two messages disagree with each other, and
+    ParamMismatch when their common shape disagrees with ``params``.
+    """
+    shapes = [(z.m, z.length, z.index_len) for z in messages]
+    for shape in shapes[1:]:
+        if shape != shapes[0]:
+            raise ShapeMismatch(
+                f"messages have shapes {_shape_text(*shapes[0])} and {_shape_text(*shape)}"
+            )
+    if params is not None and shapes:
+        expected = (params.m, params.length, params.index_len)
+        if shapes[0] != expected:
+            raise ParamMismatch(
+                f"message shape {_shape_text(*shapes[0])} does not match "
+                f"params {_shape_text(*expected)}"
+            )
+
+
 RawStrand = Union[int, str, Strand]
 
 
@@ -271,7 +303,7 @@ def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
     """Canonicalize ``raw`` into a message of exactly ``params.m`` strands.
 
     Raises WrongLength / WrongCount / DuplicateStrand / DuplicateIndex in
-    that order of precedence.
+    that order of precedence; the last two come from :class:`Message`.
     """
     strands: list[Strand] = []
     for item in raw:
@@ -286,19 +318,6 @@ def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
             strands.append(params.strand(item))
     if len(strands) != params.m:
         raise WrongCount(f"expected {params.m} strands, got {len(strands)}")
-    seen: dict[int, Strand] = {}
-    for s in strands:
-        if s.bits in seen:
-            raise DuplicateStrand(f"strand {s} appears twice")
-        seen[s.bits] = s
-    by_index: dict[int, Strand] = {}
-    for s in sorted(strands):
-        if s.index_bits in by_index:
-            raise DuplicateIndex(
-                f"strands {by_index[s.index_bits]} and {s} share index field "
-                f"{bits_to_string(s.index_bits, s.index_len)}"
-            )
-        by_index[s.index_bits] = s
     return Message(tuple(strands))
 
 
@@ -325,14 +344,11 @@ def has_distinct_data(msg: Message) -> bool:
 
 def in_restricted_space(msg: Message, r1: int, r2: int) -> bool:
     """True iff no two strands are simultaneously within r1 index bits and r2 data bits."""
-    strands = msg.strands
-    for i in range(len(strands)):
-        for j in range(i + 1, len(strands)):
-            di = (strands[i].index_bits ^ strands[j].index_bits).bit_count()
-            dd = (strands[i].data_bits ^ strands[j].data_bits).bit_count()
-            if di <= r1 and dd <= r2:
-                return False
-    return True
+    data_len = msg.data_len
+    return not any(
+        (d := split_popcount(x.bits ^ y.bits, data_len))[0] <= r1 and d[1] <= r2
+        for x, y in combinations(msg.strands, 2)
+    )
 
 
 def space_size(params: SystemParams) -> int:

@@ -106,7 +106,8 @@ def max_code(graph: CompatibilityGraph, strategy: Strategy) -> tuple[Message, ..
         mask = _greedy_clique(graph.adjacency)
     code = tuple(graph.vertices[i] for i in _bit_indices(mask))
     verdict = is_dna_correcting(code, graph.params)
-    assert verdict.kind is VerdictKind.CORRECTING, "cliques are certified codes"
+    if verdict.kind is not VerdictKind.CORRECTING:
+        raise AssertionError("cliques are certified codes")
     return code
 
 

@@ -1,9 +1,14 @@
 """Channel sampling, ball membership, and the exhaustive ball oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dnacode
 from dnacode import (
     ChannelSample,
     ReadPool,
@@ -126,6 +131,37 @@ def test_policy_contract_is_enforced():
         sample_ball(z, p, seed=0, noise=WrongCountNoise())
     with pytest.raises(ValidationError):
         sample_ball(z, p, seed=0, noise=WidePositionNoise())
+
+
+OPTIMIZED_SAMPLER = """
+from unittest import mock
+import dnacode.channel as channel
+from dnacode import Message, Strand, SystemParams, sample_ball
+
+if __debug__:
+    raise SystemExit("expected python -O")
+z = Message((Strand(0, 2, 1),))
+with mock.patch.object(channel, "assignment_feasible", lambda *args: False):
+    try:
+        sample_ball(z, SystemParams(1, 2, 1, 2, 1, 1, 1), seed=0)
+    except AssertionError:
+        raise SystemExit(0)
+raise SystemExit("sample_ball returned a pool outside the ball")
+"""
+
+
+def test_sampler_postcondition_holds_under_python_O():
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SAMPLER],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_uniform_noise_is_a_valid_policy():

@@ -68,7 +68,17 @@ def test_forced_matching_resolves_the_contended_vertex():
     g = BipartiteGraph(2, 2, ((0, 1), (0,)))
     result = perfect_matching_or_violator(g)
     assert isinstance(result, PerfectMatching)
-    assert result.right_of(0) == 1 and result.right_of(1) == 0
+    assert result.pairs == ((0, 1), (1, 0))
+
+
+def test_long_augmenting_path_does_not_exhaust_the_stack():
+    # left i -> {i, i+1}, last left -> {0}: the second phase augments along
+    # one alternating path through all 3000 left vertices
+    n = 3000
+    rows = tuple((i, i + 1) for i in range(n - 1)) + ((0,),)
+    result = perfect_matching_or_violator(BipartiteGraph(n, n, rows))
+    assert isinstance(result, PerfectMatching)
+    assert result.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
 
 
 def test_matching_exhaustive_small_graphs():

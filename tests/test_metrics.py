@@ -20,6 +20,7 @@ from dnacode import (
 )
 from dnacode.matching import exists_bijection_within
 from dnacode.metrics import hamming, split_weight
+from dnacode.model import split_popcount
 
 from oracles import (
     mk_message,
@@ -46,6 +47,8 @@ def test_split_distance_shape_mismatch():
 
 def test_split_weight_and_hamming():
     assert hamming(0b1010, 0b0110) == 2
+    assert split_popcount(0b110, 1) == (2, 0)
+    assert split_popcount(0b1011 ^ 0b0110, 2) == (2, 1)
     assert split_weight(Strand.from_string("110", 2)) == (2, 0)
 
 

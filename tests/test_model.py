@@ -10,6 +10,7 @@ from dnacode import (
     DuplicateIndex,
     DuplicateStrand,
     Message,
+    ParamMismatch,
     ReadPool,
     ShapeMismatch,
     SpaceTooLarge,
@@ -18,9 +19,15 @@ from dnacode import (
     ValidationError,
     WrongCount,
     WrongLength,
+    assignment_feasible,
+    balls_intersect,
     enumerate_space,
     has_distinct_data,
+    in_ball,
     in_restricted_space,
+    is_dna_correcting,
+    oracle_balls_intersect,
+    sample_ball,
     space_size,
     validate_message,
 )
@@ -113,6 +120,45 @@ def test_validate_message_error_precedence():
         validate_message(["000", "001"], p)
     z = validate_message(["010", "000"], p)
     assert str(z) == "{000,010}"
+    # a repeated strand is reported even when a shared index sorts first
+    both = ["000", "001", "100", "100"]
+    with pytest.raises(DuplicateStrand):
+        validate_message(both, mk_params(4, 3, 2, 2, 1, 1, 1))
+    with pytest.raises(DuplicateStrand):
+        Message(tuple(Strand.from_string(s, 2) for s in both))
+
+
+SHAPE_PARAMS = mk_params(2, 3, 2, 2, 1, 1, 0)
+SHAPE_POOL = ReadPool.from_reads(["000", "000", "110", "110"], 3)
+SHAPE_CALLS = {
+    "balls_intersect": lambda zs: balls_intersect(*zs, SHAPE_PARAMS),
+    "is_dna_correcting": lambda zs: is_dna_correcting(zs, SHAPE_PARAMS),
+    "oracle_balls_intersect": lambda zs: oracle_balls_intersect(*zs, SHAPE_PARAMS),
+    "sample_ball": lambda zs: sample_ball(zs[0], SHAPE_PARAMS, seed=0),
+    "in_ball": lambda zs: in_ball(SHAPE_POOL, zs[0], SHAPE_PARAMS),
+    "assignment_feasible": lambda zs: assignment_feasible(SHAPE_POOL, zs[0], SHAPE_PARAMS),
+}
+SHAPE_CASES = {
+    "too-few-strands": ((mk_message(2, "000"), mk_message(2, "110")), ParamMismatch),
+    "too-long": ((mk_message(2, "0000", "1100"), mk_message(2, "0001", "1101")), ParamMismatch),
+    "mixed": ((mk_message(2, "000", "110"), mk_message(2, "0000", "1100")), ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [(name, case) for name in SHAPE_CALLS for case in ("too-few-strands", "too-long")]
+    + [
+        (name, "mixed")
+        for name in ("balls_intersect", "is_dna_correcting", "oracle_balls_intersect")
+    ],
+)
+def test_shape_rule(name, case):
+    """Messages that disagree with each other raise ShapeMismatch; a
+    common shape that disagrees with the params raises ParamMismatch."""
+    messages, error = SHAPE_CASES[case]
+    with pytest.raises(error):
+        SHAPE_CALLS[name](list(messages))
 
 
 def test_read_pool_is_a_sorted_multiset():
