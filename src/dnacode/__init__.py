@@ -69,11 +69,9 @@ from .metrics import (
     DnaDistance,
     PairDistance,
     dna_distance,
-    hamming,
     min_dna_distance,
     pair_leq,
     split_distance,
-    split_weight,
 )
 from .model import (
     DEFAULT_SPACE_CAP,
@@ -84,13 +82,10 @@ from .model import (
     SystemParams,
     bits_from_string,
     bits_to_string,
-    data_field_multiset,
-    data_field_set,
     enumerate_space,
     flip_positions,
     has_distinct_data,
     in_restricted_space,
-    index_group,
     space_size,
     validate_message,
 )

@@ -231,10 +231,11 @@ def bottleneck_bijection(
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Minimize, over bijections left -> right, the maximum Hamming distance.
 
-    Binary search on the sorted distinct pairwise distances, with a
-    perfect-matching feasibility test at each threshold.  Returns the
-    optimum and the lexicographically smallest achieving bijection
-    (pairs sorted by left value; right values chosen greedily smallest).
+    Binary search on the sorted distinct pairwise distances, with one
+    maximum matching per probe.  Returns the optimum and a perfect
+    matching of the threshold graph at the optimum, as (left, right)
+    value pairs sorted by left value; among several optimal bijections
+    it is unspecified which one is returned.
     """
     lvals = sorted(left)
     rvals = sorted(right)
@@ -245,45 +246,26 @@ def bottleneck_bijection(
     n = len(lvals)
     dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
 
-    def submatchable(start: int, used: list[bool], threshold: int) -> bool:
-        # can lefts start..n-1 be perfectly matched into the unused rights?
-        rights = [j for j in range(n) if not used[j]]
-        pos = {j: p for p, j in enumerate(rights)}
+    def perfect_within(threshold: int) -> Optional[tuple[int, ...]]:
         g = BipartiteGraph(
-            n - start,
-            len(rights),
-            tuple(
-                tuple(pos[j] for j in rights if dist[i][j] <= threshold)
-                for i in range(start, n)
-            ),
+            n, n, tuple(tuple(j for j, d in enumerate(row) if d <= threshold) for row in dist)
         )
         match_l, _ = maximum_matching(g)
-        return all(v != -1 for v in match_l)
+        return None if -1 in match_l else match_l
 
     thresholds = sorted({d for row in dist for d in row})
     lo, hi = 0, len(thresholds) - 1
+    # a perfect matching at thresholds[hi]: every bijection stays within
+    # the largest distance, so the identity serves until a probe succeeds
+    match_hi = tuple(range(n))
     while lo < hi:
         mid = (lo + hi) // 2
-        if submatchable(0, [False] * n, thresholds[mid]):
-            hi = mid
-        else:
+        match = perfect_within(thresholds[mid])
+        if match is None:
             lo = mid + 1
-    best = thresholds[lo]
-
-    used = [False] * n
-    pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if used[j] or dist[i][j] > best:
-                continue
-            used[j] = True
-            if submatchable(i + 1, used, best):
-                pairs.append((lvals[i], rvals[j]))
-                break
-            used[j] = False
         else:
-            raise AssertionError("threshold verified feasible, greedy must extend")
-    return best, tuple(pairs)
+            hi, match_hi = mid, match
+    return thresholds[hi], tuple((lvals[i], rvals[j]) for i, j in enumerate(match_hi))
 
 
 def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:

@@ -15,15 +15,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
 from .matching import bottleneck_bijection
-from .model import (
-    Message,
-    Strand,
-    check_shape,
-    data_field_multiset,
-    data_field_set,
-    index_group,
-    split_popcount,
-)
+from .model import Message, Strand, check_shape, index_groups, split_popcount
 
 
 class PairDistance(NamedTuple):
@@ -36,14 +28,6 @@ class PairDistance(NamedTuple):
 def pair_leq(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """Componentwise order; partial, not total: (1,0) and (0,1) are incomparable."""
     return a[0] <= b[0] and a[1] <= b[1]
-
-
-def hamming(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
-
-
-def split_weight(x: Strand) -> PairDistance:
-    return PairDistance(*split_popcount(x.bits, x.data_len))
 
 
 def split_distance(x: Strand, y: Strand) -> PairDistance:
@@ -62,23 +46,18 @@ DnaDistance = Union[int, float]
 def dna_distance(z1: Message, z2: Message) -> DnaDistance:
     """DNA-distance between two messages.
 
-    math.inf when the data-field multisets differ.  Otherwise, for each
-    data field u, solve the bottleneck assignment between the index
-    groups I(u, Z1) and I(u, Z2) (minimum over bijections of the maximum
-    index Hamming distance) and return the worst value over u.
+    Groups each message's index fields by data field.  math.inf when
+    the data-field multisets differ, i.e. when the groups differ in keys
+    or sizes.  Otherwise, for each data field u, the bottleneck value
+    between the index groups I(u, Z1) and I(u, Z2) (minimum over
+    bijections of the maximum index Hamming distance), and the worst
+    value over u.
     """
     check_shape(z1, z2)
-    if data_field_multiset(z1) != data_field_multiset(z2):
+    g1, g2 = index_groups(z1), index_groups(z2)
+    if g1.keys() != g2.keys() or any(len(g1[u]) != len(g2[u]) for u in g1):
         return math.inf
-    worst = 0
-    for u in sorted(data_field_set(z1)):
-        g1 = index_group(u, z1)
-        g2 = index_group(u, z2)
-        # equal multisets force equal group sizes; a mismatch is a caller bug
-        assert len(g1) == len(g2)
-        value, _ = bottleneck_bijection(g1, g2)
-        worst = max(worst, value)
-    return worst
+    return max(bottleneck_bijection(g1[u], g2[u])[0] for u in g1)
 
 
 def min_dna_distance(

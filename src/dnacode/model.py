@@ -219,7 +219,16 @@ class SystemParams:
     e_d: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", Fraction(self.tau))
+        # a float has already been rounded to binary, so floor(tau*K) of
+        # its exact value can fall one below the intended budget
+        if isinstance(self.tau, float):
+            raise ValidationError(
+                f"tau must be exact (an int, a Fraction or a 'p/q' string), got float {self.tau!r}"
+            )
+        try:
+            object.__setattr__(self, "tau", Fraction(self.tau))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"tau must be a rational number, got {self.tau!r}") from exc
         if self.m < 1 or self.k < 1:
             raise ValidationError("M and K must be positive")
         if not 0 < self.index_len < self.length:
@@ -321,25 +330,24 @@ def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
     return Message(tuple(strands))
 
 
-def data_field_multiset(msg: Message) -> tuple[int, ...]:
-    """The multiset of data fields, as a sorted tuple with multiplicity."""
-    return tuple(sorted(s.data_bits for s in msg.strands))
+def index_groups(msg: Message) -> dict[int, list[int]]:
+    """Index fields of the strands carrying each data field, keyed by data field.
 
-
-def data_field_set(msg: Message) -> frozenset[int]:
-    return frozenset(s.data_bits for s in msg.strands)
-
-
-def index_group(data_bits: int, msg: Message) -> frozenset[int]:
-    """Index fields of the strands carrying data field ``data_bits``."""
-    if not 0 <= data_bits < (1 << msg.data_len):
-        raise WrongLength(f"data field {data_bits} does not fit in {msg.data_len} bits")
-    return frozenset(s.index_bits for s in msg.strands if s.data_bits == data_bits)
+    Each list is ascending, since strands are stored in packed order.
+    Two messages share a data-field multiset iff their groups have the
+    same keys and the same sizes.
+    """
+    data_len = msg.data_len
+    mask = (1 << data_len) - 1
+    groups: dict[int, list[int]] = {}
+    for s in msg.strands:
+        groups.setdefault(s.bits & mask, []).append(s.bits >> data_len)
+    return groups
 
 
 def has_distinct_data(msg: Message) -> bool:
     """True iff all data fields are distinct (equivalently, restricted to (l, 0))."""
-    return len(data_field_set(msg)) == msg.m
+    return len(index_groups(msg)) == msg.m
 
 
 def in_restricted_space(msg: Message, r1: int, r2: int) -> bool:

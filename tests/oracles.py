@@ -14,15 +14,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
 from dnacode.matching import BipartiteGraph
-from dnacode.model import (
-    Message,
-    ReadPool,
-    Strand,
-    SystemParams,
-    data_field_multiset,
-    data_field_set,
-    index_group,
-)
+from dnacode.model import Message, ReadPool, Strand, SystemParams
 
 
 def mk_params(
@@ -93,6 +85,34 @@ def oracle_bottleneck(
     return best[0], best_pairs
 
 
+def is_optimal_bottleneck(
+    left: Iterable[int],
+    right: Iterable[int],
+    result: tuple[int, tuple[tuple[int, int], ...]],
+) -> bool:
+    """True iff ``result`` = (value, pairs) carries the enumerated optimum
+    and pairs sorted(left) one to one with right, every pair within it.
+    Which optimal bijection is chosen is left open."""
+    value, pairs = result
+    return (
+        value == oracle_bottleneck(left, right)[0]
+        and [a for a, _ in pairs] == sorted(left)
+        and sorted(b for _, b in pairs) == sorted(right)
+        and all((a ^ b).bit_count() <= value for a, b in pairs)
+    )
+
+
+def scipy_has_perfect_matching(within: Sequence[Sequence[bool]]) -> bool:
+    """Whether the square 0/1 matrix ``within`` (rows left, columns right)
+    has a perfect matching, by scipy's maximum_bipartite_matching.  scipy
+    is a test-only dependency; callers skip when it is missing."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    match = maximum_bipartite_matching(csr_matrix(within, dtype=int), perm_type="column")
+    return bool((match >= 0).all())
+
+
 def oracle_assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:
     """Partition search: try every read-to-strand assignment."""
     reads = pool.to_reads()
@@ -138,12 +158,13 @@ def oracle_exists_bijection(z1: Message, z2: Message, bound: tuple[int, int]) ->
 
 def oracle_dna_distance(z1: Message, z2: Message) -> Union[int, float]:
     """DNA-distance by enumerating every per-group bijection."""
-    if data_field_multiset(z1) != data_field_multiset(z2):
+    data1 = sorted(s.data_bits for s in z1.strands)
+    if data1 != sorted(s.data_bits for s in z2.strands):
         return math.inf
     worst = 0
-    for u in data_field_set(z1):
-        g1 = sorted(index_group(u, z1))
-        g2 = sorted(index_group(u, z2))
+    for u in set(data1):
+        g1 = sorted(s.index_bits for s in z1.strands if s.data_bits == u)
+        g2 = sorted(s.index_bits for s in z2.strands if s.data_bits == u)
         best = min(
             max((a ^ b).bit_count() for a, b in zip(g1, perm))
             for perm in permutations(g2)

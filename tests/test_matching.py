@@ -25,15 +25,16 @@ from dnacode.matching import bijection_graph
 
 from oracles import (
     all_bipartite_graphs,
+    is_optimal_bottleneck,
     mk_message,
     mk_params,
     oracle_assignment_feasible,
-    oracle_bottleneck,
     oracle_exists_bijection,
     oracle_has_perfect_matching,
     oracle_max_matching_size,
     random_graph,
     random_message,
+    scipy_has_perfect_matching,
 )
 
 
@@ -230,7 +231,7 @@ def test_bottleneck_random_agreement_with_oracle():
         n = rng.randint(1, 5)
         left = rng.sample(range(64), n)
         right = rng.sample(range(64), n)
-        assert bottleneck_bijection(left, right) == oracle_bottleneck(left, right)
+        assert is_optimal_bottleneck(left, right, bottleneck_bijection(left, right))
 
 
 def test_bottleneck_threshold_is_minimal():
@@ -247,6 +248,21 @@ def test_bottleneck_threshold_is_minimal():
             z1 = mk_message(5, *[format(v << 1, "06b") for v in left])
             z2 = mk_message(5, *[format(v << 1, "06b") for v in right])
             assert not oracle_exists_bijection(z1, z2, (value - 1, 1))
+
+
+def test_bottleneck_agrees_with_scipy_on_64_element_sides():
+    pytest.importorskip("scipy")
+    rng = random.Random(31)
+    for _ in range(20):
+        left = rng.sample(range(1 << 12), 64)
+        right = rng.sample(range(1 << 12), 64)
+        value, pairs = bottleneck_bijection(left, right)
+        assert sorted(a for a, _ in pairs) == sorted(left)
+        assert sorted(b for _, b in pairs) == sorted(right)
+        assert all((a ^ b).bit_count() <= value for a, b in pairs)
+        dist = [[(a ^ b).bit_count() for b in right] for a in left]
+        assert scipy_has_perfect_matching([[d <= value for d in row] for row in dist])
+        assert not scipy_has_perfect_matching([[d < value for d in row] for row in dist])
 
 
 def assignment_params():

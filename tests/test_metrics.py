@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from dnacode import (
     DuplicateCodeword,
+    Message,
     PairDistance,
     ShapeMismatch,
     Strand,
@@ -19,7 +20,6 @@ from dnacode import (
     split_distance,
 )
 from dnacode.matching import exists_bijection_within
-from dnacode.metrics import hamming, split_weight
 from dnacode.model import split_popcount
 
 from oracles import (
@@ -28,6 +28,7 @@ from oracles import (
     oracle_dna_distance,
     random_message,
     random_same_ms_pair,
+    scipy_has_perfect_matching,
 )
 
 
@@ -45,11 +46,9 @@ def test_split_distance_shape_mismatch():
         split_distance(Strand.from_string("000", 1), Strand.from_string("000", 2))
 
 
-def test_split_weight_and_hamming():
-    assert hamming(0b1010, 0b0110) == 2
+def test_split_popcount():
     assert split_popcount(0b110, 1) == (2, 0)
     assert split_popcount(0b1011 ^ 0b0110, 2) == (2, 1)
-    assert split_weight(Strand.from_string("110", 2)) == (2, 0)
 
 
 def test_pair_order_is_partial():
@@ -104,6 +103,36 @@ def test_dna_distance_random_agreement_with_oracle():
         assert dna_distance(z1, z2) == oracle_dna_distance(z1, z2)
         z3 = random_message(rng, p)
         assert dna_distance(z1, z3) == oracle_dna_distance(z1, z3)
+
+
+def test_dna_distance_agrees_with_scipy_at_m_512():
+    # D(Z1, Z2) is the least D with a strand bijection within (D, 0)
+    pytest.importorskip("scipy")
+    rng = random.Random(53)
+    p = mk_params(512, 20, 11, 10, 1, 1, 1)
+    data = [u for u in rng.sample(range(1 << p.data_len), 8) for _ in range(64)]
+
+    def message():
+        rng.shuffle(data)
+        indices = rng.sample(range(1 << p.index_len), p.m)
+        return Message(
+            tuple(
+                Strand.from_fields(i, u, p.length, p.index_len) for i, u in zip(indices, data)
+            )
+        )
+
+    z1, z2 = message(), message()
+    d = dna_distance(z1, z2)
+    assert 0 < d < math.inf
+    dist = [
+        [
+            (x.index_bits ^ y.index_bits).bit_count() if x.data_bits == y.data_bits else p.length
+            for y in z2.strands
+        ]
+        for x in z1.strands
+    ]
+    assert scipy_has_perfect_matching([[e <= d for e in row] for row in dist])
+    assert not scipy_has_perfect_matching([[e < d for e in row] for row in dist])
 
 
 def test_dna_distance_axioms_on_shared_multiset():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dnacode import (
+    Answer,
     DuplicateIndex,
     DuplicateStrand,
     Message,
@@ -191,6 +192,20 @@ def test_tau_budget_is_an_exact_floor():
     assert mk_params(1, 2, 1, 2, "1", 1, 1).tau_budget == 2
     # 0.66... * 3 must not round up
     assert mk_params(1, 2, 1, 3, Fraction(66, 100), 1, 1).tau_budget == 1
+
+
+def test_tau_must_be_exact():
+    # 0.7 as a float is just below 7/10, so floor(tau*10) would be 6 and
+    # the budget < M*K/(2M-1) hypothesis would prove a NO that 7/10 leaves open
+    z1, z2 = mk_message(2, "0000", "0101"), mk_message(2, "0000", "1100")
+    exact = SystemParams(2, 4, 2, 10, Fraction(7, 10), 1, 0)
+    assert exact.tau_budget == 7
+    assert balls_intersect(z1, z2, exact).answer is Answer.UNKNOWN
+    assert SystemParams(2, 4, 2, 10, "7/10", 1, 0) == exact
+    assert SystemParams(2, 4, 2, 10, 1, 1, 0).tau == 1
+    for bad in [0.7, 1.0, "seven tenths", "1/0"]:
+        with pytest.raises(ValidationError):
+            SystemParams(2, 4, 2, 10, bad, 1, 0)
 
 
 def test_pool_size():

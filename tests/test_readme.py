@@ -1,0 +1,21 @@
+"""The README's library example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_prints_its_comments():
+    section = README.read_text(encoding="utf-8").split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    expected = [
+        line.rsplit("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["Answer.YES", "True"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected
