@@ -23,10 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
-from .matching import Bijection, exists_bijection_within
+from .matching import (
+    Bijection,
+    HallViolator,
+    bijection_of,
+    exists_bijection_within,
+    match_within,
+    packed,
+)
 from .metrics import min_dna_distance, pair_leq, split_distance
 from .model import (
     Message,
@@ -98,6 +105,81 @@ class IntersectionResult:
             raise ValidationError("reason present iff the answer is Unknown")
 
 
+Flags = tuple[bool, bool]
+"""A message's restricted-space hypotheses, see ``PairTest.restricted``."""
+
+
+class PairTest:
+    """The pair decision, with everything that depends on the params only
+    computed once, so a code or space pays for it once and not per pair."""
+
+    def __init__(self, params: SystemParams) -> None:
+        self.regime = classify_regime(params)
+        self.data_len = params.data_len
+        one_e = (params.e_i, params.e_d)
+        self.two_e = (2 * params.e_i, 2 * params.e_d)
+        # the bound a bijection must meet to prove Yes
+        self.bound = self.two_e if self.regime is Regime.TAU_ONE else one_e
+        # at high tau, avoidance at (e_i, e_d) proves No only for budgets
+        # below M*K/(2M-1)
+        below = self.regime is Regime.HIGH_TAU and params.tau_budget < budget_bound(params)
+        self.one_e = one_e if below else None
+
+    def restricted(self, z: Message) -> Flags:
+        """Whether no two strands of Z lie within (2e_i, 2e_d), and whether
+        the budget is below M*K/(2M-1) and none lie within (e_i, e_d)."""
+        return (
+            in_restricted_space(z, *self.two_e),
+            self.one_e is not None and in_restricted_space(z, *self.one_e),
+        )
+
+    def flags(self, messages: Sequence[Message]) -> list[Flags]:
+        """Each message's ``restricted`` flags at high tau, the only regime
+        that reads them; empty otherwise."""
+        if self.regime is not Regime.HIGH_TAU:
+            return []
+        return [self.restricted(z) for z in messages]
+
+    def decide(
+        self,
+        z1: Message,
+        z2: Message,
+        bits1: tuple[int, ...],
+        bits2: tuple[int, ...],
+        flags: Optional[tuple[Flags, Flags]] = None,
+    ) -> tuple[Answer, Optional[Bijection]]:
+        """The answer for two distinct messages of the params' shape, given
+        their packed strands, and a bijection with Yes.
+
+        At high tau a No needs both messages' flags; when they are not
+        given they are computed here, once no bijection has been found.
+        """
+        if self.regime is Regime.LOW_TAU:
+            return Answer.UNKNOWN, None
+        match = match_within(bits1, bits2, self.data_len, self.bound)
+        if not isinstance(match, HallViolator):
+            return Answer.YES, bijection_of(z1, z2, match)
+        if self.regime is Regime.TAU_ONE:
+            return Answer.NO, None
+        (two1, one1), (two2, one2) = flags or (self.restricted(z1), self.restricted(z2))
+        if (two1 and two2) or (one1 and one2):
+            return Answer.NO, None
+        return Answer.UNKNOWN, None
+
+    def answers(
+        self, messages: Sequence[Message], flags: Sequence[Flags]
+    ) -> Iterator[tuple[int, int, Answer, Optional[Bijection]]]:
+        """``decide`` on every pair i < j of distinct messages, in order,
+        with ``flags`` as given by ``self.flags(messages)``."""
+        bits = [packed(z) for z in messages]
+        n = len(messages)
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair_flags = (flags[i], flags[j]) if flags else None
+                answer, bij = self.decide(messages[i], messages[j], bits[i], bits[j], pair_flags)
+                yield i, j, answer, bij
+
+
 def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> IntersectionResult:
     """Decide whether the error balls of Z1 and Z2 intersect.
 
@@ -108,29 +190,12 @@ def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> Intersect
     check_shape(z1, z2, params=params)
     if z1 == z2:
         return IntersectionResult(Answer.YES, tuple((s, s) for s in z1.strands))
-    regime = classify_regime(params)
-    if regime is Regime.LOW_TAU:
-        return IntersectionResult(Answer.UNKNOWN, reason=LOW_TAU_REASON)
-    if regime is Regime.TAU_ONE:
-        bij = exists_bijection_within(z1, z2, (2 * params.e_i, 2 * params.e_d))
-        if bij is None:
-            return IntersectionResult(Answer.NO)
-        return IntersectionResult(Answer.YES, bij)
-    one_e = (params.e_i, params.e_d)
-    bij = exists_bijection_within(z1, z2, one_e)
-    if bij is not None:
-        return IntersectionResult(Answer.YES, bij)
-    two_e = (2 * params.e_i, 2 * params.e_d)
-    decisive = (
-        in_restricted_space(z1, *two_e) and in_restricted_space(z2, *two_e)
-    ) or (
-        params.tau_budget < budget_bound(params)
-        and in_restricted_space(z1, *one_e)
-        and in_restricted_space(z2, *one_e)
-    )
-    if decisive:
-        return IntersectionResult(Answer.NO)
-    return IntersectionResult(Answer.UNKNOWN, reason=UNPROVED_REASON)
+    test = PairTest(params)
+    answer, bij = test.decide(z1, z2, packed(z1), packed(z2))
+    if answer is Answer.UNKNOWN:
+        reason = LOW_TAU_REASON if test.regime is Regime.LOW_TAU else UNPROVED_REASON
+        return IntersectionResult(answer, reason=reason)
+    return IntersectionResult(answer, bij)
 
 
 class VerdictKind(Enum):
@@ -184,23 +249,20 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
     correcting.
     """
     codewords = _validated_code(code, params)
-    tag = _regime_tag(codewords, params)
-    if tag.regime is Regime.TAU_ONE:
-        bound = (2 * params.e_i, 2 * params.e_d)
-    else:
-        bound = (params.e_i, params.e_d)
-    first_unknown: Optional[str] = None
-    for i in range(len(codewords)):
-        for j in range(i + 1, len(codewords)):
-            result = balls_intersect(codewords[i], codewords[j], params)
-            if result.answer is Answer.YES:
-                assert result.bijection is not None
-                witness = Witness((codewords[i], codewords[j]), result.bijection, bound)
-                return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
-            if result.answer is Answer.UNKNOWN and first_unknown is None:
-                first_unknown = result.reason
-    if first_unknown is not None:
-        return Verdict(VerdictKind.INDETERMINATE, tag, reason=first_unknown)
+    test = PairTest(params)
+    flags = test.flags(codewords)
+    tag = _regime_tag(test, flags)
+    if test.regime is Regime.LOW_TAU and len(codewords) > 1:
+        return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
+    any_unknown = False
+    for i, j, answer, bij in test.answers(codewords, flags):
+        if answer is Answer.YES:
+            assert bij is not None
+            witness = Witness((codewords[i], codewords[j]), bij, test.bound)
+            return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
+        any_unknown = any_unknown or answer is Answer.UNKNOWN
+    if any_unknown:
+        return Verdict(VerdictKind.INDETERMINATE, tag, reason=UNPROVED_REASON)
     return Verdict(VerdictKind.CORRECTING, tag)
 
 
@@ -215,7 +277,8 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     if params.e_d != 0:
         raise EdNonZero(f"this test requires e_d = 0, got e_d = {params.e_d}")
     codewords = _validated_code(code, params)
-    tag = _regime_tag(codewords, params)
+    test = PairTest(params)
+    tag = _regime_tag(test, test.flags(codewords))
     if len(codewords) < 2:
         return Verdict(VerdictKind.CORRECTING, tag)
     if tag.regime is Regime.LOW_TAU:
@@ -240,15 +303,11 @@ def _validated_code(code: Sequence[Message], params: SystemParams) -> tuple[Mess
     return tuple(sorted(code))
 
 
-def _regime_tag(code: Sequence[Message], params: SystemParams) -> RegimeTag:
-    regime = classify_regime(params)
-    if regime is not Regime.HIGH_TAU:
-        return RegimeTag(regime)
-    two_e = (2 * params.e_i, 2 * params.e_d)
-    one_e = (params.e_i, params.e_d)
+def _regime_tag(test: PairTest, flags: Sequence[Flags]) -> RegimeTag:
+    if test.regime is not Regime.HIGH_TAU:
+        return RegimeTag(test.regime)
     return RegimeTag(
-        regime,
-        restricted2e=all(in_restricted_space(z, *two_e) for z in code),
-        restricted1e_bound=params.tau_budget < budget_bound(params)
-        and all(in_restricted_space(z, *one_e) for z in code),
+        test.regime,
+        restricted2e=all(two for two, _ in flags),
+        restricted1e_bound=test.one_e is not None and all(one for _, one in flags),
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
 from .model import Message, ReadPool, Strand, SystemParams, check_shape, split_popcount
@@ -95,8 +95,14 @@ def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
     Returns (match_left, match_right) with -1 marking unmatched vertices.
     Deterministic: vertices are explored in index order.
     """
-    nl, nr = g.left_size, g.right_size
-    adj = g.adjacency
+    return _hopcroft_karp(g.left_size, g.right_size, g.adjacency)
+
+
+def _hopcroft_karp(
+    nl: int, nr: int, adj: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # rows must be sorted and distinct, as BipartiteGraph makes them;
+    # callers that build such rows themselves skip its normalisation
     match_l = [-1] * nl
     match_r = [-1] * nr
     infinity = nl + nr + 1
@@ -165,15 +171,25 @@ def perfect_matching_or_violator(g: BipartiteGraph) -> Union[PerfectMatching, Ha
     paths from unmatched left vertices under a maximum matching; its
     neighborhood is then strictly smaller.
     """
-    match_l, match_r = maximum_matching(g)
-    if all(v != -1 for v in match_l):
-        return PerfectMatching(tuple((u, match_l[u]) for u in range(g.left_size)))
-    reach_l = {u for u in range(g.left_size) if match_l[u] == -1}
+    result = _matching_or_violator(g.left_size, g.right_size, g.adjacency)
+    if isinstance(result, HallViolator):
+        return result
+    return PerfectMatching(tuple(enumerate(result)))
+
+
+def _matching_or_violator(
+    nl: int, nr: int, adj: Sequence[Sequence[int]]
+) -> Union[tuple[int, ...], HallViolator]:
+    """The right partner of each left vertex, or a Hall violator."""
+    match_l, match_r = _hopcroft_karp(nl, nr, adj)
+    if -1 not in match_l:
+        return match_l
+    reach_l = {u for u in range(nl) if match_l[u] == -1}
     reach_r: set[int] = set()
     queue = deque(sorted(reach_l))
     while queue:
         u = queue.popleft()
-        for v in g.adjacency[u]:
+        for v in adj[u]:
             if v not in reach_r:
                 reach_r.add(v)
                 w = match_r[v]
@@ -183,24 +199,54 @@ def perfect_matching_or_violator(g: BipartiteGraph) -> Union[PerfectMatching, Ha
     return HallViolator(frozenset(reach_l), frozenset(reach_r))
 
 
+def _rows_within(
+    left: Sequence[int], right: Sequence[int], data_len: int, bound: tuple[int, int]
+) -> Iterator[list[int]]:
+    """For each packed strand of ``left`` in turn, the ascending positions
+    of the strands of ``right`` within ``bound`` of it.
+
+    The split distance is ``model.split_popcount`` written out inline:
+    this is the innermost loop of every pair decision.
+    """
+    r1, r2 = bound
+    mask = (1 << data_len) - 1
+    for a in left:
+        yield [
+            j
+            for j, b in enumerate(right)
+            if ((x := a ^ b) >> data_len).bit_count() <= r1 and (x & mask).bit_count() <= r2
+        ]
+
+
 def bijection_graph(z1: Message, z2: Message, bound: tuple[int, int]) -> BipartiteGraph:
     """Graph on Z1 x Z2 with an edge iff the split distance is within ``bound``."""
     check_shape(z1, z2)
-    r1, r2 = bound
-    data_len = z1.data_len
-    right = [y.bits for y in z2.strands]
-    adjacency = tuple(
-        tuple(
-            j
-            for j, b in enumerate(right)
-            if (d := split_popcount(x.bits ^ b, data_len))[0] <= r1 and d[1] <= r2
-        )
-        for x in z1.strands
-    )
-    return BipartiteGraph(z1.m, z2.m, adjacency)
+    rows = _rows_within(packed(z1), packed(z2), z1.data_len, bound)
+    return BipartiteGraph(z1.m, z2.m, tuple(map(tuple, rows)))
 
 
 Bijection = tuple[tuple[Strand, Strand], ...]
+
+
+def match_within(
+    left: Sequence[int], right: Sequence[int], data_len: int, bound: tuple[int, int]
+) -> Union[tuple[int, ...], HallViolator]:
+    """The position in ``right`` matched to each packed strand of ``left``,
+    every matched pair within ``bound``, or a Hall violator when no such
+    bijection exists.
+
+    Rows of the bijection graph are built one at a time.  The first
+    strand u with no partner within the bound ends the test with the
+    violator ({u}, {}), since |{u}| = 1 > 0 = |N({u})|; Hopcroft-Karp
+    runs only when every strand has a partner.  The caller has checked
+    that both sides come from messages of one shape.
+    """
+    rows = []
+    for u, row in enumerate(_rows_within(left, right, data_len, bound)):
+        if not row:
+            return HallViolator(frozenset((u,)), frozenset())
+        rows.append(row)
+    return _matching_or_violator(len(left), len(right), rows)
 
 
 def bijection_within_or_violator(
@@ -209,12 +255,25 @@ def bijection_within_or_violator(
     """A strand bijection within ``bound``, or the Hall violator that blocks one.
 
     Violator vertex indices refer to positions in the canonical (sorted)
-    strand order of Z1 (left) and Z2 (right).
+    strand order of Z1 (left) and Z2 (right).  When some strand of Z1 has
+    no partner within the bound, the violator is that one strand.
     """
-    result = perfect_matching_or_violator(bijection_graph(z1, z2, bound))
+    check_shape(z1, z2)
+    result = match_within(packed(z1), packed(z2), z1.data_len, bound)
     if isinstance(result, HallViolator):
         return result
-    return tuple((z1.strands[u], z2.strands[v]) for u, v in result.pairs)
+    return bijection_of(z1, z2, result)
+
+
+def bijection_of(z1: Message, z2: Message, match: Sequence[int]) -> Bijection:
+    """The strand pairs of a ``match_within`` result on Z1 and Z2."""
+    right = z2.strands
+    return tuple((x, right[v]) for x, v in zip(z1.strands, match))
+
+
+def packed(z: Message) -> tuple[int, ...]:
+    """The packed values of Z's strands, in canonical order."""
+    return tuple(s.bits for s in z.strands)
 
 
 def exists_bijection_within(
@@ -247,10 +306,8 @@ def bottleneck_bijection(
     dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
 
     def perfect_within(threshold: int) -> Optional[tuple[int, ...]]:
-        g = BipartiteGraph(
-            n, n, tuple(tuple(j for j, d in enumerate(row) if d <= threshold) for row in dist)
-        )
-        match_l, _ = maximum_matching(g)
+        rows = [[j for j, d in enumerate(row) if d <= threshold] for row in dist]
+        match_l, _ = _hopcroft_karp(n, n, rows)
         return None if -1 in match_l else match_l
 
     thresholds = sorted({d for row in dist for d in row})

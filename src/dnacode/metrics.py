@@ -57,6 +57,11 @@ def dna_distance(z1: Message, z2: Message) -> DnaDistance:
     g1, g2 = index_groups(z1), index_groups(z2)
     if g1.keys() != g2.keys() or any(len(g1[u]) != len(g2[u]) for u in g1):
         return math.inf
+    return _grouped_distance(g1, g2)
+
+
+def _grouped_distance(g1: dict[int, list[int]], g2: dict[int, list[int]]) -> int:
+    # groups of one data-field multiset: the worst bottleneck over data fields
     return max(bottleneck_bijection(g1[u], g2[u])[0] for u in g1)
 
 
@@ -66,19 +71,26 @@ def min_dna_distance(
     """Minimum pairwise DNA-distance of a code, with an argmin pair.
 
     The witness is the first pair attaining the minimum, iterating
-    unordered pairs in the order the code lists them.
+    unordered pairs in the order the code lists them.  Only codewords
+    with one data-field multiset are compared, since all other pairs
+    are infinitely far apart; when no two codewords share a multiset the
+    minimum is math.inf and the witness the first two codewords.
     """
     if len(code) < 2:
         raise TooFewCodewords(f"need at least 2 codewords, got {len(code)}")
     if len(set(code)) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
+    check_shape(*code)
+    groups = [index_groups(z) for z in code]
+    buckets: dict[frozenset[tuple[int, int]], list[int]] = {}
+    for i, g in enumerate(groups):
+        buckets.setdefault(frozenset((u, len(ind)) for u, ind in g.items()), []).append(i)
     best: DnaDistance = math.inf
-    witness: tuple[Message, Message] | None = None
-    for i in range(len(code)):
-        for j in range(i + 1, len(code)):
-            d = dna_distance(code[i], code[j])
-            if witness is None or d < best:
-                best = d
-                witness = (code[i], code[j])
-    assert witness is not None
-    return best, witness
+    first = (0, 1)
+    for members in buckets.values():
+        for a, i in enumerate(members):
+            for j in members[a + 1 :]:
+                d = _grouped_distance(groups[i], groups[j])
+                if d < best or (d == best and (i, j) < first):
+                    best, first = d, (i, j)
+    return best, (code[first[0]], code[first[1]])

@@ -16,7 +16,7 @@ boundaries such as tau*K == K/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence, Union
@@ -217,6 +217,11 @@ class SystemParams:
     tau: Fraction
     e_i: int
     e_d: int
+    # floor(tau*K), the most reads per strand that may differ from it, set
+    # once since every regime test and flow reads it; a plain field, as a
+    # cached_property would move the fields into a dict and slow every
+    # read of them, such as those in assignment_feasible's inner loop
+    tau_budget: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # a float has already been rounded to binary, so floor(tau*K) of
@@ -249,15 +254,11 @@ class SystemParams:
             raise ValidationError(
                 f"need 0 <= ed <= L-l, got ed={self.e_d}, L-l={self.length - self.index_len}"
             )
+        object.__setattr__(self, "tau_budget", math.floor(self.tau * self.k))
 
     @property
     def data_len(self) -> int:
         return self.length - self.index_len
-
-    @property
-    def tau_budget(self) -> int:
-        """floor(tau*K): max reads per strand that may differ from it."""
-        return math.floor(self.tau * self.k)
 
     @property
     def pool_size(self) -> int:
@@ -275,7 +276,10 @@ def split_popcount(x: int, data_len: int) -> tuple[int, int]:
     """Set bits of ``x`` in the index field and in the data field.
 
     On ``a ^ b`` for two packed strands this is their split distance,
-    the quantity every intersection criterion is stated on.
+    the quantity every intersection criterion is stated on.  The rows of
+    ``matching``'s bijection graphs write these two popcounts out inline,
+    since a call per strand pair made code verification about a third
+    slower.
     """
     return (x >> data_len).bit_count(), (x & ((1 << data_len) - 1)).bit_count()
 

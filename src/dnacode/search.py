@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .codec import Answer, VerdictKind, balls_intersect, is_dna_correcting
+# balls_intersect is not called here: it stays importable under this
+# module for the benchmark tracer, which counts pair tests by that name
+from .codec import Answer, PairTest, Regime, VerdictKind, balls_intersect, is_dna_correcting
 from .errors import TooLargeForExact, ValidationError
 from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space
 
@@ -82,9 +84,10 @@ def build_graph(
     vertices = tuple(enumerate_space(params, restrict, cap))
     n = len(vertices)
     adjacency = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if balls_intersect(vertices[i], vertices[j], params).answer is Answer.NO:
+    test = PairTest(params)
+    if test.regime is not Regime.LOW_TAU:  # there every pair is Unknown
+        for i, j, answer, _ in test.answers(vertices, test.flags(vertices)):
+            if answer is Answer.NO:
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
     return CompatibilityGraph(params, vertices, tuple(adjacency))

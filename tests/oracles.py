@@ -2,7 +2,12 @@
 
 Every oracle here decides its question by brute enumeration
 (permutations, full assignment search, subset scan) and never calls the
-algorithm it is checking, so agreement is meaningful evidence.
+algorithm it is checking, so agreement is meaningful evidence.  The
+per-pair references near the end are the exception: they rebuild a
+code's verdict and a space's compatibility graph from ``balls_intersect``
+one pair at a time, the way the library did before its pair loops
+computed per-code data once, so they check that loop and not the pair
+decision itself.
 """
 
 from __future__ import annotations
@@ -13,8 +18,26 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
-from dnacode.matching import BipartiteGraph
-from dnacode.model import Message, ReadPool, Strand, SystemParams
+from dnacode.codec import (
+    Answer,
+    Regime,
+    RegimeTag,
+    Verdict,
+    VerdictKind,
+    Witness,
+    balls_intersect,
+    budget_bound,
+    classify_regime,
+)
+from dnacode.matching import BipartiteGraph, HallViolator
+from dnacode.model import (
+    Message,
+    ReadPool,
+    Strand,
+    SystemParams,
+    in_restricted_space,
+    split_popcount,
+)
 
 
 def mk_params(
@@ -171,6 +194,79 @@ def oracle_dna_distance(z1: Message, z2: Message) -> Union[int, float]:
         )
         worst = max(worst, best)
     return worst
+
+
+def oracle_min_dna_distance(
+    code: Sequence[Message],
+) -> tuple[Union[int, float], tuple[Message, Message]]:
+    """Minimum DNA-distance over every pair in listing order, with the
+    first pair attaining it (the first pair when every pair is infinite)."""
+    pairs = list(combinations(code, 2))
+    distances = [oracle_dna_distance(a, b) for a, b in pairs]
+    best = min(distances)
+    return best, pairs[distances.index(best)]
+
+
+def is_real_violator(
+    z1: Message, z2: Message, bound: tuple[int, int], violator: HallViolator
+) -> bool:
+    """True iff ``violator``'s left set Y (positions in Z1) has exactly the
+    recorded neighbourhood in Z2 within ``bound`` and |Y| > |N(Y)|, with
+    N(Y) recomputed from the strands through ``split_popcount`` alone."""
+    data_len = z1.data_len
+    r1, r2 = bound
+    neighbours = set()
+    for u in violator.left_set:
+        for v, y in enumerate(z2.strands):
+            di, dd = split_popcount(z1.strands[u].bits ^ y.bits, data_len)
+            if di <= r1 and dd <= r2:
+                neighbours.add(v)
+    return (
+        all(0 <= u < z1.m for u in violator.left_set)
+        and violator.neighborhood == frozenset(neighbours)
+        and len(violator.left_set) > len(neighbours)
+    )
+
+
+def pairwise_verdict(code: Sequence[Message], params: SystemParams) -> Verdict:
+    """The verdict of ``is_dna_correcting``, from ``balls_intersect`` on every
+    pair of the sorted code and the regime tag recomputed per codeword."""
+    codewords = sorted(code)
+    regime = classify_regime(params)
+    one_e = (params.e_i, params.e_d)
+    two_e = (2 * params.e_i, 2 * params.e_d)
+    if regime is Regime.HIGH_TAU:
+        tag = RegimeTag(
+            regime,
+            restricted2e=all(in_restricted_space(z, *two_e) for z in codewords),
+            restricted1e_bound=params.tau_budget < budget_bound(params)
+            and all(in_restricted_space(z, *one_e) for z in codewords),
+        )
+    else:
+        tag = RegimeTag(regime)
+    bound = two_e if regime is Regime.TAU_ONE else one_e
+    first_unknown = None
+    for z1, z2 in combinations(codewords, 2):
+        result = balls_intersect(z1, z2, params)
+        if result.answer is Answer.YES:
+            witness = Witness((z1, z2), result.bijection, bound)
+            return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
+        if result.answer is Answer.UNKNOWN and first_unknown is None:
+            first_unknown = result.reason
+    if first_unknown is not None:
+        return Verdict(VerdictKind.INDETERMINATE, tag, reason=first_unknown)
+    return Verdict(VerdictKind.CORRECTING, tag)
+
+
+def pairwise_adjacency(vertices: Sequence[Message], params: SystemParams) -> tuple[int, ...]:
+    """Compatibility masks from ``balls_intersect`` on every pair: bit j of
+    mask i is set iff the pair (i, j) answers No."""
+    adjacency = [0] * len(vertices)
+    for i, j in combinations(range(len(vertices)), 2):
+        if balls_intersect(vertices[i], vertices[j], params).answer is Answer.NO:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return tuple(adjacency)
 
 
 def oracle_max_clique_size(adjacency: Sequence[int]) -> int:
