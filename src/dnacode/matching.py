@@ -21,16 +21,29 @@ capacities force exactly K per strand, noisy-slot capacities cap the
 differing reads at floor(tau*K), and noisy edges exist only within
 (e_i, e_d).  The exact slot's capacity K never binds before the strand
 capacity, so routing exact copies through it loses no generality.
+
+The value edges are found by index lookup.  A read value v has an edge to
+strand s only if their index fields are within e_i, that is, only if s's
+index equals v's index XOR some l-bit mask of weight at most e_i (the
+mask 0 for an exact copy).  Index fields are distinct within a message,
+so a dict from index field to strand holds every strand, and looking up
+the V(l, e_i) = sum_{i <= e_i} C(l, i) masks finds each candidate strand
+exactly once; the split distance to it then decides the edge.  When
+V(l, e_i) > M the masks would outnumber the strands, so every strand is
+scanned instead, through the same test.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
-from .model import Message, ReadPool, Strand, SystemParams, check_shape, split_popcount
+from .model import Message, ReadPool, Strand, SystemParams, check_shape
 
 
 @dataclass(frozen=True)
@@ -337,36 +350,60 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
     if pool.size != params.pool_size:
         raise WrongPoolSize(f"pool has {pool.size} reads, expected {params.pool_size}")
 
-    k, budget = params.k, params.tau_budget
+    k, budget, e_i, e_d = params.k, params.tau_budget, params.e_i, params.e_d
     data_len = params.data_len
-    values = [v for v, _ in pool.entries]
-    m = z.m
-
-    # node layout: source, values, then (exact, noisy, strand) per strand, sink
-    source = 0
-    value_node = {v: 1 + i for i, v in enumerate(values)}
-    base = 1 + len(values)
-    exact_node = lambda j: base + 3 * j
-    noisy_node = lambda j: base + 3 * j + 1
-    strand_node = lambda j: base + 3 * j + 2
-    sink = base + 3 * m
-    net = _Dinic(sink + 1)
-
-    for v, count in pool.entries:
-        net.add_edge(source, value_node[v], count)
+    mask = (1 << data_len) - 1
     big = params.pool_size
+
+    # node layout: source 0, read values 1..n, then (exact, noisy, strand)
+    # at base + 3*j for strand j, sink last
+    base = 1 + len(pool.entries)
+    sink = base + 3 * z.m
+    net = _Dinic(sink + 1)
+    slots = []
     for j, s in enumerate(z.strands):
-        net.add_edge(exact_node(j), strand_node(j), k)
-        net.add_edge(noisy_node(j), strand_node(j), budget)
-        net.add_edge(strand_node(j), sink, k)
-        for v in values:
-            if v == s.bits:
-                net.add_edge(value_node[v], exact_node(j), big)
-            else:
-                di, dd = split_popcount(v ^ s.bits, data_len)
-                if di <= params.e_i and dd <= params.e_d:
-                    net.add_edge(value_node[v], noisy_node(j), big)
-    return net.max_flow(source, sink) == params.pool_size
+        exact = base + 3 * j
+        net.add_edge(exact, exact + 2, k)
+        net.add_edge(exact + 1, exact + 2, budget)
+        net.add_edge(exact + 2, sink, k)
+        slots.append((exact, s.bits))
+
+    # a read's candidate strands: those whose index field lies within e_i
+    # of its own, looked up when that ball is no larger than M, else all
+    lookup = _ball_volume(params.index_len, e_i) <= z.m
+    if lookup:
+        flips = _flip_masks(params.index_len, e_i)
+        by_index = {s >> data_len: (exact, s) for exact, s in slots}
+    near = slots
+    for i, (v, count) in enumerate(pool.entries, 1):
+        net.add_edge(0, i, count)
+        if lookup:
+            index = v >> data_len
+            near = [hit for f in flips if (hit := by_index.get(index ^ f))]
+        for exact, s in near:
+            x = v ^ s
+            if not x:
+                net.add_edge(i, exact, big)
+            elif (x >> data_len).bit_count() <= e_i and (x & mask).bit_count() <= e_d:
+                net.add_edge(i, exact + 1, big)
+    return net.max_flow(0, sink) == params.pool_size
+
+
+@lru_cache(maxsize=32)
+def _ball_volume(width: int, radius: int) -> int:
+    """V(width, radius): the number of width-bit words within Hamming
+    distance radius of a given one."""
+    return sum(math.comb(width, i) for i in range(radius + 1))
+
+
+@lru_cache(maxsize=32)
+def _flip_masks(width: int, radius: int) -> tuple[int, ...]:
+    """Every width-bit mask of weight at most radius, weight 0 first."""
+    return tuple(
+        sum(1 << p for p in positions)
+        for weight in range(radius + 1)
+        for positions in combinations(range(width), weight)
+    )
 
 
 class _Dinic:

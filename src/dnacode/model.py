@@ -37,16 +37,15 @@ DEFAULT_SPACE_CAP = 10_000_000
 
 
 def bits_from_string(s: str) -> int:
-    """Pack a binary string (leftmost char = most significant bit)."""
-    value = 0
-    for ch in s:
-        if ch == "1":
-            value = (value << 1) | 1
-        elif ch == "0":
-            value <<= 1
-        else:
-            raise ValidationError(f"bit string may contain only 0 and 1, got {s!r}")
-    return value
+    """Pack a binary string (leftmost char = most significant bit).
+
+    Only the characters 0 and 1 are accepted: ``int(s, 2)`` alone would
+    also take a sign, surrounding whitespace, underscores, a ``0b``
+    prefix and non-ASCII digits.
+    """
+    if s.strip("01"):
+        raise ValidationError(f"bit string may contain only 0 and 1, got {s!r}")
+    return int(s, 2) if s else 0
 
 
 def bits_to_string(bits: int, length: int) -> str:
@@ -220,7 +219,7 @@ class SystemParams:
     # floor(tau*K), the most reads per strand that may differ from it, set
     # once since every regime test and flow reads it; a plain field, as a
     # cached_property would move the fields into a dict and slow every
-    # read of them, such as those in assignment_feasible's inner loop
+    # read of them
     tau_budget: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

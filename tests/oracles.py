@@ -3,7 +3,9 @@
 Every oracle here decides its question by brute enumeration
 (permutations, full assignment search, subset scan) and never calls the
 algorithm it is checking, so agreement is meaningful evidence.  The
-per-pair references near the end are the exception: they rebuild a
+references are the exception.  ``reference_read_network`` builds the
+read-assignment flow network by comparing every read with every strand,
+for networkx to solve.  The per-pair references near the end rebuild a
 code's verdict and a space's compatibility graph from ``balls_intersect``
 one pair at a time, the way the library did before its pair loops
 computed per-code data once, so they check that loop and not the pair
@@ -165,6 +167,44 @@ def oracle_assignment_feasible(pool: ReadPool, z: Message, params: SystemParams)
         if valid and all(c == params.k for c in counts):
             return True
     return False
+
+
+def reference_read_network(
+    pool: ReadPool, z: Message, params: SystemParams
+) -> list[tuple[int, int, int]]:
+    """The edges (u, v, capacity) of ``assignment_feasible``'s flow network,
+    found by comparing every read value with every strand through
+    ``split_popcount``, the way the library did before it looked strands
+    up by index.  Nodes are numbered as there: source 0, read values
+    1..n in pool order, then (exact, noisy, strand) at base + 3*j for
+    strand j, where base = n + 1, and the sink at base + 3*M."""
+    base = 1 + len(pool.entries)
+    sink = base + 3 * params.m
+    edges = [(0, i, count) for i, (_, count) in enumerate(pool.entries, 1)]
+    for j, s in enumerate(z.strands):
+        exact = base + 3 * j
+        edges += [
+            (exact, exact + 2, params.k),
+            (exact + 1, exact + 2, params.tau_budget),
+            (exact + 2, sink, params.k),
+        ]
+        for i, (v, _) in enumerate(pool.entries, 1):
+            di, dd = split_popcount(v ^ s.bits, params.data_len)
+            if v == s.bits:
+                edges.append((i, exact, params.pool_size))
+            elif di <= params.e_i and dd <= params.e_d:
+                edges.append((i, exact + 1, params.pool_size))
+    return edges
+
+
+def networkx_max_flow(edges: Iterable[tuple[int, int, int]], sink: int) -> int:
+    """The maximum flow from node 0 to ``sink`` by networkx.  networkx is
+    a test-only dependency; callers skip when it is missing."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_weighted_edges_from(edges, weight="capacity")
+    return nx.maximum_flow_value(g, 0, sink)
 
 
 def oracle_exists_bijection(z1: Message, z2: Message, bound: tuple[int, int]) -> bool:

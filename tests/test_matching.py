@@ -1,7 +1,9 @@
 """Matching engine: perfect matchings, Hall violators, bottleneck
 assignment, and read-assignment feasibility."""
 
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,31 +11,37 @@ from hypothesis import given, settings, strategies as st
 from dnacode import (
     BipartiteGraph,
     HallViolator,
+    Message,
     PerfectMatching,
     ReadPool,
     ShapeMismatch,
     SizeMismatch,
     WrongPoolSize,
     assignment_feasible,
+    sample_ball,
     bijection_within_or_violator,
     bottleneck_bijection,
     exists_bijection_within,
     maximum_matching,
     perfect_matching_or_violator,
 )
+from dnacode import matching
 from dnacode.matching import bijection_graph
+from dnacode.model import Strand, flip_positions, split_popcount
 
 from oracles import (
     all_bipartite_graphs,
     is_optimal_bottleneck,
     mk_message,
     mk_params,
+    networkx_max_flow,
     oracle_assignment_feasible,
     oracle_exists_bijection,
     oracle_has_perfect_matching,
     oracle_max_matching_size,
     random_graph,
     random_message,
+    reference_read_network,
     scipy_has_perfect_matching,
 )
 
@@ -321,3 +329,139 @@ def test_assignment_budget_monotone():
         pool = ReadPool.from_reads(reads, 3)
         if assignment_feasible(pool, z, p_lo):
             assert assignment_feasible(pool, z, p_hi)
+
+
+def _within(read, s, p):
+    di, dd = split_popcount(read ^ s.bits, p.data_len)
+    return di <= p.e_i and dd <= p.e_d
+
+
+def _scale_message(rng, p):
+    """A random message with a free index t, every strand's index at
+    distance at least e_i + 1 from t and one at exactly e_i + 1, and a
+    planted pair (a, b): index fields 2*e_i apart, data fields e_d apart.
+    Returns the message, t, a and b."""
+    l, e_i = p.index_len, p.e_i
+    t = rng.randrange(1 << l)
+    free = [x for x in range(1 << l) if (x ^ t).bit_count() > e_i]
+    while True:
+        a = rng.choice(free)
+        b = a ^ sum(1 << q for q in rng.sample(range(l), 2 * e_i))
+        if (b ^ t).bit_count() > e_i:
+            break
+    near = rng.choice(
+        [x for x in free if (x ^ t).bit_count() == e_i + 1 and x not in (a, b)]
+    )
+    rest = rng.sample([x for x in free if x not in (a, b, near)], p.m - 3)
+    data_a = rng.randrange(1 << p.data_len)
+    data_b = data_a ^ sum(1 << q for q in rng.sample(range(p.data_len), p.e_d))
+    fields = [(a, data_a), (b, data_b)] + [
+        (x, rng.randrange(1 << p.data_len)) for x in [near, *rest]
+    ]
+    z = Message(tuple(Strand.from_fields(i, d, p.length, p.index_len) for i, d in fields))
+    strand = {s.bits >> p.data_len: s for s in z.strands}
+    return z, t, strand[a], strand[b]
+
+
+def _scale_pools(rng, p, seed):
+    """The message, its planted pair a and b, the read shared by a and b,
+    and (name, pool, expected verdict) for the four pool kinds of the
+    differential test at scale."""
+    z, t, a, b = _scale_message(rng, p)
+    sample = sample_ball(z, p, seed)
+    reads = [r.read for r in sample.provenance]
+    pools = [("sampled", reads, True)]
+
+    # one read moved to an index at distance e_i + 1 from the nearest strand
+    far = list(reads)
+    far[rng.randrange(len(far))] = (t << p.data_len) | rng.randrange(1 << p.data_len)
+    pools.append(("far read", far, False))
+
+    # budget + 1 copies of a noisy read that only strand s can explain: they
+    # all need s's noisy slot, which holds floor(tau*K)
+    while True:
+        s = rng.choice(z.strands)
+        flips = rng.sample(range(p.index_len), rng.randint(0, p.e_i)) + rng.sample(
+            range(p.index_len, p.length), rng.randint(0, p.e_d)
+        )
+        noisy = flip_positions(s.bits, p.length, flips)
+        if noisy != s.bits and [y for y in z.strands if _within(noisy, y, p)] == [s]:
+            break
+    over = [r.read for r in sample.provenance if r.source != s]
+    over += [s.bits] * max(0, p.k - p.tau_budget - 1) + [noisy] * (p.tau_budget + 1)
+    del over[: len(over) - p.pool_size]
+    pools.append(("over budget", over, False))
+
+    # a read at index distance e_i from both a and b takes the place of one
+    # of a's reads: an exact one if a has noisy budget left, else a noisy one
+    apart = [q for q in range(p.index_len) if (a.bits ^ b.bits) >> (p.data_len + q) & 1]
+    mid = a.bits ^ sum(1 << (p.data_len + q) for q in apart[: p.e_i])
+    own = [i for i, r in enumerate(sample.provenance) if r.source == a]
+    noisy_count = sum(1 for i in own if reads[i] != a.bits)
+    keep_exact = noisy_count < p.tau_budget
+    slot = next(i for i in own if (reads[i] == a.bits) == keep_exact)
+    shared = list(reads)
+    shared[slot] = mid
+    pools.append(("shared read", shared, True))
+    return z, a, b, mid, [(name, ReadPool.from_reads(r, p.length), want) for name, r, want in pools]
+
+
+class _RecordingDinic(matching._Dinic):
+    networks: list = []
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.edges = []
+        self.networks.append(self)
+
+    def add_edge(self, u, v, cap):
+        self.edges.append((u, v, cap))
+        super().add_edge(u, v, cap)
+
+
+@pytest.mark.parametrize("e", [(1, 1), (2, 1), (1, 0)])
+@pytest.mark.parametrize("tau", ["1/2", "1"])
+@pytest.mark.parametrize("m", [64, 256, 512])
+def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
+    pytest.importorskip("networkx")
+    p = mk_params(m, 20, 11, 10, tau, *e)
+    rng = random.Random(f"{m}-{tau}-{e}")
+    z, a, b, mid, pools = _scale_pools(rng, p, seed=m + e[0] * 10 + e[1])
+    for name, pool, want in pools:
+        edges = reference_read_network(pool, z, p)
+        sink = 1 + len(pool.entries) + 3 * m
+        _RecordingDinic.networks.clear()
+        with mock.patch.object(matching, "_Dinic", _RecordingDinic):
+            got = assignment_feasible(pool, z, p)
+        (net,) = _RecordingDinic.networks
+        assert sorted(net.edges) == sorted(edges), name
+        assert got is want, name
+        assert (networkx_max_flow(edges, sink) == p.pool_size) is want, name
+        if name == "shared read":
+            node = 1 + [v for v, _ in pool.entries].index(mid)
+            base = 1 + len(pool.entries)
+            strands = {z.strands[(v - base) // 3] for u, v, _ in edges if u == node}
+            assert {a, b} <= strands
+
+
+def test_assignment_never_enumerates_an_index_ball_larger_than_m():
+    # 2^40 index fields lie within e_i = 40 of a read, against M = 2 strands
+    p = mk_params(2, 64, 40, 2, 1, 40, 1)
+    rng = random.Random(41)
+    enumerate_masks = matching._flip_masks
+
+    def refuse_large_balls(width, radius):
+        volume = sum(math.comb(width, i) for i in range(radius + 1))
+        if volume > p.m:
+            pytest.fail(f"asked for {volume} index flips at M={p.m}")
+        return enumerate_masks(width, radius)
+
+    with mock.patch.object(matching, "_flip_masks", refuse_large_balls):
+        for seed in range(20):
+            z = random_message(rng, p)
+            reads = [
+                rng.randrange(1 << 64) if rng.random() < 0.3 else rng.choice(z.strands).bits
+                for _ in range(p.pool_size)
+            ]
+            for pool in (sample_ball(z, p, seed).pool, ReadPool.from_reads(reads, 64)):
+                assert assignment_feasible(pool, z, p) == oracle_assignment_feasible(pool, z, p)

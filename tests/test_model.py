@@ -50,6 +50,16 @@ def test_bits_msb_first():
     assert bits_to_string(6, 4) == "0110"
 
 
+@pytest.mark.parametrize("s", ["+1", " 1", "1 ", "1_0", "-0", "0b1", "\uff11", "2"])
+def test_bits_from_string_accepts_only_0_and_1(s):
+    with pytest.raises(ValidationError, match="may contain only 0 and 1"):
+        bits_from_string(s)
+
+
+def test_bits_from_empty_string_is_zero():
+    assert bits_from_string("") == 0
+
+
 def test_flip_positions_counts_from_left():
     assert flip_positions(bits_from_string("000"), 3, [0]) == bits_from_string("100")
     assert flip_positions(bits_from_string("000"), 3, [2]) == bits_from_string("001")
