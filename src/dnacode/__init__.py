@@ -13,9 +13,7 @@ else.
 
 from .channel import (
     ChannelSample,
-    NoisePolicy,
     ReadProvenance,
-    UniformNoise,
     in_ball,
     oracle_balls_intersect,
     read_neighborhood,

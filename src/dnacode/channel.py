@@ -3,10 +3,13 @@
 The error ball of a message Z is the set of read pools of size M*K that
 split into K reads per strand with at most floor(tau*K) of each strand's
 reads differing from it, every read within (e_i, e_d) of its strand.
-``sample_ball`` draws one pool from the ball (the support is what the
-model fixes; the distribution here is a pluggable policy), ``in_ball``
-decides membership, and ``oracle_balls_intersect`` decides ball
-intersection by exhaustive enumeration, independent of the
+``sample_ball`` draws one pool from the ball: the model fixes only the
+ball, and the sampler corrupts, for each strand, a uniform subset of
+its K reads of size uniform on {0..floor(tau*K)}, drawing for each an
+index-flip weight uniform on {0..e_i} and a data-flip weight uniform on
+{0..e_d}, at distinct uniform positions (a zero-weight draw is an exact
+copy).  ``in_ball`` decides membership, and ``oracle_balls_intersect``
+decides ball intersection by exhaustive enumeration, independent of the
 matching-based criteria it is used to validate.
 
 Oracle enumeration is pruned losslessly: every read of a pool lying in
@@ -23,8 +26,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Protocol
+from itertools import combinations_with_replacement
 
 from .errors import SpaceTooLarge, ValidationError
 from .matching import assignment_feasible
@@ -34,6 +36,8 @@ from .model import (
     ReadPool,
     Strand,
     SystemParams,
+    _ball_volume,
+    _flip_masks,
     check_shape,
     flip_positions,
 )
@@ -74,86 +78,39 @@ class ChannelSample:
             raise ValidationError("pool does not match the provenance multiset")
 
 
-class NoisePolicy(Protocol):
-    def strand_flips(
-        self, rng: random.Random, params: SystemParams
-    ) -> list[tuple[int, ...]]:
-        """Flip sets (string positions) for one strand's K reads.
-
-        At most floor(tau*K) sets may be non-empty; each set may contain
-        at most e_i index positions (0..l-1) and e_d data positions
-        (l..L-1).
-        """
-        ...
-
-
-@dataclass(frozen=True)
-class UniformNoise:
-    """Default policy: corrupt-count uniform on {0..floor(tau*K)}; each
-    corrupted read draws an index-flip weight uniform on {0..e_i} and a
-    data-flip weight uniform on {0..e_d}, positions uniform without
-    replacement.  Zero-weight draws legally yield exact copies."""
-
-    def strand_flips(
-        self, rng: random.Random, params: SystemParams
-    ) -> list[tuple[int, ...]]:
-        flips: list[tuple[int, ...]] = [()] * params.k
-        corrupt = rng.randint(0, params.tau_budget)
-        for copy in sorted(rng.sample(range(params.k), corrupt)):
-            wi = rng.randint(0, params.e_i)
-            ipos = rng.sample(range(params.index_len), wi)
-            wd = rng.randint(0, params.e_d)
-            dpos = rng.sample(range(params.index_len, params.length), wd)
-            flips[copy] = tuple(sorted(ipos + dpos))
-        return flips
+def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, ...]]:
+    """Flip sets (string positions) for one strand's K reads, drawn as
+    the module docstring says."""
+    flips: list[tuple[int, ...]] = [()] * params.k
+    corrupt = rng.randint(0, params.tau_budget)
+    for copy in sorted(rng.sample(range(params.k), corrupt)):
+        wi = rng.randint(0, params.e_i)
+        ipos = rng.sample(range(params.index_len), wi)
+        wd = rng.randint(0, params.e_d)
+        dpos = rng.sample(range(params.index_len, params.length), wd)
+        flips[copy] = tuple(sorted(ipos + dpos))
+    return flips
 
 
-def sample_ball(
-    z: Message,
-    params: SystemParams,
-    seed: int,
-    noise: NoisePolicy | None = None,
-) -> ChannelSample:
-    """Draw one pool from the ball of Z, deterministic given (seed, noise).
+def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
+    """Draw one pool from the ball of Z, deterministic given the seed.
 
     Strands are processed in canonical (sorted) order, K reads each; the
     result is checked against ``assignment_feasible`` before returning.
     """
     check_shape(z, params=params)
-    policy = noise if noise is not None else UniformNoise()
     rng = random.Random(seed)
     provenance: list[ReadProvenance] = []
     for s in z.strands:
-        flips = policy.strand_flips(rng, params)
-        _check_policy_output(flips, params)
-        for f in flips:
+        for f in _strand_flips(rng, params):
             provenance.append(
-                ReadProvenance(flip_positions(s.bits, params.length, f), s, tuple(f))
+                ReadProvenance(flip_positions(s.bits, params.length, f), s, f)
             )
     pool = ReadPool.from_reads([p.read for p in provenance], params.length)
     sample = ChannelSample(pool, tuple(provenance), seed)
     if not assignment_feasible(pool, z, params):
         raise AssertionError("sampled pool must lie in the ball")
     return sample
-
-
-def _check_policy_output(flips: list[tuple[int, ...]], params: SystemParams) -> None:
-    if len(flips) != params.k:
-        raise ValidationError(f"policy produced {len(flips)} flip sets, expected {params.k}")
-    noisy = sum(1 for f in flips if f)
-    if noisy > params.tau_budget:
-        raise ValidationError(
-            f"policy corrupted {noisy} reads, budget is {params.tau_budget}"
-        )
-    for f in flips:
-        wi = sum(1 for p in f if p < params.index_len)
-        wd = len(f) - wi
-        if wi > params.e_i or wd > params.e_d:
-            raise ValidationError(
-                f"flip set {f} exceeds ({params.e_i},{params.e_d}) per-field limits"
-            )
-        if any(not 0 <= p < params.length for p in f) or len(set(f)) != len(f):
-            raise ValidationError(f"flip set {f} has out-of-range or repeated positions")
 
 
 def in_ball(pool: ReadPool, z: Message, params: SystemParams) -> bool:
@@ -163,21 +120,10 @@ def in_ball(pool: ReadPool, z: Message, params: SystemParams) -> bool:
 
 def read_neighborhood(z: Message, params: SystemParams) -> set[int]:
     """All read values within (e_i, e_d) of at least one strand of Z."""
-    values: set[int] = set()
-    for s in z.strands:
-        for wi in range(params.e_i + 1):
-            for ipos in combinations(range(params.index_len), wi):
-                for wd in range(params.e_d + 1):
-                    for dpos in combinations(range(params.index_len, params.length), wd):
-                        values.add(flip_positions(s.bits, params.length, ipos + dpos))
-    return values
-
-
-def _neighborhood_size_bound(params: SystemParams) -> int:
-    per_strand = sum(math.comb(params.index_len, i) for i in range(params.e_i + 1)) * sum(
-        math.comb(params.data_len, d) for d in range(params.e_d + 1)
-    )
-    return params.m * per_strand
+    data_len = params.data_len
+    index_masks = [i << data_len for i in _flip_masks(params.index_len, params.e_i)]
+    data_masks = _flip_masks(data_len, params.e_d)
+    return {s.bits ^ i ^ d for s in z.strands for i in index_masks for d in data_masks}
 
 
 def oracle_balls_intersect(
@@ -196,7 +142,11 @@ def oracle_balls_intersect(
     if z1 == z2:
         return True
 
-    bound = _neighborhood_size_bound(params)
+    bound = (
+        params.m
+        * _ball_volume(params.index_len, params.e_i)
+        * _ball_volume(params.data_len, params.e_d)
+    )
     if bound > cap:
         raise SpaceTooLarge(bound, cap, what="read universe")
     shared = read_neighborhood(z1, params) & read_neighborhood(z2, params)

@@ -5,22 +5,23 @@ and read-assignment feasibility.
 Read-assignment feasibility is decided by integer max flow on the network
 
     source -> read value (cap = multiplicity)
-    value  -> exact slot of strand s   iff value == s
-    value  -> noisy slot of strand s   iff (0,0) < split_distance(value, s) <= (e_i, e_d)
-    exact slot -> strand (cap K), noisy slot -> strand (cap floor(tau*K))
+    value  -> strand s          iff value == s
+    value  -> noisy slot of s   iff (0,0) < split_distance(value, s) <= (e_i, e_d)
+    noisy slot -> strand (cap floor(tau*K))
     strand -> sink (cap K)
 
 and the pool is explainable by the message iff the max flow equals M*K.
 Correctness of the reduction: a valid grouping (each strand gets exactly K
 reads, every read within (e_i, e_d) of its strand, at most floor(tau*K) of
-them differing from it) routes each read through its value node and the
-exact or noisy slot of its strand, giving a flow of M*K within all
-capacities.  Conversely an integral flow of M*K (integral because all
-capacities are integers) assigns every read copy to a strand; strand -> sink
-capacities force exactly K per strand, noisy-slot capacities cap the
-differing reads at floor(tau*K), and noisy edges exist only within
-(e_i, e_d).  The exact slot's capacity K never binds before the strand
-capacity, so routing exact copies through it loses no generality.
+them differing from it) routes each exact copy from its value node
+straight to its strand and each differing read through the noisy slot of
+its strand, giving a flow of M*K within all capacities.  Conversely an
+integral flow of M*K (integral because all capacities are integers)
+assigns every read copy to a strand; strand -> sink capacities force
+exactly K per strand, noisy-slot capacities cap the differing reads at
+floor(tau*K), and noisy edges exist only within (e_i, e_d).  Exact copies
+need no slot of their own: the strand's edge to the sink already caps
+them at K, so each strand has two nodes, its noisy slot and itself.
 
 The value edges are found by index lookup.  A read value v has an edge to
 strand s only if their index fields are within e_i, that is, only if s's
@@ -35,15 +36,14 @@ scanned instead, through the same test.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
-from .model import Message, ReadPool, Strand, SystemParams, check_shape
+from .model import Message, ReadPool, Strand, SystemParams, _ball_volume, check_shape
+from .model import _flip_masks as _all_flip_masks
 
 
 @dataclass(frozen=True)
@@ -355,62 +355,48 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
     mask = (1 << data_len) - 1
     big = params.pool_size
 
-    # node layout: source 0, read values 1..n, then (exact, noisy, strand)
-    # at base + 3*j for strand j, sink last
+    # node layout: source 0, read values 1..n, then (noisy slot, strand)
+    # at base + 2*j for strand j, sink last
     base = 1 + len(pool.entries)
-    sink = base + 3 * z.m
+    sink = base + 2 * z.m
     net = _Dinic(sink + 1)
     slots = []
     for j, s in enumerate(z.strands):
-        exact = base + 3 * j
-        net.add_edge(exact, exact + 2, k)
-        net.add_edge(exact + 1, exact + 2, budget)
-        net.add_edge(exact + 2, sink, k)
-        slots.append((exact, s.bits))
+        noisy = base + 2 * j
+        net.add_edge(noisy, noisy + 1, budget)
+        net.add_edge(noisy + 1, sink, k)
+        slots.append((noisy, s.bits))
 
     # a read's candidate strands: those whose index field lies within e_i
     # of its own, looked up when that ball is no larger than M, else all
     lookup = _ball_volume(params.index_len, e_i) <= z.m
     if lookup:
         flips = _flip_masks(params.index_len, e_i)
-        by_index = {s >> data_len: (exact, s) for exact, s in slots}
+        by_index = {s >> data_len: (noisy, s) for noisy, s in slots}
     near = slots
     for i, (v, count) in enumerate(pool.entries, 1):
         net.add_edge(0, i, count)
         if lookup:
             index = v >> data_len
             near = [hit for f in flips if (hit := by_index.get(index ^ f))]
-        for exact, s in near:
+        for noisy, s in near:
             x = v ^ s
             if not x:
-                net.add_edge(i, exact, big)
+                net.add_edge(i, noisy + 1, big)
             elif (x >> data_len).bit_count() <= e_i and (x & mask).bit_count() <= e_d:
-                net.add_edge(i, exact + 1, big)
+                net.add_edge(i, noisy, big)
     return net.max_flow(0, sink) == params.pool_size
 
 
-@lru_cache(maxsize=32)
-def _ball_volume(width: int, radius: int) -> int:
-    """V(width, radius): the number of width-bit words within Hamming
-    distance radius of a given one."""
-    return sum(math.comb(width, i) for i in range(radius + 1))
-
-
-@lru_cache(maxsize=32)
-def _flip_masks(width: int, radius: int) -> tuple[int, ...]:
-    """Every width-bit mask of weight at most radius, weight 0 first."""
-    return tuple(
-        sum(1 << p for p in positions)
-        for weight in range(radius + 1)
-        for positions in combinations(range(width), weight)
-    )
+# the index masks of the membership lookup, cached per (l, e_i); the
+# guard V(l, e_i) <= M bounds the size of every entry
+_flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 
 class _Dinic:
     """Integer max flow; edges stored as [to, residual capacity, reverse index]."""
 
     def __init__(self, n: int) -> None:
-        self.n = n
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]
 
     def add_edge(self, u: int, v: int, cap: int) -> None:
@@ -418,38 +404,50 @@ class _Dinic:
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
     def max_flow(self, s: int, t: int) -> int:
+        adj = self.adj
         flow = 0
         while True:
-            level = [-1] * self.n
+            level = [-1] * len(adj)
             level[s] = 0
             q = deque([s])
             while q:
                 u = q.popleft()
-                for e in self.adj[u]:
+                for e in adj[u]:
                     if e[1] > 0 and level[e[0]] == -1:
                         level[e[0]] = level[u] + 1
                         q.append(e[0])
             if level[t] == -1:
                 return flow
-            iters = [0] * self.n
 
-            def augment(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while iters[u] < len(self.adj[u]):
-                    e = self.adj[u][iters[u]]
-                    v = e[0]
-                    if e[1] > 0 and level[v] == level[u] + 1:
-                        d = augment(v, min(pushed, e[1]))
-                        if d > 0:
-                            e[1] -= d
-                            self.adj[v][e[2]][1] += d
-                            return d
-                    iters[u] += 1
-                return 0
-
+            # blocking flow along an explicit path from s, as a level graph
+            # can be as deep as the network; a node left with no edge into
+            # the next level is stepped back from and never entered again
+            iters = [0] * len(adj)
+            nodes, path = [s], []
             while True:
-                pushed = augment(s, 1 << 62)
-                if pushed == 0:
+                u = nodes[-1]
+                if u == t:
+                    pushed = min(e[1] for e in path)
+                    for e in path:
+                        e[1] -= pushed
+                        adj[e[0]][e[2]][1] += pushed
+                    flow += pushed
+                    del nodes[1:], path[:]
+                    continue
+                edges, i, nxt = adj[u], iters[u], level[u] + 1
+                end = len(edges)
+                while i < end:
+                    e = edges[i]
+                    if e[1] > 0 and level[e[0]] == nxt:
+                        break
+                    i += 1
+                iters[u] = i
+                if i < end:
+                    path.append(e)
+                    nodes.append(e[0])
+                elif u == s:
                     break
-                flow += pushed
+                else:
+                    nodes.pop()
+                    path.pop()
+                    iters[nodes[-1]] += 1

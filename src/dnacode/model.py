@@ -59,6 +59,21 @@ def flip_positions(bits: int, length: int, positions: Iterable[int]) -> int:
     return bits
 
 
+def _ball_volume(width: int, radius: int) -> int:
+    """V(width, radius): the number of width-bit words within Hamming
+    distance radius of a given one."""
+    return sum(math.comb(width, i) for i in range(radius + 1))
+
+
+def _flip_masks(width: int, radius: int) -> tuple[int, ...]:
+    """Every width-bit mask of weight at most radius, weight 0 first."""
+    return tuple(
+        sum(1 << p for p in positions)
+        for weight in range(radius + 1)
+        for positions in combinations(range(width), weight)
+    )
+
+
 @dataclass(frozen=True, order=True)
 class Strand:
     """A length-``length`` bit vector with an ``index_len``-bit index prefix."""

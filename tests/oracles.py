@@ -176,24 +176,21 @@ def reference_read_network(
     found by comparing every read value with every strand through
     ``split_popcount``, the way the library did before it looked strands
     up by index.  Nodes are numbered as there: source 0, read values
-    1..n in pool order, then (exact, noisy, strand) at base + 3*j for
-    strand j, where base = n + 1, and the sink at base + 3*M."""
+    1..n in pool order, then (noisy slot, strand) at base + 2*j for
+    strand j, where base = n + 1, and the sink at base + 2*M.  An exact
+    copy goes straight to its strand."""
     base = 1 + len(pool.entries)
-    sink = base + 3 * params.m
+    sink = base + 2 * params.m
     edges = [(0, i, count) for i, (_, count) in enumerate(pool.entries, 1)]
     for j, s in enumerate(z.strands):
-        exact = base + 3 * j
-        edges += [
-            (exact, exact + 2, params.k),
-            (exact + 1, exact + 2, params.tau_budget),
-            (exact + 2, sink, params.k),
-        ]
+        noisy = base + 2 * j
+        edges += [(noisy, noisy + 1, params.tau_budget), (noisy + 1, sink, params.k)]
         for i, (v, _) in enumerate(pool.entries, 1):
             di, dd = split_popcount(v ^ s.bits, params.data_len)
             if v == s.bits:
-                edges.append((i, exact, params.pool_size))
+                edges.append((i, noisy + 1, params.pool_size))
             elif di <= params.e_i and dd <= params.e_d:
-                edges.append((i, exact + 1, params.pool_size))
+                edges.append((i, noisy, params.pool_size))
     return edges
 
 

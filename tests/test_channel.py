@@ -1,5 +1,6 @@
 """Channel sampling, ball membership, and the exhaustive ball oracle."""
 
+import math
 import os
 import random
 import subprocess
@@ -16,7 +17,6 @@ from dnacode import (
     ShapeMismatch,
     SpaceTooLarge,
     Strand,
-    UniformNoise,
     ValidationError,
     in_ball,
     oracle_balls_intersect,
@@ -105,32 +105,35 @@ def test_sample_rejects_pool_provenance_mismatch():
         ChannelSample(ReadPool.from_reads([1], 3), (good,), seed=0)
 
 
-class OverBudgetNoise:
-    def strand_flips(self, rng, params):
-        return [(0,)] * params.k  # corrupts every read
-
-
-class WrongCountNoise:
-    def strand_flips(self, rng, params):
-        return [()] * (params.k + 1)
-
-
-class WidePositionNoise:
-    def strand_flips(self, rng, params):
-        flips = [()] * params.k
-        flips[0] = (params.length,)  # out of range
-        return flips
-
-
-def test_policy_contract_is_enforced():
-    p = small_params(tau="1/2")
-    z = mk_message(2, "000", "110")
-    with pytest.raises(ValidationError):
-        sample_ball(z, p, seed=0, noise=OverBudgetNoise())
-    with pytest.raises(ValidationError):
-        sample_ball(z, p, seed=0, noise=WrongCountNoise())
-    with pytest.raises(ValidationError):
-        sample_ball(z, p, seed=0, noise=WidePositionNoise())
+def test_sampler_draw_keeps_the_budget_and_radii():
+    # what the sampler's draw must give every strand: K reads, at most
+    # floor(tau*K) of them altered, each within (e_i, e_d) by distinct
+    # in-range flips
+    rng = random.Random(73)
+    for seed in range(400):
+        index_len = rng.randint(1, 5)
+        length = index_len + rng.randint(1, 5)
+        p = mk_params(
+            rng.randint(1, min(4, 1 << index_len)),
+            length,
+            index_len,
+            rng.randint(1, 6),
+            rng.choice(["1", "1/2", "1/3", "2/3", "3/4"]),
+            rng.randint(0, index_len),
+            rng.randint(0, length - index_len),
+        )
+        z = random_message(rng, p)
+        by_source = {s: [] for s in z.strands}
+        for prov in sample_ball(z, p, seed).provenance:
+            by_source[prov.source].append(prov.flips)
+        for flip_sets in by_source.values():
+            assert len(flip_sets) == p.k
+            assert sum(1 for f in flip_sets if f) <= p.tau_budget
+            for f in flip_sets:
+                assert len(set(f)) == len(f)
+                assert all(0 <= pos < p.length for pos in f)
+                wi = sum(1 for pos in f if pos < p.index_len)
+                assert wi <= p.e_i and len(f) - wi <= p.e_d
 
 
 OPTIMIZED_SAMPLER = """
@@ -164,14 +167,6 @@ def test_sampler_postcondition_holds_under_python_O():
     assert done.returncode == 0, done.stderr
 
 
-def test_uniform_noise_is_a_valid_policy():
-    p = small_params(tau="1/2", k=4)
-    rng = random.Random(0)
-    flips = UniformNoise().strand_flips(rng, p)
-    assert len(flips) == 4
-    assert sum(1 for f in flips if f) <= p.tau_budget
-
-
 def test_ball_membership_examples():
     p = small_params(m=1, length=2, index_len=1, k=2, tau="1", e_i=1, e_d=0)
     z = mk_message(1, "00")
@@ -187,18 +182,30 @@ def test_read_neighborhood_contents():
     assert read_neighborhood(z, exact) == {0b000}
 
 
+def _neighborhood_cases():
+    yield small_params(e_i=1, e_d=1), mk_message(2, "000", "110")
+    rng = random.Random(79)
+    for _ in range(12):
+        index_len = rng.randint(1, 4)
+        length = index_len + rng.randint(1, 8 - index_len)
+        m = rng.randint(1, min(3, 1 << index_len))
+        for e_i in range(index_len + 1):
+            for e_d in range(length - index_len + 1):
+                p = mk_params(m, length, index_len, 2, "1", e_i, e_d)
+                yield p, random_message(rng, p)
+
+
 def test_read_neighborhood_matches_membership_definition():
     from dnacode.metrics import pair_leq, split_distance
 
-    p = small_params(e_i=1, e_d=1)
-    z = mk_message(2, "000", "110")
-    expected = {
-        v
-        for v in range(1 << p.length)
-        for s in z.strands
-        if pair_leq(split_distance(Strand(v, p.length, p.index_len), s), (p.e_i, p.e_d))
-    }
-    assert read_neighborhood(z, p) == expected
+    for p, z in _neighborhood_cases():
+        expected = {
+            v
+            for v in range(1 << p.length)
+            for s in z.strands
+            if pair_leq(split_distance(Strand(v, p.length, p.index_len), s), (p.e_i, p.e_d))
+        }
+        assert read_neighborhood(z, p) == expected
 
 
 def test_oracle_examples():
@@ -250,6 +257,23 @@ def test_oracle_respects_resource_cap():
     z2 = mk_message(2, "001", "111")
     with pytest.raises(SpaceTooLarge):
         oracle_balls_intersect(z1, z2, p, cap=2)
+
+    # the read universe is refused exactly above M * V(l, e_i) * V(L-l, e_d)
+    rng = random.Random(83)
+    for p, z in _neighborhood_cases():
+        bound = p.m * sum(math.comb(p.index_len, i) for i in range(p.e_i + 1)) * sum(
+            math.comb(p.data_len, d) for d in range(p.e_d + 1)
+        )
+        other = random_message(rng, p)
+        if other == z:
+            continue
+        with pytest.raises(SpaceTooLarge) as raised:
+            oracle_balls_intersect(z, other, p, cap=bound - 1)
+        assert raised.value.count == bound and "read universe" in str(raised.value)
+        try:
+            oracle_balls_intersect(z, other, p, cap=bound)
+        except SpaceTooLarge as exc:
+            assert "read universe" not in str(exc)
 
 
 def test_oracle_shape_checks():

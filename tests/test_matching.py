@@ -26,8 +26,9 @@ from dnacode import (
     perfect_matching_or_violator,
 )
 from dnacode import matching
+from dnacode.cli import run
 from dnacode.matching import bijection_graph
-from dnacode.model import Strand, flip_positions, split_popcount
+from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
 from oracles import (
     all_bipartite_graphs,
@@ -88,6 +89,52 @@ def test_long_augmenting_path_does_not_exhaust_the_stack():
     result = perfect_matching_or_violator(BipartiteGraph(n, n, rows))
     assert isinstance(result, PerfectMatching)
     assert result.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
+
+
+def _chain_pool(n):
+    """A pool of n reads in the ball of an n-strand message, whose flow
+    needs an augmenting path through every strand.
+
+    Strand j has index field j and data field d_j, step j of an induced
+    walk in the low 52 data bits: consecutive steps are 1 bit apart and
+    the others at least 2 (a boustrophedon over the grid of two 51-step
+    walks {0}, {0,1}, {1}, {1,2}, ... on 26 bits each).  The reads are
+    strands 1..n-1 and one read with index field n and data field
+    d_0 ^ (1 << 52), which only strand 0 can explain, as its one noisy
+    read; each strand j >= 1 is also within (11, 1) of the copies of
+    strands j - 1 and j + 1.
+    """
+    line = [1 << (i // 2) | (i % 2) << (i // 2 + 1) for i in range(51)]
+    cells = []
+    for r in range(0, 51, 2):
+        row = [(r, c) for c in range(51)]
+        if r % 4:
+            row.reverse()
+        if cells:
+            cells.append((r - 1, row[0][1]))
+        cells += row
+    walk = [line[r] << 26 | line[c] for r, c in cells[:n]]
+    p = mk_params(n, 64, 11, 1, 1, 11, 1)
+    z = Message(tuple(Strand.from_fields(j, d, 64, 11) for j, d in enumerate(walk)))
+    odd = Strand.from_fields(n, walk[0] ^ 1 << 52, 64, 11)
+    reads = [s.bits for s in z.strands[1:]] + [odd.bits]
+    return p, z, ReadPool.from_reads(reads, 64)
+
+
+def test_deep_level_graph_does_not_exhaust_the_stack(capsys, tmp_path):
+    p, z, pool = _chain_pool(1000)
+    assert assignment_feasible(pool, z, p) is True
+
+    header = "%params M=1000,L=64,l=11,K=1,tau=1,ei=11,ed=1\n"
+    msg = tmp_path / "m.txt"
+    msg.write_text(header + "".join(f"{s}\n" for s in z.strands), encoding="utf-8")
+    reads = tmp_path / "pool.txt"
+    reads.write_text(
+        "".join(f"{bits_to_string(v, 64)}\n" for v, c in pool.entries for _ in range(c)),
+        encoding="utf-8",
+    )
+    code = run(["member", "--pool", str(reads), "--message", str(msg)])
+    assert (code, capsys.readouterr().out) == (0, "YES\n")
 
 
 def test_matching_exhaustive_small_graphs():
@@ -429,7 +476,7 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
     z, a, b, mid, pools = _scale_pools(rng, p, seed=m + e[0] * 10 + e[1])
     for name, pool, want in pools:
         edges = reference_read_network(pool, z, p)
-        sink = 1 + len(pool.entries) + 3 * m
+        sink = 1 + len(pool.entries) + 2 * m
         _RecordingDinic.networks.clear()
         with mock.patch.object(matching, "_Dinic", _RecordingDinic):
             got = assignment_feasible(pool, z, p)
@@ -440,7 +487,7 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
         if name == "shared read":
             node = 1 + [v for v, _ in pool.entries].index(mid)
             base = 1 + len(pool.entries)
-            strands = {z.strands[(v - base) // 3] for u, v, _ in edges if u == node}
+            strands = {z.strands[(v - base) // 2] for u, v, _ in edges if u == node}
             assert {a, b} <= strands
 
 
