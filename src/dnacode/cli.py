@@ -26,12 +26,13 @@ from .codec import (
     balls_intersect,
     is_dna_correcting,
 )
-from .errors import ParamMismatch, ResourceCapExceeded, ValidationError
+from .errors import ResourceCapExceeded, ValidationError
 from .io import (
     PARAM_KEYS,
     ParamValue,
     Block,
     code_lines,
+    merge_headers,
     parse_param_items,
     pool_lines,
     provenance_lines,
@@ -49,6 +50,7 @@ from .model import (
     ReadPool,
     Strand,
     SystemParams,
+    int_from_string,
     validate_message,
 )
 from .search import SearchRow, Strategy, run_search
@@ -132,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument(
         "--cap",
-        type=int,
+        type=int_from_string,
         default=DEFAULT_SPACE_CAP,
         help=f"candidate-pool enumeration cap (default {DEFAULT_SPACE_CAP})",
     )
@@ -167,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="append a CSV summary row here")
     p.add_argument(
         "--cap",
-        type=int,
+        type=int_from_string,
         default=DEFAULT_SPACE_CAP,
         help=f"message-space enumeration cap (default {DEFAULT_SPACE_CAP})",
     )
@@ -175,56 +177,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_headers(headers: Sequence[dict[str, ParamValue]]) -> dict[str, ParamValue]:
-    merged: dict[str, ParamValue] = {}
-    for header in headers:
-        for key, value in header.items():
-            if key in merged and merged[key] != value:
-                raise ParamMismatch(
-                    f"file headers disagree on {key}: {merged[key]} vs {value}"
-                )
-            merged[key] = value
-    return merged
-
-
 def _resolve(
+    args: argparse.Namespace,
     headers: Sequence[dict[str, ParamValue]],
-    params_flag: Optional[str],
-    inferred: dict[str, int],
+    block: Optional[Block] = None,
+    need: Sequence[str] = PARAM_KEYS,
 ) -> dict[str, ParamValue]:
-    values = _merge_headers(headers)
-    if params_flag:
-        values.update(parse_param_items(params_flag))
-    for key, value in inferred.items():
-        values.setdefault(key, value)
-    return values
-
-
-def _system_params(values: dict[str, ParamValue]) -> SystemParams:
-    missing = [k for k in PARAM_KEYS if k not in values]
+    """The parameters in force: the file headers, which must agree, under
+    --params, with M and L read off ``block`` where neither gives them."""
+    values = merge_headers(*headers)
+    if args.params:
+        values.update(parse_param_items(args.params))
+    if block:
+        values.setdefault("M", len(block))
+        values.setdefault("L", len(block[0][1]))
+    missing = [k for k in need if k not in values]
     if missing:
         raise ValidationError(
             "missing parameters: " + ", ".join(missing) + " (use --params or a %params header)"
         )
+    return values
+
+
+def _system_params(
+    args: argparse.Namespace,
+    headers: Sequence[dict[str, ParamValue]],
+    block: Optional[Block] = None,
+) -> SystemParams:
+    values = _resolve(args, headers, block)
     return SystemParams(
-        m=int(values["M"]),
-        length=int(values["L"]),
-        index_len=int(values["l"]),
-        k=int(values["K"]),
-        tau=values["tau"],  # type: ignore[arg-type]
-        e_i=int(values["ei"]),
-        e_d=int(values["ed"]),
+        m=values["M"], length=values["L"], index_len=values["l"], k=values["K"],
+        tau=values["tau"], e_i=values["ei"], e_d=values["ed"],
     )
 
 
-def _index_len(values: dict[str, ParamValue]) -> int:
-    if "l" not in values:
-        raise ValidationError("missing parameters: l (use --params or a %params header)")
-    return int(values["l"])
-
-
-def _infer_shape(block: Block) -> dict[str, int]:
-    return {"M": len(block), "L": len(block[0][1])}
+def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
+    header_a, block_a = read_message_file(args.a)
+    header_b, block_b = read_message_file(args.b)
+    params = _system_params(args, [header_a, header_b], block_a)
+    return _message(block_a, params), _message(block_b, params), params
 
 
 def _message(block: Block, params: SystemParams) -> Message:
@@ -254,8 +245,7 @@ def _regime_line(tag: RegimeTag) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
-    inferred = _infer_shape(blocks[0]) if blocks else {}
-    params = _system_params(_resolve([header], args.params, inferred))
+    params = _system_params(args, [header], blocks[0] if blocks else None)
     code = [_message(block, params) for block in blocks]
     verdict = is_dna_correcting(code, params)
     lines = [_VERDICT_WORD[verdict.kind], _regime_line(verdict.regime)]
@@ -274,26 +264,21 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
 def _cmd_distance(args: argparse.Namespace) -> list[str]:
     header_a, block_a = read_message_file(args.a)
     header_b, block_b = read_message_file(args.b)
-    index_len = _index_len(_resolve([header_a, header_b], args.params, {}))
+    index_len = _resolve(args, [header_a, header_b], need=["l"])["l"]
     d = dna_distance(_bare_message(block_a, index_len), _bare_message(block_b, index_len))
     return [f"D={_fmt_distance(d)}"]
 
 
 def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
-    index_len = _index_len(_resolve([header], args.params, {}))
+    index_len = _resolve(args, [header], need=["l"])["l"]
     code = [_bare_message(block, index_len) for block in blocks]
     d, (za, zb) = min_dna_distance(code)
     return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
 
 
 def _cmd_intersect(args: argparse.Namespace) -> list[str]:
-    header_a, block_a = read_message_file(args.a)
-    header_b, block_b = read_message_file(args.b)
-    params = _system_params(
-        _resolve([header_a, header_b], args.params, _infer_shape(block_a))
-    )
-    result = balls_intersect(_message(block_a, params), _message(block_b, params), params)
+    result = balls_intersect(*_message_pair(args))
     lines = [result.answer.value.upper()]
     if result.bijection is not None:
         lines.append(f"map: {_fmt_bijection(result.bijection)}")
@@ -303,20 +288,13 @@ def _cmd_intersect(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
-    header_a, block_a = read_message_file(args.a)
-    header_b, block_b = read_message_file(args.b)
-    params = _system_params(
-        _resolve([header_a, header_b], args.params, _infer_shape(block_a))
-    )
-    hit = oracle_balls_intersect(
-        _message(block_a, params), _message(block_b, params), params, cap=args.cap
-    )
+    hit = oracle_balls_intersect(*_message_pair(args), cap=args.cap)
     return ["YES" if hit else "NO"]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block = read_message_file(args.message)
-    params = _system_params(_resolve([header], args.params, _infer_shape(block)))
+    params = _system_params(args, [header], block)
     sample = sample_ball(_message(block, params), params, args.seed)
     file_lines = pool_lines([p.read for p in sample.provenance], params)
     if args.provenance:
@@ -330,15 +308,13 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 def _cmd_member(args: argparse.Namespace) -> list[str]:
     pool_header, read_entries = read_pool_file(args.pool)
     msg_header, block = read_message_file(args.message)
-    params = _system_params(
-        _resolve([pool_header, msg_header], args.params, _infer_shape(block))
-    )
+    params = _system_params(args, [pool_header, msg_header], block)
     pool = ReadPool.from_reads([token for _, token in read_entries], params.length)
     return ["YES" if in_ball(pool, _message(block, params), params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:
-    params = _system_params(_resolve([], args.params, {}))
+    params = _system_params(args, [])
     restrict = _parse_restrict(args.restrict, params) if args.restrict else None
     code, row = run_search(params, Strategy(args.strategy), restrict, args.cap)
     file_lines = code_lines(code, params)
@@ -356,17 +332,14 @@ def _parse_restrict(text: str, params: SystemParams) -> tuple[int, int]:
     if text == "distinct-data":
         # pairwise-distinct data fields; index distance never exceeds l
         return (params.index_len, 0)
-    parts = text.split(",")
-    if len(parts) == 2:
-        try:
-            r1, r2 = int(parts[0]), int(parts[1])
-        except ValueError:
-            r1 = r2 = -1
-        if r1 >= 0 and r2 >= 0:
-            return (r1, r2)
-    raise ValidationError(
-        f"--restrict must be 'r1,r2' with non-negative integers or 'distinct-data', got {text!r}"
-    )
+    r1, _, r2 = text.partition(",")
+    try:
+        return (int_from_string(r1), int_from_string(r2))
+    except ValidationError:
+        raise ValidationError(
+            f"--restrict must be 'r1,r2' with non-negative integers or 'distinct-data', "
+            f"got {text!r}"
+        ) from None
 
 
 def _append_table_row(path: str, row: SearchRow, restrict_text: Optional[str]) -> None:

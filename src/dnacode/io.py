@@ -10,29 +10,17 @@ file lists one read per line with repeats expressing multiplicity.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .channel import ChannelSample
 from .errors import FileFormatError, ParamMismatch, ValidationError
-from .model import Message, SystemParams, bits_to_string
+from .model import Message, SystemParams, bits_to_string, int_from_string, tau_from_string
 
 PARAM_KEYS = ("M", "L", "l", "K", "tau", "ei", "ed")
 ParamValue = Union[int, Fraction]
 Block = list[tuple[int, str]]
-
-
-def parse_tau(text: str) -> Fraction:
-    """tau is accepted only as 'p/q' or '1'; decimals are rejected so
-    floor(tau*K) is computed from the exact rational."""
-    if text == "1":
-        return Fraction(1)
-    match = re.fullmatch(r"(\d+)/([1-9]\d*)", text)
-    if match is None:
-        raise ValidationError(f"tau must be a fraction p/q or 1, got {text!r}")
-    return Fraction(int(match.group(1)), int(match.group(2)))
 
 
 def tau_text(tau: Fraction) -> str:
@@ -62,17 +50,24 @@ def parse_param_items(
             fail(f"unknown parameter {key!r} (expected one of {', '.join(PARAM_KEYS)})")
         if key in items:
             fail(f"repeated parameter {key!r}")
-        if key == "tau":
-            try:
-                items[key] = parse_tau(value)
-            except ValidationError as e:
-                fail(str(e))
-        else:
-            try:
-                items[key] = int(value)
-            except ValueError:
-                fail(f"{key} must be an integer, got {value!r}")
+        try:
+            items[key] = tau_from_string(value) if key == "tau" else int_from_string(value, key)
+        except ValidationError as e:
+            fail(str(e))
     return items
+
+
+def merge_headers(*headers: dict[str, ParamValue], where: str = "") -> dict[str, ParamValue]:
+    """The union of the headers: two headers that name a key must give it
+    one value.  ``where`` prefixes the error, as 'path:line: ' does."""
+    merged: dict[str, ParamValue] = {}
+    for header in headers:
+        for key, value in header.items():
+            if merged.setdefault(key, value) != value:
+                raise ParamMismatch(
+                    f"{where}headers disagree on {key}: {merged[key]} vs {value}"
+                )
+    return merged
 
 
 def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
@@ -101,14 +96,8 @@ def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Blo
                 raise FileFormatError(
                     f"unknown directive {line.split()[0]!r}", path=name, line=lineno
                 )
-            for key, value in parse_param_items(
-                line[len("%params"):], path=name, line=lineno
-            ).items():
-                if key in header and header[key] != value:
-                    raise ParamMismatch(
-                        f"{name}:{lineno}: header repeats {key} with a different value"
-                    )
-                header[key] = value
+            items = parse_param_items(line[len("%params"):], path=name, line=lineno)
+            header = merge_headers(header, items, where=f"{name}:{lineno}: ")
             continue
         if set(line) - {"0", "1"}:
             raise FileFormatError(
@@ -125,10 +114,9 @@ def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Blo
         current.append((lineno, line))
     if current:
         blocks.append(current)
-    declared = header.get("L")
-    if isinstance(declared, int) and token_len is not None and declared != token_len:
+    if token_len is not None and header.get("L", token_len) != token_len:
         raise FileFormatError(
-            f"lines have length {token_len} but the header says L={declared}", path=name
+            f"lines have length {token_len} but the header says L={header['L']}", path=name
         )
     return header, blocks
 

@@ -108,14 +108,17 @@ def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...
     Returns (match_left, match_right) with -1 marking unmatched vertices.
     Deterministic: vertices are explored in index order.
     """
-    return _hopcroft_karp(g.left_size, g.right_size, g.adjacency)
+    return _hopcroft_karp(g.left_size, g.right_size, g.adjacency)[:2]
 
 
 def _hopcroft_karp(
     nl: int, nr: int, adj: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
     # rows must be sorted and distinct, as BipartiteGraph makes them;
-    # callers that build such rows themselves skip its normalisation
+    # callers that build such rows themselves skip its normalisation.
+    # Also returns the last BFS's levels: it found no augmenting path, so
+    # a level below nl + nr + 1 marks exactly the left vertices that
+    # alternating paths reach from the unmatched ones
     match_l = [-1] * nl
     match_r = [-1] * nr
     infinity = nl + nr + 1
@@ -174,7 +177,7 @@ def _hopcroft_karp(
         for u in range(nl):
             if match_l[u] == -1:
                 dfs(u)
-    return tuple(match_l), tuple(match_r)
+    return tuple(match_l), tuple(match_r), dist
 
 
 def perfect_matching_or_violator(g: BipartiteGraph) -> Union[PerfectMatching, HallViolator]:
@@ -194,22 +197,11 @@ def _matching_or_violator(
     nl: int, nr: int, adj: Sequence[Sequence[int]]
 ) -> Union[tuple[int, ...], HallViolator]:
     """The right partner of each left vertex, or a Hall violator."""
-    match_l, match_r = _hopcroft_karp(nl, nr, adj)
+    match_l, _, dist = _hopcroft_karp(nl, nr, adj)
     if -1 not in match_l:
         return match_l
-    reach_l = {u for u in range(nl) if match_l[u] == -1}
-    reach_r: set[int] = set()
-    queue = deque(sorted(reach_l))
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reach_r:
-                reach_r.add(v)
-                w = match_r[v]
-                if w != -1 and w not in reach_l:
-                    reach_l.add(w)
-                    queue.append(w)
-    return HallViolator(frozenset(reach_l), frozenset(reach_r))
+    reach = [u for u in range(nl) if dist[u] < nl + nr + 1]
+    return HallViolator(frozenset(reach), frozenset(v for u in reach for v in adj[u]))
 
 
 def _rows_within(
@@ -320,7 +312,7 @@ def bottleneck_bijection(
 
     def perfect_within(threshold: int) -> Optional[tuple[int, ...]]:
         rows = [[j for j, d in enumerate(row) if d <= threshold] for row in dist]
-        match_l, _ = _hopcroft_karp(n, n, rows)
+        match_l = _hopcroft_karp(n, n, rows)[0]
         return None if -1 in match_l else match_l
 
     thresholds = sorted({d for row in dist for d in row})

@@ -48,6 +48,36 @@ def bits_from_string(s: str) -> int:
     return int(s, 2) if s else 0
 
 
+def int_from_string(s: str, what: str = "value") -> int:
+    """A non-negative integer written in ASCII decimal digits.
+
+    ``int(s)`` alone would also take a sign (so '-0' and '+3'),
+    surrounding whitespace, underscores between digits and non-ASCII
+    decimal digits such as '٢'.
+    """
+    if not (s.isascii() and s.isdigit()):
+        raise ValidationError(f"{what} must be a non-negative integer, got {s!r}")
+    return int(s)
+
+
+def tau_from_string(s: str) -> Fraction:
+    """tau written as '1' or 'p/q', p and q in ASCII decimal digits, q > 0.
+
+    The library, --params and %params headers all read tau through this
+    one grammar, the form ``io.params_header`` writes.  A decimal such as
+    '0.7' is left out although ``Fraction('0.7')`` is exact: it would be
+    a second written form of the same value.  A float tau is rejected by
+    SystemParams for another reason: it is already rounded to binary.
+    """
+    if s == "1":
+        return Fraction(1)
+    p, _, q = s.partition("/")
+    try:
+        return Fraction(int_from_string(p), int_from_string(q))
+    except (ValidationError, ZeroDivisionError):
+        raise ValidationError(f"tau must be a fraction p/q or 1, got {s!r}") from None
+
+
 def bits_to_string(bits: int, length: int) -> str:
     return format(bits, f"0{length}b")
 
@@ -238,16 +268,17 @@ class SystemParams:
     tau_budget: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a float has already been rounded to binary, so floor(tau*K) of
-        # its exact value can fall one below the intended budget
-        if isinstance(self.tau, float):
-            raise ValidationError(
-                f"tau must be exact (an int, a Fraction or a 'p/q' string), got float {self.tau!r}"
-            )
-        try:
+        if isinstance(self.tau, str):
+            object.__setattr__(self, "tau", tau_from_string(self.tau))
+        elif isinstance(self.tau, (int, Fraction)):
             object.__setattr__(self, "tau", Fraction(self.tau))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"tau must be a rational number, got {self.tau!r}") from exc
+        else:
+            # a float has already been rounded to binary, so floor(tau*K)
+            # of its exact value can fall one below the intended budget
+            raise ValidationError(
+                f"tau must be exact (an int, a Fraction or a 'p/q' string), "
+                f"got {type(self.tau).__name__} {self.tau!r}"
+            )
         if self.m < 1 or self.k < 1:
             raise ValidationError("M and K must be positive")
         if not 0 < self.index_len < self.length:

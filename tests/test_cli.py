@@ -234,12 +234,13 @@ def test_search_restrict_forms(capsys, tmp_path):
             "--restrict", restrict,
         )
         assert code == 0 and out.startswith("SIZE=")
-    code, _, err = invoke(
-        capsys, "search", "--strategy", "exact",
-        "--params", "M=2,L=3,l=2,K=2,tau=1,ei=1,ed=0",
-        "--restrict", "1,-2",
-    )
-    assert code == 2 and "--restrict" in err
+    for restrict in ["1,-2", " +1,0_0", "1_0,0"]:
+        code, _, err = invoke(
+            capsys, "search", "--strategy", "exact",
+            "--params", "M=2,L=3,l=2,K=2,tau=1,ei=1,ed=0",
+            "--restrict", restrict,
+        )
+        assert code == 2 and "--restrict" in err
 
 
 def test_search_table_appends_with_single_header(capsys, tmp_path):
@@ -268,6 +269,22 @@ def test_search_space_cap_exits_three(capsys):
     )
     assert code == 3 and out == ""
     assert "error:" in err
+
+
+def test_negative_cap_is_invalid_input(capsys, tmp_path):
+    a = write(tmp_path / "a.txt", "%params M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0\n00\n")
+    out_file, table = tmp_path / "found.txt", tmp_path / "rows.csv"
+    for argv in [
+        ["oracle-intersect", "--a", a, "--b", a],
+        ["search", "--strategy", "exact", "--params", "M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0",
+         "--out", str(out_file), "--table", str(table)],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--cap", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--cap" in captured.err
+    assert not out_file.exists() and not table.exists()
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

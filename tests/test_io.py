@@ -9,7 +9,7 @@ from dnacode.io import (
     code_lines,
     message_lines,
     params_header,
-    parse_tau,
+    parse_param_items,
     pool_lines,
     provenance_lines,
     read_code_file,
@@ -19,26 +19,42 @@ from dnacode.io import (
     write_text,
 )
 from dnacode.channel import sample_ball
-from dnacode.model import Message, Strand
+from dnacode.model import Message, Strand, tau_from_string
 
 from oracles import mk_message, mk_params
 
 
 def test_parse_tau_accepts_one_and_fractions():
-    assert parse_tau("1") == Fraction(1)
-    assert parse_tau("2/3") == Fraction(2, 3)
-    assert parse_tau("10/20") == Fraction(1, 2)
+    assert tau_from_string("1") == Fraction(1)
+    assert tau_from_string("2/3") == Fraction(2, 3)
+    assert tau_from_string("10/20") == Fraction(1, 2)
 
 
 def test_parse_tau_rejects_everything_else():
     for bad in ["2", "0.5", "1/0", "-1/2", "3 / 4", "", "a/b"]:
         with pytest.raises(ValidationError):
-            parse_tau(bad)
+            tau_from_string(bad)
 
 
 def test_tau_text_round_trip():
     for text in ["1", "2/3", "1/2"]:
-        assert tau_text(parse_tau(text)) == text
+        assert tau_text(tau_from_string(text)) == text
+
+
+def test_param_values_are_ascii_digits_only():
+    # int() alone takes underscores, signs and non-ASCII digits
+    for bad in ["M=1_0", "L=+3", "ei=-0", "l=\u0662", "tau=\u0663/4"]:
+        with pytest.raises(ValidationError, match=f"^{bad.split('=')[0]} must be"):
+            parse_param_items(bad)
+    assert parse_param_items("M=10, tau=3/4") == {"M": 10, "tau": Fraction(3, 4)}
+
+
+def test_header_value_error_carries_its_line(tmp_path):
+    path = tmp_path / "msg.txt"
+    path.write_text("# K below\n%params K=0_2\n000\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as exc:
+        read_message_file(path)
+    assert exc.value.line == 2 and "K" in str(exc.value)
 
 
 def test_params_header_round_trips_through_a_file(tmp_path):

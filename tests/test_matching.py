@@ -181,6 +181,20 @@ def test_violators_are_tight():
         assert len(y) > len(result.neighborhood)
 
 
+def test_violator_has_the_maximum_deficiency():
+    # Konig-Ore: the maximum matching leaves max |Y| - |N(Y)| left
+    # vertices unmatched, so a violator attaining it is the deficiency certificate
+    rng = random.Random(19)
+    graphs = [g for nl in range(1, 4) for nr in range(1, 4) for g in all_bipartite_graphs(nl, nr)]
+    graphs += [random_graph(rng, max_side=7) for _ in range(300)]
+    for g in graphs:
+        result = perfect_matching_or_violator(g)
+        unmatched = 0
+        if isinstance(result, HallViolator):
+            unmatched = len(result.left_set) - len(result.neighborhood)
+        assert g.left_size - unmatched == oracle_max_matching_size(g)
+
+
 def test_perfect_matching_pairs_form_a_bijection():
     rng = random.Random(17)
     for _ in range(200):

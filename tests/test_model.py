@@ -213,7 +213,9 @@ def test_tau_must_be_exact():
     assert balls_intersect(z1, z2, exact).answer is Answer.UNKNOWN
     assert SystemParams(2, 4, 2, 10, "7/10", 1, 0) == exact
     assert SystemParams(2, 4, 2, 10, 1, 1, 0).tau == 1
-    for bad in [0.7, 1.0, "seven tenths", "1/0"]:
+    assert SystemParams(2, 4, 2, 10, "1", 1, 0).tau == 1
+    # one written form, the one --params and %params headers take
+    for bad in [0.7, 1.0, "seven tenths", "1/0", "0.75", "3e-1", " 3/4 ", "1_0/20"]:
         with pytest.raises(ValidationError):
             SystemParams(2, 4, 2, 10, bad, 1, 0)
 
