@@ -17,7 +17,7 @@ import csv
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .channel import in_ball, oracle_balls_intersect, sample_ball
 from .codec import (
@@ -179,13 +179,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(
     args: argparse.Namespace,
-    headers: Sequence[dict[str, ParamValue]],
+    headers: Mapping[str, dict[str, ParamValue]],
     block: Optional[Block] = None,
     need: Sequence[str] = PARAM_KEYS,
 ) -> dict[str, ParamValue]:
-    """The parameters in force: the file headers, which must agree, under
-    --params, with M and L read off ``block`` where neither gives them."""
-    values = merge_headers(*headers)
+    """The parameters in force: the file headers, keyed by file and
+    required to agree, under --params, with M and L read off ``block``
+    where neither gives them."""
+    values = merge_headers(*headers.values(), names=list(headers))
     if args.params:
         values.update(parse_param_items(args.params))
     if block:
@@ -201,7 +202,7 @@ def _resolve(
 
 def _system_params(
     args: argparse.Namespace,
-    headers: Sequence[dict[str, ParamValue]],
+    headers: Mapping[str, dict[str, ParamValue]],
     block: Optional[Block] = None,
 ) -> SystemParams:
     values = _resolve(args, headers, block)
@@ -214,7 +215,7 @@ def _system_params(
 def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
     header_a, block_a = read_message_file(args.a)
     header_b, block_b = read_message_file(args.b)
-    params = _system_params(args, [header_a, header_b], block_a)
+    params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a)
     return _message(block_a, params), _message(block_b, params), params
 
 
@@ -245,7 +246,7 @@ def _regime_line(tag: RegimeTag) -> str:
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
-    params = _system_params(args, [header], blocks[0] if blocks else None)
+    params = _system_params(args, {args.code: header}, blocks[0] if blocks else None)
     code = [_message(block, params) for block in blocks]
     verdict = is_dna_correcting(code, params)
     lines = [_VERDICT_WORD[verdict.kind], _regime_line(verdict.regime)]
@@ -264,14 +265,14 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
 def _cmd_distance(args: argparse.Namespace) -> list[str]:
     header_a, block_a = read_message_file(args.a)
     header_b, block_b = read_message_file(args.b)
-    index_len = _resolve(args, [header_a, header_b], need=["l"])["l"]
+    index_len = _resolve(args, {args.a: header_a, args.b: header_b}, need=["l"])["l"]
     d = dna_distance(_bare_message(block_a, index_len), _bare_message(block_b, index_len))
     return [f"D={_fmt_distance(d)}"]
 
 
 def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
-    index_len = _resolve(args, [header], need=["l"])["l"]
+    index_len = _resolve(args, {args.code: header}, need=["l"])["l"]
     code = [_bare_message(block, index_len) for block in blocks]
     d, (za, zb) = min_dna_distance(code)
     return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
@@ -294,7 +295,7 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block = read_message_file(args.message)
-    params = _system_params(args, [header], block)
+    params = _system_params(args, {args.message: header}, block)
     sample = sample_ball(_message(block, params), params, args.seed)
     file_lines = pool_lines([p.read for p in sample.provenance], params)
     if args.provenance:
@@ -308,13 +309,13 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 def _cmd_member(args: argparse.Namespace) -> list[str]:
     pool_header, read_entries = read_pool_file(args.pool)
     msg_header, block = read_message_file(args.message)
-    params = _system_params(args, [pool_header, msg_header], block)
+    params = _system_params(args, {args.pool: pool_header, args.message: msg_header}, block)
     pool = ReadPool.from_reads([token for _, token in read_entries], params.length)
     return ["YES" if in_ball(pool, _message(block, params), params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:
-    params = _system_params(args, [])
+    params = _system_params(args, {})
     restrict = _parse_restrict(args.restrict, params) if args.restrict else None
     code, row = run_search(params, Strategy(args.strategy), restrict, args.cap)
     file_lines = code_lines(code, params)

@@ -20,6 +20,7 @@ r, so min_dna_distance decides whole codes at once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -31,7 +32,9 @@ from .matching import (
     HallViolator,
     bijection_of,
     exists_bijection_within,
+    has_perfect_matching,
     match_within,
+    near_masks,
     packed,
 )
 from .metrics import min_dna_distance, pair_leq, split_distance
@@ -178,6 +181,48 @@ class PairTest:
                 pair_flags = (flags[i], flags[j]) if flags else None
                 answer, bij = self.decide(messages[i], messages[j], bits[i], bits[j], pair_flags)
                 yield i, j, answer, bij
+
+    def no_pairs(
+        self, messages: Sequence[Message], flags: Sequence[Flags]
+    ) -> Iterator[tuple[int, int]]:
+        """The pairs i < j of distinct messages that ``answers`` gives No,
+        in order, with ``flags`` as given by ``self.flags(messages)``;
+        decided without building a bijection.
+
+        At high tau a No needs ``(two1 and two2) or (one1 and one2)``, so
+        a pair failing that is skipped before any matching.  Each distinct
+        strand value a of the messages gets one bit, near[a] is the mask of
+        the values within the bound of a, and a message's own mask holds
+        the bits of its strands.  Row u of pair (i, j) is then
+        near[a_u] & own[j], and the pair answers No iff these rows admit
+        no perfect matching.
+        """
+        if self.regime is Regime.LOW_TAU:
+            return
+        bits = [packed(z) for z in messages]
+        values = sorted({a for strands in bits for a in strands})
+        near = dict(zip(values, near_masks(values, self.data_len, self.bound)))
+        bit = {a: 1 << p for p, a in enumerate(values)}
+        own = [sum(bit[a] for a in strands) for strands in bits]
+        everyone = range(len(messages))
+        if flags:
+            # the messages j each class of flags may answer No with
+            partners = {
+                (two1, one1): [
+                    j for j, (two2, one2) in enumerate(flags)
+                    if (two1 and two2) or (one1 and one2)
+                ]
+                for two1 in (False, True)
+                for one1 in (False, True)
+            }
+        for i in everyone:
+            candidates = partners[flags[i]] if flags else everyone
+            near_i = [near[a] for a in bits[i]]
+            for j in candidates[bisect_right(candidates, i):]:
+                mask = own[j]
+                rows = [row & mask for row in near_i]
+                if not (all(rows) and has_perfect_matching(rows)):
+                    yield i, j
 
 
 def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> IntersectionResult:

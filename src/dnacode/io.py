@@ -16,7 +16,14 @@ from typing import Optional, Sequence, Union
 
 from .channel import ChannelSample
 from .errors import FileFormatError, ParamMismatch, ValidationError
-from .model import Message, SystemParams, bits_to_string, int_from_string, tau_from_string
+from .model import (
+    Message,
+    SystemParams,
+    bits_from_string,
+    bits_to_string,
+    int_from_string,
+    tau_from_string,
+)
 
 PARAM_KEYS = ("M", "L", "l", "K", "tau", "ei", "ed")
 ParamValue = Union[int, Fraction]
@@ -57,17 +64,22 @@ def parse_param_items(
     return items
 
 
-def merge_headers(*headers: dict[str, ParamValue], where: str = "") -> dict[str, ParamValue]:
+def merge_headers(
+    *headers: dict[str, ParamValue], where: str = "", names: Sequence[str] = ()
+) -> dict[str, ParamValue]:
     """The union of the headers: two headers that name a key must give it
-    one value.  ``where`` prefixes the error, as 'path:line: ' does."""
-    merged: dict[str, ParamValue] = {}
-    for header in headers:
+    one value.  ``where`` prefixes the error, as 'path:line: ' does, and
+    ``names``, one per header, says in the error which headers disagree."""
+    merged: dict[str, tuple[ParamValue, str]] = {}
+    for header, name in zip(headers, names or [""] * len(headers)):
+        origin = f" in {name}" if name else ""
         for key, value in header.items():
-            if merged.setdefault(key, value) != value:
+            first, first_origin = merged.setdefault(key, (value, origin))
+            if first != value:
                 raise ParamMismatch(
-                    f"{where}headers disagree on {key}: {merged[key]} vs {value}"
+                    f"{where}headers disagree on {key}: {first}{first_origin} vs {value}{origin}"
                 )
-    return merged
+    return {key: value for key, (value, _) in merged.items()}
 
 
 def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
@@ -99,10 +111,10 @@ def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Blo
             items = parse_param_items(line[len("%params"):], path=name, line=lineno)
             header = merge_headers(header, items, where=f"{name}:{lineno}: ")
             continue
-        if set(line) - {"0", "1"}:
-            raise FileFormatError(
-                f"expected a binary string, got {line!r}", path=name, line=lineno
-            )
+        try:
+            bits_from_string(line)
+        except ValidationError as e:
+            raise FileFormatError(str(e), path=name, line=lineno) from None
         if token_len is None:
             token_len = len(line)
         elif len(line) != token_len:

@@ -223,6 +223,58 @@ def _rows_within(
         ]
 
 
+def near_masks(values: Sequence[int], data_len: int, bound: tuple[int, int]) -> list[int]:
+    """For each packed strand value in ``values``, the bitmask with bit j
+    set iff ``values[j]`` is within ``bound`` of it."""
+    return [sum(1 << j for j in row) for row in _rows_within(values, values, data_len, bound)]
+
+
+def has_perfect_matching(rows: Sequence[int]) -> bool:
+    """Whether each left vertex u can take its own right vertex from
+    ``rows[u]``, the bitmask of its right neighbours.
+
+    Kuhn's augmenting paths (Kuhn 1955), searched from each left vertex
+    in turn.  A left vertex with no augmenting path at its turn never gets
+    one, so the first such vertex ends the test.  A search takes a free
+    neighbour where it can, marks each right vertex it tries, and so
+    enters each matched left vertex at most once: its path, kept on an
+    explicit stack, holds at most len(rows) vertices.
+    """
+    mate = [0] * len(rows)  # the right bit each matched left vertex holds
+    owner: dict[int, int] = {}  # the left vertex holding each taken right bit
+    taken = 0
+    for root, row in enumerate(rows):
+        path: list[tuple[int, int]] = []
+        u, untried, seen = root, row, 0
+        while True:
+            free = untried & ~taken
+            if free:
+                # flip the path: u takes v, and each vertex above it takes
+                # the bit of the vertex it reached
+                v = free & -free
+                taken |= v
+                while True:
+                    prev = mate[u]
+                    mate[u] = v
+                    owner[v] = u
+                    if not path:
+                        break
+                    u, v = path.pop()[0], prev
+                break
+            untried &= ~seen
+            if untried:
+                v = untried & -untried
+                seen |= v
+                path.append((u, untried ^ v))
+                u = owner[v]
+                untried = rows[u]
+            elif path:
+                u, untried = path.pop()
+            else:
+                return False
+    return True
+
+
 def bijection_graph(z1: Message, z2: Message, bound: tuple[int, int]) -> BipartiteGraph:
     """Graph on Z1 x Z2 with an edge iff the split distance is within ``bound``."""
     check_shape(z1, z2)

@@ -268,6 +268,13 @@ class SystemParams:
     tau_budget: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("m", "length", "index_len", "k", "e_i", "e_d"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is not a count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(
+                    f"{name} must be an int, got {type(value).__name__} {value!r}"
+                )
         if isinstance(self.tau, str):
             object.__setattr__(self, "tau", tau_from_string(self.tau))
         elif isinstance(self.tau, (int, Fraction)):

@@ -4,6 +4,11 @@ Builds the compatibility graph over an enumerated message space (edge
 iff the two balls are provably disjoint, i.e. the codec answers No;
 Unknown pairs get no edge, so every clique is a certified code) and
 extracts large cliques either greedily or exactly by branch and bound.
+
+The graph is built from answer-only decisions (``PairTest.no_pairs``):
+an edge needs no bijection, so none is built.  The clique found is
+re-verified by ``is_dna_correcting``, which keeps the bijection path
+that verify and intersect use for their witnesses.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional, Sequence
 
 # balls_intersect is not called here: it stays importable under this
 # module for the benchmark tracer, which counts pair tests by that name
-from .codec import Answer, PairTest, Regime, VerdictKind, balls_intersect, is_dna_correcting
+from .codec import PairTest, VerdictKind, balls_intersect, is_dna_correcting
 from .errors import TooLargeForExact, ValidationError
 from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space
 
@@ -44,15 +49,29 @@ class CompatibilityGraph:
                 f"adjacency has {len(self.adjacency)} masks for {n} vertices"
             )
         full = (1 << n) - 1 if n else 0
-        for i, mask in enumerate(self.adjacency):
+        # every bit above the diagonal has its mirror below it, and there
+        # are as many bits below as above, so those mirrors are all of them
+        adjacency = self.adjacency
+        above = 0
+        for i, mask in enumerate(adjacency):
+            bit = 1 << i
             if mask & ~full:
                 raise ValidationError(f"adjacency mask of vertex {i} is out of range")
-            if mask & (1 << i):
+            if mask & bit:
                 raise ValidationError(f"vertex {i} has a self-loop")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if bool(self.adjacency[i] & (1 << j)) != bool(self.adjacency[j] & (1 << i)):
+            rest = mask & -bit  # the bits above i, as bit i is clear
+            above += rest.bit_count()
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if not adjacency[j] & bit:
                     raise ValidationError(f"adjacency is not symmetric at ({i},{j})")
+        below = sum(mask.bit_count() for mask in adjacency) - above
+        if below != above:
+            raise ValidationError(
+                f"adjacency is not symmetric: {above} bits above the diagonal, {below} below"
+            )
 
     @property
     def vertex_count(self) -> int:
@@ -85,11 +104,9 @@ def build_graph(
     n = len(vertices)
     adjacency = [0] * n
     test = PairTest(params)
-    if test.regime is not Regime.LOW_TAU:  # there every pair is Unknown
-        for i, j, answer, _ in test.answers(vertices, test.flags(vertices)):
-            if answer is Answer.NO:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    for i, j in test.no_pairs(vertices, test.flags(vertices)):
+        adjacency[i] |= 1 << j
+        adjacency[j] |= 1 << i
     return CompatibilityGraph(params, vertices, tuple(adjacency))
 
 

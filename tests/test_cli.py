@@ -305,6 +305,8 @@ def test_conflicting_headers_exit_two(capsys, tmp_path):
     b = write(tmp_path / "b.txt", "%params M=1,L=2,l=1,K=2,tau=1/2,ei=1,ed=0\n11\n")
     code, _, err = invoke(capsys, "intersect", "--a", a, "--b", b)
     assert code == 2 and "tau" in err
+    # the error names both files, in the order they were given
+    assert f"1 in {a} vs 1/2 in {b}" in err
 
 
 def test_unknown_strategy_is_an_argparse_error(capsys):

@@ -27,7 +27,7 @@ from dnacode import (
 )
 from dnacode import matching
 from dnacode.cli import run
-from dnacode.matching import bijection_graph
+from dnacode.matching import bijection_graph, has_perfect_matching
 from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
 from oracles import (
@@ -162,6 +162,30 @@ def test_matching_random_graphs_agree_with_oracle():
         assert sorted((u, v) for u, v in enumerate(match_l) if v >= 0) == sorted(
             (u, v) for v, u in enumerate(match_r) if u >= 0
         )
+
+
+def test_bitmask_matching_agrees_with_oracle():
+    rng = random.Random(29)
+    graphs = [g for nl in range(1, 4) for nr in range(1, 4) for g in all_bipartite_graphs(nl, nr)]
+    graphs += [random_graph(rng, max_side=7) for _ in range(400)]
+    outcomes = []
+    for g in graphs:
+        rows = [sum(1 << v for v in nbrs) for nbrs in g.adjacency]
+        expected = oracle_has_perfect_matching(g)
+        assert has_perfect_matching(rows) == expected, g.adjacency
+        # a No that no empty row explains needs the augmenting-path search
+        outcomes.append((expected, all(rows)))
+    assert outcomes.count((True, True)) >= 100
+    assert outcomes.count((False, True)) >= 100
+
+
+def test_bitmask_matching_follows_a_long_augmenting_path():
+    # left u < n-1 takes right u first; the last left vertex has only right
+    # 0, so its augmenting path passes through every other left vertex
+    n = 3000
+    rows = [(1 << u) | (1 << (u + 1)) for u in range(n - 1)] + [1]
+    assert has_perfect_matching(rows)
+    assert not has_perfect_matching(rows[:-1] + [1, 1])
 
 
 def test_violators_are_tight():

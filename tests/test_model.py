@@ -220,6 +220,15 @@ def test_tau_must_be_exact():
             SystemParams(2, 4, 2, 10, bad, 1, 0)
 
 
+def test_integer_fields_must_be_ints():
+    good = dict(m=2, length=4, index_len=2, k=10, tau="1", e_i=1, e_d=0)
+    for name in ("m", "length", "index_len", "k", "e_i", "e_d"):
+        # a digit string, a float, a missing value, and a bool (an int subclass)
+        for bad in ["2", 2.5, None, True]:
+            with pytest.raises(ValidationError, match=f"^{name} must be an int"):
+                SystemParams(**{**good, name: bad})
+
+
 def test_pool_size():
     assert mk_params(2, 3, 2, 3, 1, 1, 1).pool_size == 6
 

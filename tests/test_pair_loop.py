@@ -97,6 +97,13 @@ SEARCH_SPACES = [
     ((2, 3, 2, 2, "1", 1, 0), (2, 0)),
     ((2, 3, 2, 2, "1/2", 1, 0), (2, 0)),
     ((2, 3, 2, 2, "1/2", 1, 0), None),
+    # high tau with the budget below M*K/(2M-1), so No also follows from
+    # both messages avoiding (e_i, e_d)
+    ((2, 4, 2, 4, "1/2", 1, 0), None),
+    # e_d > 0 at M = 4
+    ((4, 4, 2, 4, "3/4", 0, 1), None),
+    # M = 8: the graph build has no M threshold
+    ((8, 4, 3, 2, "1", 1, 0), None),
 ]
 
 

@@ -1,9 +1,14 @@
 """Compatibility graphs and clique-based code search."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dnacode
 from dnacode import (
     CompatibilityGraph,
     Strategy,
@@ -26,6 +31,8 @@ def test_graph_construction_validates_masks():
     vertices = tuple(enumerate_space(p))
     with pytest.raises(ValidationError):
         CompatibilityGraph(p, vertices, (0b0010, 0b0000, 0b0000, 0b0000))  # asymmetric
+    with pytest.raises(ValidationError):
+        CompatibilityGraph(p, vertices, (0b0000, 0b0001, 0b0000, 0b0000))  # below only
     with pytest.raises(ValidationError):
         CompatibilityGraph(p, vertices, (0b0001, 0b0000, 0b0000, 0b0000))  # self loop
     with pytest.raises(ValidationError):
@@ -173,3 +180,41 @@ def test_distance_threshold_equals_graph_search_for_distinct_data():
         ):
             best_by_distance = size
     assert best_clique == best_by_distance
+
+
+# the CLI, refusing to run unless the interpreter's optimisation mode is
+# the one asked for, so the -O run cannot silently keep its asserts
+SEARCH_IN_MODE = """
+import sys
+from dnacode.cli import run
+if __debug__ != (sys.argv[1] == "debug"):
+    raise SystemExit("wrong interpreter mode")
+sys.exit(run(sys.argv[2:]))
+"""
+
+
+def test_search_output_is_the_same_under_python_O(tmp_path):
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    searches = {
+        "greedy": ["--strategy", "greedy", "--params", "M=3,L=4,l=2,K=4,tau=3/4,ei=1,ed=0"],
+        "exact": ["--strategy", "exact", "--restrict", "2,0",
+                  "--params", "M=2,L=4,l=3,K=2,tau=1,ei=1,ed=0"],
+    }
+    for name, argv in searches.items():
+        results = []
+        for mode, flags in [("debug", []), ("optimized", ["-O"])]:
+            out = tmp_path / f"{name}-{mode}.txt"
+            done = subprocess.run(
+                [sys.executable, *flags, "-c", SEARCH_IN_MODE, mode,
+                 "search", *argv, "--out", str(out)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            results.append((done.stdout, out.read_text(encoding="utf-8")))
+        assert results[0] == results[1], name
+        assert results[0][0].startswith("SIZE=") and results[0][1].startswith("%params")
