@@ -16,6 +16,21 @@ Everything is driven by the per-strand corruption budget floor(tau*K):
 For e_d = 0 the same tests reduce to a single DNA-distance computation:
 a pair admits a bijection within (r, 0) iff its DNA-distance is at most
 r, so min_dna_distance decides whole codes at once.
+
+A code is verified without deciding most of its pairs.  A Yes needs a
+bijection within the bound (r1, r2), so the first strand a of codeword i
+needs a partner b in codeword j with index fields within r1 and data
+fields within r2.  The index of such a b is a's index XOR an l-bit mask
+of weight at most r1, so indexing every strand of the code under its
+index field and looking up a's V(l, r1) masks finds every j that can
+answer Yes with i (multi-index hashing: Norouzi, Punjani & Fleet, CVPR
+2012).  Only these candidate pairs are decided, in canonical order, so
+the first Yes, and its bijection, is the one the all-pairs loop finds.
+Every other pair has the one-strand Hall violator ({a}, {}): at tau = 1
+it is No, and at high tau it is No exactly when its flags prove No, the
+same rule a candidate pair without a bijection meets.  So once no pair
+answers Yes, the code is Indeterminate iff some pair of its codewords
+fails the flag rule, which the four classes of flags decide in O(n).
 """
 
 from __future__ import annotations
@@ -24,12 +39,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
 from .matching import (
     Bijection,
     HallViolator,
+    _flip_masks,
     bijection_of,
     exists_bijection_within,
     has_perfect_matching,
@@ -41,6 +58,7 @@ from .metrics import min_dna_distance, pair_leq, split_distance
 from .model import (
     Message,
     SystemParams,
+    _ball_volume,
     check_shape,
     has_distinct_data,
     in_restricted_space,
@@ -112,12 +130,20 @@ Flags = tuple[bool, bool]
 """A message's restricted-space hypotheses, see ``PairTest.restricted``."""
 
 
+def _flags_prove_no(flags1: Flags, flags2: Flags) -> bool:
+    """Whether, at high tau, a missing bijection proves No for two messages
+    with these flags."""
+    (two1, one1), (two2, one2) = flags1, flags2
+    return (two1 and two2) or (one1 and one2)
+
+
 class PairTest:
     """The pair decision, with everything that depends on the params only
     computed once, so a code or space pays for it once and not per pair."""
 
     def __init__(self, params: SystemParams) -> None:
         self.regime = classify_regime(params)
+        self.index_len = params.index_len
         self.data_len = params.data_len
         one_e = (params.e_i, params.e_d)
         self.two_e = (2 * params.e_i, 2 * params.e_d)
@@ -164,28 +190,53 @@ class PairTest:
             return Answer.YES, bijection_of(z1, z2, match)
         if self.regime is Regime.TAU_ONE:
             return Answer.NO, None
-        (two1, one1), (two2, one2) = flags or (self.restricted(z1), self.restricted(z2))
-        if (two1 and two2) or (one1 and one2):
+        if _flags_prove_no(*(flags or (self.restricted(z1), self.restricted(z2)))):
             return Answer.NO, None
         return Answer.UNKNOWN, None
 
-    def answers(
-        self, messages: Sequence[Message], flags: Sequence[Flags]
-    ) -> Iterator[tuple[int, int, Answer, Optional[Bijection]]]:
-        """``decide`` on every pair i < j of distinct messages, in order,
-        with ``flags`` as given by ``self.flags(messages)``."""
-        bits = [packed(z) for z in messages]
-        n = len(messages)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair_flags = (flags[i], flags[j]) if flags else None
-                answer, bij = self.decide(messages[i], messages[j], bits[i], bits[j], pair_flags)
-                yield i, j, answer, bij
+    def candidates(self, bits: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+        """The pairs i < j of messages, given by their packed strands, in
+        which the first strand of message i has a partner within the bound
+        in message j, in order: the only pairs that can answer Yes.
+
+        Every strand is indexed under its index field, and the first
+        strand's V(l, r1) index masks look its partners up.  When V(l, r1)
+        exceeds the number of strands, the strands of the later messages
+        are scanned instead, through the same split-distance test.
+        """
+        r1, r2 = self.bound
+        data_len = self.data_len
+        mask = (1 << data_len) - 1
+        strands = [(j, b) for j, z in enumerate(bits) for b in z]
+        lookup = _ball_volume(self.index_len, r1) <= len(strands)
+        if lookup:
+            flips = _flip_masks(self.index_len, r1)
+            by_index: dict[int, list[tuple[int, int]]] = {}
+            for j, b in strands:
+                by_index.setdefault(b >> data_len, []).append((j, b))
+        later = 0
+        for i, z in enumerate(bits):
+            a = z[0]
+            later += len(z)
+            if lookup:
+                index = a >> data_len
+                hits = [hit for f in flips for hit in by_index.get(index ^ f, ())]
+            else:
+                hits = strands[later:]
+            partners = {
+                j
+                for j, b in hits
+                if j > i
+                and ((x := a ^ b) >> data_len).bit_count() <= r1
+                and (x & mask).bit_count() <= r2
+            }
+            for j in sorted(partners):
+                yield i, j
 
     def no_pairs(
         self, messages: Sequence[Message], flags: Sequence[Flags]
     ) -> Iterator[tuple[int, int]]:
-        """The pairs i < j of distinct messages that ``answers`` gives No,
+        """The pairs i < j of distinct messages that ``decide`` answers No,
         in order, with ``flags`` as given by ``self.flags(messages)``;
         decided without building a bijection.
 
@@ -208,12 +259,8 @@ class PairTest:
         if flags:
             # the messages j each class of flags may answer No with
             partners = {
-                (two1, one1): [
-                    j for j, (two2, one2) in enumerate(flags)
-                    if (two1 and two2) or (one1 and one2)
-                ]
-                for two1 in (False, True)
-                for one1 in (False, True)
+                flags1: [j for j, flags2 in enumerate(flags) if _flags_prove_no(flags1, flags2)]
+                for flags1 in set(flags)
             }
         for i in everyone:
             candidates = partners[flags[i]] if flags else everyone
@@ -286,29 +333,57 @@ class Verdict:
 
 
 def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
-    """Verify a code by testing ball intersection on every unordered pair.
+    """Verify a code by ball intersection on its unordered pairs.
 
     Correcting iff every pair answers No; NotCorrecting with the first
     Yes pair (canonical order) as witness; Indeterminate when some pair
     is Unknown and none is Yes.  Codes of size 0 or 1 are vacuously
     correcting.
+
+    Only the pairs ``PairTest.candidates`` screens in are decided: in
+    every other pair the first codeword's first strand has no partner
+    within the bound, so no bijection exists and the pair cannot answer
+    Yes.  Such a pair is No at tau = 1, and at high tau it is No iff its
+    flags prove No, as is a candidate pair without a bijection.  So with
+    no Yes, the verdict is Indeterminate iff some pair fails the flag
+    rule, counted over the message classes of equal flags.
     """
     codewords = _validated_code(code, params)
     test = PairTest(params)
     flags = test.flags(codewords)
     tag = _regime_tag(test, flags)
-    if test.regime is Regime.LOW_TAU and len(codewords) > 1:
+    if len(codewords) < 2:
+        return Verdict(VerdictKind.CORRECTING, tag)
+    if test.regime is Regime.LOW_TAU:
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
-    any_unknown = False
-    for i, j, answer, bij in test.answers(codewords, flags):
+    bits = [packed(z) for z in codewords]
+    for i, j in test.candidates(bits):
+        pair_flags = (flags[i], flags[j]) if flags else None
+        answer, bij = test.decide(codewords[i], codewords[j], bits[i], bits[j], pair_flags)
         if answer is Answer.YES:
             assert bij is not None
             witness = Witness((codewords[i], codewords[j]), bij, test.bound)
             return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
-        any_unknown = any_unknown or answer is Answer.UNKNOWN
-    if any_unknown:
+    if _some_pair_unproved(flags):
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=UNPROVED_REASON)
     return Verdict(VerdictKind.CORRECTING, tag)
+
+
+def _some_pair_unproved(flags: Sequence[Flags]) -> bool:
+    """Whether, among two or more messages with these high-tau flags, some
+    two fail the rule that lets a missing bijection prove No; False when
+    no flags are given, as in every other regime.
+
+    The rule reads the flags only, so the classes of equal flags decide
+    it: at most four classes, and one pass over the messages to find them.
+    A class fails the rule with itself only when both its flags are False,
+    and then it fails with every other message as well, so a class that
+    holds a single message needs no count.
+    """
+    return any(
+        not _flags_prove_no(flags1, flags2)
+        for flags1, flags2 in combinations_with_replacement(set(flags), 2)
+    )
 
 
 def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verdict:

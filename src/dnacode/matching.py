@@ -432,8 +432,9 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
     return net.max_flow(0, sink) == params.pool_size
 
 
-# the index masks of the membership lookup, cached per (l, e_i); the
-# guard V(l, e_i) <= M bounds the size of every entry
+# the index masks of the membership lookup and the code verifier's
+# screen, cached per (l, radius); their guards bound every entry's size
+# by the strands it is looked up among
 _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 

@@ -138,6 +138,23 @@ def scipy_has_perfect_matching(within: Sequence[Sequence[bool]]) -> bool:
     return bool((match >= 0).all())
 
 
+def networkx_has_perfect_matching(within: Sequence[Sequence[bool]]) -> bool:
+    """The same question as ``scipy_has_perfect_matching``, by networkx's
+    bipartite Hopcroft-Karp.  networkx is a test-only dependency; callers
+    skip when it is missing."""
+    import networkx as nx
+    from networkx.algorithms import bipartite
+
+    n = len(within)
+    g = nx.Graph()
+    g.add_nodes_from(range(2 * n))
+    g.add_edges_from(
+        (u, n + v) for u, row in enumerate(within) for v, near in enumerate(row) if near
+    )
+    match = bipartite.hopcroft_karp_matching(g, top_nodes=range(n))
+    return all(u in match for u in range(n))
+
+
 def oracle_assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:
     """Partition search: try every read-to-strand assignment."""
     reads = pool.to_reads()
@@ -345,6 +362,13 @@ def random_message(rng: random.Random, params: SystemParams) -> Message:
             )
             for ind in indices
         )
+    )
+
+
+def message_of(params: SystemParams, fields: Iterable[tuple[int, int]]) -> Message:
+    """The message with the given (index field, data field) strands."""
+    return Message(
+        tuple(Strand.from_fields(i, d, params.length, params.index_len) for i, d in fields)
     )
 
 

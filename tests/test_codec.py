@@ -30,7 +30,14 @@ from dnacode import (
 from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON
 from dnacode.metrics import pair_leq, split_distance
 
-from oracles import mk_message, mk_params, random_message
+from oracles import (
+    message_of,
+    mk_message,
+    mk_params,
+    networkx_has_perfect_matching,
+    random_message,
+    scipy_has_perfect_matching,
+)
 
 
 def test_regime_boundaries():
@@ -308,3 +315,72 @@ def test_ed0_agrees_with_pairwise_verifier_when_both_decide():
         assert by_distance.kind is pairwise.kind, (
             [str(z) for z in code], str(p.tau), p.e_i, by_distance, pairwise,
         )
+
+
+def moved_fields(rng, z, bound):
+    """Z's strands as (index field, data field), each moved within
+    ``bound``: the data field by exactly r2 bits, the index field by up
+    to r1 bits wherever that lands on an index field no strand holds."""
+    r1, r2 = bound
+    taken = {s.index_bits for s in z.strands}
+    fields = []
+    for s in z.strands:
+        index = s.index_bits ^ sum(
+            1 << p for p in rng.sample(range(s.index_len), rng.randint(0, r1))
+        )
+        if index in taken:
+            index = s.index_bits
+        taken.add(index)
+        data = s.data_bits ^ sum(1 << p for p in rng.sample(range(s.data_len), r2))
+        fields.append((index, data))
+    return fields
+
+
+@pytest.mark.parametrize("m, index_len", [(256, 10), (512, 11)])
+@pytest.mark.parametrize("tau, e_d", [("1", 1), ("3/4", 0)])
+def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len, tau, e_d):
+    pytest.importorskip("networkx")
+    pytest.importorskip("scipy")
+    params = mk_params(m, 24, index_len, 10, tau, 1, e_d)
+    bound = (2, 2 * e_d) if tau == "1" else (1, e_d)
+    rng = random.Random(f"{m}-{tau}")
+    z1 = random_message(rng, params)
+    yes = moved_fields(rng, z1, bound)
+    # one strand moved far from every strand of Z1: its row is empty
+    far = yes[:-1] + [(yes[-1][0], yes[-1][1] ^ ((1 << params.data_len) - 1))]
+    # Z1 with its last strand traded for a strand b one index bit from
+    # its first strand a: a and b both reach only a in Z1
+    a = z1.strands[0]
+    taken = {s.index_bits for s in z1.strands}
+    b = next(b for p in range(index_len) if (b := a.index_bits ^ 1 << p) not in taken)
+    close = [(s.index_bits, s.data_bits) for s in z1.strands[:-1]] + [(b, a.data_bits)]
+    pairs = [
+        (z1, message_of(params, yes)),
+        (z1, message_of(params, far)),
+        (message_of(params, close), z1),
+    ]
+    answers = []
+    for x, y in pairs:
+        result = balls_intersect(x, y, params)
+        within = [
+            [
+                (s.index_bits ^ t.index_bits).bit_count() <= bound[0]
+                and (s.data_bits ^ t.data_bits).bit_count() <= bound[1]
+                for t in y.strands
+            ]
+            for s in x.strands
+        ]
+        perfect = networkx_has_perfect_matching(within)
+        assert scipy_has_perfect_matching(within) is perfect
+        assert (result.answer is Answer.YES) is perfect
+        if perfect:
+            assert [s for s, _ in result.bijection] == list(x.strands)
+            assert sorted(t for _, t in result.bijection) == list(y.strands)
+            assert all(pair_leq(split_distance(s, t), bound) for s, t in result.bijection)
+        elif tau == "1":
+            assert result.answer is Answer.NO
+        answers.append(result.answer)
+    # at high tau the last pair's first message holds two strands within
+    # (e_i, e_d), so its missing bijection proves nothing
+    last = Answer.NO if tau == "1" else Answer.UNKNOWN
+    assert answers == [Answer.YES, Answer.NO, last]

@@ -1,13 +1,20 @@
 """The pair loops of the code verifier, the graph build and the minimum
-DNA-distance, checked against per-pair references; the violators that
-end a bijection test early, checked from the strands alone."""
+DNA-distance, checked against per-pair references; the verifier's
+screen on codes of 150 codewords and on codes too small for its index
+lookup; the violators that end a bijection test early, checked from the
+strands alone."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import dnacode
 from dnacode import (
     HallViolator,
     Message,
@@ -23,9 +30,11 @@ from dnacode import (
     is_dna_correcting,
     min_dna_distance,
 )
+from dnacode.io import code_lines, write_text
 
 from oracles import (
     is_real_violator,
+    message_of,
     mk_params,
     oracle_dna_distance,
     oracle_min_dna_distance,
@@ -85,6 +94,226 @@ def test_verdict_matches_the_per_pair_reference(shape):
     else:
         assert kinds == set(VerdictKind)
         assert mixed >= 10
+
+
+def yes_bound(params):
+    """The bound a strand bijection must meet for a pair to answer Yes."""
+    if classify_regime(params) is Regime.TAU_ONE:
+        return 2 * params.e_i, 2 * params.e_d
+    return params.e_i, params.e_d
+
+
+def flip(rng, width, weight):
+    """A random width-bit mask of the given weight."""
+    return sum(1 << p for p in rng.sample(range(width), weight))
+
+
+def near_copy(rng, z, params):
+    """A message other than Z, each of whose strands lies within the Yes
+    bound (r1, r2) of its own strand of Z: the index field moves by at
+    most r1 bits and the data field by exactly r2, so the screen must keep
+    partners at its full data radius."""
+    r1, r2 = yes_bound(params)
+    while True:
+        fields = [
+            (
+                s.index_bits ^ flip(rng, params.index_len, rng.randint(0, r1)),
+                s.data_bits ^ flip(rng, params.data_len, r2),
+            )
+            for s in z.strands
+        ]
+        if len({i for i, _ in fields}) == params.m and (copy := message_of(params, fields)) != z:
+            return copy
+
+
+def first_strand_copy(rng, code, params):
+    """A message sharing the first strand of a codeword, with its other
+    strands drawn above that strand: the pair is screened in whichever
+    message comes first, and it has a bijection only by chance."""
+    top = (1 << params.index_len) - params.m
+    first = rng.choice([z for z in code if z.strands[0].index_bits < top]).strands[0]
+    above = rng.sample(range(first.index_bits + 1, 1 << params.index_len), params.m - 1)
+    fields = [(i, rng.randrange(1 << params.data_len)) for i in above]
+    return message_of(params, [(first.index_bits, first.data_bits)] + fields)
+
+
+def with_close_strands(rng, params, distance):
+    """A random message whose last strand is traded for one at exactly
+    ``distance`` from its first, so its restricted-space flag at that
+    radius fails."""
+    while True:
+        z = random_message(rng, params)
+        s = z.strands[0]
+        moved = (
+            s.index_bits ^ flip(rng, params.index_len, distance[0]),
+            s.data_bits ^ flip(rng, params.data_len, distance[1]),
+        )
+        fields = [(t.index_bits, t.data_bits) for t in z.strands[:-1]] + [moved]
+        if len({i for i, _ in fields}) == params.m:
+            return message_of(params, fields)
+
+
+def screened_in(z1, z2, bound):
+    """Whether the first strand of Z1 has a partner within ``bound`` in Z2."""
+    first = z1.strands[0]
+    return any(
+        (first.index_bits ^ s.index_bits).bit_count() <= bound[0]
+        and (first.data_bits ^ s.data_bits).bit_count() <= bound[1]
+        for s in z2.strands
+    )
+
+
+def index_lookup(params, code):
+    """Whether the verifier looks partners up for this code: the V(l, r1)
+    index masks are no more than the code's strands."""
+    volume = sum(math.comb(params.index_len, w) for w in range(yes_bound(params)[0] + 1))
+    return volume <= params.m * len(code)
+
+
+# the benchmark's verify shape: 150 codewords of 8 strands hold 1,200
+# strands, far more than the V(8, r1) index masks, so the verifier looks
+# partners up; K = 10 puts the high-tau bound 8K/15 between budgets 5 and 7
+SCREEN_PARAMS = [
+    (8, 24, 8, 10, "1", 1, 1),
+    (8, 24, 8, 10, "1", 1, 0),
+    (8, 24, 8, 10, "3/4", 1, 1),
+    (8, 24, 8, 10, "1/2", 1, 1),
+    (8, 24, 8, 10, "1/2", 1, 0),
+]
+
+
+@pytest.mark.parametrize("shape", SCREEN_PARAMS, ids=lambda s: "-".join(map(str, s)))
+def test_screen_keeps_the_first_of_several_planted_collisions(shape):
+    params = mk_params(*shape)
+    rng = random.Random(str(shape))
+    code = random_code(rng, params, 150)
+    first, *originals = sorted(rng.sample(code, rng.randint(2, 4)))
+    code += [near_copy(rng, z, params) for z in originals]
+    # the first original gets two near copies, both after it, so the
+    # witness is its pair with the first of them
+    later = []
+    while len(later) < 2:
+        if (copy := near_copy(rng, first, params)) > first and copy not in code:
+            later.append(copy)
+            code.append(copy)
+    code += [first_strand_copy(rng, code, params) for _ in range(3)]
+    if classify_regime(params) is Regime.HIGH_TAU:
+        one_e, two_e = yes_bound(params), (2 * params.e_i, 2 * params.e_d)
+        code += [with_close_strands(rng, params, one_e), with_close_strands(rng, params, two_e)]
+    rng.shuffle(code)
+    assert index_lookup(params, code)
+    got = is_dna_correcting(code, params)
+    assert got.kind is VerdictKind.NOT_CORRECTING
+    assert got.witness.pair == (first, min(later))
+    assert got == pairwise_verdict(code, params)
+
+
+@pytest.mark.parametrize("shape", SCREEN_PARAMS, ids=lambda s: "-".join(map(str, s)))
+def test_screen_without_a_collision(shape):
+    params = mk_params(*shape)
+    rng = random.Random(str(shape))
+    code = random_code(rng, params, 40)
+    code += [first_strand_copy(rng, code, params) for _ in range(3)]
+    assert index_lookup(params, code)
+    got = is_dna_correcting(code, params)
+    assert got.kind is VerdictKind.CORRECTING
+    assert got == pairwise_verdict(code, params)
+    if classify_regime(params) is Regime.HIGH_TAU:
+        # the codeword added last holds two strands within (e_i, e_d) and
+        # fails both flags, so some pair is not proved No
+        for distance in [(2 * params.e_i, 2 * params.e_d), yes_bound(params)]:
+            code.append(with_close_strands(rng, params, distance))
+            got = is_dna_correcting(code, params)
+            assert got == pairwise_verdict(code, params)
+        assert got.kind is VerdictKind.INDETERMINATE
+
+
+# three strands of L = 10 bits with l = 6 index bits and e_i = 2: the
+# V(6, r1) index masks, 57 at tau = 1 and 22 at high tau, outnumber the
+# strands of every code of up to seven codewords, so the verifier scans
+SCAN_PARAMS = [
+    (3, 10, 6, 4, "1", 2, 0),
+    (3, 10, 6, 4, "1", 2, 1),
+    (3, 10, 6, 4, "3/4", 2, 0),
+    (3, 10, 6, 4, "3/4", 2, 1),
+    (3, 10, 6, 4, "1/2", 2, 1),
+    (3, 10, 6, 4, "1/4", 2, 1),
+]
+
+
+@pytest.mark.parametrize("shape", SCAN_PARAMS, ids=lambda s: "-".join(map(str, s)))
+def test_scan_fallback_matches_the_per_pair_reference(shape):
+    params = mk_params(*shape)
+    regime = classify_regime(params)
+    rng = random.Random(str(shape))
+    kinds = set()
+    for _ in range(100):
+        code = random_code(rng, params, rng.randint(1, 4))
+        if rng.random() < 0.5:
+            code.append(near_copy(rng, rng.choice(code), params))
+        if rng.random() < 0.5:
+            code.append(first_strand_copy(rng, code, params))
+        code = list(set(code))
+        assert not index_lookup(params, code)
+        got = is_dna_correcting(code, params)
+        assert got == pairwise_verdict(code, params), [str(z) for z in code]
+        kinds.add(got.kind)
+    if regime is Regime.LOW_TAU:
+        assert kinds == {VerdictKind.CORRECTING, VerdictKind.INDETERMINATE}
+    elif regime is Regime.TAU_ONE:
+        assert kinds == {VerdictKind.CORRECTING, VerdictKind.NOT_CORRECTING}
+    else:
+        assert kinds == set(VerdictKind)
+
+
+@pytest.mark.parametrize("tau", ["1/2", "3/4"])
+def test_indeterminate_from_pairs_the_screen_drops(tau):
+    # one codeword fails both flags, so it fails the flag rule with every
+    # other codeword, and the screen drops each of those pairs: only the
+    # flag count can find that the code is not proved correcting
+    params = mk_params(8, 24, 8, 10, tau, 1, 1)
+    bound = yes_bound(params)
+    rng = random.Random(tau)
+    # the other codewords meet the first flag, so their pairs prove No
+    code = [z for z in random_code(rng, params, 40) if restricted(z, params)[0]][:30]
+    unproved = with_close_strands(rng, params, bound)
+    assert restricted(unproved, params) == (False, False)
+    for others in [code[:1], code]:
+        assert is_dna_correcting(others, params).kind is VerdictKind.CORRECTING
+        assert not any(
+            screened_in(z1, z2, bound)
+            for z1, z2 in combinations(sorted(others + [unproved]), 2)
+            if unproved in (z1, z2)
+        )
+        got = is_dna_correcting(others + [unproved], params)
+        assert got.kind is VerdictKind.INDETERMINATE
+        assert got == pairwise_verdict(others + [unproved], params)
+
+
+def test_verify_output_is_the_same_under_python_O(tmp_path):
+    from test_search import CLI_IN_MODE
+
+    params = mk_params(*SCREEN_PARAMS[0])
+    rng = random.Random(29)
+    code = random_code(rng, params, 149)
+    code.append(near_copy(rng, rng.choice(code), params))
+    path = tmp_path / "code.txt"
+    write_text(path, code_lines(code, params))
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    outputs = []
+    for mode, flags in [("debug", []), ("optimized", ["-O"])]:
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", CLI_IN_MODE, mode, "verify", "--code", str(path)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert not done.stderr, done.stderr
+        outputs.append((done.returncode, done.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(b"NOT_CORRECTING\n")
 
 
 # the enumerated spaces of acceptance criterion 8, as (params, restriction)

@@ -184,7 +184,7 @@ def test_distance_threshold_equals_graph_search_for_distinct_data():
 
 # the CLI, refusing to run unless the interpreter's optimisation mode is
 # the one asked for, so the -O run cannot silently keep its asserts
-SEARCH_IN_MODE = """
+CLI_IN_MODE = """
 import sys
 from dnacode.cli import run
 if __debug__ != (sys.argv[1] == "debug"):
@@ -207,7 +207,7 @@ def test_search_output_is_the_same_under_python_O(tmp_path):
         for mode, flags in [("debug", []), ("optimized", ["-O"])]:
             out = tmp_path / f"{name}-{mode}.txt"
             done = subprocess.run(
-                [sys.executable, *flags, "-c", SEARCH_IN_MODE, mode,
+                [sys.executable, *flags, "-c", CLI_IN_MODE, mode,
                  "search", *argv, "--out", str(out)],
                 env=env,
                 capture_output=True,
