@@ -18,6 +18,27 @@ so candidates are built over the intersection of the two read
 neighborhoods; and when tau < 1 each strand must keep at least
 K - floor(tau*K) exact copies in the pool, so those forced copies are
 fixed as a base and only completions are enumerated.
+
+The completions are walked as multisets in the order of
+``combinations_with_replacement``, one read at a time.  A partial pool
+fits ball(Z) when its reads can go to strands of Z, each within
+(e_i, e_d) of its strand, with at most K per strand and at most
+floor(tau*K) per strand differing from it; a partial pool that does
+not fit both balls is dropped with every extension of it.  That prune
+loses nothing: the grouping of a pool in ball(Z), restricted to a
+sub-multiset, fits the same capacities, so no pool containing a misfit
+lies in the ball.
+
+The partial pool is held in the source capacities of one
+read-assignment network per message (``matching._read_network``, the
+network ``in_ball`` solves), built once over the read universe.  Adding
+a read raises one source capacity by 1, and ``_Dinic.max_flow`` then
+looks for the one extra unit on the residual network left by the
+prefix; a step that finds none on either network is undone by restoring
+the residual capacities saved at its depth.  The walk keeps an explicit
+stack, so a pool of thousands of reads needs no recursion.  A full pool
+both flows accept is confirmed with ``in_ball`` against both messages
+before the oracle answers True.
 """
 
 from __future__ import annotations
@@ -26,10 +47,9 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .errors import SpaceTooLarge, ValidationError
-from .matching import assignment_feasible
+from .matching import _read_network, assignment_feasible
 from .model import (
     DEFAULT_SPACE_CAP,
     Message,
@@ -134,9 +154,13 @@ def oracle_balls_intersect(
 ) -> bool:
     """Ground truth for ball intersection, by exhaustive enumeration.
 
-    Enumerates candidate pools over the pruned read universe and tests
-    each with ``in_ball`` against both messages.  Exact, deterministic,
-    and independent of the matching-based decision procedures.
+    Walks the candidate pools over the pruned read universe, dropping
+    every extension of a partial pool that does not fit both balls (see
+    the module docstring), and confirms a common pool with ``in_ball``
+    against both messages.  Exact, deterministic, and independent of the
+    matching-based decision procedures.  ``SpaceTooLarge`` is raised when
+    the read universe or the unpruned count of candidate pools exceeds
+    ``cap``.
     """
     check_shape(z1, z2, params=params)
     if z1 == z2:
@@ -170,11 +194,44 @@ def oracle_balls_intersect(
     )
     if count > cap:
         raise SpaceTooLarge(count, cap, what="candidate pools")
+    if not universe:
+        return False
 
-    for extra in combinations_with_replacement(universe, remaining):
-        candidate = base + Counter(extra)
-        pool = ReadPool(params.length, tuple(candidate.items()))
-        if in_ball(pool, z1, params) and in_ball(pool, z2, params):
-            return True
-    return False
+    # the partial pool lives in the source capacities of one read network
+    # per message; at every accepted depth all source edges are saturated
+    net1, src1, sink1 = _read_network(universe, z1, params)
+    net2, src2, sink2 = _read_network(universe, z2, params)
+    for i, v in enumerate(universe):
+        src1[i][1] = src2[i][1] = base[v]
+    placed = sum(base.values())
+    if net1.max_flow(0, sink1) < placed or net2.max_flow(0, sink2) < placed:
+        return False
 
+    # the multisets in combinations_with_replacement order, one read a
+    # step; saved[d] holds the residual capacities at depth d
+    edges = [e for net in (net1, net2) for row in net.adj for e in row]
+    saved = [[e[1] for e in edges]]
+    picks: list[int] = []
+    i = 0
+    while len(picks) < remaining:
+        if i < len(universe):
+            src1[i][1] += 1
+            src2[i][1] += 1
+            if net1.max_flow(0, sink1) and net2.max_flow(0, sink2):
+                picks.append(i)
+                saved.append([e[1] for e in edges])
+                continue
+            i += 1
+        elif picks:
+            saved.pop()
+            i = picks.pop() + 1
+        else:
+            return False
+        for e, c in zip(edges, saved[-1]):
+            e[1] = c
+
+    candidate = base + Counter(universe[j] for j in picks)
+    pool = ReadPool(params.length, tuple(candidate.items()))
+    if in_ball(pool, z1, params) and in_ball(pool, z2, params):
+        return True
+    raise AssertionError("a pool both read networks accept must lie in both balls")

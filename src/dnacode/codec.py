@@ -39,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
@@ -199,30 +199,37 @@ class PairTest:
         which the first strand of message i has a partner within the bound
         in message j, in order: the only pairs that can answer Yes.
 
-        Every strand is indexed under its index field, and the first
-        strand's V(l, r1) index masks look its partners up.  When V(l, r1)
-        exceeds the number of strands, the strands of the later messages
+        The strands of messages 1..n-1 (the only partners j > i) are
+        indexed under their index field, and the first strand of each
+        message but the last looks its partners up through its V(l, r1)
+        index masks.  When the indexed strands plus those (n-1)*V(l, r1)
+        lookups are not fewer than the strands a scan would test (for each
+        message, the strands of the messages after it), the later strands
         are scanned instead, through the same split-distance test.
         """
+        n = len(bits)
+        if n < 2:
+            return
         r1, r2 = self.bound
         data_len = self.data_len
         mask = (1 << data_len) - 1
         strands = [(j, b) for j, z in enumerate(bits) for b in z]
-        lookup = _ball_volume(self.index_len, r1) <= len(strands)
+        ends = list(accumulate(map(len, bits)))
+        scanned = sum(len(strands) - end for end in ends)
+        indexed = strands[ends[0]:]
+        lookup = len(indexed) + (n - 1) * _ball_volume(self.index_len, r1) < scanned
         if lookup:
             flips = _flip_masks(self.index_len, r1)
             by_index: dict[int, list[tuple[int, int]]] = {}
-            for j, b in strands:
+            for j, b in indexed:
                 by_index.setdefault(b >> data_len, []).append((j, b))
-        later = 0
-        for i, z in enumerate(bits):
-            a = z[0]
-            later += len(z)
+        for i in range(n - 1):
+            a = bits[i][0]
             if lookup:
                 index = a >> data_len
                 hits = [hit for f in flips for hit in by_index.get(index ^ f, ())]
             else:
-                hits = strands[later:]
+                hits = strands[ends[i]:]
             partners = {
                 j
                 for j, b in hits

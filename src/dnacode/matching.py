@@ -32,6 +32,13 @@ the V(l, e_i) = sum_{i <= e_i} C(l, i) masks finds each candidate strand
 exactly once; the split distance to it then decides the edge.  When
 V(l, e_i) > M the masks would outnumber the strands, so every strand is
 scanned instead, through the same test.
+
+One builder, ``_read_network``, lays this network out over given read
+values with their source capacities at 0.  ``assignment_feasible`` sets
+them to a pool's multiplicities and runs one max flow; the ball oracle
+in ``channel`` raises them one read at a time and asks the same flow for
+each extra unit, so membership and the oracle share one network layout
+and one flow algorithm.
 """
 
 from __future__ import annotations
@@ -393,7 +400,19 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
         )
     if pool.size != params.pool_size:
         raise WrongPoolSize(f"pool has {pool.size} reads, expected {params.pool_size}")
+    net, sources, sink = _read_network([v for v, _ in pool.entries], z, params)
+    for edge, (_, count) in zip(sources, pool.entries):
+        edge[1] = count
+    return net.max_flow(0, sink) == params.pool_size
 
+
+def _read_network(
+    values: Sequence[int], z: Message, params: SystemParams
+) -> tuple[_Dinic, list[list[int]], int]:
+    """The read-assignment network of Z over the given distinct read
+    values, with every value's source edge at capacity 0: returns the
+    network, the source edges in the order of ``values`` and the sink.
+    A caller sets the source capacities to a pool's multiplicities."""
     k, budget, e_i, e_d = params.k, params.tau_budget, params.e_i, params.e_d
     data_len = params.data_len
     mask = (1 << data_len) - 1
@@ -401,7 +420,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
 
     # node layout: source 0, read values 1..n, then (noisy slot, strand)
     # at base + 2*j for strand j, sink last
-    base = 1 + len(pool.entries)
+    base = 1 + len(values)
     sink = base + 2 * z.m
     net = _Dinic(sink + 1)
     slots = []
@@ -418,8 +437,8 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
         flips = _flip_masks(params.index_len, e_i)
         by_index = {s >> data_len: (noisy, s) for noisy, s in slots}
     near = slots
-    for i, (v, count) in enumerate(pool.entries, 1):
-        net.add_edge(0, i, count)
+    for i, v in enumerate(values, 1):
+        net.add_edge(0, i, 0)
         if lookup:
             index = v >> data_len
             near = [hit for f in flips if (hit := by_index.get(index ^ f))]
@@ -429,7 +448,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
                 net.add_edge(i, noisy + 1, big)
             elif (x >> data_len).bit_count() <= e_i and (x & mask).bit_count() <= e_d:
                 net.add_edge(i, noisy, big)
-    return net.max_flow(0, sink) == params.pool_size
+    return net, net.adj[0], sink
 
 
 # the index masks of the membership lookup and the code verifier's

@@ -3,7 +3,9 @@
 Every oracle here decides its question by brute enumeration
 (permutations, full assignment search, subset scan) and never calls the
 algorithm it is checking, so agreement is meaningful evidence.  The
-references are the exception.  ``reference_read_network`` builds the
+references are the exception.  ``reference_balls_intersect`` is the
+enumeration the library's oracle prunes, with every pool tested by the
+partition search.  ``reference_read_network`` builds the
 read-assignment flow network by comparing every read with every strand,
 for networkx to solve.  The per-pair references near the end rebuild a
 code's verdict and a space's compatibility graph from ``balls_intersect``
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
 from dnacode.codec import (
@@ -182,6 +184,51 @@ def oracle_assignment_feasible(pool: ReadPool, z: Message, params: SystemParams)
                     valid = False
                     break
         if valid and all(c == params.k for c in counts):
+            return True
+    return False
+
+
+def reference_pools(
+    z1: Message, z2: Message, params: SystemParams
+) -> Optional[tuple[dict[int, int], list[int], int]]:
+    """The plain enumeration the library's oracle prunes: the exact copies
+    every strand keeps (K - floor(tau*K) of each strand value), the reads
+    within (e_i, e_d) of a strand of each message, and how many of those
+    complete a pool; None when the kept copies cannot lie in a common pool."""
+    data_len = params.data_len
+    mask = (1 << data_len) - 1
+
+    def near(read: int, z: Message) -> bool:
+        return any(
+            ((read ^ s.bits) >> data_len).bit_count() <= params.e_i
+            and ((read ^ s.bits) & mask).bit_count() <= params.e_d
+            for s in z.strands
+        )
+
+    universe = [v for v in range(1 << params.length) if near(v, z1) and near(v, z2)]
+    forced = params.k - params.tau_budget
+    base = {s.bits: forced for s in z1.strands + z2.strands} if forced else {}
+    remaining = params.pool_size - sum(base.values())
+    if remaining < 0 or any(v not in universe for v in base):
+        return None
+    return base, universe, remaining
+
+
+def reference_balls_intersect(z1: Message, z2: Message, params: SystemParams) -> bool:
+    """Ball intersection by trying every pool of ``reference_pools`` against
+    both messages with the partition search ``oracle_assignment_feasible``,
+    never with a flow."""
+    if z1 == z2:
+        return True
+    setup = reference_pools(z1, z2, params)
+    if setup is None:
+        return False
+    base, universe, remaining = setup
+    for extra in combinations_with_replacement(universe, remaining):
+        pool = ReadPool(params.length, tuple(base.items()) + tuple((v, 1) for v in extra))
+        if oracle_assignment_feasible(pool, z1, params) and oracle_assignment_feasible(
+            pool, z2, params
+        ):
             return True
     return False
 

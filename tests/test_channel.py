@@ -5,26 +5,37 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dnacode
 from dnacode import (
+    Answer,
     ChannelSample,
+    Regime,
     ReadPool,
     ReadProvenance,
     ShapeMismatch,
     SpaceTooLarge,
     Strand,
     ValidationError,
+    balls_intersect,
+    classify_regime,
     in_ball,
     oracle_balls_intersect,
     read_neighborhood,
     sample_ball,
 )
 
-from oracles import mk_message, mk_params, random_message
+from oracles import (
+    mk_message,
+    mk_params,
+    random_message,
+    reference_balls_intersect,
+    reference_pools,
+)
 
 
 def small_params(**overrides):
@@ -274,6 +285,75 @@ def test_oracle_respects_resource_cap():
             oracle_balls_intersect(z, other, p, cap=bound)
         except SpaceTooLarge as exc:
             assert "read universe" not in str(exc)
+
+
+# (M, L, l, K, tau, e_i, e_d), pools of at most six reads: tau = 1, high
+# tau and low tau, where tau < 1 keeps K - floor(tau*K) forced copies of
+# every strand.  At L = 3 and tau = 1 some common pools must repeat a
+# read; the last two shapes, at low tau, hold common pools that
+# balls_intersect leaves UNKNOWN
+REFERENCE_SHAPES = [
+    (2, 3, 2, 3, "1", 1, 0),
+    (2, 4, 2, 2, "1", 1, 0),
+    (2, 4, 2, 2, "1", 1, 1),
+    (1, 3, 1, 4, "1/2", 1, 1),
+    (2, 4, 2, 2, "1/2", 1, 1),
+    (2, 3, 2, 3, "2/3", 1, 0),
+    (2, 4, 1, 3, "2/3", 1, 1),
+    (1, 3, 1, 4, "1/4", 1, 1),
+    (2, 3, 1, 3, "1/3", 1, 1),
+    (2, 4, 2, 3, "1/3", 2, 1),
+]
+
+
+def test_oracle_agrees_with_the_plain_enumeration():
+    answers = Counter()
+    regimes = set()
+    for shape in REFERENCE_SHAPES:
+        p = mk_params(*shape)
+        regimes.add(classify_regime(p))
+        rng = random.Random(str(shape))
+        for _ in range(60):
+            z1, z2 = random_message(rng, p), random_message(rng, p)
+            got = oracle_balls_intersect(z1, z2, p)
+            assert got == reference_balls_intersect(z1, z2, p), (shape, str(z1), str(z2))
+            answers[got, balls_intersect(z1, z2, p).answer] += 1
+    assert regimes == set(Regime)
+    assert sum(n for (hit, _), n in answers.items() if hit) >= 100
+    assert sum(n for (hit, _), n in answers.items() if not hit) >= 100
+    assert sum(n for (_, answer), n in answers.items() if answer is Answer.UNKNOWN) >= 50
+    assert answers[True, Answer.UNKNOWN] > 0
+
+
+def test_oracle_refuses_candidate_pools_exactly_above_the_cap():
+    p = mk_params(2, 4, 2, 3, "2/3", 1, 1)
+    # the read-universe cap, M * V(2, 1) * V(2, 1), is checked first
+    universe_bound = 2 * 3 * 3
+    rng = random.Random(89)
+    checked = 0
+    while checked < 20:
+        z1, z2 = random_message(rng, p), random_message(rng, p)
+        setup = reference_pools(z1, z2, p)
+        if z1 == z2 or setup is None:
+            continue
+        _, universe, remaining = setup
+        count = math.comb(len(universe) + remaining - 1, remaining)
+        if count <= universe_bound:
+            continue
+        with pytest.raises(SpaceTooLarge) as raised:
+            oracle_balls_intersect(z1, z2, p, cap=count - 1)
+        assert raised.value.count == count and "candidate pools" in str(raised.value)
+        assert oracle_balls_intersect(z1, z2, p, cap=count) == reference_balls_intersect(
+            z1, z2, p
+        )
+        checked += 1
+
+
+def test_oracle_walks_a_deep_pool_without_recursion():
+    # one strand, 3,000 reads: every pool of the walk is 3,000 reads deep,
+    # three times the interpreter's default recursion limit
+    p = mk_params(1, 2, 1, 3000, "1", 1, 0)
+    assert oracle_balls_intersect(mk_message(1, "00"), mk_message(1, "10"), p)
 
 
 def test_oracle_shape_checks():

@@ -153,6 +153,13 @@ def test_oracle_intersect_cap_exits_three(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_oracle_intersect_answers_a_deep_pool(capsys, tmp_path):
+    # 3,000 reads of one strand: the oracle's walk is 3,000 reads deep
+    a = write(tmp_path / "a.txt", "%params M=1,L=2,l=1,K=3000,tau=1,ei=1,ed=0\n00\n")
+    b = write(tmp_path / "b.txt", "10\n")
+    assert invoke(capsys, "oracle-intersect", "--a", a, "--b", b) == (0, "YES\n", "")
+
+
 def test_simulate_writes_pool_to_stdout_by_default(capsys, tmp_path):
     msg = write(tmp_path / "m.txt", "%params M=2,L=3,l=2,K=2,tau=1,ei=1,ed=1\n000\n110\n")
     code, out, _ = invoke(capsys, "simulate", "--message", msg, "--seed", "5")

@@ -492,16 +492,25 @@ def _scale_pools(rng, p, seed):
 
 
 class _RecordingDinic(matching._Dinic):
+    """Records each edge (u, v, capacity) as the flow first sees it: the
+    read network's source capacities are set after its edges are added."""
+
     networks: list = []
 
     def __init__(self, n):
         super().__init__(n)
-        self.edges = []
+        self.added = []
+        self.edges = None
         self.networks.append(self)
 
     def add_edge(self, u, v, cap):
-        self.edges.append((u, v, cap))
         super().add_edge(u, v, cap)
+        self.added.append((u, v, self.adj[u][-1]))
+
+    def max_flow(self, s, t):
+        if self.edges is None:
+            self.edges = [(u, v, e[1]) for u, v, e in self.added]
+        return super().max_flow(s, t)
 
 
 @pytest.mark.parametrize("e", [(1, 1), (2, 1), (1, 0)])

@@ -164,10 +164,13 @@ def screened_in(z1, z2, bound):
 
 
 def index_lookup(params, code):
-    """Whether the verifier looks partners up for this code: the V(l, r1)
-    index masks are no more than the code's strands."""
+    """Whether the verifier looks partners up for this code: the strands
+    of codewords 1..n-1 it indexes plus the V(l, r1) index masks of each
+    codeword but the last are fewer than the strands a scan tests, those
+    after each codeword."""
+    n, m = len(code), params.m
     volume = sum(math.comb(params.index_len, w) for w in range(yes_bound(params)[0] + 1))
-    return volume <= params.m * len(code)
+    return m * (n - 1) + (n - 1) * volume < m * n * (n - 1) // 2
 
 
 # the benchmark's verify shape: 150 codewords of 8 strands hold 1,200
@@ -264,6 +267,26 @@ def test_scan_fallback_matches_the_per_pair_reference(shape):
         assert kinds == {VerdictKind.CORRECTING, VerdictKind.NOT_CORRECTING}
     else:
         assert kinds == set(VerdictKind)
+
+
+def test_two_codewords_at_large_m_are_scanned():
+    # the benchmark's large-m verify shape: V(11, 2) = 67 index masks are
+    # fewer than the 512 strands, but the one lookup would need the 512
+    # strands of the second codeword indexed, as many as the scan tests
+    params = mk_params(512, 20, 11, 10, "1", 1, 1)
+    rng = random.Random(512)
+    z = random_message(rng, params)
+    shifted = message_of(
+        params, [(s.index_bits, s.data_bits ^ flip(rng, params.data_len, 2)) for s in z.strands]
+    )
+    kinds = set()
+    for other in [random_message(rng, params), shifted, first_strand_copy(rng, [z], params)]:
+        code = [z, other]
+        assert not index_lookup(params, code)
+        got = is_dna_correcting(code, params)
+        assert got == pairwise_verdict(code, params)
+        kinds.add(got.kind)
+    assert kinds == {VerdictKind.CORRECTING, VerdictKind.NOT_CORRECTING}
 
 
 @pytest.mark.parametrize("tau", ["1/2", "3/4"])
