@@ -35,12 +35,11 @@ fails the flag rule, which the four classes of flags decide in O(n).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
 from .matching import (
@@ -139,7 +138,12 @@ def _flags_prove_no(flags1: Flags, flags2: Flags) -> bool:
 
 class PairTest:
     """The pair decision, with everything that depends on the params only
-    computed once, so a code or space pays for it once and not per pair."""
+    computed once, so a code or space pays for it once and not per pair.
+
+    ``decide`` answers one pair and gives the bijection of a Yes; the
+    verifier runs it on the pairs ``candidates`` screens in.  The search
+    reads the answer alone, row by row, through ``no_row``.
+    """
 
     def __init__(self, params: SystemParams) -> None:
         self.regime = classify_regime(params)
@@ -240,43 +244,52 @@ class PairTest:
             for j in sorted(partners):
                 yield i, j
 
-    def no_pairs(
-        self, messages: Sequence[Message], flags: Sequence[Flags]
-    ) -> Iterator[tuple[int, int]]:
-        """The pairs i < j of distinct messages that ``decide`` answers No,
-        in order, with ``flags`` as given by ``self.flags(messages)``;
-        decided without building a bijection.
+    def no_row(self, messages: Sequence[Message]) -> Callable[[int, int], int]:
+        """The pair decision over a space of distinct messages, as a row
+        function: ``row(i, among)`` is the mask of the j in ``among`` (a
+        bitmask of positions in ``messages``, i not among them) whose pair
+        with message i ``decide`` answers No.  No bijection is built, and
+        only the pairs a row is asked for are decided.
 
-        At high tau a No needs ``(two1 and two2) or (one1 and one2)``, so
-        a pair failing that is skipped before any matching.  Each distinct
-        strand value a of the messages gets one bit, near[a] is the mask of
-        the values within the bound of a, and a message's own mask holds
-        the bits of its strands.  Row u of pair (i, j) is then
-        near[a_u] & own[j], and the pair answers No iff these rows admit
-        no perfect matching.
+        The set-up is paid once per space.  Each distinct strand value a
+        of the messages gets one bit, near[a] is the mask of the values
+        within the bound of a, and a message's own mask holds the bits of
+        its strands.  Row u of pair (i, j) is then near[a_u] & own[j], and
+        the pair answers No iff these rows admit no perfect matching.  At
+        high tau a No needs ``(two1 and two2) or (one1 and one2)``, so
+        each class of flags gets the mask of the messages it may answer No
+        with, and a row drops the rest of ``among`` before any matching.
         """
         if self.regime is Regime.LOW_TAU:
-            return
+            return lambda i, among: 0
         bits = [packed(z) for z in messages]
         values = sorted({a for strands in bits for a in strands})
         near = dict(zip(values, near_masks(values, self.data_len, self.bound)))
         bit = {a: 1 << p for p, a in enumerate(values)}
         own = [sum(bit[a] for a in strands) for strands in bits]
-        everyone = range(len(messages))
-        if flags:
-            # the messages j each class of flags may answer No with
-            partners = {
-                flags1: [j for j, flags2 in enumerate(flags) if _flags_prove_no(flags1, flags2)]
-                for flags1 in set(flags)
-            }
-        for i in everyone:
-            candidates = partners[flags[i]] if flags else everyone
+        flags = self.flags(messages)
+        partners = {
+            flags1: sum(
+                1 << j for j, flags2 in enumerate(flags) if _flags_prove_no(flags1, flags2)
+            )
+            for flags1 in set(flags)
+        }
+
+        def row(i: int, among: int) -> int:
+            if flags:
+                among &= partners[flags[i]]
             near_i = [near[a] for a in bits[i]]
-            for j in candidates[bisect_right(candidates, i):]:
-                mask = own[j]
-                rows = [row & mask for row in near_i]
+            no = 0
+            while among:
+                low = among & -among
+                among ^= low
+                mask = own[low.bit_length() - 1]
+                rows = [r & mask for r in near_i]
                 if not (all(rows) and has_perfect_matching(rows)):
-                    yield i, j
+                    no |= low
+            return no
+
+        return row
 
 
 def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> IntersectionResult:

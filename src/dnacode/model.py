@@ -427,22 +427,26 @@ def enumerate_space(
     restrict: tuple[int, int] | None = None,
     cap: int = DEFAULT_SPACE_CAP,
 ) -> Iterator[Message]:
-    """Yield every message once, in a fixed canonical order.
+    """Yield every message once, in a fixed canonical order: index-field
+    sets in lexicographic order, and within each the data fields in
+    lexicographic order.
 
     With ``restrict=(r1, r2)`` only messages of the restricted space pass.
     The (unfiltered) space size is checked against ``cap`` up front.
+    Each index-field set builds its M columns of 2^(L-l) strands once,
+    and its messages are the product of those columns.
     """
     count = space_size(params)
     if count > cap:
         raise SpaceTooLarge(count, cap, what="message space")
-    length, index_len, data_len = params.length, params.index_len, params.data_len
+    length, index_len = params.length, params.index_len
+    data_values = range(1 << params.data_len)
     for index_combo in combinations(range(1 << index_len), params.m):
-        for data_combo in product(range(1 << data_len), repeat=params.m):
-            msg = Message(
-                tuple(
-                    Strand.from_fields(ind, dat, length, index_len)
-                    for ind, dat in zip(index_combo, data_combo)
-                )
-            )
+        columns = [
+            [Strand.from_fields(ind, dat, length, index_len) for dat in data_values]
+            for ind in index_combo
+        ]
+        for strands in product(*columns):
+            msg = Message(strands)
             if restrict is None or in_restricted_space(msg, *restrict):
                 yield msg

@@ -1,14 +1,18 @@
 """Small-instance code search.
 
-Builds the compatibility graph over an enumerated message space (edge
-iff the two balls are provably disjoint, i.e. the codec answers No;
-Unknown pairs get no edge, so every clique is a certified code) and
-extracts large cliques either greedily or exactly by branch and bound.
+A code is a clique of the compatibility graph over an enumerated message
+space (edge iff the two balls are provably disjoint, i.e. the codec
+answers No; Unknown pairs get no edge, so every clique is a certified
+code).  The exact search builds the graph and finds a maximum clique by
+branch and bound; the greedy search takes vertices one at a time.
 
-The graph is built from answer-only decisions (``PairTest.no_pairs``):
-an edge needs no bijection, so none is built.  The clique found is
-re-verified by ``is_dna_correcting``, which keeps the bijection path
-that verify and intersect use for their witnesses.
+Both read the pair decision of ``PairTest.no_row``: an edge needs no
+bijection, so none is built.  The graph build asks each vertex's row
+for the vertices above it.  The greedy search builds no graph: it asks
+only for the rows of the vertices it takes, among the vertices still
+compatible with its clique.  The clique found is re-verified by
+``is_dna_correcting``, which keeps the bijection path that verify and
+intersect use for their witnesses.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # balls_intersect is not called here: it stays importable under this
 # module for the benchmark tracer, which counts pair tests by that name
@@ -98,15 +102,27 @@ def build_graph(
     params: SystemParams,
     restrict: Optional[tuple[int, int]] = None,
     cap: int = DEFAULT_SPACE_CAP,
+    *,
+    exact: bool = False,
 ) -> CompatibilityGraph:
-    """Compatibility graph over the (optionally restricted) message space."""
+    """Compatibility graph over the (optionally restricted) message space.
+
+    With ``exact``, a space of more than MAX_EXACT_VERTICES messages,
+    which the exact search refuses, raises TooLargeForExact before any
+    pair is decided.
+    """
     vertices = tuple(enumerate_space(params, restrict, cap))
     n = len(vertices)
+    if exact:
+        _check_exact(n)
+    row = PairTest(params).no_row(vertices)
     adjacency = [0] * n
-    test = PairTest(params)
-    for i, j in test.no_pairs(vertices, test.flags(vertices)):
-        adjacency[i] |= 1 << j
-        adjacency[j] |= 1 << i
+    full = (1 << n) - 1
+    for i in range(n):
+        no = row(i, full >> (i + 1) << (i + 1))
+        adjacency[i] |= no
+        for j in _bit_indices(no):
+            adjacency[j] |= 1 << i
     return CompatibilityGraph(params, vertices, tuple(adjacency))
 
 
@@ -116,17 +132,26 @@ def max_code(graph: CompatibilityGraph, strategy: Strategy) -> tuple[Message, ..
     The result is re-verified to be correcting before it is returned.
     """
     n = graph.vertex_count
-    if n == 0:
-        return ()
     if strategy is Strategy.EXACT:
-        if n > MAX_EXACT_VERTICES:
-            raise TooLargeForExact(n, MAX_EXACT_VERTICES)
+        _check_exact(n)
         mask = _exact_clique(graph.adjacency)
     else:
-        mask = _greedy_clique(graph.adjacency)
-    code = tuple(graph.vertices[i] for i in _bit_indices(mask))
-    verdict = is_dna_correcting(code, graph.params)
-    if verdict.kind is not VerdictKind.CORRECTING:
+        adjacency = graph.adjacency
+        mask = _greedy_clique(n, lambda v, among: adjacency[v] & among)
+    return _verified_code(graph.params, graph.vertices, mask)
+
+
+def _check_exact(n: int) -> None:
+    if n > MAX_EXACT_VERTICES:
+        raise TooLargeForExact(n, MAX_EXACT_VERTICES)
+
+
+def _verified_code(
+    params: SystemParams, vertices: Sequence[Message], clique: int
+) -> tuple[Message, ...]:
+    """The vertices of ``clique`` as a code, re-verified to be correcting."""
+    code = tuple(vertices[i] for i in _bit_indices(clique))
+    if is_dna_correcting(code, params).kind is not VerdictKind.CORRECTING:
         raise AssertionError("cliques are certified codes")
     return code
 
@@ -140,14 +165,19 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _greedy_clique(adjacency: Sequence[int]) -> int:
-    # repeatedly take the lowest-index vertex compatible with the clique
+def _greedy_clique(n: int, row: Callable[[int, int], int]) -> int:
+    """Repeatedly take the lowest-index vertex compatible with the clique.
+
+    ``row(v, among)`` is the mask of the vertices in ``among`` adjacent
+    to v, so only the rows of the vertices taken are read, and each only
+    among the vertices still compatible with the clique.
+    """
     clique = 0
-    allowed = (1 << len(adjacency)) - 1
+    allowed = (1 << n) - 1
     while allowed:
         low = allowed & -allowed
         clique |= low
-        allowed &= adjacency[low.bit_length() - 1]
+        allowed = row(low.bit_length() - 1, allowed ^ low)
     return clique
 
 
@@ -205,10 +235,23 @@ def run_search(
     restrict: Optional[tuple[int, int]] = None,
     cap: int = DEFAULT_SPACE_CAP,
 ) -> tuple[tuple[Message, ...], SearchRow]:
-    """Build the graph, extract a code, and time the whole run."""
+    """Extract a code from the (optionally restricted) message space, and
+    time the whole run.
+
+    The exact search builds the graph once the space is known to be
+    small enough for it.  The greedy search builds no graph: it decides
+    only the pairs of the rows its clique reads, and finds the clique
+    ``max_code`` finds on the graph.
+    """
     started = time.perf_counter()
-    graph = build_graph(params, restrict, cap)
-    code = max_code(graph, strategy)
+    if strategy is Strategy.EXACT:
+        graph = build_graph(params, restrict, cap, exact=True)
+        vertices = graph.vertices
+        code = max_code(graph, strategy)
+    else:
+        vertices = tuple(enumerate_space(params, restrict, cap))
+        clique = _greedy_clique(len(vertices), PairTest(params).no_row(vertices))
+        code = _verified_code(params, vertices, clique)
     elapsed = time.perf_counter() - started
-    row = SearchRow(params, restrict, graph.vertex_count, len(code), strategy, elapsed)
+    row = SearchRow(params, restrict, len(vertices), len(code), strategy, elapsed)
     return code, row

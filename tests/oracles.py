@@ -370,6 +370,32 @@ def pairwise_adjacency(vertices: Sequence[Message], params: SystemParams) -> tup
     return tuple(adjacency)
 
 
+def reference_space(
+    params: SystemParams, restrict: Optional[tuple[int, int]] = None
+) -> list[Message]:
+    """Every message of the space, by brute force over all sets of M strand
+    values: those with distinct index fields and, with ``restrict``, no two
+    strands within (r1, r2), sorted by their index fields and then their
+    data fields."""
+    data_len = params.data_len
+    mask = (1 << data_len) - 1
+
+    def allowed(values: tuple[int, ...]) -> bool:
+        if len({v >> data_len for v in values}) != len(values):
+            return False
+        return restrict is None or not any(
+            ((a ^ b) >> data_len).bit_count() <= restrict[0]
+            and ((a ^ b) & mask).bit_count() <= restrict[1]
+            for a, b in combinations(values, 2)
+        )
+
+    sets = [s for s in combinations(range(1 << params.length), params.m) if allowed(s)]
+    sets.sort(key=lambda s: ([v >> data_len for v in s], [v & mask for v in s]))
+    return [
+        Message(tuple(Strand(v, params.length, params.index_len) for v in s)) for s in sets
+    ]
+
+
 def oracle_max_clique_size(adjacency: Sequence[int]) -> int:
     """Maximum clique size by scanning subsets, largest first."""
     n = len(adjacency)

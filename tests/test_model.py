@@ -1,6 +1,7 @@
 """Strand/message/parameter model: packing, validation, enumeration."""
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from dnacode import (
 )
 from dnacode.model import bits_from_string, bits_to_string, flip_positions
 
-from oracles import mk_message, mk_params, random_message
+from oracles import mk_message, mk_params, random_message, reference_space
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=16)
 
@@ -259,6 +260,27 @@ def test_restricted_enumeration_matches_filter():
     for r in [(0, 0), (1, 0), (2, 0), (2, 1)]:
         got = list(enumerate_space(p, restrict=r))
         assert got == [z for z in whole if in_restricted_space(z, *r)]
+
+
+@pytest.mark.parametrize(
+    "shape, restrict",
+    [
+        ((1, 3, 1), None),  # M = 1
+        ((1, 4, 2), (2, 2)),
+        ((2, 3, 1), None),  # M = 2^l: a single index-field set
+        ((4, 3, 2), None),
+        ((4, 4, 2), (1, 1)),
+        ((2, 3, 2), None),
+        ((3, 4, 2), None),
+        ((2, 4, 3), (2, 0)),
+        ((2, 3, 2), (2, 1)),  # an empty restricted space
+    ],
+)
+def test_enumeration_matches_the_reference(shape, restrict):
+    p = mk_params(*shape, 2, 1, 1, 0)
+    space = enumerate_space(p, restrict)
+    assert isinstance(space, Iterator)
+    assert list(space) == reference_space(p, restrict)
 
 
 def test_restricted_spaces_nest_as_radii_grow():

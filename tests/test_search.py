@@ -22,6 +22,8 @@ from dnacode import (
     min_dna_distance,
     run_search,
 )
+from dnacode.cli import run
+from dnacode.codec import PairTest
 
 from oracles import mk_params, oracle_max_clique_size
 
@@ -141,6 +143,75 @@ def test_exact_has_a_vertex_limit():
     assert len(greedy) >= 1
 
 
+# (params, restriction) for the greedy search, as run lazily and on the graph
+GREEDY_SPACES = [
+    ((3, 4, 2, 2, "1", 1, 0), None),  # tau = 1, 256 messages
+    ((1, 3, 1, 2, "1", 1, 1), None),
+    # high tau below M*K/(2M-1): flags (True, True), (False, True), (False, False)
+    ((2, 4, 2, 4, "1/2", 1, 0), None),
+    # high tau at or above it: flags (True, False), (False, False)
+    ((3, 4, 2, 4, "3/4", 1, 0), None),
+    ((2, 3, 2, 4, "1/4", 1, 0), None),  # low tau
+    ((2, 3, 2, 2, "1", 1, 0), (2, 0)),
+    ((2, 3, 2, 2, "1/2", 1, 0), (2, 0)),
+    ((2, 4, 2, 4, "3/4", 1, 1), (1, 1)),
+    ((2, 3, 2, 2, "1", 1, 0), (2, 1)),  # empty
+]
+
+
+def test_lazy_greedy_finds_the_graph_greedy_code():
+    classes = set()
+    for shape, restrict in GREEDY_SPACES:
+        p = mk_params(*shape)
+        graph = build_graph(p, restrict)
+        code, row = run_search(p, Strategy.GREEDY, restrict)
+        assert code == max_code(graph, Strategy.GREEDY), (shape, restrict)
+        assert row.space_size == graph.vertex_count
+        classes.update(PairTest(p).flags(graph.vertices))
+    assert classes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_greedy_decides_only_the_rows_it_reads(monkeypatch):
+    p = mk_params(3, 4, 2, 2, "1", 1, 0)
+    expected = max_code(build_graph(p), Strategy.GREEDY)
+    asked = []  # the pairs each row was asked to decide
+    no_row = PairTest.no_row
+
+    def recording(self, messages):
+        row = no_row(self, messages)
+
+        def recorded(i, among):
+            asked.append(among.bit_count())
+            return row(i, among)
+
+        return recorded
+
+    monkeypatch.setattr(PairTest, "no_row", recording)
+    code, row = run_search(p, Strategy.GREEDY)
+    n = row.space_size
+    assert n == 256 and code == expected
+    # one row per codeword, each among the vertices still compatible
+    assert len(asked) == len(code)
+    assert sum(asked) < n * (n - 1) // 2 // 10
+
+
+def test_exact_refuses_a_large_space_before_deciding_a_pair(monkeypatch, capsys, tmp_path):
+    def refuse(self, messages):
+        raise AssertionError("no pair may be decided")
+
+    monkeypatch.setattr(PairTest, "no_row", refuse)
+    p = mk_params(2, 6, 3, 2, "1", 1, 0)
+    with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got 1792"):
+        run_search(p, Strategy.EXACT)
+    out_file, table = tmp_path / "found.txt", tmp_path / "rows.csv"
+    code = run(["search", "--strategy", "exact", "--params", "M=2,L=6,l=3,K=2,tau=1,ei=1,ed=0",
+                "--out", str(out_file), "--table", str(table)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: exact search limited to 64 vertices, got 1792\n"
+    assert not out_file.exists() and not table.exists()
+
+
 def test_search_outputs_are_verified_codes():
     p = mk_params(2, 3, 2, 2, "1/2", 1, 0)
     for strategy in Strategy:
@@ -199,6 +270,8 @@ def test_search_output_is_the_same_under_python_O(tmp_path):
     env = dict(os.environ, PYTHONPATH=path)
     searches = {
         "greedy": ["--strategy", "greedy", "--params", "M=3,L=4,l=2,K=4,tau=3/4,ei=1,ed=0"],
+        # tau = 1: the greedy decides the most pairs at this shape
+        "greedy-tau-one": ["--strategy", "greedy", "--params", "M=3,L=4,l=2,K=2,tau=1,ei=1,ed=0"],
         "exact": ["--strategy", "exact", "--restrict", "2,0",
                   "--params", "M=2,L=4,l=3,K=2,tau=1,ei=1,ed=0"],
     }
