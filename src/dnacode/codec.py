@@ -189,7 +189,7 @@ class PairTest:
         """
         if self.regime is Regime.LOW_TAU:
             return Answer.UNKNOWN, None
-        match = match_within(bits1, bits2, self.data_len, self.bound)
+        match = match_within(bits1, bits2, self.data_len, self.bound, self.index_len)
         if not isinstance(match, HallViolator):
             return Answer.YES, bijection_of(z1, z2, match)
         if self.regime is Regime.TAU_ONE:
@@ -264,7 +264,7 @@ class PairTest:
             return lambda i, among: 0
         bits = [packed(z) for z in messages]
         values = sorted({a for strands in bits for a in strands})
-        near = dict(zip(values, near_masks(values, self.data_len, self.bound)))
+        near = dict(zip(values, near_masks(values, self.data_len, self.bound, self.index_len)))
         bit = {a: 1 << p for p, a in enumerate(values)}
         own = [sum(bit[a] for a in strands) for strands in bits]
         flags = self.flags(messages)

@@ -23,15 +23,20 @@ floor(tau*K), and noisy edges exist only within (e_i, e_d).  Exact copies
 need no slot of their own: the strand's edge to the sink already caps
 them at K, so each strand has two nodes, its noisy slot and itself.
 
-The value edges are found by index lookup.  A read value v has an edge to
-strand s only if their index fields are within e_i, that is, only if s's
-index equals v's index XOR some l-bit mask of weight at most e_i (the
-mask 0 for an exact copy).  Index fields are distinct within a message,
-so a dict from index field to strand holds every strand, and looking up
-the V(l, e_i) = sum_{i <= e_i} C(l, i) masks finds each candidate strand
-exactly once; the split distance to it then decides the edge.  When
-V(l, e_i) > M the masks would outnumber the strands, so every strand is
-scanned instead, through the same test.
+Strand rows come from one kernel, ``_rows_within``: for each strand of
+one side, the ascending positions of the strands of the other side
+within a bound (r1, r2).  It serves every pair decision (``match_within``),
+the search's neighbourhood table (``near_masks``), ``bijection_graph``
+and the value edges of the read network.  A strand b is within the
+bound of a only if b's index field is a's XOR some l-bit mask of weight
+at most r1 (the mask 0 included), so a dict from index field to the
+strands carrying it, probed with the V(l, r1) = sum_{i <= r1} C(l, i)
+masks, finds each candidate once, and its data field then decides
+(multi-index hashing: Norouzi, Punjani & Fleet, CVPR 2012).  The one
+guard rule: look up only when V(l, r1) < min(len(right), 2^l), and
+otherwise scan every strand of the other side through the full split
+distance.  Either way a row comes out sorted, so matchings and
+witnesses do not depend on which path built it.
 
 One builder, ``_read_network``, lays this network out over given read
 values with their source capacities at 0.  ``assignment_feasible`` sets
@@ -49,7 +54,8 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
-from .model import Message, ReadPool, Strand, SystemParams, _ball_volume, check_shape
+from .model import Message, ReadPool, Strand, SystemParams, check_shape
+from .model import _ball_volume as _model_ball_volume
 from .model import _flip_masks as _all_flip_masks
 
 
@@ -212,28 +218,70 @@ def _matching_or_violator(
 
 
 def _rows_within(
-    left: Sequence[int], right: Sequence[int], data_len: int, bound: tuple[int, int]
+    left: Sequence[int],
+    right: Sequence[int],
+    data_len: int,
+    bound: tuple[int, int],
+    index_len: int,
 ) -> Iterator[list[int]]:
     """For each packed strand of ``left`` in turn, the ascending positions
-    of the strands of ``right`` within ``bound`` of it.
+    of the strands of ``right`` within ``bound`` = (r1, r2) of it, for
+    strands with ``index_len``-bit index fields.
 
-    The split distance is ``model.split_popcount`` written out inline:
-    this is the innermost loop of every pair decision.
+    A partner's index field is the strand's XOR a mask of weight at most
+    r1, so when those V(l, r1) masks are fewer than both the strands of
+    ``right`` and the 2^l index fields, the partners are looked up in a
+    dict from index field to the strands of ``right`` that carry it, and
+    only their data fields are tested.  Each strand of ``right`` is found
+    at most once, so the lookup never tests more pairs than a scan, and
+    no ball of len(right) or more masks is enumerated.  Otherwise every
+    strand of ``right`` is scanned, with ``model.split_popcount`` written
+    out inline: this is the innermost loop of every pair decision.
     """
     r1, r2 = bound
     mask = (1 << data_len) - 1
+    # plain loops: a comprehension pays for a frame per row, more than it
+    # saves on the short rows and short scans met here
+    # V(l, r1) < 2^l exactly when r1 < l, which is the cheaper test
+    if r1 < index_len and _ball_volume(index_len, r1) < len(right):
+        flips = _flip_masks(index_len, r1)
+        by_index: dict[int, list[tuple[int, int]]] = {}
+        for j, b in enumerate(right):
+            by_index.setdefault(b >> data_len, []).append((j, b & mask))
+        get = by_index.get
+        for a in left:
+            index, data = a >> data_len, a & mask
+            row = []
+            for f in flips:
+                hits = get(index ^ f)
+                if hits:
+                    for j, d in hits:
+                        if (data ^ d).bit_count() <= r2:
+                            row.append(j)
+            row.sort()
+            yield row
+        return
     for a in left:
-        yield [
-            j
-            for j, b in enumerate(right)
-            if ((x := a ^ b) >> data_len).bit_count() <= r1 and (x & mask).bit_count() <= r2
-        ]
+        row = []
+        j = 0
+        for b in right:
+            x = a ^ b
+            if (x >> data_len).bit_count() <= r1 and (x & mask).bit_count() <= r2:
+                row.append(j)
+            j += 1
+        yield row
 
 
-def near_masks(values: Sequence[int], data_len: int, bound: tuple[int, int]) -> list[int]:
+def near_masks(
+    values: Sequence[int], data_len: int, bound: tuple[int, int], index_len: int
+) -> list[int]:
     """For each packed strand value in ``values``, the bitmask with bit j
-    set iff ``values[j]`` is within ``bound`` of it."""
-    return [sum(1 << j for j in row) for row in _rows_within(values, values, data_len, bound)]
+    set iff ``values[j]`` is within ``bound`` of it, from the ascending
+    rows of ``_rows_within``."""
+    return [
+        sum(1 << j for j in row)
+        for row in _rows_within(values, values, data_len, bound, index_len)
+    ]
 
 
 def has_perfect_matching(rows: Sequence[int]) -> bool:
@@ -285,7 +333,7 @@ def has_perfect_matching(rows: Sequence[int]) -> bool:
 def bijection_graph(z1: Message, z2: Message, bound: tuple[int, int]) -> BipartiteGraph:
     """Graph on Z1 x Z2 with an edge iff the split distance is within ``bound``."""
     check_shape(z1, z2)
-    rows = _rows_within(packed(z1), packed(z2), z1.data_len, bound)
+    rows = _rows_within(packed(z1), packed(z2), z1.data_len, bound, z1.index_len)
     return BipartiteGraph(z1.m, z2.m, tuple(map(tuple, rows)))
 
 
@@ -293,20 +341,28 @@ Bijection = tuple[tuple[Strand, Strand], ...]
 
 
 def match_within(
-    left: Sequence[int], right: Sequence[int], data_len: int, bound: tuple[int, int]
+    left: Sequence[int],
+    right: Sequence[int],
+    data_len: int,
+    bound: tuple[int, int],
+    index_len: int,
 ) -> Union[tuple[int, ...], HallViolator]:
     """The position in ``right`` matched to each packed strand of ``left``,
     every matched pair within ``bound``, or a Hall violator when no such
     bijection exists.
 
-    Rows of the bijection graph are built one at a time.  The first
-    strand u with no partner within the bound ends the test with the
-    violator ({u}, {}), since |{u}| = 1 > 0 = |N({u})|; Hopcroft-Karp
-    runs only when every strand has a partner.  The caller has checked
-    that both sides come from messages of one shape.
+    The strands have ``index_len``-bit index fields.  Rows of the
+    bijection graph are built one at a time by ``_rows_within``, in
+    ascending position order whether they were looked up or scanned, so
+    Hopcroft-Karp explores them, and finds its matching, the same way on
+    either path.  The first strand u with no partner within the bound
+    ends the test with the violator ({u}, {}), since |{u}| = 1 > 0 =
+    |N({u})|; Hopcroft-Karp runs only when every strand has a partner.
+    The caller has checked that both sides come from messages of one
+    shape.
     """
     rows = []
-    for u, row in enumerate(_rows_within(left, right, data_len, bound)):
+    for u, row in enumerate(_rows_within(left, right, data_len, bound, index_len)):
         if not row:
             return HallViolator(frozenset((u,)), frozenset())
         rows.append(row)
@@ -323,7 +379,7 @@ def bijection_within_or_violator(
     no partner within the bound, the violator is that one strand.
     """
     check_shape(z1, z2)
-    result = match_within(packed(z1), packed(z2), z1.data_len, bound)
+    result = match_within(packed(z1), packed(z2), z1.data_len, bound, z1.index_len)
     if isinstance(result, HallViolator):
         return result
     return bijection_of(z1, z2, result)
@@ -413,9 +469,7 @@ def _read_network(
     values, with every value's source edge at capacity 0: returns the
     network, the source edges in the order of ``values`` and the sink.
     A caller sets the source capacities to a pool's multiplicities."""
-    k, budget, e_i, e_d = params.k, params.tau_budget, params.e_i, params.e_d
-    data_len = params.data_len
-    mask = (1 << data_len) - 1
+    k, budget = params.k, params.tau_budget
     big = params.pool_size
 
     # node layout: source 0, read values 1..n, then (noisy slot, strand)
@@ -423,37 +477,38 @@ def _read_network(
     base = 1 + len(values)
     sink = base + 2 * z.m
     net = _Dinic(sink + 1)
-    slots = []
-    for j, s in enumerate(z.strands):
+    strands = packed(z)
+    for j in range(z.m):
         noisy = base + 2 * j
         net.add_edge(noisy, noisy + 1, budget)
         net.add_edge(noisy + 1, sink, k)
-        slots.append((noisy, s.bits))
 
-    # a read's candidate strands: those whose index field lies within e_i
-    # of its own, looked up when that ball is no larger than M, else all
-    lookup = _ball_volume(params.index_len, e_i) <= z.m
-    if lookup:
-        flips = _flip_masks(params.index_len, e_i)
-        by_index = {s >> data_len: (noisy, s) for noisy, s in slots}
-    near = slots
-    for i, v in enumerate(values, 1):
+    # a read's candidate strands are those within (e_i, e_d) of it: an
+    # exact copy goes straight to its strand, any other read to the noisy
+    # slot.  The exact edge is added first, since the flow tries a node's
+    # edges in the order they were added and the read most often belongs
+    # to the strand it copies
+    position = {s: j for j, s in enumerate(strands)}
+    rows = _rows_within(
+        values, strands, params.data_len, (params.e_i, params.e_d), params.index_len
+    )
+    for i, (v, row) in enumerate(zip(values, rows), 1):
         net.add_edge(0, i, 0)
-        if lookup:
-            index = v >> data_len
-            near = [hit for f in flips if (hit := by_index.get(index ^ f))]
-        for noisy, s in near:
-            x = v ^ s
-            if not x:
-                net.add_edge(i, noisy + 1, big)
-            elif (x >> data_len).bit_count() <= e_i and (x & mask).bit_count() <= e_d:
-                net.add_edge(i, noisy, big)
+        exact = position.get(v)
+        if exact is not None:
+            net.add_edge(i, base + 2 * exact + 1, big)
+        for j in row:
+            if j != exact:
+                net.add_edge(i, base + 2 * j, big)
     return net, net.adj[0], sink
 
 
-# the index masks of the membership lookup and the code verifier's
-# screen, cached per (l, radius); their guards bound every entry's size
-# by the strands it is looked up among
+# the index masks of the row kernel ``_rows_within`` and the code
+# verifier's screen, and their number V(l, radius), cached per
+# (l, radius): the row kernel's guard runs once per pair decision.  The
+# guards bound every mask tuple's size by the strands it is looked up
+# among
+_ball_volume = lru_cache(maxsize=32)(_model_ball_volume)
 _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 

@@ -328,10 +328,10 @@ def split_popcount(x: int, data_len: int) -> tuple[int, int]:
     """Set bits of ``x`` in the index field and in the data field.
 
     On ``a ^ b`` for two packed strands this is their split distance,
-    the quantity every intersection criterion is stated on.  The rows of
-    ``matching``'s bijection graphs write these two popcounts out inline,
-    since a call per strand pair made code verification about a third
-    slower.
+    the quantity every intersection criterion is stated on.  The row
+    kernel ``matching._rows_within`` writes these two popcounts out
+    inline, since a call per strand pair made code verification about a
+    third slower.
     """
     return (x >> data_len).bit_count(), (x & ((1 << data_len) - 1)).bit_count()
 

@@ -3,6 +3,7 @@ code verifiers, cross-checked against the exhaustive channel oracle."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from dnacode import (
     VerdictKind,
     Witness,
     balls_intersect,
+    bijection_within_or_violator,
     budget_bound,
     classify_regime,
     enumerate_space,
@@ -27,7 +29,10 @@ from dnacode import (
     is_dna_correcting_ed0,
     oracle_balls_intersect,
 )
+from dnacode import matching
+from dnacode.cli import run
 from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON
+from dnacode.io import code_lines, write_text
 from dnacode.metrics import pair_leq, split_distance
 
 from oracles import (
@@ -336,14 +341,11 @@ def moved_fields(rng, z, bound):
     return fields
 
 
-@pytest.mark.parametrize("m, index_len", [(256, 10), (512, 11)])
-@pytest.mark.parametrize("tau, e_d", [("1", 1), ("3/4", 0)])
-def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len, tau, e_d):
-    pytest.importorskip("networkx")
-    pytest.importorskip("scipy")
-    params = mk_params(m, 24, index_len, 10, tau, 1, e_d)
-    bound = (2, 2 * e_d) if tau == "1" else (1, e_d)
-    rng = random.Random(f"{m}-{tau}")
+def large_m_pairs(rng, params, bound):
+    """Three pairs of messages of ``params``: one with a bijection within
+    ``bound``, one whose strands all keep a partner but one, and one in
+    which two strands of the first message reach only one strand of the
+    second."""
     z1 = random_message(rng, params)
     yes = moved_fields(rng, z1, bound)
     # one strand moved far from every strand of Z1: its row is empty
@@ -352,13 +354,25 @@ def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len,
     # its first strand a: a and b both reach only a in Z1
     a = z1.strands[0]
     taken = {s.index_bits for s in z1.strands}
-    b = next(b for p in range(index_len) if (b := a.index_bits ^ 1 << p) not in taken)
+    b = next(
+        b for p in range(params.index_len) if (b := a.index_bits ^ 1 << p) not in taken
+    )
     close = [(s.index_bits, s.data_bits) for s in z1.strands[:-1]] + [(b, a.data_bits)]
-    pairs = [
+    return [
         (z1, message_of(params, yes)),
         (z1, message_of(params, far)),
         (message_of(params, close), z1),
     ]
+
+
+@pytest.mark.parametrize("m, index_len", [(256, 10), (512, 11)])
+@pytest.mark.parametrize("tau, e_d", [("1", 1), ("3/4", 0)])
+def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len, tau, e_d):
+    pytest.importorskip("networkx")
+    pytest.importorskip("scipy")
+    params = mk_params(m, 24, index_len, 10, tau, 1, e_d)
+    bound = (2, 2 * e_d) if tau == "1" else (1, e_d)
+    pairs = large_m_pairs(random.Random(f"{m}-{tau}"), params, bound)
     answers = []
     for x, y in pairs:
         result = balls_intersect(x, y, params)
@@ -384,3 +398,66 @@ def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len,
     # (e_i, e_d), so its missing bijection proves nothing
     last = Answer.NO if tau == "1" else Answer.UNKNOWN
     assert answers == [Answer.YES, Answer.NO, last]
+
+
+def scan_only(width, radius):
+    """A stand-in for ``matching._ball_volume`` that is never below 2^l,
+    so the row kernel scans every row."""
+    return 1 << width
+
+
+def looked_up_and_scanned(outcome):
+    """``outcome()`` with the row kernel's guard as it is, and again with
+    every row scanned; fails unless the first run looked rows up."""
+    asked = []
+    masks = matching._flip_masks
+
+    def recording_masks(width, radius):
+        asked.append(radius)
+        return masks(width, radius)
+
+    with mock.patch.object(matching, "_flip_masks", recording_masks):
+        looked_up = outcome()
+    assert asked
+    with mock.patch.object(matching, "_ball_volume", scan_only):
+        return looked_up, outcome()
+
+
+@pytest.mark.parametrize("m", [256, 512])
+@pytest.mark.parametrize("tau", ["1", "3/4"])
+def test_lookup_rows_give_the_scan_answers_and_witnesses_at_large_m(m, tau):
+    params = mk_params(m, 24, 11, 10, tau, 1, 1)
+    bound = (2, 2) if tau == "1" else (1, 1)
+    pairs = large_m_pairs(random.Random(f"rows-{m}-{tau}"), params, bound)
+
+    def outcome():
+        return [
+            (balls_intersect(x, y, params), bijection_within_or_violator(x, y, bound))
+            for x, y in pairs
+        ]
+
+    looked_up, scanned = looked_up_and_scanned(outcome)
+    assert looked_up == scanned
+    (yes, bijection), (_, empty_row), (_, violator) = looked_up
+    assert yes.answer is Answer.YES and yes.bijection == bijection
+    # a Yes, a No on a strand with no partner, and a No that needs the
+    # full matching to find its Hall violator
+    assert len(empty_row.left_set) == 1 and not empty_row.neighborhood
+    assert len(violator.left_set) > 1 and violator.neighborhood
+
+
+def test_cli_verify_output_is_the_same_with_lookup_and_scan_at_large_m(tmp_path, capsys):
+    params = mk_params(512, 24, 11, 10, "1", 1, 1)
+    (z1, z2), _, _ = large_m_pairs(random.Random("cli-rows"), params, (2, 2))
+    path = tmp_path / "code.txt"
+    write_text(path, code_lines([z1, z2], params))
+
+    def outcome():
+        code = run(["verify", "--code", str(path)])
+        return code, capsys.readouterr()
+
+    looked_up, scanned = looked_up_and_scanned(outcome)
+    assert looked_up == scanned
+    code, captured = looked_up
+    assert code == 0 and captured.out.startswith("NOT_CORRECTING\n")
+    assert "map: " in captured.out

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnacode import (
+    Answer,
     BipartiteGraph,
     HallViolator,
     Message,
@@ -18,6 +19,7 @@ from dnacode import (
     SizeMismatch,
     WrongPoolSize,
     assignment_feasible,
+    balls_intersect,
     sample_ball,
     bijection_within_or_violator,
     bottleneck_bijection,
@@ -240,6 +242,105 @@ def test_bijection_graph_edges_follow_the_bound():
     # bit from both rights with equal data, 010 differs in data from 011
     # and by two index bits from 101
     assert g.adjacency == ((0, 1), ())
+
+
+def _reference_rows(left, right, data_len, bound):
+    return [
+        [
+            j
+            for j, b in enumerate(right)
+            if all(d <= r for d, r in zip(split_popcount(a ^ b, data_len), bound))
+        ]
+        for a in left
+    ]
+
+
+def _kernel_rows(left, right, data_len, bound, index_len, path):
+    """``_rows_within``'s rows with the guard left as it is (None), forced
+    to look up ("lookup") or forced to scan ("scan"); also whether the
+    index masks were asked for, which only the lookup does."""
+    asked = []
+    enumerate_masks = matching._flip_masks
+
+    def recording_masks(width, radius):
+        asked.append((width, radius))
+        return enumerate_masks(width, radius)
+
+    volume = {
+        None: matching._ball_volume,
+        "lookup": lambda w, r: -1,
+        "scan": lambda w, r: len(right),
+    }
+    with mock.patch.object(matching, "_flip_masks", recording_masks), mock.patch.object(
+        matching, "_ball_volume", volume[path]
+    ):
+        rows = list(matching._rows_within(left, right, data_len, bound, index_len))
+    return rows, bool(asked)
+
+
+def _kernel_sides(rng, index_len, data_len, size, distinct):
+    """A right side of ``size`` packed strands, with distinct index fields
+    (a message, in canonical order) or drawn from a few shared ones (the
+    strand values of a space), and a left side of strands near and far
+    from it."""
+    if distinct:
+        indices = sorted(rng.sample(range(1 << index_len), min(size, 1 << index_len)))
+    else:
+        shared = rng.sample(range(1 << index_len), min(3, 1 << index_len))
+        indices = sorted(rng.choice(shared) for _ in range(size))
+    right = [(i << data_len) | rng.randrange(1 << data_len) for i in indices]
+    if not distinct:
+        right = sorted(set(right))
+    length = index_len + data_len
+    near = [b ^ (1 << rng.randrange(length)) ^ (1 << rng.randrange(length)) for b in right]
+    far = [rng.randrange(1 << length) for _ in range(4)]
+    return rng.sample(near, min(len(near), 6)) + far + right[:2], right
+
+
+def test_row_kernel_matches_the_all_pairs_rows_on_both_paths():
+    rng = random.Random(1212)
+    data_len = 3
+    for index_len in range(1, 12):
+        for distinct in (True, False):
+            for r1 in range(index_len + 1):
+                left, right = _kernel_sides(rng, index_len, data_len, 24, distinct)
+                for r2 in range(data_len + 1):
+                    bound = (r1, r2)
+                    want = _reference_rows(left, right, data_len, bound)
+                    assert all(row == sorted(set(row)) for row in want)
+                    for path in (None, "lookup", "scan"):
+                        got, looked_up = _kernel_rows(
+                            left, right, data_len, bound, index_len, path
+                        )
+                        assert got == want, (index_len, distinct, bound, path)
+                        # r1 = l has no lookup: its ball is every index field
+                        if path:
+                            assert looked_up is (path == "lookup" and r1 < index_len)
+
+
+def test_row_kernel_guard_looks_up_only_below_both_sizes():
+    rng = random.Random(1213)
+    data_len = 4
+    for index_len in (2, 3, 5, 8):
+        for r1 in range(index_len + 1):
+            volume = matching._ball_volume(index_len, r1)
+            sizes = [size for size in (volume - 1, volume, volume + 1) if 0 < size <= 1 << index_len]
+            for size in sizes:
+                left, right = _kernel_sides(rng, index_len, data_len, size, True)
+                bound = (r1, 1)
+                rows, looked_up = _kernel_rows(left, right, data_len, bound, index_len, None)
+                assert rows == _reference_rows(left, right, data_len, bound)
+                # V(l, r1) < min(M, 2^l): r1 >= l gives V = 2^l and scans
+                assert looked_up is (volume < size and r1 < index_len), (index_len, r1, size)
+        # repeated index fields can outnumber the 2^l fields; r1 = l still scans
+        right = [(i << data_len) | d for i in range(1 << index_len) for d in (0, 3)]
+        left = [rng.randrange(1 << (index_len + data_len)) for _ in range(6)]
+        rows, looked_up = _kernel_rows(left, right, data_len, (index_len, 1), index_len, None)
+        assert not looked_up
+        assert rows == _reference_rows(left, right, data_len, (index_len, 1))
+    for path in (None, "lookup", "scan"):
+        assert _kernel_rows([], [5, 6, 9], 2, (1, 1), 2, path)[0] == []
+        assert _kernel_rows([5, 6], [], 2, (1, 1), 2, path)[0] == [[], []]
 
 
 def test_bijection_examples():
@@ -559,3 +660,30 @@ def test_assignment_never_enumerates_an_index_ball_larger_than_m():
             ]
             for pool in (sample_ball(z, p, seed).pool, ReadPool.from_reads(reads, 64)):
                 assert assignment_feasible(pool, z, p) == oracle_assignment_feasible(pool, z, p)
+
+
+def test_match_within_never_enumerates_an_index_ball_of_m_masks():
+    # at tau = 1 the bound (2e_i, 2e_d) = (40, 2) covers all 2^40 index
+    # fields, against M = 2 strands
+    p = mk_params(2, 64, 40, 2, 1, 20, 1)
+    bound = (2 * p.e_i, 2 * p.e_d)
+    rng = random.Random(40)
+    enumerate_masks = matching._flip_masks
+
+    def refuse_large_balls(width, radius):
+        volume = sum(math.comb(width, i) for i in range(radius + 1))
+        if volume >= p.m:
+            pytest.fail(f"asked for {volume} index flips at M={p.m}")
+        return enumerate_masks(width, radius)
+
+    with mock.patch.object(matching, "_flip_masks", refuse_large_balls):
+        for _ in range(20):
+            z1 = random_message(rng, p)
+            near = [s.bits ^ (1 << rng.randrange(p.data_len)) for s in z1.strands]
+            z2 = random_message(rng, p) if rng.random() < 0.5 else Message(
+                tuple(Strand(b, p.length, p.index_len) for b in near)
+            )
+            want = oracle_exists_bijection(z1, z2, bound)
+            result = bijection_within_or_violator(z1, z2, bound)
+            assert (not isinstance(result, HallViolator)) is want
+            assert (balls_intersect(z1, z2, p).answer is Answer.YES) is want
