@@ -174,6 +174,8 @@ def oracle_balls_intersect(
     if bound > cap:
         raise SpaceTooLarge(bound, cap, what="read universe")
     shared = read_neighborhood(z1, params) & read_neighborhood(z2, params)
+    if not shared:
+        return False
     universe = sorted(shared)
 
     base: Counter[int] = Counter()
@@ -189,13 +191,9 @@ def oracle_balls_intersect(
     if remaining < 0:
         return False
 
-    count = math.comb(len(universe) + remaining - 1, remaining) if universe else (
-        1 if remaining == 0 else 0
-    )
+    count = math.comb(len(universe) + remaining - 1, remaining)
     if count > cap:
         raise SpaceTooLarge(count, cap, what="candidate pools")
-    if not universe:
-        return False
 
     # the partial pool lives in the source capacities of one read network
     # per message; at every accepted depth all source edges are saturated

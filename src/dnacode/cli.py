@@ -20,12 +20,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 from .channel import in_ball, oracle_balls_intersect, sample_ball
-from .codec import (
-    RegimeTag,
-    VerdictKind,
-    balls_intersect,
-    is_dna_correcting,
-)
+from .codec import RegimeTag, balls_intersect, is_dna_correcting
 from .errors import ResourceCapExceeded, ValidationError
 from .io import (
     PARAM_KEYS,
@@ -54,13 +49,6 @@ from .model import (
     validate_message,
 )
 from .search import SearchRow, Strategy, run_search
-
-_VERDICT_WORD = {
-    VerdictKind.CORRECTING: "CORRECTING",
-    VerdictKind.NOT_CORRECTING: "NOT_CORRECTING",
-    VerdictKind.INDETERMINATE: "INDETERMINATE",
-}
-
 
 def main() -> int:
     return run()
@@ -249,7 +237,7 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
     params = _system_params(args, {args.code: header}, blocks[0] if blocks else None)
     code = [_message(block, params) for block in blocks]
     verdict = is_dna_correcting(code, params)
-    lines = [_VERDICT_WORD[verdict.kind], _regime_line(verdict.regime)]
+    lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
         za, zb = verdict.witness.pair
         lines += [

@@ -20,12 +20,11 @@ r, so min_dna_distance decides whole codes at once.
 A code is verified without deciding most of its pairs.  A Yes needs a
 bijection within the bound (r1, r2), so the first strand a of codeword i
 needs a partner b in codeword j with index fields within r1 and data
-fields within r2.  The index of such a b is a's index XOR an l-bit mask
-of weight at most r1, so indexing every strand of the code under its
-index field and looking up a's V(l, r1) masks finds every j that can
-answer Yes with i (multi-index hashing: Norouzi, Punjani & Fleet, CVPR
-2012).  Only these candidate pairs are decided, in canonical order, so
-the first Yes, and its bijection, is the one the all-pairs loop finds.
+fields within r2.  The row kernel of ``matching`` gives a's partners
+among the strands of the later codewords, by index-field lookup or by
+scan, and so names every j that can answer Yes with i.  Only these
+candidate pairs are decided, in canonical order, so the first Yes, and
+its bijection, is the one the all-pairs loop finds.
 Every other pair has the one-strand Hall violator ({a}, {}): at tau = 1
 it is No, and at high tau it is No exactly when its flags prove No, the
 same rule a candidate pair without a bijection meets.  So once no pair
@@ -38,14 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
 from .matching import (
     Bijection,
     HallViolator,
-    _flip_masks,
+    _rows_within,
     bijection_of,
     exists_bijection_within,
     has_perfect_matching,
@@ -57,7 +56,6 @@ from .metrics import min_dna_distance, pair_leq, split_distance
 from .model import (
     Message,
     SystemParams,
-    _ball_volume,
     check_shape,
     has_distinct_data,
     in_restricted_space,
@@ -147,6 +145,7 @@ class PairTest:
 
     def __init__(self, params: SystemParams) -> None:
         self.regime = classify_regime(params)
+        self.m = params.m
         self.index_len = params.index_len
         self.data_len = params.data_len
         one_e = (params.e_i, params.e_d)
@@ -203,46 +202,20 @@ class PairTest:
         which the first strand of message i has a partner within the bound
         in message j, in order: the only pairs that can answer Yes.
 
-        The strands of messages 1..n-1 (the only partners j > i) are
-        indexed under their index field, and the first strand of each
-        message but the last looks its partners up through its V(l, r1)
-        index masks.  When the indexed strands plus those (n-1)*V(l, r1)
-        lookups are not fewer than the strands a scan would test (for each
-        message, the strands of the messages after it), the later strands
-        are scanned instead, through the same split-distance test.
+        The row kernel ``_rows_within`` gives, for the first strand of each
+        message but the last, the ascending positions of its partners among
+        the strands of messages 1..n-1, looked up by index field or scanned
+        by its one guard rule.  Every message has M strands, so position p
+        lies in message 1 + p // M.
         """
-        n = len(bits)
-        if n < 2:
-            return
-        r1, r2 = self.bound
-        data_len = self.data_len
-        mask = (1 << data_len) - 1
-        strands = [(j, b) for j, z in enumerate(bits) for b in z]
-        ends = list(accumulate(map(len, bits)))
-        scanned = sum(len(strands) - end for end in ends)
-        indexed = strands[ends[0]:]
-        lookup = len(indexed) + (n - 1) * _ball_volume(self.index_len, r1) < scanned
-        if lookup:
-            flips = _flip_masks(self.index_len, r1)
-            by_index: dict[int, list[tuple[int, int]]] = {}
-            for j, b in indexed:
-                by_index.setdefault(b >> data_len, []).append((j, b))
-        for i in range(n - 1):
-            a = bits[i][0]
-            if lookup:
-                index = a >> data_len
-                hits = [hit for f in flips for hit in by_index.get(index ^ f, ())]
-            else:
-                hits = strands[ends[i]:]
-            partners = {
-                j
-                for j, b in hits
-                if j > i
-                and ((x := a ^ b) >> data_len).bit_count() <= r1
-                and (x & mask).bit_count() <= r2
-            }
-            for j in sorted(partners):
-                yield i, j
+        first = [z[0] for z in bits[:-1]]
+        later = [b for z in bits[1:] for b in z]
+        rows = _rows_within(first, later, self.data_len, self.bound, self.index_len)
+        m = self.m
+        for i, row in enumerate(rows):
+            for j in dict.fromkeys(1 + p // m for p in row):
+                if j > i:
+                    yield i, j
 
     def no_row(self, messages: Sequence[Message]) -> Callable[[int, int], int]:
         """The pair decision over a space of distinct messages, as a row

@@ -26,8 +26,9 @@ them at K, so each strand has two nodes, its noisy slot and itself.
 Strand rows come from one kernel, ``_rows_within``: for each strand of
 one side, the ascending positions of the strands of the other side
 within a bound (r1, r2).  It serves every pair decision (``match_within``),
-the search's neighbourhood table (``near_masks``), ``bijection_graph``
-and the value edges of the read network.  A strand b is within the
+the code verifier's screen (``codec.PairTest.candidates``), the search's
+neighbourhood table (``near_masks``), ``bijection_graph`` and the value
+edges of the read network.  A strand b is within the
 bound of a only if b's index field is a's XOR some l-bit mask of weight
 at most r1 (the mask 0 included), so a dict from index field to the
 strands carrying it, probed with the V(l, r1) = sum_{i <= r1} C(l, i)
@@ -503,11 +504,10 @@ def _read_network(
     return net, net.adj[0], sink
 
 
-# the index masks of the row kernel ``_rows_within`` and the code
-# verifier's screen, and their number V(l, radius), cached per
-# (l, radius): the row kernel's guard runs once per pair decision.  The
-# guards bound every mask tuple's size by the strands it is looked up
-# among
+# the index masks of the row kernel ``_rows_within`` and their number
+# V(l, radius), cached per (l, radius): the kernel's guard runs once per
+# pair decision.  The guard bounds every mask tuple's size by the strands
+# it is looked up among
 _ball_volume = lru_cache(maxsize=32)(_model_ball_volume)
 _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 

@@ -1,6 +1,7 @@
 """Regime classification, pairwise ball-intersection decisions, and the
 code verifiers, cross-checked against the exhaustive channel oracle."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -400,15 +401,17 @@ def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len,
     assert answers == [Answer.YES, Answer.NO, last]
 
 
-def scan_only(width, radius):
-    """A stand-in for ``matching._ball_volume`` that is never below 2^l,
-    so the row kernel scans every row."""
-    return 1 << width
+# stand-ins for ``matching._ball_volume`` that force the row kernel's
+# path: never below a strand count, so every row is scanned, or never
+# above 0, so every row is looked up whenever there are strands to look
+# up among and r1 < l
+KERNEL_VOLUME = {"scan": lambda width, radius: math.inf, "lookup": lambda width, radius: 0}
 
 
-def looked_up_and_scanned(outcome):
-    """``outcome()`` with the row kernel's guard as it is, and again with
-    every row scanned; fails unless the first run looked rows up."""
+def on_path(outcome, path=None):
+    """``outcome()`` with the row kernel's guard as it is (None), forced
+    to look up ("lookup") or forced to scan ("scan"), and whether the
+    kernel asked for index masks, which only its lookup does."""
     asked = []
     masks = matching._flip_masks
 
@@ -416,11 +419,19 @@ def looked_up_and_scanned(outcome):
         asked.append(radius)
         return masks(width, radius)
 
-    with mock.patch.object(matching, "_flip_masks", recording_masks):
-        looked_up = outcome()
+    volume = KERNEL_VOLUME.get(path, matching._ball_volume)
+    with mock.patch.object(matching, "_flip_masks", recording_masks), mock.patch.object(
+        matching, "_ball_volume", volume
+    ):
+        return outcome(), bool(asked)
+
+
+def looked_up_and_scanned(outcome):
+    """``outcome()`` with the row kernel's guard as it is, and again with
+    every row scanned; fails unless the first run looked rows up."""
+    looked_up, asked = on_path(outcome)
     assert asked
-    with mock.patch.object(matching, "_ball_volume", scan_only):
-        return looked_up, outcome()
+    return looked_up, on_path(outcome, "scan")[0]
 
 
 @pytest.mark.parametrize("m", [256, 512])

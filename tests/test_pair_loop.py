@@ -1,8 +1,9 @@
 """The pair loops of the code verifier, the graph build and the minimum
 DNA-distance, checked against per-pair references; the verifier's
-screen on codes of 150 codewords and on codes too small for its index
-lookup; the violators that end a bijection test early, checked from the
-strands alone."""
+screen, its pairs and its verdicts, on codes of 150 codewords, on codes
+too small for the row kernel's index lookup and with the kernel forced
+down either path; the violators that end a bijection test early,
+checked from the strands alone."""
 
 import math
 import os
@@ -30,7 +31,9 @@ from dnacode import (
     is_dna_correcting,
     min_dna_distance,
 )
+from dnacode.codec import PairTest
 from dnacode.io import code_lines, write_text
+from dnacode.matching import packed
 
 from oracles import (
     is_real_violator,
@@ -42,6 +45,7 @@ from oracles import (
     pairwise_verdict,
     random_message,
 )
+from test_codec import looked_up_and_scanned, on_path
 
 # (M, L, l, K, tau, e_i, e_d): tau-one, low tau, and high tau with the
 # budget below M*K/(2M-1) (budget 2 against 8/3 at M = 2 and 12/5 at
@@ -163,19 +167,10 @@ def screened_in(z1, z2, bound):
     )
 
 
-def index_lookup(params, code):
-    """Whether the verifier looks partners up for this code: the strands
-    of codewords 1..n-1 it indexes plus the V(l, r1) index masks of each
-    codeword but the last are fewer than the strands a scan tests, those
-    after each codeword."""
-    n, m = len(code), params.m
-    volume = sum(math.comb(params.index_len, w) for w in range(yes_bound(params)[0] + 1))
-    return m * (n - 1) + (n - 1) * volume < m * n * (n - 1) // 2
-
-
 # the benchmark's verify shape: 150 codewords of 8 strands hold 1,200
-# strands, far more than the V(8, r1) index masks, so the verifier looks
-# partners up; K = 10 puts the high-tau bound 8K/15 between budgets 5 and 7
+# strands, far more than the V(8, r1) index masks, so the screen looks
+# partners up, while a pair's 8 strands are fewer, so its rows are
+# scanned; K = 10 puts the high-tau bound 8K/15 between budgets 5 and 7
 SCREEN_PARAMS = [
     (8, 24, 8, 10, "1", 1, 1),
     (8, 24, 8, 10, "1", 1, 0),
@@ -204,8 +199,8 @@ def test_screen_keeps_the_first_of_several_planted_collisions(shape):
         one_e, two_e = yes_bound(params), (2 * params.e_i, 2 * params.e_d)
         code += [with_close_strands(rng, params, one_e), with_close_strands(rng, params, two_e)]
     rng.shuffle(code)
-    assert index_lookup(params, code)
-    got = is_dna_correcting(code, params)
+    got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+    assert got == scanned
     assert got.kind is VerdictKind.NOT_CORRECTING
     assert got.witness.pair == (first, min(later))
     assert got == pairwise_verdict(code, params)
@@ -217,8 +212,8 @@ def test_screen_without_a_collision(shape):
     rng = random.Random(str(shape))
     code = random_code(rng, params, 40)
     code += [first_strand_copy(rng, code, params) for _ in range(3)]
-    assert index_lookup(params, code)
-    got = is_dna_correcting(code, params)
+    got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+    assert got == scanned
     assert got.kind is VerdictKind.CORRECTING
     assert got == pairwise_verdict(code, params)
     if classify_regime(params) is Regime.HIGH_TAU:
@@ -233,7 +228,8 @@ def test_screen_without_a_collision(shape):
 
 # three strands of L = 10 bits with l = 6 index bits and e_i = 2: the
 # V(6, r1) index masks, 57 at tau = 1 and 22 at high tau, outnumber the
-# strands of every code of up to seven codewords, so the verifier scans
+# strands of codewords 1..n-1 of every code of up to eight codewords, so
+# the screen scans them, as every pair decision scans its three strands
 SCAN_PARAMS = [
     (3, 10, 6, 4, "1", 2, 0),
     (3, 10, 6, 4, "1", 2, 1),
@@ -257,8 +253,8 @@ def test_scan_fallback_matches_the_per_pair_reference(shape):
         if rng.random() < 0.5:
             code.append(first_strand_copy(rng, code, params))
         code = list(set(code))
-        assert not index_lookup(params, code)
-        got = is_dna_correcting(code, params)
+        got, looked_up = on_path(lambda: is_dna_correcting(code, params))
+        assert not looked_up
         assert got == pairwise_verdict(code, params), [str(z) for z in code]
         kinds.add(got.kind)
     if regime is Regime.LOW_TAU:
@@ -269,24 +265,83 @@ def test_scan_fallback_matches_the_per_pair_reference(shape):
         assert kinds == set(VerdictKind)
 
 
-def test_two_codewords_at_large_m_are_scanned():
-    # the benchmark's large-m verify shape: V(11, 2) = 67 index masks are
-    # fewer than the 512 strands, but the one lookup would need the 512
-    # strands of the second codeword indexed, as many as the scan tests
-    params = mk_params(512, 20, 11, 10, "1", 1, 1)
-    rng = random.Random(512)
+# the benchmark's large-m verify shape: V(11, 2) = 67 index masks are
+# fewer than the 512 strands of the second codeword, so the screen looks
+# the first strand's partners up
+LARGE_M_PARAMS = (512, 20, 11, 10, "1", 1, 1)
+
+
+def large_m_codes(rng, params):
+    """Two-codeword codes of ``params``: a random pair, a pair whose
+    second codeword moves each data field of the first by two bits, and a
+    pair that shares only the first strand."""
     z = random_message(rng, params)
     shifted = message_of(
         params, [(s.index_bits, s.data_bits ^ flip(rng, params.data_len, 2)) for s in z.strands]
     )
+    return [
+        [z, other]
+        for other in [random_message(rng, params), shifted, first_strand_copy(rng, [z], params)]
+    ]
+
+
+def test_two_codewords_at_large_m_are_looked_up():
+    params = mk_params(*LARGE_M_PARAMS)
     kinds = set()
-    for other in [random_message(rng, params), shifted, first_strand_copy(rng, [z], params)]:
-        code = [z, other]
-        assert not index_lookup(params, code)
-        got = is_dna_correcting(code, params)
+    for code in large_m_codes(random.Random(512), params):
+        got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+        assert got == scanned
         assert got == pairwise_verdict(code, params)
         kinds.add(got.kind)
     assert kinds == {VerdictKind.CORRECTING, VerdictKind.NOT_CORRECTING}
+
+
+def screen_codes(rng, params):
+    """Codes of ``params`` of 0, 1 and 2 codewords, and larger ones with
+    pairs the screen keeps: near copies and first-strand copies."""
+    if params.m == 512:
+        codes = large_m_codes(rng, params)
+    else:
+        code = random_code(rng, params, 40 if params.m == 8 else 4)
+        code.append(near_copy(rng, code[0], params))
+        code += [first_strand_copy(rng, code, params) for _ in range(3)]
+        codes = [sorted(set(code))]
+    return [codes[0][:size] for size in (0, 1, 2)] + codes
+
+
+# each shape with whether the row kernel's guard looks its largest code up
+SCREEN_SHAPES = (
+    [(s, True) for s in SCREEN_PARAMS]
+    + [(s, False) for s in SCAN_PARAMS]
+    + [(LARGE_M_PARAMS, True)]
+)
+
+
+@pytest.mark.parametrize(
+    "shape, looked_up",
+    SCREEN_SHAPES,
+    ids=lambda s: "-".join(map(str, s)) if isinstance(s, tuple) else None,
+)
+def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
+    params = mk_params(*shape)
+    bound = yes_bound(params)
+    kept = 0
+    for code in screen_codes(random.Random(str(shape)), params):
+        bits = [packed(z) for z in code]
+        want = [
+            (i, j)
+            for i, j in combinations(range(len(code)), 2)
+            if screened_in(code[i], code[j], bound)
+        ]
+        kept += len(want)
+        for path in [None, "lookup", "scan"]:
+            got, asked = on_path(lambda: list(PairTest(params).candidates(bits)), path)
+            assert got == want, (path, [str(z) for z in code])
+            if path and len(code) >= 2:
+                assert asked is (path == "lookup")
+    assert kept > 0
+    # the guard's own choice on the last code, the largest
+    assert on_path(lambda: list(PairTest(params).candidates(bits)))[1] is looked_up
 
 
 @pytest.mark.parametrize("tau", ["1/2", "3/4"])
