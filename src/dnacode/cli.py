@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from pathlib import Path
@@ -68,6 +69,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnacode",
@@ -179,7 +181,7 @@ def _resolve(
         values.update(parse_param_items(args.params))
     if block:
         values.setdefault("M", len(block))
-        values.setdefault("L", len(block[0][1]))
+        values.setdefault("L", len(block[0]))
     missing = [k for k in need if k not in values]
     if missing:
         raise ValidationError(
@@ -208,11 +210,11 @@ def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemPar
 
 
 def _message(block: Block, params: SystemParams) -> Message:
-    return validate_message([token for _, token in block], params)
+    return validate_message(block, params)
 
 
 def _bare_message(block: Block, index_len: int) -> Message:
-    return Message(tuple(Strand.from_string(token, index_len) for _, token in block))
+    return Message(tuple(Strand.from_string(token, index_len) for token in block))
 
 
 def _fmt_distance(d: float) -> str:
@@ -295,10 +297,10 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_member(args: argparse.Namespace) -> list[str]:
-    pool_header, read_entries = read_pool_file(args.pool)
+    pool_header, reads = read_pool_file(args.pool)
     msg_header, block = read_message_file(args.message)
     params = _system_params(args, {args.pool: pool_header, args.message: msg_header}, block)
-    pool = ReadPool.from_reads([token for _, token in read_entries], params.length)
+    pool = ReadPool.from_reads(reads, params.length)
     return ["YES" if in_ball(pool, _message(block, params), params) else "NO"]
 
 

@@ -27,7 +27,7 @@ from .model import (
 
 PARAM_KEYS = ("M", "L", "l", "K", "tau", "ei", "ed")
 ParamValue = Union[int, Fraction]
-Block = list[tuple[int, str]]
+Block = list[str]
 
 
 def tau_text(tau: Fraction) -> str:
@@ -84,7 +84,7 @@ def merge_headers(
 
 def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
     """Parse a file into its header and blank-line-separated blocks of
-    (line number, binary string)."""
+    binary strings."""
     name = str(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -123,7 +123,7 @@ def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Blo
                 path=name,
                 line=lineno,
             )
-        current.append((lineno, line))
+        current.append(line)
     if current:
         blocks.append(current)
     if token_len is not None and header.get("L", token_len) != token_len:
@@ -148,7 +148,7 @@ def read_code_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[
 
 def read_pool_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block]:
     header, blocks = read_blocks(path)
-    return header, [entry for block in blocks for entry in block]
+    return header, [token for block in blocks for token in block]
 
 
 def params_header(params: SystemParams) -> str:

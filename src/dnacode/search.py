@@ -3,8 +3,9 @@
 A code is a clique of the compatibility graph over an enumerated message
 space (edge iff the two balls are provably disjoint, i.e. the codec
 answers No; Unknown pairs get no edge, so every clique is a certified
-code).  The exact search builds the graph and finds a maximum clique by
-branch and bound; the greedy search takes vertices one at a time.
+code).  The exact search builds the graph and finds its lexicographically
+first maximum clique by branch and bound under a greedy-colouring bound;
+the greedy search takes vertices one at a time.
 
 Both read the pair decision of ``PairTest.no_row``: an edge needs no
 bijection, so none is built.  The graph build asks each vertex's row
@@ -48,34 +49,18 @@ class CompatibilityGraph:
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
-        if len(self.adjacency) != n:
-            raise ValidationError(
-                f"adjacency has {len(self.adjacency)} masks for {n} vertices"
-            )
-        full = (1 << n) - 1 if n else 0
-        # every bit above the diagonal has its mirror below it, and there
-        # are as many bits below as above, so those mirrors are all of them
         adjacency = self.adjacency
-        above = 0
+        if len(adjacency) != n:
+            raise ValidationError(f"adjacency has {len(adjacency)} masks for {n} vertices")
+        full = (1 << n) - 1
         for i, mask in enumerate(adjacency):
-            bit = 1 << i
             if mask & ~full:
                 raise ValidationError(f"adjacency mask of vertex {i} is out of range")
-            if mask & bit:
+            if mask >> i & 1:
                 raise ValidationError(f"vertex {i} has a self-loop")
-            rest = mask & -bit  # the bits above i, as bit i is clear
-            above += rest.bit_count()
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                if not adjacency[j] & bit:
+            for j in _bit_indices(mask):
+                if not adjacency[j] >> i & 1:
                     raise ValidationError(f"adjacency is not symmetric at ({i},{j})")
-        below = sum(mask.bit_count() for mask in adjacency) - above
-        if below != above:
-            raise ValidationError(
-                f"adjacency is not symmetric: {above} bits above the diagonal, {below} below"
-            )
 
     @property
     def vertex_count(self) -> int:
@@ -86,16 +71,11 @@ class CompatibilityGraph:
         return sum(mask.bit_count() for mask in self.adjacency) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, mask in enumerate(self.adjacency):
-            mask >>= i + 1
-            j = i + 1
-            while mask:
-                if mask & 1:
-                    out.append((i, j))
-                mask >>= 1
-                j += 1
-        return out
+        return [
+            (i, j)
+            for i, mask in enumerate(self.adjacency)
+            for j in _bit_indices(mask >> (i + 1) << (i + 1))
+        ]
 
 
 def build_graph(
@@ -127,7 +107,8 @@ def build_graph(
 
 
 def max_code(graph: CompatibilityGraph, strategy: Strategy) -> tuple[Message, ...]:
-    """A large (Greedy) or maximum (Exact) clique, returned as a code.
+    """A large (Greedy) or the lexicographically first maximum (Exact)
+    clique, returned as a code.
 
     The result is re-verified to be correcting before it is returned.
     """
@@ -182,39 +163,49 @@ def _greedy_clique(n: int, row: Callable[[int, int], int]) -> int:
 
 
 def _exact_clique(adjacency: Sequence[int]) -> int:
-    """Maximum clique by branch and bound, vertices ordered by degree."""
-    n = len(adjacency)
-    order = sorted(range(n), key=lambda v: (-adjacency[v].bit_count(), v))
-    position = {v: p for p, v in enumerate(order)}
-    adj = [0] * n
-    for v in range(n):
-        for w in _bit_indices(adjacency[v]):
-            adj[position[v]] |= 1 << position[w]
+    """The lexicographically first maximum clique, by branch and bound.
 
+    Vertices are branched on in canonical order, each first taken and
+    then left out, so cliques are met in lexicographic order.  A branch
+    stops when its size plus the colour count of a greedy colouring of
+    its candidates (Tomita & Seki, 2003), which bounds any clique among
+    them, cannot beat the best clique; the cuts drop only branches that
+    cannot strictly improve, so the first maximum clique met is kept.
+    """
     best_mask = 0
     best_size = 0
 
     def expand(clique: int, size: int, candidates: int) -> None:
         nonlocal best_mask, best_size
         while candidates:
-            if size + candidates.bit_count() <= best_size:
+            if size + _colour_count(adjacency, candidates) <= best_size:
                 return
             low = candidates & -candidates
             candidates ^= low
-            v = low.bit_length() - 1
             grown = clique | low
-            remaining = candidates & adj[v]
+            remaining = candidates & adjacency[low.bit_length() - 1]
             if remaining:
                 expand(grown, size + 1, remaining)
             elif size + 1 > best_size:
                 best_size = size + 1
                 best_mask = grown
 
-    expand(0, 0, (1 << n) - 1)
-    result = 0
-    for p in _bit_indices(best_mask):
-        result |= 1 << order[p]
-    return result
+    expand(0, 0, (1 << len(adjacency)) - 1)
+    return best_mask
+
+
+def _colour_count(adjacency: Sequence[int], vertices: int) -> int:
+    """Colours of a greedy colouring of ``vertices``, each colour class
+    an independent set grown from its lowest uncoloured vertex."""
+    colours = 0
+    while vertices:
+        colours += 1
+        free = vertices
+        while free:
+            low = free & -free
+            vertices ^= low
+            free &= ~adjacency[low.bit_length() - 1] ^ low
+    return colours
 
 
 @dataclass(frozen=True)

@@ -396,14 +396,19 @@ def reference_space(
     ]
 
 
-def oracle_max_clique_size(adjacency: Sequence[int]) -> int:
-    """Maximum clique size by scanning subsets, largest first."""
+def first_max_clique(adjacency: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically first maximum clique, by scanning subsets
+    largest first, each size in lexicographic order."""
     n = len(adjacency)
     for size in range(n, 0, -1):
         for subset in combinations(range(n), size):
             if all(adjacency[a] >> b & 1 for a, b in combinations(subset, 2)):
-                return size
-    return 0
+                return subset
+    return ()
+
+
+def oracle_max_clique_size(adjacency: Sequence[int]) -> int:
+    return len(first_max_clique(adjacency))
 
 
 def all_bipartite_graphs(left_size: int, right_size: int):

@@ -330,3 +330,25 @@ def test_repeated_runs_are_byte_identical(capsys, tmp_path):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_parser_is_reused_across_calls_and_errors(capsys, good_code):
+    # one parser serves every call of a process; an argparse error must
+    # leave nothing behind that changes the calls after it
+    rounds = set()
+    for _ in range(3):
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--strategy", "magic", "--params", "M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0"])
+        assert exc.value.code == 2
+        error = capsys.readouterr()
+        valid = [
+            invoke(capsys, "verify", "--code", good_code),
+            invoke(capsys, "search", "--strategy", "exact", "--params",
+                   "M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0"),
+        ]
+        rounds.add((error.out, error.err, *valid))
+    assert len(rounds) == 1
+    (_, err, verify, search), = rounds
+    assert "invalid choice: 'magic'" in err
+    assert verify == (0, "CORRECTING\nregime: tau-one\n", "")
+    assert search[0] == 0 and search[1].startswith("SIZE=2\n")

@@ -63,14 +63,14 @@ def test_params_header_round_trips_through_a_file(tmp_path):
     write_text(path, [params_header(p)] + message_lines(mk_message(2, "000", "110")))
     header, block = read_message_file(path)
     assert header == {"M": 2, "L": 3, "l": 2, "K": 2, "tau": Fraction(1, 2), "ei": 1, "ed": 0}
-    assert [s for _, s in block] == ["000", "110"]
+    assert block == ["000", "110"]
 
 
 def test_message_file_ignores_comments_and_blanks(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# a comment\n\n000\n# another\n110\n\n", encoding="utf-8")
     _, block = read_message_file(path)
-    assert [s for _, s in block] == ["000", "110"]
+    assert block == ["000", "110"]
 
 
 def test_message_file_reports_position_of_bad_lines(tmp_path):
@@ -136,7 +136,7 @@ def test_code_file_round_trip(tmp_path):
     write_text(path, code_lines(code, p))
     header, blocks = read_code_file(path)
     assert header["M"] == 1 and header["tau"] == Fraction(1)
-    assert [[s for _, s in b] for b in blocks] == [["00"], ["11"]]
+    assert blocks == [["00"], ["11"]]
 
 
 def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
@@ -144,7 +144,7 @@ def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
     path = tmp_path / "pool.txt"
     write_text(path, pool_lines([0b00, 0b10, 0b00], p))
     _, block = read_pool_file(path)
-    assert sorted(s for _, s in block) == ["00", "00", "10"]
+    assert sorted(block) == ["00", "00", "10"]
 
 
 def test_pool_lines_preserve_the_given_order():

@@ -25,7 +25,7 @@ from dnacode import (
 from dnacode.cli import run
 from dnacode.codec import PairTest
 
-from oracles import mk_params, oracle_max_clique_size
+from oracles import first_max_clique, mk_params
 
 
 def test_graph_construction_validates_masks():
@@ -91,6 +91,10 @@ def test_restricted_graph_drops_vertices():
 
 
 def test_greedy_never_beats_exact():
+    # without noise every set of distinct messages is a code, so any
+    # adjacency over a prefix of the space is a valid graph
+    p = mk_params(1, 4, 1, 2, "1", 0, 0)
+    space = tuple(enumerate_space(p))
     rng = random.Random(79)
     for _ in range(20):
         n = rng.randint(1, 10)
@@ -100,12 +104,7 @@ def test_greedy_never_beats_exact():
                 if rng.random() < 0.5:
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
-        p = mk_params(1, 2, 1, 2, "1", 0, 0)
-        vertices = tuple(enumerate_space(p))
-        # synthetic graphs need matching vertex count; reuse real graphs
-        if n != len(vertices):
-            continue
-        g = CompatibilityGraph(p, vertices, tuple(masks))
+        g = CompatibilityGraph(p, space[:n], tuple(masks))
         assert len(max_code(g, Strategy.GREEDY)) <= len(max_code(g, Strategy.EXACT))
 
 
@@ -121,7 +120,7 @@ def test_exact_matches_exhaustive_on_real_graphs():
         g = build_graph(p)
         assert g.vertex_count <= 12
         exact = max_code(g, Strategy.EXACT)
-        assert len(exact) == oracle_max_clique_size(g.adjacency)
+        assert exact == tuple(g.vertices[i] for i in first_max_clique(g.adjacency))
         greedy = max_code(g, Strategy.GREEDY)
         assert len(greedy) <= len(exact)
 
@@ -130,7 +129,27 @@ def test_exact_matches_exhaustive_on_restricted_graph():
     p = mk_params(2, 3, 2, 2, "1", 1, 0)
     g = build_graph(p, restrict=(p.index_len, 0))
     assert g.vertex_count == 12
-    assert len(max_code(g, Strategy.EXACT)) == oracle_max_clique_size(g.adjacency)
+    exact = max_code(g, Strategy.EXACT)
+    assert exact == tuple(g.vertices[i] for i in first_max_clique(g.adjacency))
+
+
+def test_exact_finds_the_first_maximum_clique_on_random_graphs():
+    # noiseless, so any adjacency over a prefix of the space is valid
+    p = mk_params(1, 4, 1, 2, "1", 0, 0)
+    space = tuple(enumerate_space(p))
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        density = rng.random()
+        masks = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        g = CompatibilityGraph(p, space[:n], tuple(masks))
+        first = tuple(space[i] for i in first_max_clique(masks))
+        assert max_code(g, Strategy.EXACT) == first, masks
 
 
 def test_exact_has_a_vertex_limit():
@@ -274,7 +293,13 @@ def test_search_output_is_the_same_under_python_O(tmp_path):
         "greedy-tau-one": ["--strategy", "greedy", "--params", "M=3,L=4,l=2,K=2,tau=1,ei=1,ed=0"],
         "exact": ["--strategy", "exact", "--restrict", "2,0",
                   "--params", "M=2,L=4,l=3,K=2,tau=1,ei=1,ed=0"],
+        # 64 messages whose pair answers Yes iff their data multisets
+        # agree: a complete 36-partite graph, which a branch and bound
+        # cutting only on candidate counts does not finish
+        "exact-multipartite": ["--strategy", "exact",
+                               "--params", "M=2,L=4,l=1,K=2,tau=1,ei=1,ed=0"],
     }
+    first_lines = {}
     for name, argv in searches.items():
         results = []
         for mode, flags in [("debug", []), ("optimized", ["-O"])]:
@@ -291,3 +316,5 @@ def test_search_output_is_the_same_under_python_O(tmp_path):
             results.append((done.stdout, out.read_text(encoding="utf-8")))
         assert results[0] == results[1], name
         assert results[0][0].startswith("SIZE=") and results[0][1].startswith("%params")
+        first_lines[name] = results[0][0]
+    assert first_lines["exact-multipartite"] == "SIZE=36\n"
