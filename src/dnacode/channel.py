@@ -31,7 +31,8 @@ lies in the ball.
 
 The partial pool is held in the source capacities of one
 read-assignment network per message (``matching._read_network``, the
-network ``in_ball`` solves), built once over the read universe.  Adding
+builder ``in_ball`` uses too), built once over the read universe at the
+full strand capacities, with no read peeled off.  Adding
 a read raises one source capacity by 1, and ``_Dinic.max_flow`` then
 looks for the one extra unit on the residual network left by the
 prefix; a step that finds none on either network is undone by restoring

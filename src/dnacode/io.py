@@ -18,6 +18,7 @@ from .channel import ChannelSample
 from .errors import FileFormatError, ParamMismatch, ValidationError
 from .model import (
     Message,
+    Strand,
     SystemParams,
     bits_from_string,
     bits_to_string,
@@ -177,9 +178,14 @@ def pool_lines(reads: Sequence[int], params: SystemParams) -> list[str]:
 def provenance_lines(sample: ChannelSample) -> list[str]:
     """Sidecar rows: read index, source strand, flipped positions."""
     rows = [f"# seed={sample.seed} rng={sample.rng}"]
+    # M sources serve M*K reads: format each source once
+    names: dict[Strand, str] = {}
     for i, p in enumerate(sample.provenance):
-        flips = ",".join(str(pos) for pos in p.flips) if p.flips else "-"
-        rows.append(f"{i}\t{p.source}\t{flips}")
+        source = names.get(p.source)
+        if source is None:
+            source = names[p.source] = str(p.source)
+        flips = ",".join(map(str, p.flips)) if p.flips else "-"
+        rows.append(f"{i}\t{source}\t{flips}")
     return rows
 
 

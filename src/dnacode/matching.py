@@ -39,12 +39,28 @@ otherwise scan every strand of the other side through the full split
 distance.  Either way a row comes out sorted, so matchings and
 witnesses do not depend on which path built it.
 
+Most read values lie within (e_i, e_d) of one strand only, and the
+flow has nothing to decide for them, so ``assignment_feasible`` peels
+them off first (the degree-1 rule of Karp & Sipser, FOCS 1981).  A
+value with no candidate strand makes the pool infeasible.  A value
+whose one candidate is strand j charges all its copies to j: they use
+that many of j's K places and, unless they equal j, as many of its
+floor(tau*K) noisy places, and a place count that drops below 0 makes
+the pool infeasible.  This is exact, since every valid grouping sends
+every copy of such a value to j, exact or noisy as it is, so it uses
+the same capacities the peel takes away.  Only the values with two or
+more candidates enter the network, with each strand's two capacities
+set to what the peel left; when none is left the pool is feasible
+without a flow, as the M*K reads then fill every strand's K places.
+
 One builder, ``_read_network``, lays this network out over given read
 values with their source capacities at 0.  ``assignment_feasible`` sets
-them to a pool's multiplicities and runs one max flow; the ball oracle
-in ``channel`` raises them one read at a time and asks the same flow for
-each extra unit, so membership and the oracle share one network layout
-and one flow algorithm.
+them to the multiplicities of the values left after the peel and runs
+one max flow; the ball oracle in ``channel`` builds it over its whole
+read universe with the full strand capacities, raises the source
+capacities one read at a time and asks the same flow for each extra
+unit, so membership and the oracle share one network layout and one
+flow algorithm.
 """
 
 from __future__ import annotations
@@ -449,7 +465,10 @@ def bottleneck_bijection(
 def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:
     """True iff the pool splits into M groups of K reads, one per strand,
     with every read within (e_i, e_d) of its strand and at most
-    floor(tau*K) reads per group differing from it."""
+    floor(tau*K) reads per group differing from it.
+
+    The reads with one candidate strand are charged to it first, and the
+    flow runs only over the rest (see the module docstring)."""
     check_shape(z, params=params)
     if pool.length != params.length:
         raise ShapeMismatch(
@@ -457,20 +476,53 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
         )
     if pool.size != params.pool_size:
         raise WrongPoolSize(f"pool has {pool.size} reads, expected {params.pool_size}")
-    net, sources, sink = _read_network([v for v, _ in pool.entries], z, params)
-    for edge, (_, count) in zip(sources, pool.entries):
+    strands = packed(z)
+    room = [params.k] * z.m
+    slack = [params.tau_budget] * z.m
+    shared: list[tuple[int, int]] = []
+    values = [v for v, _ in pool.entries]
+    rows = _rows_within(
+        values, strands, params.data_len, (params.e_i, params.e_d), params.index_len
+    )
+    for (v, count), row in zip(pool.entries, rows):
+        if not row:
+            return False
+        if len(row) > 1:
+            shared.append((v, count))
+            continue
+        j = row[0]
+        room[j] -= count
+        if room[j] < 0:
+            return False
+        if v != strands[j]:
+            slack[j] -= count
+            if slack[j] < 0:
+                return False
+    if not shared:
+        return True
+    net, sources, sink = _read_network([v for v, _ in shared], z, params, room, slack)
+    for edge, (_, count) in zip(sources, shared):
         edge[1] = count
-    return net.max_flow(0, sink) == params.pool_size
+    return net.max_flow(0, sink) == sum(room)
 
 
 def _read_network(
-    values: Sequence[int], z: Message, params: SystemParams
+    values: Sequence[int],
+    z: Message,
+    params: SystemParams,
+    room: Optional[Sequence[int]] = None,
+    slack: Optional[Sequence[int]] = None,
 ) -> tuple[_Dinic, list[list[int]], int]:
     """The read-assignment network of Z over the given distinct read
     values, with every value's source edge at capacity 0: returns the
     network, the source edges in the order of ``values`` and the sink.
-    A caller sets the source capacities to a pool's multiplicities."""
-    k, budget = params.k, params.tau_budget
+    A caller sets the source capacities to a pool's multiplicities.
+    Strand j takes ``room[j]`` reads, at most ``slack[j]`` of them through
+    its noisy slot: K and floor(tau*K) when not given."""
+    if room is None:
+        room = [params.k] * z.m
+    if slack is None:
+        slack = [params.tau_budget] * z.m
     big = params.pool_size
 
     # node layout: source 0, read values 1..n, then (noisy slot, strand)
@@ -481,8 +533,8 @@ def _read_network(
     strands = packed(z)
     for j in range(z.m):
         noisy = base + 2 * j
-        net.add_edge(noisy, noisy + 1, budget)
-        net.add_edge(noisy + 1, sink, k)
+        net.add_edge(noisy, noisy + 1, slack[j])
+        net.add_edge(noisy + 1, sink, room[j])
 
     # a read's candidate strands are those within (e_i, e_d) of it: an
     # exact copy goes straight to its strand, any other read to the noisy

@@ -16,6 +16,7 @@ boundaries such as tau*K == K/2.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -226,12 +227,18 @@ class ReadPool:
 
     @classmethod
     def from_reads(cls, reads: Iterable[int | str], length: int) -> "ReadPool":
+        """The pool of the given reads, each an int or a binary string of
+        ``length`` characters.  Each distinct token is parsed once, in the
+        order it first appears, so the first bad token raises."""
         counts: dict[int, int] = {}
-        for r in reads:
-            v = bits_from_string(r) if isinstance(r, str) else r
-            if isinstance(r, str) and len(r) != length:
-                raise WrongLength(f"read {r!r} has length {len(r)}, expected {length}")
-            counts[v] = counts.get(v, 0) + 1
+        for r, n in Counter(reads).items():
+            if isinstance(r, str):
+                v = bits_from_string(r)
+                if len(r) != length:
+                    raise WrongLength(f"read {r!r} has length {len(r)}, expected {length}")
+            else:
+                v = r
+            counts[v] = counts.get(v, 0) + n
         return cls(length, tuple(counts.items()))
 
     @property

@@ -1,8 +1,21 @@
 """Command-line interface: first-line protocol, exit codes, file flows."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dnacode
+from dnacode import sample_ball
 from dnacode.cli import run
+from dnacode.io import message_lines, params_header, pool_lines, write_text
+from dnacode.model import split_popcount
+
+from oracles import mk_params, random_message
+from test_search import CLI_IN_MODE
 
 
 def invoke(capsys, *argv):
@@ -205,6 +218,43 @@ def test_member_rejects_foreign_pool(capsys, tmp_path):
     pool = write(tmp_path / "p.txt", "00\n01\n")
     code, out, _ = invoke(capsys, "member", "--pool", pool, "--message", msg)
     assert code == 0 and out == "NO\n"
+
+
+def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
+    p = mk_params(512, 20, 11, 10, "1/2", 1, 1)
+    rng = random.Random(512)
+    z = random_message(rng, p)
+    reads = [r.read for r in sample_ball(z, p, seed=3).provenance]
+
+    def outside(read, s):
+        di, dd = split_popcount(read ^ s.bits, p.data_len)
+        return di > p.e_i or dd > p.e_d
+
+    far = rng.randrange(1 << p.length)
+    while not all(outside(far, s) for s in z.strands):
+        far = rng.randrange(1 << p.length)
+    moved = list(reads)
+    moved[rng.randrange(len(moved))] = far
+    msg = tmp_path / "message.txt"
+    write_text(msg, [params_header(p), *message_lines(z)])
+    pools = {"YES\n": tmp_path / "sampled.txt", "NO\n": tmp_path / "moved.txt"}
+    write_text(pools["YES\n"], pool_lines(reads, p))
+    write_text(pools["NO\n"], pool_lines(moved, p))
+
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for want, pool in pools.items():
+        for mode, flags in [("debug", []), ("optimized", ["-O"])]:
+            done = subprocess.run(
+                [sys.executable, *flags, "-c", CLI_IN_MODE, mode,
+                 "member", "--pool", str(pool), "--message", str(msg)],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), mode
 
 
 def test_search_prints_size_and_code(capsys):

@@ -166,6 +166,18 @@ def test_provenance_lines_record_seed_and_flips():
         assert flips == "-" or all(part.isdigit() for part in flips.split(","))
 
 
+def test_provenance_lines_match_per_read_formatting():
+    p = mk_params(4, 6, 3, 3, "2/3", 1, 1)
+    z = mk_message(3, "000101", "011000", "101111", "110010")
+    for seed in range(5):
+        sample = sample_ball(z, p, seed)
+        rows = [
+            f"{i}\t{r.source}\t{','.join(str(pos) for pos in r.flips) or '-'}"
+            for i, r in enumerate(sample.provenance)
+        ]
+        assert provenance_lines(sample) == [f"# seed={seed} rng=mt19937", *rows]
+
+
 def test_write_text_ends_with_newline(tmp_path):
     path = tmp_path / "out.txt"
     write_text(path, ["a", "b"])

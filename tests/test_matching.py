@@ -3,6 +3,8 @@ assignment, and read-assignment feasibility."""
 
 import math
 import random
+from collections import Counter
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
@@ -45,6 +47,7 @@ from oracles import (
     random_graph,
     random_message,
     reference_read_network,
+    reference_space,
     scipy_has_perfect_matching,
 )
 
@@ -610,8 +613,11 @@ class _RecordingDinic(matching._Dinic):
 
     def max_flow(self, s, t):
         if self.edges is None:
-            self.edges = [(u, v, e[1]) for u, v, e in self.added]
+            self.edges = self.current_edges()
         return super().max_flow(s, t)
+
+    def current_edges(self):
+        return [(u, v, e[1]) for u, v, e in self.added]
 
 
 @pytest.mark.parametrize("e", [(1, 1), (2, 1), (1, 0)])
@@ -625,18 +631,121 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
     for name, pool, want in pools:
         edges = reference_read_network(pool, z, p)
         sink = 1 + len(pool.entries) + 2 * m
+        # the one builder, over every pool value at full strand capacities,
+        # lays out the reference network edge for edge
         _RecordingDinic.networks.clear()
         with mock.patch.object(matching, "_Dinic", _RecordingDinic):
+            net, sources, net_sink = matching._read_network(
+                [v for v, _ in pool.entries], z, p
+            )
+            for edge, (_, count) in zip(sources, pool.entries):
+                edge[1] = count
+            assert net_sink == sink, name
+            assert sorted(net.current_edges()) == sorted(edges), name
+            _RecordingDinic.networks.clear()
             got = assignment_feasible(pool, z, p)
-        (net,) = _RecordingDinic.networks
-        assert sorted(net.edges) == sorted(edges), name
         assert got is want, name
         assert (networkx_max_flow(edges, sink) == p.pool_size) is want, name
+        # membership builds at most one network, over only the reads with
+        # two or more candidate strands, in pool order
+        degree = Counter(u for u, _, _ in edges if 0 < u < sink - 2 * m)
+        shared = [v for i, (v, _) in enumerate(pool.entries, 1) if degree[i] > 1]
+        assert len(_RecordingDinic.networks) <= 1, name
+        for net in _RecordingDinic.networks:
+            assert len(net.adj) == 1 + len(shared) + 2 * m + 1, name
         if name == "shared read":
-            node = 1 + [v for v, _ in pool.entries].index(mid)
-            base = 1 + len(pool.entries)
-            strands = {z.strands[(v - base) // 2] for u, v, _ in edges if u == node}
+            (net,) = _RecordingDinic.networks
+            node = 1 + shared.index(mid)
+            base = 1 + len(shared)
+            strands = {z.strands[(v - base) // 2] for u, v, _ in net.edges if u == node}
             assert {a, b} <= strands
+
+
+def _peel_cases(pool, z, p):
+    """The cases of the forced-read peel that a pool shows, found through
+    ``_within``: a value with one candidate strand is forced to it."""
+    exact, used, noisy = [0] * p.m, [0] * p.m, [0] * p.m
+    shared, cases = [], set()
+    for v, count in pool.entries:
+        row = [j for j, s in enumerate(z.strands) if _within(v, s, p)]
+        if len(row) > 1:
+            shared.append((v, row))
+        elif row:
+            (j,) = row
+            used[j] += count
+            if v == z.strands[j].bits:
+                exact[j] += count
+            else:
+                noisy[j] += count
+        else:
+            cases.add("no candidate")
+    if not shared and not cases:
+        cases.add("all forced")
+    if max(exact) > p.k:
+        cases.add("exact above K")
+    if max(noisy) > p.tau_budget:
+        cases.add("noisy above budget")
+    if not cases and any(
+        all(
+            used[j] == p.k or (v != z.strands[j].bits and noisy[j] == p.tau_budget)
+            for j in row
+        )
+        for v, row in shared
+    ):
+        cases.add("shared read blocked")
+    return cases
+
+
+@pytest.mark.parametrize("tau", ["1", "1/2", "below 1/K"])
+def test_peel_agrees_with_oracle_on_exhaustive_small_shapes(tau):
+    # every pool over every message of each shape; K = 1 at M = 3 lets
+    # forced reads fill both strands a shared read may take at tau = 1
+    seen = set()
+    for m, length, index_len, k in [(2, 3, 2, 2), (3, 3, 2, 1), (1, 3, 1, 3)]:
+        for e in [(1, 0), (0, 1), (1, 1)]:
+            p = mk_params(m, length, index_len, k, f"1/{k + 1}" if tau == "below 1/K" else tau, *e)
+            pools = [
+                ReadPool.from_reads(reads, length)
+                for reads in combinations_with_replacement(range(1 << length), p.pool_size)
+            ]
+            for z in reference_space(p):
+                for pool in pools:
+                    cases = _peel_cases(pool, z, p)
+                    want = oracle_assignment_feasible(pool, z, p)
+                    assert assignment_feasible(pool, z, p) is want, (z, pool.entries)
+                    if cases - {"all forced"}:
+                        assert not want, (z, pool.entries, cases)
+                    seen |= cases
+    assert seen == {
+        "all forced",
+        "no candidate",
+        "exact above K",
+        "noisy above budget",
+        "shared read blocked",
+    }
+
+
+def test_forced_reads_need_no_flow_network():
+    # the index fields 000 and 111 are 3 apart, so at e_i = 1 every read
+    # below is within (1, 0) of one strand at most
+    p = mk_params(2, 4, 3, 2, "1/2", 1, 0)
+    z = mk_message(3, "0000", "1110")
+    no_network = mock.Mock(side_effect=AssertionError("built a flow network"))
+    with mock.patch.object(matching, "_Dinic", no_network):
+        assert assignment_feasible(ReadPool.from_reads(["0000", "0010", "1110", "1110"], 4), z, p)
+        # forced exact copies above K, and forced noisy copies above
+        # floor(tau*K) = 1
+        assert not assignment_feasible(ReadPool.from_reads(["0000"] * 3 + ["1110"], 4), z, p)
+        assert not assignment_feasible(ReadPool.from_reads(["0010", "0010", "1110", "1110"], 4), z, p)
+        # a read with no candidate strand
+        assert not assignment_feasible(ReadPool.from_reads(["0001", "0000", "1110", "1110"], 4), z, p)
+    # with the index fields 000 and 011, the read 0010 is within (1, 0) of
+    # both strands, so the flow decides it, over a network of that one read
+    z = mk_message(3, "0000", "0110")
+    shared = ReadPool.from_reads(["0000", "0010", "0110", "0110"], 4)
+    with mock.patch.object(matching, "_Dinic", wraps=matching._Dinic) as network:
+        assert assignment_feasible(shared, z, p)
+    network.assert_called_once_with(1 + 1 + 2 * 2 + 1)
 
 
 def test_assignment_never_enumerates_an_index_ball_larger_than_m():

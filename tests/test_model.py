@@ -3,6 +3,7 @@
 import random
 from collections.abc import Iterator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,7 @@ from dnacode import (
     space_size,
     validate_message,
 )
+from dnacode import model
 from dnacode.model import bits_from_string, bits_to_string, flip_positions
 
 from oracles import mk_message, mk_params, random_message, reference_space
@@ -179,6 +181,55 @@ def test_read_pool_is_a_sorted_multiset():
     assert pool.size == 3
     assert pool.to_reads() == [0, 3, 3]
     assert pool == ReadPool.from_reads([3, 3, 0], 2)
+
+
+def _first_token_error(tokens, length):
+    """The error the first bad token raises when each token is parsed in
+    turn, as (type, message), or None."""
+    for t in tokens:
+        if isinstance(t, str):
+            try:
+                bits_from_string(t)
+            except ValidationError as e:
+                return type(e), str(e)
+            if len(t) != length:
+                return WrongLength, f"read {t!r} has length {len(t)}, expected {length}"
+    return None
+
+
+def test_read_pool_parses_each_distinct_token_once():
+    reads = ["10", "01", "10", "11", "01", "10"] * 50
+    with mock.patch.object(model, "bits_from_string", wraps=model.bits_from_string) as parse:
+        pool = ReadPool.from_reads(reads, 2)
+    assert parse.call_count == 3
+    assert pool.entries == ((1, 100), (2, 150), (3, 50))
+
+
+def test_read_pool_raises_the_first_bad_token():
+    cases = [
+        ["01", "0x", "1", "0x"],
+        ["01", "1", "0x", "01"],
+        ["01", "011", "01", "2"],
+        ["01", 3, "01", " 01", "1"],
+        ["11", "10", "1", "10"],
+    ]
+    rng = random.Random(43)
+    alphabet = ["0", "1", "00", "01", "10", "11", "000", "0b", "-1", "", 2, 3]
+    cases += [[rng.choice(alphabet) for _ in range(rng.randint(1, 8))] for _ in range(300)]
+    for tokens in cases:
+        want = _first_token_error(tokens, 2)
+        if want is None:
+            ReadPool.from_reads(tokens, 2)
+            continue
+        with pytest.raises(ValidationError) as caught:
+            ReadPool.from_reads(tokens, 2)
+        assert (type(caught.value), str(caught.value)) == want, tokens
+
+
+def test_read_pool_merges_ints_and_strings_in_sorted_entries():
+    pool = ReadPool.from_reads(["11", 1, "01", 3, 0, "01", "10"], 2)
+    assert pool.entries == ((0, 1), (1, 3), (2, 1), (3, 2))
+    assert pool == ReadPool.from_reads([3, 3, 2, 1, 1, 1, 0], 2)
 
 
 def test_system_params_validation():
