@@ -20,8 +20,8 @@ from .model import (
     Message,
     Strand,
     SystemParams,
-    bits_from_string,
     bits_to_string,
+    check_bits,
     int_from_string,
     tau_from_string,
 )
@@ -113,7 +113,7 @@ def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Blo
             header = merge_headers(header, items, where=f"{name}:{lineno}: ")
             continue
         try:
-            bits_from_string(line)
+            check_bits(line)
         except ValidationError as e:
             raise FileFormatError(str(e), path=name, line=lineno) from None
         if token_len is None:

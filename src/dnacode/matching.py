@@ -39,6 +39,18 @@ otherwise scan every strand of the other side through the full split
 distance.  Either way a row comes out sorted, so matchings and
 witnesses do not depend on which path built it.
 
+Bottleneck questions go through one threshold decision,
+``has_bijection_within``: is there a bijection between two groups of
+index values with every Hamming distance at most t?  It builds one
+bitmask row per left value, answers no at the first empty row, and
+otherwise runs the bitmask Kuhn test ``has_perfect_matching``.  The
+DNA-distance in ``metrics`` asks it whether a data group raises the
+worst value so far, and the minimum code distance whether a pair beats
+the best so far.  ``bottleneck_bijection`` sweeps it upward from the
+lower bound max(largest row minimum, largest column minimum) of the
+distance matrix, which is usually the optimum, and runs Hopcroft-Karp
+once, at the value found, for the bijection it returns.
+
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
 them off first (the degree-1 rule of Karp & Sipser, FOCS 1981).  A
@@ -422,16 +434,44 @@ def exists_bijection_within(
     return None if isinstance(result, HallViolator) else result
 
 
+def has_bijection_within(left: Sequence[int], right: Sequence[int], threshold: int) -> bool:
+    """Whether some bijection between the equal-size groups ``left`` and
+    ``right`` keeps every Hamming distance at most ``threshold``.
+
+    One bitmask row per left value, of the right values within the
+    threshold of it; the first empty row answers no (a negative
+    threshold empties the first row), and otherwise the bitmask Kuhn
+    test ``has_perfect_matching`` decides.
+    """
+    rows = []
+    for a in left:
+        row = 0
+        bit = 1
+        for b in right:
+            if (a ^ b).bit_count() <= threshold:
+                row |= bit
+            bit <<= 1
+        if not row:
+            return False
+        rows.append(row)
+    return has_perfect_matching(rows)
+
+
 def bottleneck_bijection(
     left: Iterable[int], right: Iterable[int]
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Minimize, over bijections left -> right, the maximum Hamming distance.
 
-    Binary search on the sorted distinct pairwise distances, with one
-    maximum matching per probe.  Returns the optimum and a perfect
-    matching of the threshold graph at the optimum, as (left, right)
-    value pairs sorted by left value; among several optimal bijections
-    it is unspecified which one is returned.
+    Every left value takes some right value and every right value some
+    left value, so the optimum is at least the largest row minimum and
+    the largest column minimum of the distance matrix.  The sweep starts
+    there and raises the threshold one step at a time until
+    ``has_bijection_within`` answers yes; the bound is usually the
+    optimum, so one decision usually settles it.  Returns the optimum
+    and a perfect matching of the threshold graph at the optimum, found
+    by Hopcroft-Karp, as (left, right) value pairs sorted by left value;
+    among several optimal bijections it is unspecified which one is
+    returned.
     """
     lvals = sorted(left)
     rvals = sorted(right)
@@ -439,27 +479,13 @@ def bottleneck_bijection(
         raise SizeMismatch(f"sides have sizes {len(lvals)} and {len(rvals)}")
     if not lvals:
         raise SizeMismatch("bottleneck assignment needs non-empty sides")
-    n = len(lvals)
     dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
-
-    def perfect_within(threshold: int) -> Optional[tuple[int, ...]]:
-        rows = [[j for j, d in enumerate(row) if d <= threshold] for row in dist]
-        match_l = _hopcroft_karp(n, n, rows)[0]
-        return None if -1 in match_l else match_l
-
-    thresholds = sorted({d for row in dist for d in row})
-    lo, hi = 0, len(thresholds) - 1
-    # a perfect matching at thresholds[hi]: every bijection stays within
-    # the largest distance, so the identity serves until a probe succeeds
-    match_hi = tuple(range(n))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        match = perfect_within(thresholds[mid])
-        if match is None:
-            lo = mid + 1
-        else:
-            hi, match_hi = mid, match
-    return thresholds[hi], tuple((lvals[i], rvals[j]) for i, j in enumerate(match_hi))
+    value = max(max(map(min, dist)), max(map(min, zip(*dist))))
+    while not has_bijection_within(lvals, rvals, value):
+        value += 1
+    rows = [[j for j, d in enumerate(row) if d <= value] for row in dist]
+    match_l = _hopcroft_karp(len(lvals), len(rvals), rows)[0]
+    return value, tuple((lvals[i], rvals[j]) for i, j in enumerate(match_l))
 
 
 def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:

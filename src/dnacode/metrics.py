@@ -6,6 +6,24 @@ a <= c and b <= d.  The DNA-distance between messages with equal
 data-field multisets is the worst bottleneck assignment between matching
 index groups; messages with different multisets are infinitely far
 apart, realized as math.inf so plain comparisons (k < math.inf) work.
+
+Both distances rest on one threshold decision,
+``matching.has_bijection_within``: is there a bijection between two
+index groups with every Hamming distance at most t (Gabow & Tarjan,
+"Algorithms for two bottleneck optimization problems", J. Algorithms
+1988)?  A pair's value needs the bottleneck of a data group only when
+the group does not fit within the worst value of the groups before it.
+
+The minimum distance of a code needs, pair by pair, only whether a pair
+beats the best so far.  A pair is within t iff every data group admits
+a bijection within t, one decision per group, stopping at the first
+group that fails.  The witness is the first pair at the minimum in
+canonical order, so a pair beats the witness iff it is within the best
+value when it comes before the witness in that order, and within one
+less otherwise.  Only a pair that beats the witness gets its exact
+value, and it becomes the witness: the witness the exact values would
+give, tie rule included.  Distinct codewords are at distance 1 or more,
+so the threshold is never negative.
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ import math
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
-from .matching import bottleneck_bijection
+from .matching import bottleneck_bijection, has_bijection_within
 from .model import Message, Strand, check_shape, index_groups, split_popcount
 
 
@@ -61,8 +79,14 @@ def dna_distance(z1: Message, z2: Message) -> DnaDistance:
 
 
 def _grouped_distance(g1: dict[int, list[int]], g2: dict[int, list[int]]) -> int:
-    # groups of one data-field multiset: the worst bottleneck over data fields
-    return max(bottleneck_bijection(g1[u], g2[u])[0] for u in g1)
+    # groups of one data-field multiset: the worst bottleneck over data
+    # fields.  A group within the worst so far cannot raise it, so only a
+    # group that fails that threshold decision needs its bottleneck
+    worst = 0
+    for u in g1:
+        if not has_bijection_within(g1[u], g2[u], worst):
+            worst = bottleneck_bijection(g1[u], g2[u])[0]
+    return worst
 
 
 def min_dna_distance(
@@ -71,7 +95,9 @@ def min_dna_distance(
     """Minimum pairwise DNA-distance of a code, with an argmin pair.
 
     The witness is the first pair attaining the minimum, iterating
-    unordered pairs in the order the code lists them.  Only codewords
+    unordered pairs in the order the code lists them; once the best is
+    finite, a pair's exact value is computed only if it beats the
+    witness (see the module docstring).  Only codewords
     with one data-field multiset are compared, since all other pairs
     are infinitely far apart; when no two codewords share a multiset the
     minimum is math.inf and the witness the first two codewords.
@@ -89,8 +115,15 @@ def min_dna_distance(
     first = (0, 1)
     for members in buckets.values():
         for a, i in enumerate(members):
+            gi = groups[i]
             for j in members[a + 1 :]:
-                d = _grouped_distance(groups[i], groups[j])
-                if d < best or (d == best and (i, j) < first):
-                    best, first = d, (i, j)
+                gj = groups[j]
+                if best < math.inf:
+                    # (i, j) beats the witness iff it is within best when
+                    # it comes first in canonical order, within best - 1
+                    # otherwise: a threshold decision per data group
+                    t = best if (i, j) < first else best - 1
+                    if not all(has_bijection_within(gi[u], gj[u], t) for u in gi):
+                        continue
+                best, first = _grouped_distance(gi, gj), (i, j)
     return best, (code[first[0]], code[first[1]])

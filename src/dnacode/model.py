@@ -37,15 +37,20 @@ MAX_STRAND_LEN = 64
 DEFAULT_SPACE_CAP = 10_000_000
 
 
-def bits_from_string(s: str) -> int:
-    """Pack a binary string (leftmost char = most significant bit).
+def check_bits(s: str) -> None:
+    """Reject a string with any character other than 0 and 1.
 
-    Only the characters 0 and 1 are accepted: ``int(s, 2)`` alone would
-    also take a sign, surrounding whitespace, underscores, a ``0b``
-    prefix and non-ASCII digits.
+    ``int(s, 2)`` alone would also take a sign, surrounding whitespace,
+    underscores, a ``0b`` prefix and non-ASCII digits.
     """
     if s.strip("01"):
         raise ValidationError(f"bit string may contain only 0 and 1, got {s!r}")
+
+
+def bits_from_string(s: str) -> int:
+    """Pack a binary string (leftmost char = most significant bit), after
+    ``check_bits``."""
+    check_bits(s)
     return int(s, 2) if s else 0
 
 

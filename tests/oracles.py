@@ -11,7 +11,11 @@ for networkx to solve.  The per-pair references near the end rebuild a
 code's verdict and a space's compatibility graph from ``balls_intersect``
 one pair at a time, the way the library did before its pair loops
 computed per-code data once, so they check that loop and not the pair
-decision itself.
+decision itself.  ``reference_dna_distance`` finds each group's
+bottleneck by trying every threshold with a backtracking matching, which
+drops a partial bijection at its first pair beyond the threshold instead
+of enumerating every permutation as ``oracle_dna_distance`` does; it
+shares no code with ``dnacode.matching``.
 """
 
 from __future__ import annotations
@@ -298,14 +302,53 @@ def oracle_dna_distance(z1: Message, z2: Message) -> Union[int, float]:
 
 
 def oracle_min_dna_distance(
-    code: Sequence[Message],
+    code: Sequence[Message], distance=oracle_dna_distance
 ) -> tuple[Union[int, float], tuple[Message, Message]]:
     """Minimum DNA-distance over every pair in listing order, with the
-    first pair attaining it (the first pair when every pair is infinite)."""
+    first pair attaining it (the first pair when every pair is infinite),
+    each pair measured by ``distance``."""
     pairs = list(combinations(code, 2))
-    distances = [oracle_dna_distance(a, b) for a, b in pairs]
+    distances = [distance(a, b) for a, b in pairs]
     best = min(distances)
     return best, pairs[distances.index(best)]
+
+
+def _backtrack_bijection_within(left: Sequence[int], right: Sequence[int], threshold: int) -> bool:
+    """Whether some bijection left -> right keeps every Hamming distance
+    within ``threshold``, by trying every free right value for each left
+    value in turn."""
+
+    def extend(u: int, used: int) -> bool:
+        if u == len(left):
+            return True
+        return any(
+            not used >> j & 1
+            and (left[u] ^ b).bit_count() <= threshold
+            and extend(u + 1, used | 1 << j)
+            for j, b in enumerate(right)
+        )
+
+    return extend(0, 0)
+
+
+def reference_dna_distance(z1: Message, z2: Message) -> Union[int, float]:
+    """DNA-distance with each data group's bottleneck found as the least
+    threshold at which a backtracking search finds a bijection: a brute
+    force per threshold, fast on groups of a few strands."""
+    g1: dict[int, list[int]] = {}
+    g2: dict[int, list[int]] = {}
+    for z, g in ((z1, g1), (z2, g2)):
+        for s in z.strands:
+            g.setdefault(s.data_bits, []).append(s.index_bits)
+    if sorted((u, len(v)) for u, v in g1.items()) != sorted((u, len(v)) for u, v in g2.items()):
+        return math.inf
+    worst = 0
+    for u in g1:
+        t = 0
+        while not _backtrack_bijection_within(g1[u], g2[u], t):
+            t += 1
+        worst = max(worst, t)
+    return worst
 
 
 def is_real_violator(

@@ -1,5 +1,6 @@
 """Command-line interface: first-line protocol, exit codes, file flows."""
 
+import math
 import os
 import random
 import subprocess
@@ -11,10 +12,11 @@ import pytest
 import dnacode
 from dnacode import sample_ball
 from dnacode.cli import run
-from dnacode.io import message_lines, params_header, pool_lines, write_text
+from dnacode.io import code_lines, message_lines, params_header, pool_lines, write_text
 from dnacode.model import split_popcount
 
-from oracles import mk_params, random_message
+from oracles import mk_params, oracle_min_dna_distance, random_message, reference_dna_distance
+from test_metrics import benchmark_shaped_code
 from test_search import CLI_IN_MODE
 
 
@@ -255,6 +257,39 @@ def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
                 timeout=120,
             )
             assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), mode
+
+
+def test_distance_commands_print_the_same_under_python_O(tmp_path):
+    p = mk_params(8, 16, 8, 10, 1, 1, 0)
+    code = benchmark_shaped_code(random.Random(23), buckets=10)
+    code_file = tmp_path / "code.txt"
+    write_text(code_file, code_lines(code, p))
+    d, (za, zb) = oracle_min_dna_distance(code, reference_dna_distance)
+    # a finite pair (the witness) and an infinite one (different buckets)
+    other = next(z for z in code if reference_dna_distance(za, z) == math.inf)
+    files = {}
+    for name, z in [("a", za), ("b", zb), ("c", other)]:
+        files[name] = tmp_path / f"{name}.txt"
+        write_text(files[name], [params_header(p), *message_lines(z)])
+    runs = {
+        f"D={d}\npair A: {za}\npair B: {zb}\n": ["min-distance", "--code", str(code_file)],
+        f"D={d}\n": ["distance", "--a", str(files["a"]), "--b", str(files["b"])],
+        "D=inf\n": ["distance", "--a", str(files["a"]), "--b", str(files["c"])],
+    }
+
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for want, argv in runs.items():
+        for mode, flags in [("debug", []), ("optimized", ["-O"])]:
+            done = subprocess.run(
+                [sys.executable, *flags, "-c", CLI_IN_MODE, mode, *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), (mode, argv)
 
 
 def test_search_prints_size_and_code(capsys):

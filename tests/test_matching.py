@@ -31,7 +31,7 @@ from dnacode import (
 )
 from dnacode import matching
 from dnacode.cli import run
-from dnacode.matching import bijection_graph, has_perfect_matching
+from dnacode.matching import bijection_graph, has_bijection_within, has_perfect_matching
 from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
 from oracles import (
@@ -460,6 +460,28 @@ def test_bottleneck_agrees_with_scipy_on_64_element_sides():
         dist = [[(a ^ b).bit_count() for b in right] for a in left]
         assert scipy_has_perfect_matching([[d <= value for d in row] for row in dist])
         assert not scipy_has_perfect_matching([[d < value for d in row] for row in dist])
+
+
+def test_bijection_decision_agrees_with_the_bottleneck_at_every_threshold():
+    rng = random.Random(37)
+    for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 64] * 4:
+        width = rng.randint(max(1, (n - 1).bit_length()), 11)
+        left = rng.sample(range(1 << width), n)
+        right = rng.sample(range(1 << width), n)
+        value, _ = bottleneck_bijection(left, right)
+        for t in range(-1, width + 1):
+            assert has_bijection_within(left, right, t) == (t >= value), (left, right, t)
+
+
+def test_bijection_decision_examples():
+    assert has_bijection_within([0], [0], 0)
+    # a negative threshold leaves the first row empty
+    assert not has_bijection_within([0], [0], -1)
+    # each left value has a partner within 1, but both want 0b01
+    assert not has_bijection_within([0b00, 0b11], [0b01, 0b10], 0)
+    assert has_bijection_within([0b00, 0b11], [0b01, 0b10], 1)
+    assert not has_bijection_within([0b000, 0b001], [0b011, 0b111], 1)
+    assert has_bijection_within([0b000, 0b001], [0b011, 0b111], 2)
 
 
 def assignment_params():

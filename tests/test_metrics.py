@@ -2,6 +2,8 @@
 
 import math
 import random
+from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from dnacode import (
     pair_leq,
     split_distance,
 )
+from dnacode import metrics
 from dnacode.matching import exists_bijection_within
 from dnacode.model import split_popcount
 
@@ -26,8 +29,10 @@ from oracles import (
     mk_message,
     mk_params,
     oracle_dna_distance,
+    oracle_min_dna_distance,
     random_message,
     random_same_ms_pair,
+    reference_dna_distance,
     scipy_has_perfect_matching,
 )
 
@@ -208,3 +213,97 @@ def test_min_dna_distance_is_brute_force_min():
         )
         assert value == brute
         assert dna_distance(*pair) == value
+
+
+def benchmark_shaped_code(rng, buckets=30, size=5):
+    """``buckets`` groups of ``size`` codewords at M=8, L=16, l=8, each
+    group sharing one data multiset over 3 distinct values (used by 3, 3
+    and 2 strands), listed in shuffled order: the shape of the
+    benchmark's verify-many min-distance code."""
+    used = set()
+    code = []
+    for _ in range(buckets):
+        while True:
+            values = rng.sample(range(256), 3)
+            data = [values[i % 3] for i in range(8)]
+            if tuple(sorted(data)) not in used:
+                used.add(tuple(sorted(data)))
+                break
+        bucket = []
+        while len(bucket) < size:
+            indices = rng.sample(range(256), 8)
+            z = Message(tuple(Strand.from_fields(i, u, 16, 8) for i, u in zip(indices, data)))
+            if z not in bucket:
+                bucket.append(z)
+        code += bucket
+    rng.shuffle(code)
+    return code
+
+
+def test_min_dna_distance_at_the_benchmark_shape():
+    tied = 0
+    for seed in range(6):
+        code = benchmark_shaped_code(random.Random(seed))
+        got = min_dna_distance(code)
+        assert got == oracle_min_dna_distance(code, reference_dna_distance), seed
+        # the witness rule decides where several pairs tie at the minimum
+        ties = sum(reference_dna_distance(a, b) == got[0] for a, b in combinations(code, 2))
+        tied += ties > 1
+    assert tied >= 4
+
+
+def test_min_dna_distance_computes_the_value_of_pairs_that_beat_the_best():
+    # the benchmark tracer wraps metrics.bottleneck_bijection: pairs that
+    # beat the best so far reach it, and the others are decided before
+    code = benchmark_shaped_code(random.Random(11))
+    with mock.patch.object(
+        metrics, "bottleneck_bijection", wraps=metrics.bottleneck_bijection
+    ) as bottleneck:
+        assert min_dna_distance(code) == oracle_min_dna_distance(code, reference_dna_distance)
+    same_bucket_pairs = 30 * 10
+    assert 3 <= bottleneck.call_count < same_bucket_pairs
+
+
+def two_strand_message(data, *indices):
+    """A message of strands with 3-bit index fields and one data bit."""
+    return Message(tuple(Strand.from_fields(i, data, 4, 3) for i in indices))
+
+
+def test_a_tie_that_precedes_the_witness_in_a_later_bucket_wins():
+    # data-0 bucket {0, 2, 3}: D(0,2) = D(0,3) = 2 and D(2,3) = 1, so the
+    # witness is (2,3) when the data-1 bucket {1, 4} comes up; its pair
+    # (1,4) is at 1 too and comes first in canonical order
+    code = [
+        two_strand_message(0, 0, 1),
+        two_strand_message(1, 0, 1),
+        two_strand_message(0, 6, 7),
+        two_strand_message(0, 5, 6),
+        two_strand_message(1, 0, 3),
+    ]
+    assert [reference_dna_distance(code[0], code[j]) for j in (2, 3)] == [2, 2]
+    assert reference_dna_distance(code[2], code[3]) == 1
+    assert reference_dna_distance(code[1], code[4]) == 1
+    assert min_dna_distance(code) == (1, (code[1], code[4]))
+    assert oracle_min_dna_distance(code, reference_dna_distance) == (1, (code[1], code[4]))
+
+
+def test_a_tie_after_the_witness_loses_and_a_smaller_pair_wins():
+    # data-0 bucket {0, 1, 3} has its witness (0,1) at 1; the data-1
+    # bucket's pair (2,4) is at 1 too but comes later, so it is tested
+    # at threshold 0 and loses
+    code = [
+        two_strand_message(0, 0, 1),
+        two_strand_message(0, 0, 3),
+        two_strand_message(1, 0, 1),
+        two_strand_message(0, 6, 7),
+        two_strand_message(1, 1, 3),
+    ]
+    assert reference_dna_distance(code[2], code[4]) == 1
+    assert min_dna_distance(code) == (1, (code[0], code[1]))
+    assert oracle_min_dna_distance(code, reference_dna_distance) == (1, (code[0], code[1]))
+    # the same later pair beats a witness at 2
+    code = [code[0], code[3], code[2], code[4]]
+    assert reference_dna_distance(code[0], code[1]) == 2
+    assert min_dna_distance(code) == (1, (code[2], code[3]))
+    assert oracle_min_dna_distance(code, reference_dna_distance) == (1, (code[2], code[3]))
+
