@@ -44,8 +44,9 @@ from .model import (
     DEFAULT_SPACE_CAP,
     Message,
     ReadPool,
-    Strand,
     SystemParams,
+    _check_strand_shape,
+    _message_from_packed,
     int_from_string,
     validate_message,
 )
@@ -134,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common], help="sample one read pool from a message's error ball"
     )
     p.add_argument("--message", required=True)
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", required=True, type=int_from_string)
     p.add_argument("--out", help="write the pool file here instead of stdout")
     p.add_argument("--provenance", help="write a per-read provenance sidecar here")
     p.set_defaults(handler=_cmd_simulate)
@@ -214,7 +215,11 @@ def _message(block: Block, params: SystemParams) -> Message:
 
 
 def _bare_message(block: Block, index_len: int) -> Message:
-    return Message(tuple(Strand.from_string(token, index_len) for token in block))
+    """The message of a block that ``io.read_blocks`` has checked: its
+    tokens are non-empty 0/1 strings of one length."""
+    length = len(block[0])
+    _check_strand_shape(length, index_len)
+    return _message_from_packed([int(token, 2) for token in block], length, index_len)
 
 
 def _fmt_distance(d: float) -> str:

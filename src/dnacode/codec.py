@@ -341,7 +341,7 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
     no Yes, the verdict is Indeterminate iff some pair fails the flag
     rule, counted over the message classes of equal flags.
     """
-    codewords = _validated_code(code, params)
+    codewords, bits = _validated_code(code, params)
     test = PairTest(params)
     flags = test.flags(codewords)
     tag = _regime_tag(test, flags)
@@ -349,7 +349,6 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
         return Verdict(VerdictKind.CORRECTING, tag)
     if test.regime is Regime.LOW_TAU:
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
-    bits = [packed(z) for z in codewords]
     for i, j in test.candidates(bits):
         pair_flags = (flags[i], flags[j]) if flags else None
         answer, bij = test.decide(codewords[i], codewords[j], bits[i], bits[j], pair_flags)
@@ -389,7 +388,7 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     """
     if params.e_d != 0:
         raise EdNonZero(f"this test requires e_d = 0, got e_d = {params.e_d}")
-    codewords = _validated_code(code, params)
+    codewords, _ = _validated_code(code, params)
     test = PairTest(params)
     tag = _regime_tag(test, test.flags(codewords))
     if len(codewords) < 2:
@@ -409,11 +408,21 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     return Verdict(VerdictKind.INDETERMINATE, tag, reason=ED0_MIXED_REASON)
 
 
-def _validated_code(code: Sequence[Message], params: SystemParams) -> tuple[Message, ...]:
+def _validated_code(
+    code: Sequence[Message], params: SystemParams
+) -> tuple[tuple[Message, ...], list[tuple[int, ...]]]:
+    """The codewords in canonical order, with their packed strands.
+
+    After the shape check every codeword has M strands of one shape, so
+    two codewords are equal iff their packed strands are, and packed
+    order is the order of ``sorted(code)``.
+    """
     check_shape(*code, params=params)
-    if len(set(code)) != len(code):
+    by_bits = {packed(z): z for z in code}
+    if len(by_bits) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
-    return tuple(sorted(code))
+    bits = sorted(by_bits)
+    return tuple(by_bits[b] for b in bits), bits
 
 
 def _regime_tag(test: PairTest, flags: Sequence[Flags]) -> RegimeTag:

@@ -6,6 +6,11 @@ declares parameters (command-line flags override it).  Every other
 non-blank line is a binary string: a message file holds one strand per
 line, a code file separates messages with one blank line, and a pool
 file lists one read per line with repeats expressing multiplicity.
+
+``read_blocks`` is where a token's characters and length are checked:
+a block at a time, with the file's line of the first bad token in the
+error.  The count, duplicate-strand and duplicate-index checks of a
+message run later, on packed ints, in ``model``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .model import (
     Message,
     Strand,
     SystemParams,
+    _is_bits,
     bits_to_string,
     check_bits,
     int_from_string,
@@ -85,53 +91,88 @@ def merge_headers(
 
 def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
     """Parse a file into its header and blank-line-separated blocks of
-    binary strings."""
+    binary strings.
+
+    The line loop only sorts lines into blank, comment, directive and
+    token lines.  Tokens are checked a block at a time (0/1 only, one
+    length in the whole file), when the block ends and before the next
+    directive is parsed.  When a block fails, the lines are read again
+    one by one for the first bad token, so each error names its line and
+    errors come in line order.
+    """
     name = str(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise FileFormatError(f"cannot read file: {e.strerror or e}", path=name)
+    lines = text.splitlines()
     header: dict[str, ParamValue] = {}
     blocks: list[Block] = []
     current: Block = []
     token_len: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if line.startswith("#"):
-            continue
         if not line:
             if current:
+                token_len = _check_tokens(current, token_len, lines, name)
                 blocks.append(current)
                 current = []
+        elif line[0] == "#":
             continue
-        if line.startswith("%"):
+        elif line[0] == "%":
+            if current:
+                token_len = _check_tokens(current, token_len, lines, name)
             if not (line == "%params" or line.startswith("%params ")):
                 raise FileFormatError(
                     f"unknown directive {line.split()[0]!r}", path=name, line=lineno
                 )
             items = parse_param_items(line[len("%params"):], path=name, line=lineno)
             header = merge_headers(header, items, where=f"{name}:{lineno}: ")
-            continue
-        try:
-            check_bits(line)
-        except ValidationError as e:
-            raise FileFormatError(str(e), path=name, line=lineno) from None
-        if token_len is None:
-            token_len = len(line)
-        elif len(line) != token_len:
-            raise FileFormatError(
-                f"length {len(line)} differs from {token_len} used above",
-                path=name,
-                line=lineno,
-            )
-        current.append(line)
+        else:
+            current.append(line)
     if current:
+        token_len = _check_tokens(current, token_len, lines, name)
         blocks.append(current)
     if token_len is not None and header.get("L", token_len) != token_len:
         raise FileFormatError(
             f"lines have length {token_len} but the header says L={header['L']}", path=name
         )
     return header, blocks
+
+
+def _check_tokens(block: Block, token_len: Optional[int], lines: list[str], name: str) -> int:
+    """The file's token length, after checking that every token of
+    ``block`` is a 0/1 string of that length (the first token's when no
+    block came before)."""
+    if token_len is None:
+        token_len = len(block[0])
+    if not (_is_bits("".join(block)) and set(map(len, block)) == {token_len}):
+        raise _first_bad_token(lines, name)
+    return token_len
+
+
+def _first_bad_token(lines: list[str], name: str) -> FileFormatError:
+    """The error of the file's first token line that is not a 0/1 string
+    of the first token's length, with its line; called only when a block
+    holds such a line, so one is found."""
+    token_len: Optional[int] = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        try:
+            check_bits(line)
+        except ValidationError as e:
+            return FileFormatError(str(e), path=name, line=lineno)
+        if token_len is None:
+            token_len = len(line)
+        elif len(line) != token_len:
+            return FileFormatError(
+                f"length {len(line)} differs from {token_len} used above",
+                path=name,
+                line=lineno,
+            )
+    raise AssertionError("a block failed its check, so some token line is bad")
 
 
 def read_message_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block]:

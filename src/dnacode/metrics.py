@@ -32,7 +32,7 @@ import math
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
-from .matching import bottleneck_bijection, has_bijection_within
+from .matching import bottleneck_bijection, has_bijection_within, packed
 from .model import Message, Strand, check_shape, index_groups, split_popcount
 
 
@@ -104,7 +104,9 @@ def min_dna_distance(
     """
     if len(code) < 2:
         raise TooFewCodewords(f"need at least 2 codewords, got {len(code)}")
-    if len(set(code)) != len(code):
+    # this check comes before the shape check, so its key holds the shape:
+    # equal packed strands of two shapes are two distinct codewords
+    if len({(z.length, z.index_len, packed(z)) for z in code}) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
     check_shape(*code)
     groups = [index_groups(z) for z in code]

@@ -11,6 +11,19 @@ verification never needs them.
 ``tau`` is kept as an exact :class:`fractions.Fraction` so the per-strand
 corruption budget ``floor(tau*K)`` never suffers float rounding at regime
 boundaries such as tau*K == K/2.
+
+Each input is checked once, where the check is cheapest.  File tokens
+are checked by ``io.read_blocks`` (0/1 only, one length per file).
+Messages are built from packed ints by one private builder,
+``_message_from_packed``: it runs the count, duplicate-strand and
+duplicate-index checks on the ints and creates the strand and message
+objects without checking each again.  ``validate_message`` (after its
+per-item length and bit-string checks) and the CLI's reader of
+parameter-less message files (after one strand-shape check per block)
+build through it, and so do the strands of ``enumerate_space``, which
+shares them among its messages.  The public ``Strand`` and ``Message``
+constructors keep all their checks; ``Message`` runs the builder's
+int-level checks after its shape check.
 """
 
 from __future__ import annotations
@@ -37,13 +50,18 @@ MAX_STRAND_LEN = 64
 DEFAULT_SPACE_CAP = 10_000_000
 
 
+def _is_bits(s: str) -> bool:
+    """Whether ``s`` holds no character other than 0 and 1."""
+    return not s.strip("01")
+
+
 def check_bits(s: str) -> None:
     """Reject a string with any character other than 0 and 1.
 
     ``int(s, 2)`` alone would also take a sign, surrounding whitespace,
     underscores, a ``0b`` prefix and non-ASCII digits.
     """
-    if s.strip("01"):
+    if not _is_bits(s):
         raise ValidationError(f"bit string may contain only 0 and 1, got {s!r}")
 
 
@@ -110,6 +128,16 @@ def _flip_masks(width: int, radius: int) -> tuple[int, ...]:
     )
 
 
+def _check_strand_shape(length: int, index_len: int) -> None:
+    """Require 0 < index_len < length <= MAX_STRAND_LEN."""
+    if not 0 < index_len < length:
+        raise ValidationError(
+            f"need 0 < index_len < length, got index_len={index_len}, length={length}"
+        )
+    if length > MAX_STRAND_LEN:
+        raise ValidationError(f"strand length {length} exceeds {MAX_STRAND_LEN}")
+
+
 @dataclass(frozen=True, order=True)
 class Strand:
     """A length-``length`` bit vector with an ``index_len``-bit index prefix."""
@@ -119,12 +147,7 @@ class Strand:
     index_len: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.index_len < self.length:
-            raise ValidationError(
-                f"need 0 < index_len < length, got index_len={self.index_len}, length={self.length}"
-            )
-        if self.length > MAX_STRAND_LEN:
-            raise ValidationError(f"strand length {self.length} exceeds {MAX_STRAND_LEN}")
+        _check_strand_shape(self.length, self.index_len)
         if not 0 <= self.bits < (1 << self.length):
             raise WrongLength(f"bit value {self.bits} does not fit in {self.length} bits")
 
@@ -176,22 +199,7 @@ class Message:
                     f"strand {s} has shape ({s.length},{s.index_len}), "
                     f"expected ({first.length},{first.index_len})"
                 )
-        # every repeated strand is reported before any shared index field
-        seen: set[int] = set()
-        for s in given:
-            if s.bits in seen:
-                raise DuplicateStrand(f"strand {s} appears twice")
-            seen.add(s.bits)
-        data_len = first.data_len
-        by_index: dict[int, Strand] = {}
-        for s in ordered:
-            index = s.bits >> data_len
-            if index in by_index:
-                raise DuplicateIndex(
-                    f"strands {by_index[index]} and {s} share index field "
-                    f"{bits_to_string(index, s.index_len)}"
-                )
-            by_index[index] = s
+        _check_strand_values([s.bits for s in given], *shape)
 
     @property
     def m(self) -> int:
@@ -211,6 +219,66 @@ class Message:
 
     def __str__(self) -> str:
         return "{" + ",".join(str(s) for s in self.strands) + "}"
+
+
+def _check_strand_values(values: Sequence[int], length: int, index_len: int) -> list[int]:
+    """The packed values of one message's strands in canonical order,
+    after the checks every message passes: every repeated strand is
+    reported, the first repeat in the given order, before any shared
+    index field, the first pair in canonical order."""
+    ordered = sorted(values)
+    if len(set(ordered)) != len(ordered):
+        seen: set[int] = set()
+        for v in values:
+            if v in seen:
+                raise DuplicateStrand(f"strand {bits_to_string(v, length)} appears twice")
+            seen.add(v)
+    data_len = length - index_len
+    if len({v >> data_len for v in ordered}) != len(ordered):
+        # equal index fields sit next to each other in packed order
+        for a, b in zip(ordered, ordered[1:]):
+            if a >> data_len == b >> data_len:
+                raise DuplicateIndex(
+                    f"strands {bits_to_string(a, length)} and {bits_to_string(b, length)} "
+                    f"share index field {bits_to_string(a >> data_len, index_len)}"
+                )
+    return ordered
+
+
+def _message_from_packed(
+    values: Sequence[int], length: int, index_len: int, m: int | None = None
+) -> Message:
+    """The message of these packed strand values, for a caller that has
+    checked 0 < index_len < length <= MAX_STRAND_LEN and that each value
+    fits in ``length`` bits.
+
+    With ``m``, a count other than m raises WrongCount first; then come
+    the checks of :class:`Message`, on the ints.  The strands and the
+    message are then created without checking each object again.
+    """
+    if m is not None and len(values) != m:
+        raise WrongCount(f"expected {m} strands, got {len(values)}")
+    if not values:
+        raise WrongCount("a message needs at least one strand")
+    # each strand's fields are set one at a time, as the dataclass
+    # __init__ sets them: touching __dict__ instead would slow every later
+    # attribute read of the object
+    new, put = object.__new__, object.__setattr__
+    strands = []
+    for v in _check_strand_values(values, length, index_len):
+        s = new(Strand)
+        put(s, "bits", v)
+        put(s, "length", length)
+        put(s, "index_len", index_len)
+        strands.append(s)
+    return _unchecked_message(tuple(strands))
+
+
+def _unchecked_message(strands: tuple[Strand, ...]) -> Message:
+    """A Message of strands that are checked and in canonical order."""
+    msg = object.__new__(Message)
+    object.__setattr__(msg, "strands", strands)
+    return msg
 
 
 @dataclass(frozen=True)
@@ -234,7 +302,10 @@ class ReadPool:
     def from_reads(cls, reads: Iterable[int | str], length: int) -> "ReadPool":
         """The pool of the given reads, each an int or a binary string of
         ``length`` characters.  Each distinct token is parsed once, in the
-        order it first appears, so the first bad token raises."""
+        order it first appears, so the first bad token raises; an int out
+        of range raises after every string has been read, as the
+        constructor would raise it.  The counts are merged here, so the
+        pool is made without the constructor's second merge."""
         counts: dict[int, int] = {}
         for r, n in Counter(reads).items():
             if isinstance(r, str):
@@ -244,7 +315,13 @@ class ReadPool:
             else:
                 v = r
             counts[v] = counts.get(v, 0) + n
-        return cls(length, tuple(counts.items()))
+        for v in counts:
+            if not 0 <= v < (1 << length):
+                raise WrongLength(f"read {v} does not fit in {length} bits")
+        pool = object.__new__(cls)
+        object.__setattr__(pool, "length", length)
+        object.__setattr__(pool, "entries", tuple(sorted(counts.items())))
+        return pool
 
     @property
     def size(self) -> int:
@@ -379,23 +456,36 @@ RawStrand = Union[int, str, Strand]
 def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
     """Canonicalize ``raw`` into a message of exactly ``params.m`` strands.
 
-    Raises WrongLength / WrongCount / DuplicateStrand / DuplicateIndex in
-    that order of precedence; the last two come from :class:`Message`.
+    Each item in turn raises WrongLength (or, for a string, the bit-string
+    error); then come WrongCount / DuplicateStrand / DuplicateIndex, in
+    that order of precedence, from the packed values.
     """
-    strands: list[Strand] = []
+    length, index_len = params.length, params.index_len
+    if (
+        all(isinstance(item, str) for item in raw)
+        and set(map(len, raw)) <= {length}
+        and _is_bits("".join(raw))
+    ):
+        # every item would pass the checks below: pack them all at once
+        return _message_from_packed([int(item, 2) for item in raw], length, index_len, params.m)
+    values: list[int] = []
     for item in raw:
-        if isinstance(item, Strand):
-            if item.length != params.length or item.index_len != params.index_len:
+        if isinstance(item, str):
+            if len(item) != length:
+                raise WrongLength(f"strand {item!r} has length {len(item)}, expected {length}")
+            values.append(bits_from_string(item))
+        elif isinstance(item, Strand):
+            if item.length != length or item.index_len != index_len:
                 raise WrongLength(
                     f"strand {item} has shape ({item.length},{item.index_len}), "
-                    f"expected ({params.length},{params.index_len})"
+                    f"expected ({length},{index_len})"
                 )
-            strands.append(item)
+            values.append(item.bits)
+        elif 0 <= item < (1 << length):
+            values.append(item)
         else:
-            strands.append(params.strand(item))
-    if len(strands) != params.m:
-        raise WrongCount(f"expected {params.m} strands, got {len(strands)}")
-    return Message(tuple(strands))
+            raise WrongLength(f"bit value {item} does not fit in {length} bits")
+    return _message_from_packed(values, length, index_len, params.m)
 
 
 def index_groups(msg: Message) -> dict[int, list[int]]:
@@ -446,19 +536,24 @@ def enumerate_space(
     With ``restrict=(r1, r2)`` only messages of the restricted space pass.
     The (unfiltered) space size is checked against ``cap`` up front.
     Each index-field set builds its M columns of 2^(L-l) strands once,
-    and its messages are the product of those columns.
+    and its messages are the product of those columns, sharing the
+    strand objects.
     """
     count = space_size(params)
     if count > cap:
         raise SpaceTooLarge(count, cap, what="message space")
-    length, index_len = params.length, params.index_len
-    data_values = range(1 << params.data_len)
+    length, index_len, data_len = params.length, params.index_len, params.data_len
+    data_values = range(1 << data_len)
     for index_combo in combinations(range(1 << index_len), params.m):
-        columns = [
-            [Strand.from_fields(ind, dat, length, index_len) for dat in data_values]
-            for ind in index_combo
+        # row d, the message of the strands (i, d) for the set's index
+        # fields i, holds one strand of each column; the index fields are
+        # distinct and ascending, so every product of the columns is a
+        # message in canonical order that passes the builder's checks
+        rows = [
+            _message_from_packed([ind << data_len | dat for ind in index_combo], length, index_len)
+            for dat in data_values
         ]
-        for strands in product(*columns):
-            msg = Message(strands)
+        for strands in product(*zip(*(row.strands for row in rows))):
+            msg = _unchecked_message(strands)
             if restrict is None or in_restricted_space(msg, *restrict):
                 yield msg

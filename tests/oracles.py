@@ -15,7 +15,11 @@ decision itself.  ``reference_dna_distance`` finds each group's
 bottleneck by trying every threshold with a backtracking matching, which
 drops a partial bijection at its first pair beyond the threshold instead
 of enumerating every permutation as ``oracle_dna_distance`` does; it
-shares no code with ``dnacode.matching``.
+shares no code with ``dnacode.matching``.  The input references at the
+end build messages one checked ``Strand`` at a time and run the message
+checks on those objects, and read files one checked line at a time: the
+per-object paths the library's packed-value builder and block checks
+replace.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ from dnacode.codec import (
     budget_bound,
     classify_regime,
 )
+from dnacode.errors import (
+    DuplicateIndex,
+    DuplicateStrand,
+    FileFormatError,
+    ShapeMismatch,
+    WrongCount,
+    WrongLength,
+)
+from dnacode.io import merge_headers, parse_param_items
 from dnacode.matching import BipartiteGraph, HallViolator
 from dnacode.model import (
     Message,
@@ -507,3 +520,127 @@ def random_same_ms_pair(rng: random.Random, params: SystemParams) -> tuple[Messa
         )
     )
     return z1, z2
+
+
+def reference_message(strands: Sequence[Strand]) -> Message:
+    """The message of these strands, after the checks run on the strand
+    objects: at least one strand, one shape, then every repeated strand
+    (first repeat in the given order) before any shared index field
+    (first pair in sorted order)."""
+    given = tuple(strands)
+    ordered = tuple(sorted(given))
+    if not ordered:
+        raise WrongCount("a message needs at least one strand")
+    first = ordered[0]
+    for s in ordered:
+        if (s.length, s.index_len) != (first.length, first.index_len):
+            raise ShapeMismatch(
+                f"strand {s} has shape ({s.length},{s.index_len}), "
+                f"expected ({first.length},{first.index_len})"
+            )
+    seen: set[int] = set()
+    for s in given:
+        if s.bits in seen:
+            raise DuplicateStrand(f"strand {s} appears twice")
+        seen.add(s.bits)
+    by_index: dict[int, Strand] = {}
+    for s in ordered:
+        index = s.bits >> first.data_len
+        if index in by_index:
+            raise DuplicateIndex(
+                f"strands {by_index[index]} and {s} share index field "
+                f"{format(index, f'0{s.index_len}b')}"
+            )
+        by_index[index] = s
+    return Message(given)
+
+
+def reference_validate_message(
+    raw: Sequence[Union[int, str, Strand]], params: SystemParams
+) -> Message:
+    """``validate_message`` one strand object at a time: each item through
+    ``params.strand`` (a Strand is shape-checked), the count, then
+    ``reference_message``."""
+    strands = []
+    for item in raw:
+        if isinstance(item, Strand):
+            if (item.length, item.index_len) != (params.length, params.index_len):
+                raise WrongLength(
+                    f"strand {item} has shape ({item.length},{item.index_len}), "
+                    f"expected ({params.length},{params.index_len})"
+                )
+            strands.append(item)
+        else:
+            strands.append(params.strand(item))
+    if len(strands) != params.m:
+        raise WrongCount(f"expected {params.m} strands, got {len(strands)}")
+    return reference_message(strands)
+
+
+def reference_bare_message(block: Sequence[str], index_len: int) -> Message:
+    """A message read without params, as ``distance`` and ``min-distance``
+    read their files: ``Strand.from_string`` per token."""
+    return reference_message([Strand.from_string(token, index_len) for token in block])
+
+
+def reference_enumerate_space(
+    params: SystemParams, restrict: Optional[tuple[int, int]] = None
+) -> Iterable[Message]:
+    """The enumeration order of ``enumerate_space`` with one Strand object
+    per column entry and ``reference_message`` per message."""
+    length, index_len = params.length, params.index_len
+    for combo in combinations(range(1 << index_len), params.m):
+        columns = [
+            [Strand.from_fields(i, d, length, index_len) for d in range(1 << params.data_len)]
+            for i in combo
+        ]
+        for strands in product(*columns):
+            msg = reference_message(strands)
+            if restrict is None or in_restricted_space(msg, *restrict):
+                yield msg
+
+
+def reference_read_blocks(path: str) -> tuple[dict, list[list[str]]]:
+    """``io.read_blocks`` checking each line as it comes: a bad token or
+    directive raises at its own line, so errors come in line order."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    header: dict = {}
+    blocks: list[list[str]] = []
+    current: list[str] = []
+    token_len = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if not line:
+            if current:
+                blocks.append(current)
+                current = []
+            continue
+        if line.startswith("%"):
+            if not (line == "%params" or line.startswith("%params ")):
+                raise FileFormatError(
+                    f"unknown directive {line.split()[0]!r}", path=path, line=lineno
+                )
+            items = parse_param_items(line[len("%params"):], path=path, line=lineno)
+            header = merge_headers(header, items, where=f"{path}:{lineno}: ")
+            continue
+        if set(line) - {"0", "1"}:
+            raise FileFormatError(
+                f"bit string may contain only 0 and 1, got {line!r}", path=path, line=lineno
+            )
+        if token_len is None:
+            token_len = len(line)
+        elif len(line) != token_len:
+            raise FileFormatError(
+                f"length {len(line)} differs from {token_len} used above", path=path, line=lineno
+            )
+        current.append(line)
+    if current:
+        blocks.append(current)
+    if token_len is not None and header.get("L", token_len) != token_len:
+        raise FileFormatError(
+            f"lines have length {token_len} but the header says L={header['L']}", path=path
+        )
+    return header, blocks

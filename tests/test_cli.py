@@ -1,5 +1,6 @@
 """Command-line interface: first-line protocol, exit codes, file flows."""
 
+import json
 import math
 import os
 import random
@@ -10,12 +11,19 @@ from pathlib import Path
 import pytest
 
 import dnacode
-from dnacode import sample_ball
+from dnacode import ValidationError, sample_ball
 from dnacode.cli import run
 from dnacode.io import code_lines, message_lines, params_header, pool_lines, write_text
 from dnacode.model import split_popcount
 
-from oracles import mk_params, oracle_min_dna_distance, random_message, reference_dna_distance
+from oracles import (
+    mk_params,
+    oracle_min_dna_distance,
+    random_message,
+    reference_dna_distance,
+    reference_read_blocks,
+)
+from test_io import bad_input_files
 from test_metrics import benchmark_shaped_code
 from test_search import CLI_IN_MODE
 
@@ -437,3 +445,70 @@ def test_parser_is_reused_across_calls_and_errors(capsys, good_code):
     assert "invalid choice: 'magic'" in err
     assert verify == (0, "CORRECTING\nregime: tau-one\n", "")
     assert search[0] == 0 and search[1].startswith("SIZE=2\n")
+
+
+CLI_RUNS_IN_MODE = """
+import contextlib, io, json, sys
+from dnacode.cli import run
+if __debug__ != (sys.argv[1] == "debug"):
+    raise SystemExit("wrong interpreter mode")
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_file_errors_name_the_line_a_per_line_reader_names_under_python_O(tmp_path):
+    """`member` and `verify` on pool and code files with one bad line
+    print the error of a reader that checks each line as it comes."""
+    message = write(tmp_path / "message.txt", "%params L=20,l=11\n" + "0" * 20 + "\n")
+    argvs, wants = [], []
+    for name, (kind, path) in bad_input_files(tmp_path).items():
+        with pytest.raises(ValidationError) as caught:
+            reference_read_blocks(path)
+        wants.append([2, "", f"error: {caught.value}\n"])
+        if kind == "pool":
+            argvs.append(["member", "--pool", path, "--message", message])
+        else:
+            argvs.append(["verify", "--code", path])
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for mode, flags in [("debug", []), ("optimized", ["-O"])]:
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", CLI_RUNS_IN_MODE, mode, json.dumps(argvs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == wants, mode
+
+
+@pytest.mark.parametrize("seed", ["1_000", " 7", "+4", "٣", "-3", "", "7.0"])
+def test_simulate_seed_is_a_non_negative_decimal_integer(capsys, tmp_path, seed):
+    # int() would take all of these, and Random(-3) draws what Random(3) does
+    msg = write(tmp_path / "m.txt", "%params M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0\n00\n")
+    out_file = tmp_path / "pool.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--message", msg, "--seed", seed, "--out", str(out_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(line.startswith("dnacode simulate: error:") and "--seed" in line
+               for line in captured.err.splitlines())
+    assert not out_file.exists()
+
+
+def test_simulate_accepts_seed_zero(capsys, tmp_path):
+    msg = write(tmp_path / "m.txt", "%params M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0\n00\n")
+    prov = tmp_path / "prov.txt"
+    code, out, _ = invoke(capsys, "simulate", "--message", msg, "--seed", "0",
+                          "--provenance", str(prov))
+    assert code == 0 and out.splitlines()[0].startswith("%params")
+    assert prov.read_text(encoding="utf-8").startswith("# seed=0 rng=mt19937\n")

@@ -32,9 +32,9 @@ from dnacode import (
 )
 from dnacode import matching
 from dnacode.cli import run
-from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON
+from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON, _validated_code
 from dnacode.io import code_lines, write_text
-from dnacode.metrics import pair_leq, split_distance
+from dnacode.metrics import min_dna_distance, pair_leq, split_distance
 
 from oracles import (
     message_of,
@@ -472,3 +472,57 @@ def test_cli_verify_output_is_the_same_with_lookup_and_scan_at_large_m(tmp_path,
     code, captured = looked_up
     assert code == 0 and captured.out.startswith("NOT_CORRECTING\n")
     assert "map: " in captured.out
+
+
+PRECEDENCE_PARAMS = mk_params(2, 3, 2, 2, 1, 1, 0)
+_Z = mk_message(2, "000", "110")
+_OTHER = {
+    "l": mk_message(1, "000", "110"),  # the same packed strands, l = 1
+    "M": mk_message(2, "000"),
+    "L": mk_message(2, "0000", "1100"),
+}
+_DUPLICATE = (DuplicateCodeword, "codewords must be pairwise distinct")
+
+
+def _shapes(a, b):
+    return ShapeMismatch, f"messages have shapes {a} and {b}"
+
+
+@pytest.mark.parametrize(
+    "code, by_distance, by_verifier",
+    [
+        ([_Z, _OTHER["l"], _Z], _DUPLICATE, _shapes("(M=2,L=3,l=2)", "(M=2,L=3,l=1)")),
+        ([mk_message(2, "001", "111"), _Z, _OTHER["M"], _Z], _DUPLICATE,
+         _shapes("(M=2,L=3,l=2)", "(M=1,L=3,l=2)")),
+        ([_Z, _Z, _OTHER["L"]], _DUPLICATE, _shapes("(M=2,L=3,l=2)", "(M=2,L=4,l=2)")),
+        ([_OTHER["l"], _Z, _OTHER["l"]], _DUPLICATE, _shapes("(M=2,L=3,l=1)", "(M=2,L=3,l=2)")),
+        # equal packed strands of two shapes are two codewords, not a repeat
+        ([_Z, _OTHER["l"]], *[_shapes("(M=2,L=3,l=2)", "(M=2,L=3,l=1)")] * 2),
+        ([_OTHER["L"], _OTHER["L"]], _DUPLICATE,
+         (ParamMismatch, "message shape (M=2,L=4,l=2) does not match params (M=2,L=3,l=2)")),
+    ],
+)
+def test_codeword_checks_keep_their_precedence(code, by_distance, by_verifier):
+    """min_dna_distance looks for a repeated codeword before it checks
+    shapes; the verifiers check shapes first."""
+    for check, want in [
+        (lambda: min_dna_distance(code), by_distance),
+        (lambda: is_dna_correcting(code, PRECEDENCE_PARAMS), by_verifier),
+        (lambda: is_dna_correcting_ed0(code, PRECEDENCE_PARAMS), by_verifier),
+    ]:
+        with pytest.raises(ValidationError) as caught:
+            check()
+        assert (type(caught.value), str(caught.value)) == want
+
+
+def test_validated_code_keeps_the_order_of_sorted_codewords():
+    rng = random.Random(3301)
+    for _ in range(200):
+        length = rng.randint(2, 10)
+        index_len = rng.randint(1, length - 1)
+        p = mk_params(rng.randint(1, min(4, 1 << index_len)), length, index_len, 2, 1, 1, 0)
+        code = list({random_message(rng, p) for _ in range(rng.randint(1, 30))})
+        rng.shuffle(code)
+        codewords, bits = _validated_code(code, p)
+        assert codewords == tuple(sorted(code))
+        assert bits == [matching.packed(z) for z in codewords]

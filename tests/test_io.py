@@ -1,5 +1,6 @@
 """Text formats: parameter headers, message/code/pool files."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from dnacode.io import (
 from dnacode.channel import sample_ball
 from dnacode.model import Message, Strand, tau_from_string
 
-from oracles import mk_message, mk_params
+from oracles import mk_message, mk_params, reference_read_blocks
 
 
 def test_parse_tau_accepts_one_and_fractions():
@@ -182,3 +183,69 @@ def test_write_text_ends_with_newline(tmp_path):
     path = tmp_path / "out.txt"
     write_text(path, ["a", "b"])
     assert path.read_text(encoding="utf-8") == "a\nb\n"
+
+
+def _pool_file_lines(rng):
+    """A 5,120-line pool file: a header and 5,119 reads of 20 bits."""
+    reads = [format(rng.randrange(1 << 20), "020b") for _ in range(5119)]
+    return ["%params M=512,L=20,l=11,K=10,tau=1/2,ei=1,ed=1", *reads]
+
+
+def _code_file_lines(rng):
+    """A code file of 150 blocks of 8 strands of 24 bits."""
+    lines = ["%params M=8,L=24,l=8,K=10,tau=1,ei=1,ed=1"]
+    for _ in range(150):
+        lines.append("")
+        lines += [format(rng.randrange(1 << 24), "024b") for _ in range(8)]
+    return lines
+
+
+BAD_LINES = {
+    "bad-character": lambda token: token[:3] + "x" + token[4:],
+    "ragged": lambda token: token + "1",
+    "bad-params": lambda token: "%params K=0_2",
+    "unknown-directive": lambda token: "%settings x=1",
+}
+
+
+def bad_input_files(tmp_path):
+    """Pool and code files, each with one bad line at its first, a middle
+    and its last line, plus the precedence cases; name -> (kind, path)."""
+    rng = random.Random(71)
+    files = {}
+    for kind, base in [("pool", _pool_file_lines(rng)), ("code", _code_file_lines(rng))]:
+        token = base[-1]
+        middle = len(base) // 2 + (base[len(base) // 2] == "")
+        for bad, spoil in BAD_LINES.items():
+            for where, at in [("first", 0), ("middle", middle), ("last", len(base) - 1)]:
+                lines = list(base)
+                lines[at] = spoil(token)
+                files[f"{kind}-{bad}-{where}"] = (kind, lines)
+        token_then_params = list(base)
+        token_then_params[middle] = BAD_LINES["bad-character"](token)
+        token_then_params[middle + 2] = BAD_LINES["bad-params"](token)
+        files[f"{kind}-token-before-params"] = (kind, token_then_params)
+        files[f"{kind}-header-length"] = (kind, [base[0].replace(",L=2", ",L=3"), *base[1:]])
+    out = {}
+    for name, (kind, lines) in files.items():
+        path = tmp_path / f"{name}.txt"
+        write_text(path, lines)
+        out[name] = (kind, str(path))
+    return out
+
+
+def _error(read, path):
+    with pytest.raises(ValidationError) as caught:
+        read(path)
+    e = caught.value
+    return type(e), str(e), getattr(e, "line", None)
+
+
+def test_read_blocks_reports_the_line_a_per_line_reader_reports(tmp_path):
+    files = bad_input_files(tmp_path)
+    assert len(files) == 2 * (4 * 3 + 2)
+    for name, (kind, path) in files.items():
+        read = read_pool_file if kind == "pool" else read_code_file
+        want = _error(reference_read_blocks, path)
+        assert _error(read, path) == want, name
+        assert want[0] is FileFormatError, name

@@ -34,10 +34,18 @@ from dnacode import (
     space_size,
     validate_message,
 )
-from dnacode import model
+from dnacode import cli, model
 from dnacode.model import bits_from_string, bits_to_string, flip_positions
 
-from oracles import mk_message, mk_params, random_message, reference_space
+from oracles import (
+    mk_message,
+    mk_params,
+    random_message,
+    reference_bare_message,
+    reference_enumerate_space,
+    reference_space,
+    reference_validate_message,
+)
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=16)
 
@@ -364,3 +372,141 @@ def test_random_message_generator_produces_valid_messages():
     for _ in range(50):
         z = random_message(rng, p)
         assert z.m == 3 and z.length == 5 and z.index_len == 2
+
+
+def _outcome(build, *args):
+    """What a constructor gives: the message, or its error as (class, text)."""
+    try:
+        return build(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _assert_same_outcomes(got, want, case):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert g == w, case
+            continue
+        assert isinstance(g, Message), case
+        assert g == w and hash(g) == hash(w) and str(g) == str(w), case
+        assert all(type(s) is Strand for s in g.strands)
+        assert [vars(s) for s in g.strands] == [vars(s) for s in w.strands]
+    made = [(g, w) for g, w in zip(got, want) if isinstance(w, Message)]
+    for (g1, w1), (g2, w2) in zip(made, made[1:]):
+        assert (g1 < g2, g2 < g1) == (w1 < w2, w2 < w1), case
+
+
+_MALFORMED = (
+    "valid", "bad-character", "wrong-length", "int-out-of-range", "other-shape",
+    "wrong-count", "duplicate-strand", "duplicate-index", "duplicate-both",
+)
+
+
+def _raw_strands(rng, p, kind):
+    """M strand items (strings, ints and Strands mixed) of a valid message,
+    then spoiled as ``kind`` names."""
+    indices = rng.sample(range(1 << p.index_len), p.m)
+    values = [(i << p.data_len) | rng.randrange(1 << p.data_len) for i in indices]
+    if kind in ("duplicate-index", "duplicate-both"):
+        values.append(values[0] ^ 1)
+    if kind in ("duplicate-strand", "duplicate-both"):
+        values.insert(rng.randrange(len(values) + 1), rng.choice(values))
+    if kind == "wrong-count":
+        values = values[:-1] if rng.random() < 0.5 else values + [values[0] ^ 1 << p.data_len]
+    forms = [
+        lambda v: bits_to_string(v, p.length),
+        lambda v: v,
+        lambda v: Strand(v, p.length, p.index_len),
+    ]
+    raw = [rng.choice(forms)(v) for v in values]
+    at = rng.randrange(len(raw)) if raw else 0
+    text = bits_to_string(values[at], p.length) if raw else ""
+    if kind == "bad-character":
+        pos = rng.randrange(p.length)
+        raw[at] = text[:pos] + rng.choice("2x b١") + text[pos + 1:]
+    elif kind == "wrong-length":
+        raw[at] = text + "0" if rng.random() < 0.5 else text[1:]
+    elif kind == "int-out-of-range":
+        raw[at] = rng.choice([-1, 1 << p.length, (1 << p.length) + values[at]])
+    elif kind == "other-shape":
+        shapes = [(p.length + 1, p.index_len)]
+        if p.index_len + 1 < p.length:
+            shapes.append((p.length, p.index_len + 1))
+        raw[at] = Strand(values[at], *rng.choice(shapes))
+    return raw
+
+
+def test_validate_message_matches_the_per_strand_reference():
+    rng = random.Random(1701)
+    got, want = [], []
+    for _ in range(600):
+        length = rng.randint(2, 12)
+        index_len = rng.randint(1, length - 1)
+        m = rng.randint(1, min(5, 1 << index_len))
+        p = mk_params(m, length, index_len, 2, 1, 0, 0)
+        kind = rng.choice(_MALFORMED)
+        raw = _raw_strands(rng, p, kind)
+        if kind != "wrong-count" and len(raw) != m:
+            # a repeat adds an item: the params expect it, so the count holds
+            if len(raw) > 1 << index_len:
+                continue
+            p = mk_params(len(raw), length, index_len, 2, 1, 0, 0)
+        got.append(_outcome(validate_message, raw, p))
+        want.append(_outcome(reference_validate_message, raw, p))
+        _assert_same_outcomes(got[-1:], want[-1:], (kind, raw, p))
+    raised = {w[0] for w in want if isinstance(w, tuple)}
+    assert raised == {ValidationError, WrongLength, WrongCount, DuplicateStrand, DuplicateIndex}
+    _assert_same_outcomes(got, want, "order")
+
+
+def test_cli_message_inputs_match_the_per_strand_reference():
+    """The blocks `verify` (through validate_message) and `distance` /
+    `min-distance` (without params) read: 0/1 tokens of one length, as
+    io.read_blocks passes them on."""
+    rng = random.Random(1702)
+    cases = 0
+    for _ in range(600):
+        length = rng.choice([2, 3, 5, 8, 16, 24, 64, 65, 70])
+        index_len = rng.choice([0, 1, 2, length - 1, length, length + 1, rng.randint(1, 9)])
+        m = rng.randint(1, 6)
+        block = [format(rng.randrange(1 << length), f"0{length}b") for _ in range(m)]
+        kind = rng.choice(["valid", "duplicate-strand", "duplicate-index", "duplicate-both"])
+        if kind in ("duplicate-strand", "duplicate-both"):
+            block.insert(rng.randrange(m + 1), rng.choice(block))
+        if kind in ("duplicate-index", "duplicate-both"):
+            block.append(block[0][:-1] + ("1" if block[0][-1] == "0" else "0"))
+        want = _outcome(reference_bare_message, block, index_len)
+        _assert_same_outcomes([_outcome(cli._bare_message, block, index_len)], [want], block)
+        if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
+            p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
+            _assert_same_outcomes(
+                [_outcome(cli._message, block, p)],
+                [_outcome(reference_validate_message, block, p)],
+                block,
+            )
+            cases += 1
+    assert cases > 100
+
+
+# the spaces the acceptance suite enumerates, then the two that the
+# benchmark's small-space search enumerates
+SMALL_SPACES = [
+    (mk_params(m, length, index_len, 2, 1, 0, 0), None)
+    for m, length, index_len in [(1, 2, 1), (2, 3, 2), (2, 3, 1)]
+] + [
+    (mk_params(1, 2, 1, 2, "1", 1, 0), None),
+    (mk_params(1, 3, 1, 2, "1", 1, 1), None),
+    (mk_params(1, 3, 2, 2, "1/2", 1, 1), None),
+    (mk_params(2, 3, 2, 2, "1", 1, 0), (2, 0)),
+    (mk_params(2, 3, 2, 2, "1/2", 1, 0), (2, 0)),
+    (mk_params(3, 4, 2, 4, "3/4", 1, 0), None),
+    (mk_params(2, 4, 3, 2, "1", 1, 0), (2, 0)),
+]
+
+
+@pytest.mark.parametrize("params, restrict", SMALL_SPACES)
+def test_enumerate_space_matches_the_per_strand_reference(params, restrict):
+    got = list(enumerate_space(params, restrict))
+    want = list(reference_enumerate_space(params, restrict))
+    _assert_same_outcomes(got, want, (params, restrict))
