@@ -20,10 +20,11 @@ duplicate-index checks on the ints and creates the strand and message
 objects without checking each again.  ``validate_message`` (after its
 per-item length and bit-string checks) and the CLI's reader of
 parameter-less message files (after one strand-shape check per block)
-build through it, and so do the strands of ``enumerate_space``, which
-shares them among its messages.  The public ``Strand`` and ``Message``
-constructors keep all their checks; ``Message`` runs the builder's
-int-level checks after its shape check.
+build through it.  ``enumerate_space``, whose index fields are distinct
+by construction, makes its strands with the builder's unchecked
+``_strand`` and shares them among its messages.  The public ``Strand``
+and ``Message`` constructors keep all their checks; ``Message`` runs
+the builder's int-level checks after its shape check.
 """
 
 from __future__ import annotations
@@ -260,18 +261,21 @@ def _message_from_packed(
         raise WrongCount(f"expected {m} strands, got {len(values)}")
     if not values:
         raise WrongCount("a message needs at least one strand")
-    # each strand's fields are set one at a time, as the dataclass
-    # __init__ sets them: touching __dict__ instead would slow every later
-    # attribute read of the object
-    new, put = object.__new__, object.__setattr__
-    strands = []
-    for v in _check_strand_values(values, length, index_len):
-        s = new(Strand)
-        put(s, "bits", v)
-        put(s, "length", length)
-        put(s, "index_len", index_len)
-        strands.append(s)
-    return _unchecked_message(tuple(strands))
+    return _unchecked_message(
+        tuple(_strand(v, length, index_len) for v in _check_strand_values(values, length, index_len))
+    )
+
+
+def _strand(bits: int, length: int, index_len: int) -> Strand:
+    """A Strand of a checked shape and value, made without checking it again."""
+    s = object.__new__(Strand)
+    # the fields are set one at a time, as the dataclass __init__ sets
+    # them: touching __dict__ instead would slow every later attribute
+    # read of the object
+    object.__setattr__(s, "bits", bits)
+    object.__setattr__(s, "length", length)
+    object.__setattr__(s, "index_len", index_len)
+    return s
 
 
 def _unchecked_message(strands: tuple[Strand, ...]) -> Message:
@@ -279,6 +283,12 @@ def _unchecked_message(strands: tuple[Strand, ...]) -> Message:
     msg = object.__new__(Message)
     object.__setattr__(msg, "strands", strands)
     return msg
+
+
+def _check_read(value: int, length: int) -> None:
+    """Require a read value to fit in ``length`` bits."""
+    if not 0 <= value < (1 << length):
+        raise WrongLength(f"read {value} does not fit in {length} bits")
 
 
 @dataclass(frozen=True)
@@ -293,8 +303,7 @@ class ReadPool:
         for value, count in self.entries:
             if count <= 0:
                 raise ValidationError(f"read multiplicity must be positive, got {count}")
-            if not 0 <= value < (1 << self.length):
-                raise WrongLength(f"read {value} does not fit in {self.length} bits")
+            _check_read(value, self.length)
             norm[value] = norm.get(value, 0) + count
         object.__setattr__(self, "entries", tuple(sorted(norm.items())))
 
@@ -307,6 +316,7 @@ class ReadPool:
         constructor would raise it.  The counts are merged here, so the
         pool is made without the constructor's second merge."""
         counts: dict[int, int] = {}
+        ints: list[int] = []
         for r, n in Counter(reads).items():
             if isinstance(r, str):
                 v = bits_from_string(r)
@@ -314,10 +324,10 @@ class ReadPool:
                     raise WrongLength(f"read {r!r} has length {len(r)}, expected {length}")
             else:
                 v = r
+                ints.append(v)
             counts[v] = counts.get(v, 0) + n
-        for v in counts:
-            if not 0 <= v < (1 << length):
-                raise WrongLength(f"read {v} does not fit in {length} bits")
+        for v in ints:  # a string's value fits by its length
+            _check_read(v, length)
         pool = object.__new__(cls)
         object.__setattr__(pool, "length", length)
         object.__setattr__(pool, "entries", tuple(sorted(counts.items())))
@@ -461,13 +471,6 @@ def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
     that order of precedence, from the packed values.
     """
     length, index_len = params.length, params.index_len
-    if (
-        all(isinstance(item, str) for item in raw)
-        and set(map(len, raw)) <= {length}
-        and _is_bits("".join(raw))
-    ):
-        # every item would pass the checks below: pack them all at once
-        return _message_from_packed([int(item, 2) for item in raw], length, index_len, params.m)
     values: list[int] = []
     for item in raw:
         if isinstance(item, str):
@@ -545,15 +548,13 @@ def enumerate_space(
     length, index_len, data_len = params.length, params.index_len, params.data_len
     data_values = range(1 << data_len)
     for index_combo in combinations(range(1 << index_len), params.m):
-        # row d, the message of the strands (i, d) for the set's index
-        # fields i, holds one strand of each column; the index fields are
-        # distinct and ascending, so every product of the columns is a
-        # message in canonical order that passes the builder's checks
-        rows = [
-            _message_from_packed([ind << data_len | dat for ind in index_combo], length, index_len)
-            for dat in data_values
+        # the index fields are distinct and ascending, so every product of
+        # the columns is a message in canonical order
+        columns = [
+            [_strand(ind << data_len | dat, length, index_len) for dat in data_values]
+            for ind in index_combo
         ]
-        for strands in product(*zip(*(row.strands for row in rows))):
+        for strands in product(*columns):
             msg = _unchecked_message(strands)
             if restrict is None or in_restricted_space(msg, *restrict):
                 yield msg

@@ -150,6 +150,13 @@ def test_validate_message_error_precedence():
         Message(tuple(Strand.from_string(s, 2) for s in both))
 
 
+def test_validate_message_takes_a_one_shot_iterable():
+    p = mk_params(2, 3, 2, 2, 1, 1, 1)
+    assert validate_message(iter(["010", "000"]), p) == validate_message(["010", "000"], p)
+    with pytest.raises(WrongLength, match="'0000'"):
+        validate_message(iter(["000", "0000"]), p)
+
+
 SHAPE_PARAMS = mk_params(2, 3, 2, 2, 1, 1, 0)
 SHAPE_POOL = ReadPool.from_reads(["000", "000", "110", "110"], 3)
 SHAPE_CALLS = {
@@ -238,6 +245,18 @@ def test_read_pool_merges_ints_and_strings_in_sorted_entries():
     pool = ReadPool.from_reads(["11", 1, "01", 3, 0, "01", "10"], 2)
     assert pool.entries == ((0, 1), (1, 3), (2, 1), (3, 2))
     assert pool == ReadPool.from_reads([3, 3, 2, 1, 1, 1, 0], 2)
+
+
+def test_read_pool_raises_an_int_out_of_range_as_the_constructor_does():
+    for reads in ([7, "01"], ["01", 2, 7, -1], [-1, 4, "11"], ["10", 4, 4]):
+        with pytest.raises(WrongLength) as want:
+            ReadPool(2, tuple((r if isinstance(r, int) else int(r, 2), 1) for r in reads))
+        with pytest.raises(WrongLength) as got:
+            ReadPool.from_reads(reads, 2)
+        assert str(got.value) == str(want.value), reads
+    # every string is parsed before an int is range-checked
+    with pytest.raises(ValidationError, match="only 0 and 1"):
+        ReadPool.from_reads([7, "0x"], 2)
 
 
 def test_system_params_validation():
