@@ -32,14 +32,21 @@ lies in the ball.
 The partial pool is held in the source capacities of one
 read-assignment network per message (``matching._read_network``, the
 builder ``in_ball`` uses too), built once over the read universe at the
-full strand capacities, with no read peeled off.  Adding
-a read raises one source capacity by 1, and ``_Dinic.max_flow`` then
-looks for the one extra unit on the residual network left by the
-prefix; a step that finds none on either network is undone by restoring
-the residual capacities saved at its depth.  The walk keeps an explicit
-stack, so a pool of thousands of reads needs no recursion.  A full pool
-both flows accept is confirmed with ``in_ball`` against both messages
-before the oracle answers True.
+full strand capacities, with no read peeled off.  One ``max_flow`` places
+the forced base; from then on, at every accepted depth, both networks
+carry a maximum flow that saturates every source edge.  Adding read i
+raises its source capacity by 1, which raises the max flow by at most 1,
+and by exactly 1 iff the residual network has a path from read node i to
+the sink: the source is a dead end, since its other edges are saturated
+(Ford & Fulkerson 1956).  So a step is one ``_Dinic.augment`` per
+network, which pushes the unit along such a path or changes nothing.  A
+step that net2 rejects undoes net1's path, and a backtrack undoes the
+two paths of the depth it pops.  Undo is LIFO: each path taken back is
+the last one still pushed on its network, so every residual capacity
+returns exactly to its value before that push.  The walk keeps an
+explicit stack, so a pool of thousands of reads needs no recursion.  A
+full pool both flows accept is confirmed with ``in_ball`` against both
+messages before the oracle answers True.
 """
 
 from __future__ import annotations
@@ -207,27 +214,32 @@ def oracle_balls_intersect(
         return False
 
     # the multisets in combinations_with_replacement order, one read a
-    # step; saved[d] holds the residual capacities at depth d
-    edges = [e for net in (net1, net2) for row in net.adj for e in row]
-    saved = [[e[1] for e in edges]]
+    # step; paths[d] holds the two augmenting paths of the read at depth d
+    paths: list[tuple[list[list[int]], list[list[int]]]] = []
     picks: list[int] = []
     i = 0
     while len(picks) < remaining:
         if i < len(universe):
             src1[i][1] += 1
             src2[i][1] += 1
-            if net1.max_flow(0, sink1) and net2.max_flow(0, sink2):
-                picks.append(i)
-                saved.append([e[1] for e in edges])
-                continue
-            i += 1
+            path1 = net1.augment(src1[i], sink1)
+            if path1 is not None:
+                path2 = net2.augment(src2[i], sink2)
+                if path2 is not None:
+                    picks.append(i)
+                    paths.append((path1, path2))
+                    continue
+                net1.undo(path1)
         elif picks:
-            saved.pop()
-            i = picks.pop() + 1
+            path1, path2 = paths.pop()
+            net1.undo(path1)
+            net2.undo(path2)
+            i = picks.pop()
         else:
             return False
-        for e, c in zip(edges, saved[-1]):
-            e[1] = c
+        src1[i][1] -= 1
+        src2[i][1] -= 1
+        i += 1
 
     candidate = base + Counter(universe[j] for j in picks)
     pool = ReadPool(params.length, tuple(candidate.items()))

@@ -70,6 +70,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
+def _int_argument(s: str) -> int:
+    """``int_from_string`` as an argparse type: argparse prints an
+    ArgumentTypeError's own text, where for any other error it names the
+    type function."""
+    try:
+        return int_from_string(s)
+    except ValidationError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -125,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument(
         "--cap",
-        type=int_from_string,
+        type=_int_argument,
         default=DEFAULT_SPACE_CAP,
         help=f"candidate-pool enumeration cap (default {DEFAULT_SPACE_CAP})",
     )
@@ -135,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common], help="sample one read pool from a message's error ball"
     )
     p.add_argument("--message", required=True)
-    p.add_argument("--seed", required=True, type=int_from_string)
+    p.add_argument("--seed", required=True, type=_int_argument)
     p.add_argument("--out", help="write the pool file here instead of stdout")
     p.add_argument("--provenance", help="write a per-read provenance sidecar here")
     p.set_defaults(handler=_cmd_simulate)
@@ -160,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", help="append a CSV summary row here")
     p.add_argument(
         "--cap",
-        type=int_from_string,
+        type=_int_argument,
         default=DEFAULT_SPACE_CAP,
         help=f"message-space enumeration cap (default {DEFAULT_SPACE_CAP})",
     )

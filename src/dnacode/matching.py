@@ -591,7 +591,17 @@ _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 
 class _Dinic:
-    """Integer max flow; edges stored as [to, residual capacity, reverse index]."""
+    """Integer max flow; edges stored as [to, residual capacity, reverse index].
+
+    ``max_flow`` runs Dinic's algorithm from the current residual
+    capacities.  ``augment`` and ``undo`` serve a caller that grows a
+    maximum flow one unit at a time and takes units back in LIFO order:
+    once the flow is maximum, raising one source edge by 1 raises the max
+    flow by at most 1, and by exactly 1 iff a residual path leads from
+    that edge's head to the sink without re-entering the source (Ford &
+    Fulkerson 1956: a simple augmenting path leaves the source once, and
+    only the raised edge can carry it out).
+    """
 
     def __init__(self, n: int) -> None:
         self.adj: list[list[list[int]]] = [[] for _ in range(n)]
@@ -648,3 +658,43 @@ class _Dinic:
                     nodes.pop()
                     path.pop()
                     iters[nodes[-1]] += 1
+
+    def augment(self, e: list[int], t: int) -> list[list[int]] | None:
+        """Push one unit through edge ``e``, which must have residual
+        capacity, and on along a residual path from its head to ``t``
+        that avoids its tail.  The path is found by depth-first search
+        with an explicit stack, as it can be as long as the network.
+        Returns the path's edges, ``e`` first, or None with nothing
+        changed when there is no such path."""
+        adj = self.adj
+        head = e[0]
+        seen = bytearray(len(adj))
+        seen[adj[head][e[2]][0]] = seen[head] = 1
+        # path[k] enters the node whose unscanned edges are stack[k]
+        path = [e]
+        stack = [iter(adj[head])]
+        while stack:
+            for f in stack[-1]:
+                if f[1] > 0 and not seen[f[0]]:
+                    path.append(f)
+                    if f[0] == t:
+                        for g in path:
+                            g[1] -= 1
+                            adj[g[0]][g[2]][1] += 1
+                        return path
+                    seen[f[0]] = 1
+                    stack.append(iter(adj[f[0]]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+        return None
+
+    def undo(self, path: list[list[int]]) -> None:
+        """Take back the unit ``augment`` pushed along ``path``.  Undone in
+        the reverse order of their pushes, paths return every residual
+        capacity exactly to its earlier value."""
+        adj = self.adj
+        for f in path:
+            f[1] += 1
+            adj[f[0]][f[2]][1] -= 1

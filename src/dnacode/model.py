@@ -168,10 +168,6 @@ class Strand:
     def from_string(cls, s: str, index_len: int) -> "Strand":
         return cls(bits_from_string(s), len(s), index_len)
 
-    @classmethod
-    def from_fields(cls, index_bits: int, data_bits: int, length: int, index_len: int) -> "Strand":
-        return cls((index_bits << (length - index_len)) | data_bits, length, index_len)
-
     def __str__(self) -> str:
         return bits_to_string(self.bits, self.length)
 
@@ -414,13 +410,6 @@ class SystemParams:
     @property
     def pool_size(self) -> int:
         return self.m * self.k
-
-    def strand(self, bits: int | str) -> Strand:
-        if isinstance(bits, str):
-            if len(bits) != self.length:
-                raise WrongLength(f"strand {bits!r} has length {len(bits)}, expected {self.length}")
-            return Strand.from_string(bits, self.index_len)
-        return Strand(bits, self.length, self.index_len)
 
 
 def split_popcount(x: int, data_len: int) -> tuple[int, int]:

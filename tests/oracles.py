@@ -5,7 +5,9 @@ Every oracle here decides its question by brute enumeration
 algorithm it is checking, so agreement is meaningful evidence.  The
 references are the exception.  ``reference_balls_intersect`` is the
 enumeration the library's oracle prunes, with every pool tested by the
-partition search.  ``reference_read_network`` builds the
+partition search, and ``snapshot_balls_intersect`` is the library's
+oracle as it was when each step ran a full max flow and a rejected step
+wrote back saved residual capacities.  ``reference_read_network`` builds the
 read-assignment flow network by comparing every read with every strand,
 for networkx to solve.  The per-pair references near the end rebuild a
 code's verdict and a space's compatibility graph from ``balls_intersect``
@@ -26,10 +28,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
+from dnacode.channel import in_ball, read_neighborhood
 from dnacode.codec import (
     Answer,
     Regime,
@@ -46,16 +50,20 @@ from dnacode.errors import (
     DuplicateStrand,
     FileFormatError,
     ShapeMismatch,
+    SpaceTooLarge,
     WrongCount,
     WrongLength,
 )
 from dnacode.io import merge_headers, parse_param_items
-from dnacode.matching import BipartiteGraph, HallViolator
+from dnacode.matching import BipartiteGraph, HallViolator, _read_network
 from dnacode.model import (
+    DEFAULT_SPACE_CAP,
     Message,
     ReadPool,
     Strand,
     SystemParams,
+    _ball_volume,
+    check_shape,
     in_restricted_space,
     split_popcount,
 )
@@ -78,6 +86,11 @@ def mk_params(
 
 def mk_message(index_len: int, *strands: str) -> Message:
     return Message(tuple(Strand.from_string(s, index_len) for s in strands))
+
+
+def strand_from_fields(index_bits: int, data_bits: int, length: int, index_len: int) -> Strand:
+    """The strand with the given index field and data field."""
+    return Strand((index_bits << (length - index_len)) | data_bits, length, index_len)
 
 
 def oracle_has_perfect_matching(g: BipartiteGraph) -> bool:
@@ -248,6 +261,82 @@ def reference_balls_intersect(z1: Message, z2: Message, params: SystemParams) ->
         ):
             return True
     return False
+
+
+def snapshot_balls_intersect(
+    z1: Message, z2: Message, params: SystemParams, cap: int = DEFAULT_SPACE_CAP
+) -> bool:
+    """``oracle_balls_intersect`` as it was before its walk grew one
+    augmenting path a step: the same caps, shortcuts, forced copies and
+    walk order, but each step runs a full ``_Dinic.max_flow`` on both
+    read networks, and a step is undone by writing back every residual
+    capacity saved at its depth.  The reference for the oracle on shapes
+    past ``reference_balls_intersect``'s reach."""
+    check_shape(z1, z2, params=params)
+    if z1 == z2:
+        return True
+
+    bound = (
+        params.m
+        * _ball_volume(params.index_len, params.e_i)
+        * _ball_volume(params.data_len, params.e_d)
+    )
+    if bound > cap:
+        raise SpaceTooLarge(bound, cap, what="read universe")
+    shared = read_neighborhood(z1, params) & read_neighborhood(z2, params)
+    if not shared:
+        return False
+    universe = sorted(shared)
+
+    base: Counter[int] = Counter()
+    forced = params.k - params.tau_budget
+    if forced > 0:
+        for v in {s.bits for s in z1.strands} | {s.bits for s in z2.strands}:
+            if v not in shared:
+                return False
+            base[v] = forced
+    remaining = params.pool_size - sum(base.values())
+    if remaining < 0:
+        return False
+
+    count = math.comb(len(universe) + remaining - 1, remaining)
+    if count > cap:
+        raise SpaceTooLarge(count, cap, what="candidate pools")
+
+    net1, src1, sink1 = _read_network(universe, z1, params)
+    net2, src2, sink2 = _read_network(universe, z2, params)
+    for i, v in enumerate(universe):
+        src1[i][1] = src2[i][1] = base[v]
+    placed = sum(base.values())
+    if net1.max_flow(0, sink1) < placed or net2.max_flow(0, sink2) < placed:
+        return False
+
+    edges = [e for net in (net1, net2) for row in net.adj for e in row]
+    saved = [[e[1] for e in edges]]
+    picks: list[int] = []
+    i = 0
+    while len(picks) < remaining:
+        if i < len(universe):
+            src1[i][1] += 1
+            src2[i][1] += 1
+            if net1.max_flow(0, sink1) and net2.max_flow(0, sink2):
+                picks.append(i)
+                saved.append([e[1] for e in edges])
+                continue
+            i += 1
+        elif picks:
+            saved.pop()
+            i = picks.pop() + 1
+        else:
+            return False
+        for e, c in zip(edges, saved[-1]):
+            e[1] = c
+
+    candidate = base + Counter(universe[j] for j in picks)
+    pool = ReadPool(params.length, tuple(candidate.items()))
+    if in_ball(pool, z1, params) and in_ball(pool, z2, params):
+        return True
+    raise AssertionError("a pool both read networks accept must lie in both balls")
 
 
 def reference_read_network(
@@ -491,7 +580,7 @@ def random_message(rng: random.Random, params: SystemParams) -> Message:
     indices = rng.sample(range(1 << params.index_len), params.m)
     return Message(
         tuple(
-            Strand.from_fields(
+            strand_from_fields(
                 ind, rng.randrange(1 << params.data_len), params.length, params.index_len
             )
             for ind in indices
@@ -502,7 +591,7 @@ def random_message(rng: random.Random, params: SystemParams) -> Message:
 def message_of(params: SystemParams, fields: Iterable[tuple[int, int]]) -> Message:
     """The message with the given (index field, data field) strands."""
     return Message(
-        tuple(Strand.from_fields(i, d, params.length, params.index_len) for i, d in fields)
+        tuple(strand_from_fields(i, d, params.length, params.index_len) for i, d in fields)
     )
 
 
@@ -515,7 +604,7 @@ def random_same_ms_pair(rng: random.Random, params: SystemParams) -> tuple[Messa
     indices = rng.sample(range(1 << params.index_len), params.m)
     z2 = Message(
         tuple(
-            Strand.from_fields(ind, dat, params.length, params.index_len)
+            strand_from_fields(ind, dat, params.length, params.index_len)
             for ind, dat in zip(indices, data)
         )
     )
@@ -558,8 +647,8 @@ def reference_message(strands: Sequence[Strand]) -> Message:
 def reference_validate_message(
     raw: Sequence[Union[int, str, Strand]], params: SystemParams
 ) -> Message:
-    """``validate_message`` one strand object at a time: each item through
-    ``params.strand`` (a Strand is shape-checked), the count, then
+    """``validate_message`` one strand object at a time: each item made a
+    checked Strand (a Strand is shape-checked), the count, then
     ``reference_message``."""
     strands = []
     for item in raw:
@@ -570,8 +659,14 @@ def reference_validate_message(
                     f"expected ({params.length},{params.index_len})"
                 )
             strands.append(item)
+        elif isinstance(item, str):
+            if len(item) != params.length:
+                raise WrongLength(
+                    f"strand {item!r} has length {len(item)}, expected {params.length}"
+                )
+            strands.append(Strand.from_string(item, params.index_len))
         else:
-            strands.append(params.strand(item))
+            strands.append(Strand(item, params.length, params.index_len))
     if len(strands) != params.m:
         raise WrongCount(f"expected {params.m} strands, got {len(strands)}")
     return reference_message(strands)
@@ -591,7 +686,7 @@ def reference_enumerate_space(
     length, index_len = params.length, params.index_len
     for combo in combinations(range(1 << index_len), params.m):
         columns = [
-            [Strand.from_fields(i, d, length, index_len) for d in range(1 << params.data_len)]
+            [strand_from_fields(i, d, length, index_len) for d in range(1 << params.data_len)]
             for i in combo
         ]
         for strands in product(*columns):

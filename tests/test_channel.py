@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,13 +29,16 @@ from dnacode import (
     read_neighborhood,
     sample_ball,
 )
+from dnacode import matching
 
 from oracles import (
+    message_of,
     mk_message,
     mk_params,
     random_message,
     reference_balls_intersect,
     reference_pools,
+    snapshot_balls_intersect,
 )
 
 
@@ -323,6 +327,148 @@ def test_oracle_agrees_with_the_plain_enumeration():
     assert sum(n for (hit, _), n in answers.items() if not hit) >= 100
     assert sum(n for (_, answer), n in answers.items() if answer is Answer.UNKNOWN) >= 50
     assert answers[True, Answer.UNKNOWN] > 0
+
+
+# shapes past reference_balls_intersect's reach: the benchmark's three
+# oracle shapes, then K = 3-4 at tau < 1, where every strand keeps forced
+# copies
+SNAPSHOT_SHAPES = [
+    (2, 4, 2, 2, "1", 1, 0),
+    (4, 3, 2, 2, "1", 1, 0),
+    (4, 4, 2, 2, "1", 1, 0),
+    (3, 4, 2, 4, "3/4", 1, 0),
+    (2, 4, 2, 4, "1/2", 1, 1),
+    (3, 4, 2, 3, "2/3", 1, 0),
+    (3, 5, 2, 4, "1/2", 1, 1),
+    (3, 4, 2, 4, "1/4", 1, 1),
+]
+
+
+def _oracle_outcome(oracle, z1, z2, p, cap):
+    try:
+        return oracle(z1, z2, p, cap=cap)
+    except SpaceTooLarge as exc:
+        return ("cap", exc.count, str(exc))
+
+
+def _near(rng, z, p):
+    """Z with one strand's index or data field moved by one bit, or None
+    when the moved index field is taken."""
+    fields = [(s.index_bits, s.data_bits) for s in z.strands]
+    j = rng.randrange(len(fields))
+    i, d = fields[j]
+    if p.e_i and rng.random() < 0.5:
+        i ^= 1 << rng.randrange(p.index_len)
+    else:
+        d ^= 1 << rng.randrange(p.data_len)
+    fields[j] = (i, d)
+    if len({i for i, _ in fields}) < len(fields):
+        return None
+    return message_of(p, fields)
+
+
+def _snapshot_pairs(pairs_per_shape):
+    """(params, z1, z2) over ``SNAPSHOT_SHAPES``: near and random pairs in
+    turn, the same for every run."""
+    for shape in SNAPSHOT_SHAPES:
+        p = mk_params(*shape)
+        rng = random.Random(str(shape))
+        for n in range(pairs_per_shape):
+            z1 = random_message(rng, p)
+            z2 = random_message(rng, p) if n % 2 else _near(rng, z1, p)
+            if z2 is not None:
+                yield p, z1, z2
+
+
+def snapshot_agreement(pairs_per_shape=48):
+    """Compare ``oracle_balls_intersect`` with the snapshot walk on
+    ``_snapshot_pairs``, at the default cap and at caps that refuse some
+    pairs.  Returns the disagreements (found without assert, so that it
+    checks under python -O too) and a count of the outcomes by cap: True,
+    False, or what the refusal names."""
+    disagreements, outcomes = [], Counter()
+    for p, z1, z2 in _snapshot_pairs(pairs_per_shape):
+        for cap in (dnacode.DEFAULT_SPACE_CAP, 100, 10):
+            got = _oracle_outcome(oracle_balls_intersect, z1, z2, p, cap)
+            want = _oracle_outcome(snapshot_balls_intersect, z1, z2, p, cap)
+            if got != want:
+                disagreements.append((p, str(z1), str(z2), cap, got, want))
+            outcomes[cap, got if isinstance(got, bool) else got[2].split(" has ")[0]] += 1
+    return disagreements, outcomes
+
+
+def test_oracle_agrees_with_the_snapshot_walk_beyond_brute_force():
+    disagreements, outcomes = snapshot_agreement()
+    assert disagreements == []
+    cap = dnacode.DEFAULT_SPACE_CAP
+    assert outcomes[cap, True] >= 50 and outcomes[cap, False] >= 50
+    assert {kind for _, kind in outcomes} == {True, False, "read universe", "candidate pools"}
+
+
+class _LifoCheckedDinic(matching._Dinic):
+    """Checks that each ``undo`` takes back the last path still pushed and
+    restores every residual capacity to its value before that push."""
+
+    undos = 0
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.pushed = []
+
+    def residuals(self):
+        return [e[1] for row in self.adj for e in row]
+
+    def augment(self, e, t):
+        before = self.residuals()
+        path = super().augment(e, t)
+        if path is not None:
+            self.pushed.append((path, before))
+        return path
+
+    def undo(self, path):
+        last, before = self.pushed.pop()
+        assert last is path
+        super().undo(path)
+        assert self.residuals() == before
+        _LifoCheckedDinic.undos += 1
+
+
+def test_oracle_undoes_each_path_exactly_and_in_lifo_order():
+    _LifoCheckedDinic.undos = 0
+    answers = Counter()
+    with mock.patch.object(matching, "_Dinic", _LifoCheckedDinic):
+        for p, z1, z2 in _snapshot_pairs(12):
+            answers[oracle_balls_intersect(z1, z2, p)] += 1
+    assert answers[True] > 0 and answers[False] > 0
+    assert _LifoCheckedDinic.undos > 1000
+
+
+OPTIMIZED_ORACLE = """
+from dnacode import DEFAULT_SPACE_CAP
+from test_channel import snapshot_agreement
+
+if __debug__:
+    raise SystemExit("expected python -O")
+disagreements, outcomes = snapshot_agreement()
+yes, no = (outcomes[DEFAULT_SPACE_CAP, answer] for answer in (True, False))
+if disagreements or yes < 50 or no < 50:
+    raise SystemExit(repr((disagreements, outcomes)))
+"""
+
+
+def test_oracle_agrees_with_the_snapshot_walk_under_python_O():
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_ORACLE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_oracle_refuses_candidate_pools_exactly_above_the_cap():

@@ -384,6 +384,7 @@ def test_negative_cap_is_invalid_input(capsys, tmp_path):
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--cap" in captured.err
+        assert "argument --cap: value must be a non-negative integer, got '-1'" in captured.err
     assert not out_file.exists() and not table.exists()
 
 
@@ -502,6 +503,7 @@ def test_simulate_seed_is_a_non_negative_decimal_integer(capsys, tmp_path, seed)
     assert captured.out == ""
     assert any(line.startswith("dnacode simulate: error:") and "--seed" in line
                for line in captured.err.splitlines())
+    assert f"argument --seed: value must be a non-negative integer, got {seed!r}" in captured.err
     assert not out_file.exists()
 
 

@@ -1,6 +1,7 @@
 """Matching engine: perfect matchings, Hall violators, bottleneck
 assignment, and read-assignment feasibility."""
 
+import copy
 import math
 import random
 from collections import Counter
@@ -49,6 +50,7 @@ from oracles import (
     reference_read_network,
     reference_space,
     scipy_has_perfect_matching,
+    strand_from_fields,
 )
 
 
@@ -120,8 +122,8 @@ def _chain_pool(n):
         cells += row
     walk = [line[r] << 26 | line[c] for r, c in cells[:n]]
     p = mk_params(n, 64, 11, 1, 1, 11, 1)
-    z = Message(tuple(Strand.from_fields(j, d, 64, 11) for j, d in enumerate(walk)))
-    odd = Strand.from_fields(n, walk[0] ^ 1 << 52, 64, 11)
+    z = Message(tuple(strand_from_fields(j, d, 64, 11) for j, d in enumerate(walk)))
+    odd = strand_from_fields(n, walk[0] ^ 1 << 52, 64, 11)
     reads = [s.bits for s in z.strands[1:]] + [odd.bits]
     return p, z, ReadPool.from_reads(reads, 64)
 
@@ -569,7 +571,7 @@ def _scale_message(rng, p):
     fields = [(a, data_a), (b, data_b)] + [
         (x, rng.randrange(1 << p.data_len)) for x in [near, *rest]
     ]
-    z = Message(tuple(Strand.from_fields(i, d, p.length, p.index_len) for i, d in fields))
+    z = Message(tuple(strand_from_fields(i, d, p.length, p.index_len) for i, d in fields))
     strand = {s.bits >> p.data_len: s for s in z.strands}
     return z, t, strand[a], strand[b]
 
@@ -818,3 +820,95 @@ def test_match_within_never_enumerates_an_index_ball_of_m_masks():
             result = bijection_within_or_violator(z1, z2, bound)
             assert (not isinstance(result, HallViolator)) is want
             assert (balls_intersect(z1, z2, p).answer is Answer.YES) is want
+
+
+def _residuals(net):
+    return [e[1] for row in net.adj for e in row]
+
+
+def _check_step(net, source, sink, n_values):
+    """Augment through ``source`` (just raised by 1) on a network holding a
+    maximum flow: the answer is whether a fresh max flow gains a unit, a
+    found path runs from the source to the sink, and undo restores every
+    residual capacity.  Returns "none" when no unit is found, else
+    "reverse" or "forward": whether the path takes a unit back over a
+    reverse edge."""
+    before = _residuals(net)
+    fresh = copy.deepcopy(net)
+    gain = fresh.max_flow(0, sink)
+    assert gain in (0, 1)
+    path = net.augment(source, sink)
+    if path is None:
+        assert gain == 0
+        assert _residuals(net) == before
+        return "none"
+    assert gain == 1 and path[0] is source and path[-1][0] == sink
+    tails = [0] + [e[0] for e in path[:-1]]
+    assert len(set(tails)) == len(tails)
+    for tail, e in zip(tails, path):
+        assert any(f is e for f in net.adj[tail])
+    # the pushed unit leaves the flow maximum
+    assert copy.deepcopy(net).max_flow(0, sink) == 0
+    net.undo(path)
+    assert _residuals(net) == before
+    # a reverse edge runs back from a slot or strand node to a read node
+    return "reverse" if any(1 <= e[0] <= n_values for e in path[1:]) else "forward"
+
+
+def test_augment_finds_a_unit_iff_the_max_flow_gains_one_and_undo_restores_it():
+    rng = random.Random(97)
+    found = Counter()
+    for _ in range(300):
+        p = mk_params(
+            rng.randint(1, 3), 4, 2, rng.randint(1, 3), rng.choice(["1", "1/2", "1/3"]),
+            rng.randint(0, 2), rng.randint(0, 2),
+        )
+        z = random_message(rng, p)
+        near = [
+            flip_positions(s.bits, p.length, rng.sample(range(p.length), rng.randint(0, 2)))
+            for s in z.strands
+        ]
+        reads = [rng.choice(near) if rng.random() < 0.8 else rng.randrange(16)
+                 for _ in range(rng.randint(1, p.pool_size))]
+        pool = Counter(reads)
+        values = sorted(pool)
+        net, sources, sink = matching._read_network(values, z, p)
+        for e, v in zip(sources, values):
+            e[1] = pool[v]
+        net.max_flow(0, sink)
+        i = rng.randrange(len(values))
+        sources[i][1] += 1
+        found[_check_step(net, sources[i], sink, len(values))] += 1
+    assert set(found) == {"none", "forward", "reverse"}, found
+
+
+def test_augment_reroutes_a_read_through_a_reverse_edge():
+    # the read 0100 is within (1, 0) of both strands and first takes
+    # strand 0000's only place; an exact copy of 0000 then gets that
+    # place only by moving 0100 over to strand 1100
+    p = mk_params(2, 4, 2, 1, "1", 1, 0)
+    z = mk_message(2, "0000", "1100")
+    # nodes: source 0, reads 0000 and 0100 at 1 and 2, the noisy slot and
+    # the strand of 0000 at 3 and 4 and of 1100 at 5 and 6, sink 7
+    values = [0b0000, 0b0100]
+    net, sources, sink = matching._read_network(values, z, p)
+    sources[1][1] = 1
+    assert net.max_flow(0, sink) == 1
+    assert next(e for e in net.adj[3] if e[0] == 4)[1] == 0  # 0100 took the place
+    sources[0][1] += 1
+    assert _check_step(net, sources[0], sink, len(values)) == "reverse"
+    path = net.augment(sources[0], sink)
+    assert [e[0] for e in path] == [1, 4, 3, 2, 5, 6, 7]
+
+
+def test_augment_follows_a_path_longer_than_the_recursion_limit():
+    n = 5000
+    net = matching._Dinic(n)
+    for u in range(n - 1):
+        net.add_edge(u, u + 1, 1)
+    before = _residuals(net)
+    path = net.augment(net.adj[0][0], n - 1)
+    assert len(path) == n - 1
+    assert net.augment(net.adj[0][0], n - 1) is None
+    net.undo(path)
+    assert _residuals(net) == before

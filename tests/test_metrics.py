@@ -34,6 +34,7 @@ from oracles import (
     random_same_ms_pair,
     reference_dna_distance,
     scipy_has_perfect_matching,
+    strand_from_fields,
 )
 
 
@@ -122,7 +123,7 @@ def test_dna_distance_agrees_with_scipy_at_m_512():
         indices = rng.sample(range(1 << p.index_len), p.m)
         return Message(
             tuple(
-                Strand.from_fields(i, u, p.length, p.index_len) for i, u in zip(indices, data)
+                strand_from_fields(i, u, p.length, p.index_len) for i, u in zip(indices, data)
             )
         )
 
@@ -232,7 +233,7 @@ def benchmark_shaped_code(rng, buckets=30, size=5):
         bucket = []
         while len(bucket) < size:
             indices = rng.sample(range(256), 8)
-            z = Message(tuple(Strand.from_fields(i, u, 16, 8) for i, u in zip(indices, data)))
+            z = Message(tuple(strand_from_fields(i, u, 16, 8) for i, u in zip(indices, data)))
             if z not in bucket:
                 bucket.append(z)
         code += bucket
@@ -266,7 +267,7 @@ def test_min_dna_distance_computes_the_value_of_pairs_that_beat_the_best():
 
 def two_strand_message(data, *indices):
     """A message of strands with 3-bit index fields and one data bit."""
-    return Message(tuple(Strand.from_fields(i, data, 4, 3) for i in indices))
+    return Message(tuple(strand_from_fields(i, data, 4, 3) for i in indices))
 
 
 def test_a_tie_that_precedes_the_witness_in_a_later_bucket_wins():

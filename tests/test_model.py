@@ -45,6 +45,7 @@ from oracles import (
     reference_enumerate_space,
     reference_space,
     reference_validate_message,
+    strand_from_fields,
 )
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=16)
@@ -92,7 +93,7 @@ def test_strand_fields():
     assert (s.index_bits, s.data_bits) == (3, 0)
     assert (s.length, s.index_len, s.data_len) == (3, 2, 1)
     assert str(s) == "110"
-    assert Strand.from_fields(3, 0, 3, 2) == s
+    assert strand_from_fields(3, 0, 3, 2) == s
 
 
 def test_strand_rejects_out_of_range_bits():

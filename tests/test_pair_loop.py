@@ -21,7 +21,6 @@ from dnacode import (
     Message,
     Regime,
     ShapeMismatch,
-    Strand,
     VerdictKind,
     bijection_within_or_violator,
     build_graph,
@@ -44,6 +43,7 @@ from oracles import (
     pairwise_adjacency,
     pairwise_verdict,
     random_message,
+    strand_from_fields,
 )
 from test_codec import looked_up_and_scanned, on_path
 
@@ -458,7 +458,7 @@ def bucketed_code(rng, params, multisets, size):
         indices = rng.sample(range(1 << params.index_len), params.m)
         z = Message(
             tuple(
-                Strand.from_fields(i, d, params.length, params.index_len)
+                strand_from_fields(i, d, params.length, params.index_len)
                 for i, d in zip(indices, data)
             )
         )
