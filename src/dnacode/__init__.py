@@ -60,7 +60,6 @@ from .matching import (
     bijection_within_or_violator,
     bottleneck_bijection,
     exists_bijection_within,
-    maximum_matching,
     perfect_matching_or_violator,
 )
 from .metrics import (

@@ -32,13 +32,14 @@ lies in the ball.
 The partial pool is held in the source capacities of one
 read-assignment network per message (``matching._read_network``, the
 builder ``in_ball`` uses too), built once over the read universe at the
-full strand capacities, with no read peeled off.  One ``max_flow`` places
-the forced base; from then on, at every accepted depth, both networks
-carry a maximum flow that saturates every source edge.  Adding read i
+full strand capacities, with no read peeled off.  One ``max_flow``, made
+of the same unit augmenting paths as each step, places the forced base;
+from then on, at every accepted depth, both networks carry a maximum
+flow that saturates every source edge.  Adding read i
 raises its source capacity by 1, which raises the max flow by at most 1,
 and by exactly 1 iff the residual network has a path from read node i to
 the sink: the source is a dead end, since its other edges are saturated
-(Ford & Fulkerson 1956).  So a step is one ``_Dinic.augment`` per
+(Ford & Fulkerson 1956).  So a step is one ``_FlowNetwork.augment`` per
 network, which pushes the unit along such a path or changes nothing.  A
 step that net2 rejects undoes net1's path, and a backtrack undoes the
 two paths of the depth it pops.  Undo is LIFO: each path taken back is

@@ -39,17 +39,18 @@ otherwise scan every strand of the other side through the full split
 distance.  Either way a row comes out sorted, so matchings and
 witnesses do not depend on which path built it.
 
-Bottleneck questions go through one threshold decision,
-``has_bijection_within``: is there a bijection between two groups of
-index values with every Hamming distance at most t?  It builds one
-bitmask row per left value, answers no at the first empty row, and
-otherwise runs the bitmask Kuhn test ``has_perfect_matching``.  The
+Bottleneck questions are threshold decisions: is there a bijection
+between two groups of index values with every Hamming distance at most
+t?  The bitmask Kuhn test ``has_perfect_matching`` answers each, over
+one bitmask row per left value.  ``has_bijection_within`` builds the
+rows from the values and answers no at the first empty row; the
 DNA-distance in ``metrics`` asks it whether a data group raises the
 worst value so far, and the minimum code distance whether a pair beats
-the best so far.  ``bottleneck_bijection`` sweeps it upward from the
-lower bound max(largest row minimum, largest column minimum) of the
-distance matrix, which is usually the optimum, and runs Hopcroft-Karp
-once, at the value found, for the bijection it returns.
+the best so far.  ``bottleneck_bijection`` reads the rows off the
+distance matrix it holds and sweeps t upward from the lower bound
+max(largest row minimum, largest column minimum) of that matrix, which
+is usually the optimum, and runs Hopcroft-Karp once, at the value
+found, for the bijection it returns.
 
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
@@ -66,13 +67,17 @@ set to what the peel left; when none is left the pool is feasible
 without a flow, as the M*K reads then fill every strand's K places.
 
 One builder, ``_read_network``, lays this network out over given read
-values with their source capacities at 0.  ``assignment_feasible`` sets
-them to the multiplicities of the values left after the peel and runs
-one max flow; the ball oracle in ``channel`` builds it over its whole
-read universe with the full strand capacities, raises the source
-capacities one read at a time and asks the same flow for each extra
-unit, so membership and the oracle share one network layout and one
-flow algorithm.
+values with their source capacities at 0, and every flow on it is grown
+one unit at a time along augmenting paths (``_FlowNetwork``).
+``assignment_feasible`` sets the source capacities to the multiplicities
+of the values left after the peel and runs ``max_flow``, which augments
+through each source edge until the edge is full or no path leads on
+from its head.  The ball oracle in ``channel`` builds the network over
+its whole read universe with the full strand capacities, raises the
+source capacities one read at a time and pushes each extra unit with
+one ``augment``, taken back with ``undo`` when the walk backtracks.  So
+membership and the oracle share one network layout and one flow
+algorithm.
 """
 
 from __future__ import annotations
@@ -142,15 +147,6 @@ class HallViolator:
                 f"not a violator: |Y| = {len(self.left_set)} <= "
                 f"|N(Y)| = {len(self.neighborhood)}"
             )
-
-
-def maximum_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hopcroft-Karp maximum matching.
-
-    Returns (match_left, match_right) with -1 marking unmatched vertices.
-    Deterministic: vertices are explored in index order.
-    """
-    return _hopcroft_karp(g.left_size, g.right_size, g.adjacency)[:2]
 
 
 def _hopcroft_karp(
@@ -465,13 +461,13 @@ def bottleneck_bijection(
     Every left value takes some right value and every right value some
     left value, so the optimum is at least the largest row minimum and
     the largest column minimum of the distance matrix.  The sweep starts
-    there and raises the threshold one step at a time until
-    ``has_bijection_within`` answers yes; the bound is usually the
-    optimum, so one decision usually settles it.  Returns the optimum
-    and a perfect matching of the threshold graph at the optimum, found
-    by Hopcroft-Karp, as (left, right) value pairs sorted by left value;
-    among several optimal bijections it is unspecified which one is
-    returned.
+    there and raises the threshold one step at a time until the bitmask
+    Kuhn test ``has_perfect_matching`` finds a perfect matching among the
+    matrix entries within it; the bound is usually the optimum, so one
+    test usually settles it.  Returns the optimum and a perfect matching
+    of the threshold graph at the optimum, found by Hopcroft-Karp, as
+    (left, right) value pairs sorted by left value; among several
+    optimal bijections it is unspecified which one is returned.
     """
     lvals = sorted(left)
     rvals = sorted(right)
@@ -481,7 +477,19 @@ def bottleneck_bijection(
         raise SizeMismatch("bottleneck assignment needs non-empty sides")
     dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
     value = max(max(map(min, dist)), max(map(min, zip(*dist))))
-    while not has_bijection_within(lvals, rvals, value):
+    while True:
+        # bit j of row i is set when dist[i][j] <= value; plain loops, as a
+        # generator per row costs more than it saves on groups of a few values
+        masks = []
+        for row in dist:
+            mask, bit = 0, 1
+            for d in row:
+                if d <= value:
+                    mask |= bit
+                bit <<= 1
+            masks.append(mask)
+        if has_perfect_matching(masks):
+            break
         value += 1
     rows = [[j for j, d in enumerate(row) if d <= value] for row in dist]
     match_l = _hopcroft_karp(len(lvals), len(rvals), rows)[0]
@@ -538,7 +546,7 @@ def _read_network(
     params: SystemParams,
     room: Optional[Sequence[int]] = None,
     slack: Optional[Sequence[int]] = None,
-) -> tuple[_Dinic, list[list[int]], int]:
+) -> tuple[_FlowNetwork, list[list[int]], int]:
     """The read-assignment network of Z over the given distinct read
     values, with every value's source edge at capacity 0: returns the
     network, the source edges in the order of ``values`` and the sink.
@@ -555,7 +563,7 @@ def _read_network(
     # at base + 2*j for strand j, sink last
     base = 1 + len(values)
     sink = base + 2 * z.m
-    net = _Dinic(sink + 1)
+    net = _FlowNetwork(sink + 1)
     strands = packed(z)
     for j in range(z.m):
         noisy = base + 2 * j
@@ -590,17 +598,26 @@ _ball_volume = lru_cache(maxsize=32)(_model_ball_volume)
 _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 
-class _Dinic:
+class _FlowNetwork:
     """Integer max flow; edges stored as [to, residual capacity, reverse index].
 
-    ``max_flow`` runs Dinic's algorithm from the current residual
-    capacities.  ``augment`` and ``undo`` serve a caller that grows a
-    maximum flow one unit at a time and takes units back in LIFO order:
-    once the flow is maximum, raising one source edge by 1 raises the max
-    flow by at most 1, and by exactly 1 iff a residual path leads from
-    that edge's head to the sink without re-entering the source (Ford &
-    Fulkerson 1956: a simple augmenting path leaves the source once, and
-    only the raised edge can carry it out).
+    One algorithm, augmenting paths (Ford & Fulkerson 1956), serves every
+    flow.  ``augment`` pushes one unit through a source edge and on along
+    a residual path to the sink, and ``undo`` takes it back: a caller that
+    grows a maximum flow one unit at a time and takes units back in LIFO
+    order uses the two directly.  Once the flow is maximum, raising one
+    source edge by 1 raises the max flow by at most 1, and by exactly 1
+    iff a residual path leads from that edge's head to the sink without
+    re-entering the source: a simple augmenting path leaves the source
+    once, and only the raised edge can carry it out.
+
+    ``max_flow`` augments through each source edge in turn until the edge
+    is full or ``augment`` finds no path from its head.  That is exact.
+    An augmentation raises residual capacity only on the reverses of its
+    path's edges, which leave nodes of the path, and every node of the
+    path reaches the sink.  So a node that cannot reach the sink without
+    passing the source never can later, and once every source edge is
+    full or leads to such a node, no augmenting path is left.
     """
 
     def __init__(self, n: int) -> None:
@@ -611,61 +628,22 @@ class _Dinic:
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
     def max_flow(self, s: int, t: int) -> int:
-        adj = self.adj
+        """The flow from ``s`` to ``t`` added to the current residual
+        capacities until no augmenting path is left.  No edge out of
+        ``s`` may lead straight to ``t`` (see ``augment``)."""
         flow = 0
-        while True:
-            level = [-1] * len(adj)
-            level[s] = 0
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                for e in adj[u]:
-                    if e[1] > 0 and level[e[0]] == -1:
-                        level[e[0]] = level[u] + 1
-                        q.append(e[0])
-            if level[t] == -1:
-                return flow
-
-            # blocking flow along an explicit path from s, as a level graph
-            # can be as deep as the network; a node left with no edge into
-            # the next level is stepped back from and never entered again
-            iters = [0] * len(adj)
-            nodes, path = [s], []
-            while True:
-                u = nodes[-1]
-                if u == t:
-                    pushed = min(e[1] for e in path)
-                    for e in path:
-                        e[1] -= pushed
-                        adj[e[0]][e[2]][1] += pushed
-                    flow += pushed
-                    del nodes[1:], path[:]
-                    continue
-                edges, i, nxt = adj[u], iters[u], level[u] + 1
-                end = len(edges)
-                while i < end:
-                    e = edges[i]
-                    if e[1] > 0 and level[e[0]] == nxt:
-                        break
-                    i += 1
-                iters[u] = i
-                if i < end:
-                    path.append(e)
-                    nodes.append(e[0])
-                elif u == s:
-                    break
-                else:
-                    nodes.pop()
-                    path.pop()
-                    iters[nodes[-1]] += 1
+        for e in self.adj[s]:
+            while e[1] > 0 and self.augment(e, t) is not None:
+                flow += 1
+        return flow
 
     def augment(self, e: list[int], t: int) -> list[list[int]] | None:
         """Push one unit through edge ``e``, which must have residual
-        capacity, and on along a residual path from its head to ``t``
-        that avoids its tail.  The path is found by depth-first search
-        with an explicit stack, as it can be as long as the network.
-        Returns the path's edges, ``e`` first, or None with nothing
-        changed when there is no such path."""
+        capacity and a head other than ``t``, and on along a residual
+        path from its head to ``t`` that avoids its tail.  The path is
+        found by depth-first search with an explicit stack, as it can be
+        as long as the network.  Returns the path's edges, ``e`` first,
+        or None with nothing changed when there is no such path."""
         adj = self.adj
         head = e[0]
         seen = bytearray(len(adj))

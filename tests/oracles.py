@@ -21,7 +21,8 @@ shares no code with ``dnacode.matching``.  The input references at the
 end build messages one checked ``Strand`` at a time and run the message
 checks on those objects, and read files one checked line at a time: the
 per-object paths the library's packed-value builder and block checks
-replace.
+replace.  ``max_matching`` is no oracle: it runs the library's
+Hopcroft-Karp on a ``BipartiteGraph`` for the tests to check.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dnacode.errors import (
     WrongLength,
 )
 from dnacode.io import merge_headers, parse_param_items
-from dnacode.matching import BipartiteGraph, HallViolator, _read_network
+from dnacode.matching import BipartiteGraph, HallViolator, _hopcroft_karp, _read_network
 from dnacode.model import (
     DEFAULT_SPACE_CAP,
     Message,
@@ -268,7 +269,7 @@ def snapshot_balls_intersect(
 ) -> bool:
     """``oracle_balls_intersect`` as it was before its walk grew one
     augmenting path a step: the same caps, shortcuts, forced copies and
-    walk order, but each step runs a full ``_Dinic.max_flow`` on both
+    walk order, but each step runs a full ``_FlowNetwork.max_flow`` on both
     read networks, and a step is undone by writing back every residual
     capacity saved at its depth.  The reference for the oracle on shapes
     past ``reference_balls_intersect``'s reach."""
@@ -574,6 +575,13 @@ def random_graph(rng: random.Random, max_side: int = 6) -> BipartiteGraph:
         tuple(v for v in range(nr) if rng.random() < 0.5) for _ in range(nl)
     )
     return BipartiteGraph(nl, nr, adjacency)
+
+
+def max_matching(g: BipartiteGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The library's Hopcroft-Karp maximum matching of ``g``, as
+    (match_left, match_right) with -1 marking unmatched vertices: the
+    algorithm under test, for comparison with the oracles above."""
+    return _hopcroft_karp(g.left_size, g.right_size, g.adjacency)[:2]
 
 
 def random_message(rng: random.Random, params: SystemParams) -> Message:

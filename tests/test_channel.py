@@ -405,7 +405,7 @@ def test_oracle_agrees_with_the_snapshot_walk_beyond_brute_force():
     assert {kind for _, kind in outcomes} == {True, False, "read universe", "candidate pools"}
 
 
-class _LifoCheckedDinic(matching._Dinic):
+class _LifoCheckedNetwork(matching._FlowNetwork):
     """Checks that each ``undo`` takes back the last path still pushed and
     restores every residual capacity to its value before that push."""
 
@@ -430,17 +430,17 @@ class _LifoCheckedDinic(matching._Dinic):
         assert last is path
         super().undo(path)
         assert self.residuals() == before
-        _LifoCheckedDinic.undos += 1
+        _LifoCheckedNetwork.undos += 1
 
 
 def test_oracle_undoes_each_path_exactly_and_in_lifo_order():
-    _LifoCheckedDinic.undos = 0
+    _LifoCheckedNetwork.undos = 0
     answers = Counter()
-    with mock.patch.object(matching, "_Dinic", _LifoCheckedDinic):
+    with mock.patch.object(matching, "_FlowNetwork", _LifoCheckedNetwork):
         for p, z1, z2 in _snapshot_pairs(12):
             answers[oracle_balls_intersect(z1, z2, p)] += 1
     assert answers[True] > 0 and answers[False] > 0
-    assert _LifoCheckedDinic.undos > 1000
+    assert _LifoCheckedNetwork.undos > 1000
 
 
 OPTIMIZED_ORACLE = """

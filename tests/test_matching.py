@@ -1,7 +1,6 @@
 """Matching engine: perfect matchings, Hall violators, bottleneck
 assignment, and read-assignment feasibility."""
 
-import copy
 import math
 import random
 from collections import Counter
@@ -27,7 +26,6 @@ from dnacode import (
     bijection_within_or_violator,
     bottleneck_bijection,
     exists_bijection_within,
-    maximum_matching,
     perfect_matching_or_violator,
 )
 from dnacode import matching
@@ -38,6 +36,7 @@ from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 from oracles import (
     all_bipartite_graphs,
     is_optimal_bottleneck,
+    max_matching,
     mk_message,
     mk_params,
     networkx_max_flow,
@@ -148,7 +147,7 @@ def test_matching_exhaustive_small_graphs():
     for nl in range(1, 4):
         for nr in range(1, 4):
             for g in all_bipartite_graphs(nl, nr):
-                match_l, _ = maximum_matching(g)
+                match_l, _ = max_matching(g)
                 size = sum(1 for v in match_l if v >= 0)
                 assert size == oracle_max_matching_size(g)
                 result = perfect_matching_or_violator(g)
@@ -162,7 +161,7 @@ def test_matching_random_graphs_agree_with_oracle():
     rng = random.Random(11)
     for _ in range(300):
         g = random_graph(rng, max_side=6)
-        match_l, match_r = maximum_matching(g)
+        match_l, match_r = max_matching(g)
         size = sum(1 for v in match_l if v >= 0)
         assert size == oracle_max_matching_size(g)
         # the two sides describe the same matching
@@ -619,7 +618,7 @@ def _scale_pools(rng, p, seed):
     return z, a, b, mid, [(name, ReadPool.from_reads(r, p.length), want) for name, r, want in pools]
 
 
-class _RecordingDinic(matching._Dinic):
+class _RecordingNetwork(matching._FlowNetwork):
     """Records each edge (u, v, capacity) as the flow first sees it: the
     read network's source capacities are set after its edges are added."""
 
@@ -657,8 +656,8 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
         sink = 1 + len(pool.entries) + 2 * m
         # the one builder, over every pool value at full strand capacities,
         # lays out the reference network edge for edge
-        _RecordingDinic.networks.clear()
-        with mock.patch.object(matching, "_Dinic", _RecordingDinic):
+        _RecordingNetwork.networks.clear()
+        with mock.patch.object(matching, "_FlowNetwork", _RecordingNetwork):
             net, sources, net_sink = matching._read_network(
                 [v for v, _ in pool.entries], z, p
             )
@@ -666,7 +665,7 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
                 edge[1] = count
             assert net_sink == sink, name
             assert sorted(net.current_edges()) == sorted(edges), name
-            _RecordingDinic.networks.clear()
+            _RecordingNetwork.networks.clear()
             got = assignment_feasible(pool, z, p)
         assert got is want, name
         assert (networkx_max_flow(edges, sink) == p.pool_size) is want, name
@@ -674,11 +673,11 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
         # two or more candidate strands, in pool order
         degree = Counter(u for u, _, _ in edges if 0 < u < sink - 2 * m)
         shared = [v for i, (v, _) in enumerate(pool.entries, 1) if degree[i] > 1]
-        assert len(_RecordingDinic.networks) <= 1, name
-        for net in _RecordingDinic.networks:
+        assert len(_RecordingNetwork.networks) <= 1, name
+        for net in _RecordingNetwork.networks:
             assert len(net.adj) == 1 + len(shared) + 2 * m + 1, name
         if name == "shared read":
-            (net,) = _RecordingDinic.networks
+            (net,) = _RecordingNetwork.networks
             node = 1 + shared.index(mid)
             base = 1 + len(shared)
             strands = {z.strands[(v - base) // 2] for u, v, _ in net.edges if u == node}
@@ -755,7 +754,7 @@ def test_forced_reads_need_no_flow_network():
     p = mk_params(2, 4, 3, 2, "1/2", 1, 0)
     z = mk_message(3, "0000", "1110")
     no_network = mock.Mock(side_effect=AssertionError("built a flow network"))
-    with mock.patch.object(matching, "_Dinic", no_network):
+    with mock.patch.object(matching, "_FlowNetwork", no_network):
         assert assignment_feasible(ReadPool.from_reads(["0000", "0010", "1110", "1110"], 4), z, p)
         # forced exact copies above K, and forced noisy copies above
         # floor(tau*K) = 1
@@ -767,7 +766,7 @@ def test_forced_reads_need_no_flow_network():
     # both strands, so the flow decides it, over a network of that one read
     z = mk_message(3, "0000", "0110")
     shared = ReadPool.from_reads(["0000", "0010", "0110", "0110"], 4)
-    with mock.patch.object(matching, "_Dinic", wraps=matching._Dinic) as network:
+    with mock.patch.object(matching, "_FlowNetwork", wraps=matching._FlowNetwork) as network:
         assert assignment_feasible(shared, z, p)
     network.assert_called_once_with(1 + 1 + 2 * 2 + 1)
 
@@ -826,16 +825,49 @@ def _residuals(net):
     return [e[1] for row in net.adj for e in row]
 
 
+def _residual_max_flow(net, sink):
+    """The max flow from node 0 to ``sink`` over ``net``'s residual
+    capacities, by networkx: the residual entries from u to v, a forward
+    edge and the reverse of an edge from v to u, add up."""
+    caps = Counter()
+    for u, row in enumerate(net.adj):
+        for e in row:
+            caps[u, e[0]] += e[1]
+    return networkx_max_flow([(u, v, c) for (u, v), c in caps.items()], sink)
+
+
+def _random_read_network(rng):
+    """The read network of a random message over a random pool of reads
+    near its strands, with every source capacity at its value's count:
+    returns the network, its source edges, the sink and the value count."""
+    p = mk_params(
+        rng.randint(1, 3), 4, 2, rng.randint(1, 3), rng.choice(["1", "1/2", "1/3"]),
+        rng.randint(0, 2), rng.randint(0, 2),
+    )
+    z = random_message(rng, p)
+    near = [
+        flip_positions(s.bits, p.length, rng.sample(range(p.length), rng.randint(0, 2)))
+        for s in z.strands
+    ]
+    reads = [rng.choice(near) if rng.random() < 0.8 else rng.randrange(16)
+             for _ in range(rng.randint(1, p.pool_size))]
+    pool = Counter(reads)
+    values = sorted(pool)
+    net, sources, sink = matching._read_network(values, z, p)
+    for e, v in zip(sources, values):
+        e[1] = pool[v]
+    return net, sources, sink, len(values)
+
+
 def _check_step(net, source, sink, n_values):
     """Augment through ``source`` (just raised by 1) on a network holding a
-    maximum flow: the answer is whether a fresh max flow gains a unit, a
-    found path runs from the source to the sink, and undo restores every
-    residual capacity.  Returns "none" when no unit is found, else
-    "reverse" or "forward": whether the path takes a unit back over a
-    reverse edge."""
+    maximum flow: the answer is whether networkx finds a unit more on the
+    residual network, a found path runs from the source to the sink, and
+    undo restores every residual capacity.  Returns "none" when no unit
+    is found, else "reverse" or "forward": whether the path takes a unit
+    back over a reverse edge."""
     before = _residuals(net)
-    fresh = copy.deepcopy(net)
-    gain = fresh.max_flow(0, sink)
+    gain = _residual_max_flow(net, sink)
     assert gain in (0, 1)
     path = net.augment(source, sink)
     if path is None:
@@ -848,7 +880,7 @@ def _check_step(net, source, sink, n_values):
     for tail, e in zip(tails, path):
         assert any(f is e for f in net.adj[tail])
     # the pushed unit leaves the flow maximum
-    assert copy.deepcopy(net).max_flow(0, sink) == 0
+    assert _residual_max_flow(net, sink) == 0
     net.undo(path)
     assert _residuals(net) == before
     # a reverse edge runs back from a slot or strand node to a read node
@@ -856,30 +888,49 @@ def _check_step(net, source, sink, n_values):
 
 
 def test_augment_finds_a_unit_iff_the_max_flow_gains_one_and_undo_restores_it():
+    pytest.importorskip("networkx")
     rng = random.Random(97)
     found = Counter()
     for _ in range(300):
-        p = mk_params(
-            rng.randint(1, 3), 4, 2, rng.randint(1, 3), rng.choice(["1", "1/2", "1/3"]),
-            rng.randint(0, 2), rng.randint(0, 2),
-        )
-        z = random_message(rng, p)
-        near = [
-            flip_positions(s.bits, p.length, rng.sample(range(p.length), rng.randint(0, 2)))
-            for s in z.strands
-        ]
-        reads = [rng.choice(near) if rng.random() < 0.8 else rng.randrange(16)
-                 for _ in range(rng.randint(1, p.pool_size))]
-        pool = Counter(reads)
-        values = sorted(pool)
-        net, sources, sink = matching._read_network(values, z, p)
-        for e, v in zip(sources, values):
-            e[1] = pool[v]
+        net, sources, sink, n_values = _random_read_network(rng)
         net.max_flow(0, sink)
-        i = rng.randrange(len(values))
+        i = rng.randrange(n_values)
         sources[i][1] += 1
-        found[_check_step(net, sources[i], sink, len(values))] += 1
+        found[_check_step(net, sources[i], sink, n_values)] += 1
     assert set(found) == {"none", "forward", "reverse"}, found
+
+
+def test_max_flow_agrees_with_networkx_from_zero_and_from_a_partial_flow():
+    pytest.importorskip("networkx")
+    rng = random.Random(61)
+    partial = 0
+    for _ in range(300):
+        net, sources, sink, _ = _random_read_network(rng)
+        want = _residual_max_flow(net, sink)
+        if rng.random() < 0.5:
+            assert net.max_flow(0, sink) == want
+        else:
+            # a few units pushed through random source edges, then the rest
+            pushed = 0
+            for _ in range(rng.randint(1, want + 1)):
+                e = rng.choice(sources)
+                if e[1] > 0 and net.augment(e, sink) is not None:
+                    pushed += 1
+            partial += 0 < pushed < want
+            assert _residual_max_flow(net, sink) == want - pushed
+            assert net.max_flow(0, sink) == want - pushed
+        assert _residual_max_flow(net, sink) == 0
+    assert partial >= 30
+
+
+def test_max_flow_follows_a_path_longer_than_the_recursion_limit():
+    n = 5000
+    net = matching._FlowNetwork(n)
+    for u in range(n - 1):
+        net.add_edge(u, u + 1, 2)
+    assert net.max_flow(0, n - 1) == 2
+    assert net.max_flow(0, n - 1) == 0
+    assert all(net.adj[u][-1][1] == 0 for u in range(n - 1))
 
 
 def test_augment_reroutes_a_read_through_a_reverse_edge():
@@ -903,7 +954,7 @@ def test_augment_reroutes_a_read_through_a_reverse_edge():
 
 def test_augment_follows_a_path_longer_than_the_recursion_limit():
     n = 5000
-    net = matching._Dinic(n)
+    net = matching._FlowNetwork(n)
     for u in range(n - 1):
         net.add_edge(u, u + 1, 1)
     before = _residuals(net)
