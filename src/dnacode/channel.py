@@ -8,8 +8,10 @@ ball, and the sampler corrupts, for each strand, a uniform subset of
 its K reads of size uniform on {0..floor(tau*K)}, drawing for each an
 index-flip weight uniform on {0..e_i} and a data-flip weight uniform on
 {0..e_d}, at distinct uniform positions (a zero-weight draw is an exact
-copy).  ``in_ball`` decides membership, and ``oracle_balls_intersect``
-decides ball intersection by exhaustive enumeration, independent of the
+copy).  A strand's exact copies share one ``ReadProvenance`` record, so
+only its altered reads are built and checked one at a time.  ``in_ball``
+decides membership, and ``oracle_balls_intersect`` decides ball
+intersection by exhaustive enumeration, independent of the
 matching-based criteria it is used to validate.
 
 Oracle enumeration is pruned losslessly: every read of a pool lying in
@@ -111,30 +113,43 @@ def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, .
     """Flip sets (string positions) for one strand's K reads, drawn as
     the module docstring says."""
     flips: list[tuple[int, ...]] = [()] * params.k
-    corrupt = rng.randint(0, params.tau_budget)
+    # randrange(n + 1) draws as randint(0, n) does, and a sample of 0
+    # items draws nothing, so skipping one leaves the stream unchanged
+    corrupt = rng.randrange(params.tau_budget + 1)
+    if not corrupt:
+        return flips
     for copy in sorted(rng.sample(range(params.k), corrupt)):
-        wi = rng.randint(0, params.e_i)
-        ipos = rng.sample(range(params.index_len), wi)
-        wd = rng.randint(0, params.e_d)
-        dpos = rng.sample(range(params.index_len, params.length), wd)
-        flips[copy] = tuple(sorted(ipos + dpos))
+        wi = rng.randrange(params.e_i + 1)
+        positions = rng.sample(range(params.index_len), wi) if wi else []
+        wd = rng.randrange(params.e_d + 1)
+        if wd:
+            positions += rng.sample(range(params.index_len, params.length), wd)
+        flips[copy] = tuple(sorted(positions))
     return flips
 
 
 def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
     """Draw one pool from the ball of Z, deterministic given the seed.
 
-    Strands are processed in canonical (sorted) order, K reads each; the
-    result is checked against ``assignment_feasible`` before returning.
+    Strands are processed in canonical (sorted) order, K reads each.  A
+    strand's exact copies share one record, built at the first of them;
+    every altered read gets a record of its own.  The result is checked
+    against ``assignment_feasible`` before returning.
     """
     check_shape(z, params=params)
     rng = random.Random(seed)
     provenance: list[ReadProvenance] = []
     for s in z.strands:
+        exact = None
         for f in _strand_flips(rng, params):
-            provenance.append(
-                ReadProvenance(flip_positions(s.bits, params.length, f), s, f)
-            )
+            if f:
+                provenance.append(
+                    ReadProvenance(flip_positions(s.bits, params.length, f), s, f)
+                )
+                continue
+            if exact is None:
+                exact = ReadProvenance(s.bits, s, ())
+            provenance.append(exact)
     pool = ReadPool.from_reads([p.read for p in provenance], params.length)
     sample = ChannelSample(pool, tuple(provenance), seed)
     if not assignment_feasible(pool, z, params):

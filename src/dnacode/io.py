@@ -23,7 +23,6 @@ from .channel import ChannelSample
 from .errors import FileFormatError, ParamMismatch, ValidationError
 from .model import (
     Message,
-    Strand,
     SystemParams,
     _is_bits,
     bits_to_string,
@@ -213,20 +212,28 @@ def code_lines(code: Sequence[Message], params: SystemParams) -> list[str]:
 
 
 def pool_lines(reads: Sequence[int], params: SystemParams) -> list[str]:
-    return [params_header(params)] + [bits_to_string(r, params.length) for r in reads]
+    # a pool repeats its reads: format each distinct value once
+    text = {r: bits_to_string(r, params.length) for r in set(reads)}
+    return [params_header(params)] + [text[r] for r in reads]
 
 
 def provenance_lines(sample: ChannelSample) -> list[str]:
     """Sidecar rows: read index, source strand, flipped positions."""
     rows = [f"# seed={sample.seed} rng={sample.rng}"]
-    # M sources serve M*K reads: format each source once
-    names: dict[Strand, str] = {}
+    # a sampled strand's exact copies share one record, and M sources
+    # serve M*K reads: format each record's tail and each source once,
+    # keyed on identity, as the sample holds every record and source
+    tails: dict[int, str] = {}
+    names: dict[int, str] = {}
     for i, p in enumerate(sample.provenance):
-        source = names.get(p.source)
-        if source is None:
-            source = names[p.source] = str(p.source)
-        flips = ",".join(map(str, p.flips)) if p.flips else "-"
-        rows.append(f"{i}\t{source}\t{flips}")
+        tail = tails.get(id(p))
+        if tail is None:
+            source = names.get(id(p.source))
+            if source is None:
+                source = names[id(p.source)] = str(p.source)
+            flips = ",".join(map(str, p.flips)) if p.flips else "-"
+            tail = tails[id(p)] = f"\t{source}\t{flips}"
+        rows.append(f"{i}{tail}")
     return rows
 
 

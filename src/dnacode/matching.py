@@ -69,15 +69,16 @@ without a flow, as the M*K reads then fill every strand's K places.
 One builder, ``_read_network``, lays this network out over given read
 values with their source capacities at 0, and every flow on it is grown
 one unit at a time along augmenting paths (``_FlowNetwork``).
-``assignment_feasible`` sets the source capacities to the multiplicities
-of the values left after the peel and runs ``max_flow``, which augments
-through each source edge until the edge is full or no path leads on
-from its head.  The ball oracle in ``channel`` builds the network over
-its whole read universe with the full strand capacities, raises the
-source capacities one read at a time and pushes each extra unit with
-one ``augment``, taken back with ``undo`` when the walk backtracks.  So
-membership and the oracle share one network layout and one flow
-algorithm.
+``assignment_feasible`` hands it the rows its peel read for the values
+left after the peel, so no row is computed twice, sets the source
+capacities to those values' multiplicities and runs ``max_flow``, which
+augments through each source edge until the edge is full or no path
+leads on from its head.  The ball oracle in ``channel`` builds the
+network over its whole read universe with the full strand capacities,
+raises the source capacities one read at a time and pushes each extra
+unit with one ``augment``, taken back with ``undo`` when the walk
+backtracks.  So membership and the oracle share one network layout and
+one flow algorithm.
 """
 
 from __future__ import annotations
@@ -514,6 +515,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
     room = [params.k] * z.m
     slack = [params.tau_budget] * z.m
     shared: list[tuple[int, int]] = []
+    shared_rows: list[list[int]] = []
     values = [v for v, _ in pool.entries]
     rows = _rows_within(
         values, strands, params.data_len, (params.e_i, params.e_d), params.index_len
@@ -523,6 +525,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
             return False
         if len(row) > 1:
             shared.append((v, count))
+            shared_rows.append(row)
             continue
         j = row[0]
         room[j] -= count
@@ -534,7 +537,9 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
                 return False
     if not shared:
         return True
-    net, sources, sink = _read_network([v for v, _ in shared], z, params, room, slack)
+    net, sources, sink = _read_network(
+        [v for v, _ in shared], z, params, room, slack, shared_rows
+    )
     for edge, (_, count) in zip(sources, shared):
         edge[1] = count
     return net.max_flow(0, sink) == sum(room)
@@ -546,13 +551,16 @@ def _read_network(
     params: SystemParams,
     room: Optional[Sequence[int]] = None,
     slack: Optional[Sequence[int]] = None,
+    rows: Optional[Iterable[Sequence[int]]] = None,
 ) -> tuple[_FlowNetwork, list[list[int]], int]:
     """The read-assignment network of Z over the given distinct read
     values, with every value's source edge at capacity 0: returns the
     network, the source edges in the order of ``values`` and the sink.
     A caller sets the source capacities to a pool's multiplicities.
     Strand j takes ``room[j]`` reads, at most ``slack[j]`` of them through
-    its noisy slot: K and floor(tau*K) when not given."""
+    its noisy slot: K and floor(tau*K) when not given.  ``rows``, when
+    given, are the values' ``_rows_within`` rows against Z's strands,
+    which a caller that has already computed them passes on."""
     if room is None:
         room = [params.k] * z.m
     if slack is None:
@@ -576,9 +584,10 @@ def _read_network(
     # edges in the order they were added and the read most often belongs
     # to the strand it copies
     position = {s: j for j, s in enumerate(strands)}
-    rows = _rows_within(
-        values, strands, params.data_len, (params.e_i, params.e_d), params.index_len
-    )
+    if rows is None:
+        rows = _rows_within(
+            values, strands, params.data_len, (params.e_i, params.e_d), params.index_len
+        )
     for i, (v, row) in enumerate(zip(values, rows), 1):
         net.add_edge(0, i, 0)
         exact = position.get(v)

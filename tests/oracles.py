@@ -7,13 +7,16 @@ references are the exception.  ``reference_balls_intersect`` is the
 enumeration the library's oracle prunes, with every pool tested by the
 partition search, and ``snapshot_balls_intersect`` is the library's
 oracle as it was when each step ran a full max flow and a rejected step
-wrote back saved residual capacities.  ``reference_read_network`` builds the
+wrote back saved residual capacities, run on a network and a
+breadth-first max flow of its own that share no code with
+``dnacode.matching``.  ``reference_read_network`` builds the
 read-assignment flow network by comparing every read with every strand,
-for networkx to solve.  The per-pair references near the end rebuild a
-code's verdict and a space's compatibility graph from ``balls_intersect``
-one pair at a time, the way the library did before its pair loops
-computed per-code data once, so they check that loop and not the pair
-decision itself.  ``reference_dna_distance`` finds each group's
+for networkx to solve.  ``reference_sample_ball`` is the channel
+sampler's draw as it was, one checked record per read.  The per-pair
+references near the end rebuild a code's verdict and a space's
+compatibility graph from ``balls_intersect`` one pair at a time, the way
+the library did before its pair loops computed per-code data once, so
+they check that loop and not the pair decision itself.  ``reference_dna_distance`` finds each group's
 bottleneck by trying every threshold with a backtracking matching, which
 drops a partial bijection at its first pair beyond the threshold instead
 of enumerating every permutation as ``oracle_dna_distance`` does; it
@@ -29,12 +32,12 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
-from dnacode.channel import in_ball, read_neighborhood
+from dnacode.channel import ChannelSample, ReadProvenance, read_neighborhood
 from dnacode.codec import (
     Answer,
     Regime,
@@ -55,8 +58,8 @@ from dnacode.errors import (
     WrongCount,
     WrongLength,
 )
-from dnacode.io import merge_headers, parse_param_items
-from dnacode.matching import BipartiteGraph, HallViolator, _hopcroft_karp, _read_network
+from dnacode.io import merge_headers, params_header, parse_param_items
+from dnacode.matching import BipartiteGraph, HallViolator, _hopcroft_karp
 from dnacode.model import (
     DEFAULT_SPACE_CAP,
     Message,
@@ -269,10 +272,12 @@ def snapshot_balls_intersect(
 ) -> bool:
     """``oracle_balls_intersect`` as it was before its walk grew one
     augmenting path a step: the same caps, shortcuts, forced copies and
-    walk order, but each step runs a full ``_FlowNetwork.max_flow`` on both
-    read networks, and a step is undone by writing back every residual
-    capacity saved at its depth.  The reference for the oracle on shapes
-    past ``reference_balls_intersect``'s reach."""
+    walk order, but each step runs a full max flow on both read networks,
+    and a step is undone by writing back every residual capacity saved at
+    its depth.  The networks are ``_residual_network``s and the flows
+    ``_bfs_max_flow``, so the walk shares no code with
+    ``dnacode.matching``.  The reference for the oracle on shapes past
+    ``reference_balls_intersect``'s reach."""
     check_shape(z1, z2, params=params)
     if z1 == z2:
         return True
@@ -304,25 +309,26 @@ def snapshot_balls_intersect(
     if count > cap:
         raise SpaceTooLarge(count, cap, what="candidate pools")
 
-    net1, src1, sink1 = _read_network(universe, z1, params)
-    net2, src2, sink2 = _read_network(universe, z2, params)
-    for i, v in enumerate(universe):
-        src1[i][1] = src2[i][1] = base[v]
+    entries = [(v, base[v]) for v in universe]
+    net1, sink = _residual_network(entries, z1, params)
+    net2, _ = _residual_network(entries, z2, params)
     placed = sum(base.values())
-    if net1.max_flow(0, sink1) < placed or net2.max_flow(0, sink2) < placed:
+    if _bfs_max_flow(net1, sink) < placed or _bfs_max_flow(net2, sink) < placed:
         return False
 
-    edges = [e for net in (net1, net2) for row in net.adj for e in row]
-    saved = [[e[1] for e in edges]]
+    def snapshot() -> list[list[dict[int, int]]]:
+        return [[dict(row) for row in net] for net in (net1, net2)]
+
+    saved = [snapshot()]
     picks: list[int] = []
     i = 0
     while len(picks) < remaining:
         if i < len(universe):
-            src1[i][1] += 1
-            src2[i][1] += 1
-            if net1.max_flow(0, sink1) and net2.max_flow(0, sink2):
+            net1[0][i + 1] += 1
+            net2[0][i + 1] += 1
+            if _bfs_max_flow(net1, sink) and _bfs_max_flow(net2, sink):
                 picks.append(i)
-                saved.append([e[1] for e in edges])
+                saved.append(snapshot())
                 continue
             i += 1
         elif picks:
@@ -330,39 +336,89 @@ def snapshot_balls_intersect(
             i = picks.pop() + 1
         else:
             return False
-        for e, c in zip(edges, saved[-1]):
-            e[1] = c
+        for net, rows in zip((net1, net2), saved[-1]):
+            net[:] = [dict(row) for row in rows]
 
     candidate = base + Counter(universe[j] for j in picks)
-    pool = ReadPool(params.length, tuple(candidate.items()))
-    if in_ball(pool, z1, params) and in_ball(pool, z2, params):
-        return True
-    raise AssertionError("a pool both read networks accept must lie in both balls")
+    for z in (z1, z2):
+        net, pool_sink = _residual_network(sorted(candidate.items()), z, params)
+        if _bfs_max_flow(net, pool_sink) != params.pool_size:
+            raise AssertionError("a pool both read networks accept must lie in both balls")
+    return True
 
 
-def reference_read_network(
-    pool: ReadPool, z: Message, params: SystemParams
+def _read_network_edges(
+    entries: Sequence[tuple[int, int]], z: Message, params: SystemParams
 ) -> list[tuple[int, int, int]]:
-    """The edges (u, v, capacity) of ``assignment_feasible``'s flow network,
-    found by comparing every read value with every strand through
-    ``split_popcount``, the way the library did before it looked strands
-    up by index.  Nodes are numbered as there: source 0, read values
-    1..n in pool order, then (noisy slot, strand) at base + 2*j for
-    strand j, where base = n + 1, and the sink at base + 2*M.  An exact
-    copy goes straight to its strand."""
-    base = 1 + len(pool.entries)
+    """The edges (u, v, capacity) of the read-assignment network of Z over
+    the (value, source capacity) ``entries``, found by comparing every
+    value with every strand through ``split_popcount``.  Nodes: source 0,
+    the values 1..n in the given order, then (noisy slot, strand) at
+    base + 2*j for strand j, where base = n + 1, and the sink at
+    base + 2*M.  An exact copy goes straight to its strand."""
+    base = 1 + len(entries)
     sink = base + 2 * params.m
-    edges = [(0, i, count) for i, (_, count) in enumerate(pool.entries, 1)]
+    edges = [(0, i, count) for i, (_, count) in enumerate(entries, 1)]
     for j, s in enumerate(z.strands):
         noisy = base + 2 * j
         edges += [(noisy, noisy + 1, params.tau_budget), (noisy + 1, sink, params.k)]
-        for i, (v, _) in enumerate(pool.entries, 1):
+        for i, (v, _) in enumerate(entries, 1):
             di, dd = split_popcount(v ^ s.bits, params.data_len)
             if v == s.bits:
                 edges.append((i, noisy + 1, params.pool_size))
             elif di <= params.e_i and dd <= params.e_d:
                 edges.append((i, noisy, params.pool_size))
     return edges
+
+
+def reference_read_network(
+    pool: ReadPool, z: Message, params: SystemParams
+) -> list[tuple[int, int, int]]:
+    """The edges (u, v, capacity) of ``assignment_feasible``'s flow network,
+    numbered as there, with the read values in pool order: the way the
+    library built it before it looked strands up by index."""
+    return _read_network_edges(pool.entries, z, params)
+
+
+def _residual_network(
+    entries: Sequence[tuple[int, int]], z: Message, params: SystemParams
+) -> tuple[list[dict[int, int]], int]:
+    """``_read_network_edges`` as residual capacities: row u maps each
+    neighbour v to the capacity left on u -> v, reverse edges at 0 (no
+    two nodes are joined both ways).  Returns the rows and the sink."""
+    edges = _read_network_edges(entries, z, params)
+    sink = 1 + len(entries) + 2 * params.m
+    net: list[dict[int, int]] = [{} for _ in range(sink + 1)]
+    for u, v, c in edges:
+        net[u][v] = c
+        net[v][u] = 0
+    return net, sink
+
+
+def _bfs_max_flow(net: list[dict[int, int]], sink: int) -> int:
+    """The flow from node 0 to ``sink`` added to the residual capacities
+    ``net`` in place: augment along a shortest residual path, found by
+    breadth-first search, until none is left (Edmonds & Karp 1972)."""
+    flow = 0
+    while True:
+        parent: dict[int, int] = {0: 0}
+        queue = deque([0])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, c in net[u].items():
+                if c > 0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        path = [sink]
+        while path[-1]:
+            path.append(parent[path[-1]])
+        push = min(net[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            net[u][v] -= push
+            net[v][u] += push
+        flow += push
 
 
 def networkx_max_flow(edges: Iterable[tuple[int, int, int]], sink: int) -> int:
@@ -373,6 +429,49 @@ def networkx_max_flow(edges: Iterable[tuple[int, int, int]], sink: int) -> int:
     g = nx.DiGraph()
     g.add_weighted_edges_from(edges, weight="capacity")
     return nx.maximum_flow_value(g, 0, sink)
+
+
+def reference_sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
+    """``sample_ball``'s draw one read at a time, as the library made it
+    before a strand's exact copies shared a record: ``randint`` for every
+    count and weight, every ``sample`` call made even when it draws
+    nothing, and one checked ``ReadProvenance`` per read, its value
+    rebuilt here from the flips.  ``randint(0, n)`` and ``randrange(n +
+    1)`` make the same draw, and a sample of 0 items draws nothing, so
+    the two samplers must agree read for read."""
+    check_shape(z, params=params)
+    rng = random.Random(seed)
+    provenance = []
+    for s in z.strands:
+        flips: list[tuple[int, ...]] = [()] * params.k
+        corrupt = rng.randint(0, params.tau_budget)
+        for copy in sorted(rng.sample(range(params.k), corrupt)):
+            wi = rng.randint(0, params.e_i)
+            ipos = rng.sample(range(params.index_len), wi)
+            wd = rng.randint(0, params.e_d)
+            dpos = rng.sample(range(params.index_len, params.length), wd)
+            flips[copy] = tuple(sorted(ipos + dpos))
+        for f in flips:
+            read = s.bits
+            for pos in f:
+                read ^= 1 << (params.length - 1 - pos)
+            provenance.append(ReadProvenance(read, s, f))
+    pool = ReadPool.from_reads([p.read for p in provenance], params.length)
+    return ChannelSample(pool, tuple(provenance), seed)
+
+
+def reference_sample_lines(
+    sample: ChannelSample, params: SystemParams
+) -> tuple[list[str], list[str]]:
+    """The pool file and provenance sidecar lines of a sample, each read
+    and each row formatted on its own."""
+    width = f"0{params.length}b"
+    pool = [params_header(params)] + [format(p.read, width) for p in sample.provenance]
+    rows = [f"# seed={sample.seed} rng={sample.rng}"] + [
+        f"{i}\t{format(p.source.bits, width)}\t{','.join(map(str, p.flips)) or '-'}"
+        for i, p in enumerate(sample.provenance)
+    ]
+    return pool, rows
 
 
 def oracle_exists_bijection(z1: Message, z2: Message, bound: tuple[int, int]) -> bool:

@@ -30,6 +30,7 @@ from dnacode import (
     sample_ball,
 )
 from dnacode import matching
+from dnacode.io import pool_lines, provenance_lines
 
 from oracles import (
     message_of,
@@ -38,6 +39,8 @@ from oracles import (
     random_message,
     reference_balls_intersect,
     reference_pools,
+    reference_sample_ball,
+    reference_sample_lines,
     snapshot_balls_intersect,
 )
 
@@ -93,11 +96,10 @@ def test_provenance_counts_flips_against_sources():
     budget = p.tau_budget
     by_source = {}
     for prov in sample.provenance:
-        assert prov.read == (
-            prov.source.bits
-            if not prov.flips
-            else prov.read  # construction already validated the flip arithmetic
-        )
+        read = prov.source.bits
+        for pos in prov.flips:
+            read ^= 1 << (p.length - 1 - pos)
+        assert prov.read == read
         wi = sum(1 for pos in prov.flips if pos < p.index_len)
         wd = len(prov.flips) - wi
         assert wi <= p.e_i and wd <= p.e_d
@@ -168,17 +170,115 @@ raise SystemExit("sample_ball returned a pool outside the ball")
 """
 
 
-def test_sampler_postcondition_holds_under_python_O():
+def run_under_python_O(script, timeout):
+    """Run ``script`` in a fresh ``python -O`` that imports the package and
+    this directory's modules; returns the finished process."""
     src = str(Path(dnacode.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_SAMPLER],
-        env=env,
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+def test_sampler_postcondition_holds_under_python_O():
+    done = run_under_python_O(OPTIMIZED_SAMPLER, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+# (M, L, l, K, tau, e_i, e_d) at the edges of the draw: floor(tau*K) = 0,
+# e_i = 0, e_d = 0, both 0, e_i = l, a budget of all K reads (tau = 1), and
+# the benchmark's large-m pool
+SAMPLER_EDGE_SHAPES = [
+    (2, 4, 2, 3, "1/4", 1, 1),
+    (3, 5, 2, 4, "1/2", 0, 2),
+    (3, 5, 2, 4, "3/4", 1, 0),
+    (2, 4, 2, 3, "1", 0, 0),
+    (2, 5, 2, 5, "1", 2, 1),
+    (4, 6, 3, 2, "1", 3, 3),
+]
+LARGE_M_SHAPE = (512, 20, 11, 10, "1/2", 1, 1)
+
+
+def _sampler_cases():
+    """(params, message, seed): 300 random shapes, then five seeds of each
+    edge shape and one large-m pool, the same for every run."""
+    rng = random.Random(97)
+    for seed in range(300):
+        index_len = rng.randint(1, 5)
+        length = index_len + rng.randint(1, 5)
+        p = mk_params(
+            rng.randint(1, min(4, 1 << index_len)),
+            length,
+            index_len,
+            rng.randint(1, 6),
+            rng.choice(["1", "1/2", "1/3", "2/3", "3/4", "1/5"]),
+            rng.randint(0, index_len),
+            rng.randint(0, length - index_len),
+        )
+        yield p, random_message(rng, p), seed
+    for shape in SAMPLER_EDGE_SHAPES:
+        p = mk_params(*shape)
+        for seed in range(5):
+            yield p, random_message(rng, p), seed
+    p = mk_params(*LARGE_M_SHAPE)
+    yield p, random_message(rng, p), 1
+
+
+def sampler_agreement():
+    """Compare ``sample_ball`` with ``reference_sample_ball`` on
+    ``_sampler_cases``: pool entries, provenance and the text of both
+    files.  Returns the disagreements (found without assert, so that it
+    checks under python -O too) and counts of the cases, of those with no
+    budget, no index flips, no data flips and index flips up to l, and of
+    the reads that share a record with an earlier read."""
+    disagreements, seen = [], Counter()
+    for p, z, seed in _sampler_cases():
+        got, want = sample_ball(z, p, seed), reference_sample_ball(z, p, seed)
+        rows = [(r.read, r.source.bits, r.flips) for r in got.provenance]
+        want_rows = [(r.read, r.source.bits, r.flips) for r in want.provenance]
+        text = (pool_lines([r.read for r in got.provenance], p), provenance_lines(got))
+        if (got.pool.entries, rows, got.seed, got.rng, text) != (
+            want.pool.entries, want_rows, want.seed, want.rng, reference_sample_lines(want, p)
+        ):
+            disagreements.append((p, str(z), seed))
+        seen["cases"] += 1
+        seen["no budget"] += p.tau_budget == 0
+        seen["e_i = 0"] += p.e_i == 0
+        seen["e_d = 0"] += p.e_d == 0
+        seen["e_i = l"] += p.e_i == p.index_len
+        seen["M = 512"] += p.m == 512
+        seen["shared records"] += len(got.provenance) - len({id(r) for r in got.provenance})
+    return disagreements, seen
+
+
+def test_sampler_draws_the_reference_stream_read_for_read():
+    disagreements, seen = sampler_agreement()
+    assert disagreements == []
+    assert seen["cases"] >= 300 + 5 * len(SAMPLER_EDGE_SHAPES)
+    for kind in ("no budget", "e_i = 0", "e_d = 0", "e_i = l"):
+        assert seen[kind] >= 5, kind
+    assert seen["M = 512"] == 1
+    assert seen["shared records"] > 1000
+
+
+OPTIMIZED_AGREEMENT = """
+from test_channel import sampler_agreement
+
+if __debug__:
+    raise SystemExit("expected python -O")
+disagreements, seen = sampler_agreement()
+if disagreements or seen["cases"] < 300:
+    raise SystemExit(repr((disagreements, seen)))
+"""
+
+
+def test_sampler_draws_the_reference_stream_under_python_O():
+    done = run_under_python_O(OPTIMIZED_AGREEMENT, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
@@ -457,17 +557,7 @@ if disagreements or yes < 50 or no < 50:
 
 
 def test_oracle_agrees_with_the_snapshot_walk_under_python_O():
-    src = str(Path(dnacode.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_ORACLE],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = run_under_python_O(OPTIMIZED_ORACLE, timeout=120)
     assert done.returncode == 0, done.stderr
 
 

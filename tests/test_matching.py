@@ -684,6 +684,51 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
             assert {a, b} <= strands
 
 
+@pytest.mark.parametrize("e", [(1, 1), (2, 1)])
+@pytest.mark.parametrize("m", [64, 512])
+def test_assignment_hands_the_peel_rows_to_the_network(m, e):
+    # membership reads each pool value's row once, in the peel, and the
+    # network it builds from the rows handed on equals the one the builder
+    # makes from the same values when it reads the rows itself
+    p = mk_params(m, 20, 11, 10, "1/2", *e)
+    rng = random.Random(f"handoff-{m}-{e}")
+    z, _, _, _, pools = _scale_pools(rng, p, seed=m + e[0])
+    real_rows, real_network = matching._rows_within, matching._read_network
+    built = set()
+    for name, pool, want in pools:
+        row_calls, handed = [], []
+
+        def counting_rows(*args):
+            row_calls.append(args)
+            return real_rows(*args)
+
+        def recording_network(values, z, params, room=None, slack=None, rows=None):
+            handed.append((list(values), list(room), list(slack), rows is not None))
+            return real_network(values, z, params, room, slack, rows)
+
+        _RecordingNetwork.networks.clear()
+        with mock.patch.object(matching, "_FlowNetwork", _RecordingNetwork), mock.patch.object(
+            matching, "_rows_within", counting_rows
+        ), mock.patch.object(matching, "_read_network", recording_network):
+            assert assignment_feasible(pool, z, p) is want, name
+        assert len(row_calls) == 1, name
+        assert len(handed) == len(_RecordingNetwork.networks) <= 1, name
+        if not handed:
+            continue
+        ((values, room, slack, with_rows),) = handed
+        (net,) = _RecordingNetwork.networks
+        assert with_rows, name
+        _RecordingNetwork.networks.clear()
+        with mock.patch.object(matching, "_FlowNetwork", _RecordingNetwork):
+            rebuilt, sources, _ = matching._read_network(values, z, p, room, slack)
+        counts = dict(pool.entries)
+        for edge, v in zip(sources, values):
+            edge[1] = counts[v]
+        assert rebuilt.current_edges() == net.edges, name
+        built.add(name)
+    assert "shared read" in built
+
+
 def _peel_cases(pool, z, p):
     """The cases of the forced-read peel that a pool shows, found through
     ``_within``: a value with one candidate strand is forced to it."""
