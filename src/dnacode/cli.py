@@ -217,11 +217,7 @@ def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemPar
     header_a, block_a = read_message_file(args.a)
     header_b, block_b = read_message_file(args.b)
     params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a)
-    return _message(block_a, params), _message(block_b, params), params
-
-
-def _message(block: Block, params: SystemParams) -> Message:
-    return validate_message(block, params)
+    return validate_message(block_a, params), validate_message(block_b, params), params
 
 
 def _bare_message(block: Block, index_len: int) -> Message:
@@ -252,7 +248,7 @@ def _regime_line(tag: RegimeTag) -> str:
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
     params = _system_params(args, {args.code: header}, blocks[0] if blocks else None)
-    code = [_message(block, params) for block in blocks]
+    code = [validate_message(block, params) for block in blocks]
     verdict = is_dna_correcting(code, params)
     lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
@@ -301,7 +297,7 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block = read_message_file(args.message)
     params = _system_params(args, {args.message: header}, block)
-    sample = sample_ball(_message(block, params), params, args.seed)
+    sample = sample_ball(validate_message(block, params), params, args.seed)
     file_lines = pool_lines([p.read for p in sample.provenance], params)
     if args.provenance:
         write_text(args.provenance, provenance_lines(sample))
@@ -316,7 +312,7 @@ def _cmd_member(args: argparse.Namespace) -> list[str]:
     msg_header, block = read_message_file(args.message)
     params = _system_params(args, {args.pool: pool_header, args.message: msg_header}, block)
     pool = ReadPool.from_reads(reads, params.length)
-    return ["YES" if in_ball(pool, _message(block, params), params) else "NO"]
+    return ["YES" if in_ball(pool, validate_message(block, params), params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:

@@ -26,10 +26,10 @@ scan, and so names every j that can answer Yes with i.  Only these
 candidate pairs are decided, in canonical order, so the first Yes, and
 its bijection, is the one the all-pairs loop finds.
 Every other pair has the one-strand Hall violator ({a}, {}): at tau = 1
-it is No, and at high tau it is No exactly when its flags prove No, the
-same rule a candidate pair without a bijection meets.  So once no pair
-answers Yes, the code is Indeterminate iff some pair of its codewords
-fails the flag rule, which the four classes of flags decide in O(n).
+it is No, and at high tau it is No exactly when both codewords avoid
+close strand pairs, the same rule a candidate pair without a bijection
+meets.  So once no pair answers Yes, the code is Indeterminate iff some
+codeword does not avoid them.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DuplicateCodeword, EdNonZero, ValidationError
@@ -123,17 +122,6 @@ class IntersectionResult:
             raise ValidationError("reason present iff the answer is Unknown")
 
 
-Flags = tuple[bool, bool]
-"""A message's restricted-space hypotheses, see ``PairTest.restricted``."""
-
-
-def _flags_prove_no(flags1: Flags, flags2: Flags) -> bool:
-    """Whether, at high tau, a missing bijection proves No for two messages
-    with these flags."""
-    (two1, one1), (two2, one2) = flags1, flags2
-    return (two1 and two2) or (one1 and one2)
-
-
 class PairTest:
     """The pair decision, with everything that depends on the params only
     computed once, so a code or space pays for it once and not per pair.
@@ -152,25 +140,25 @@ class PairTest:
         self.two_e = (2 * params.e_i, 2 * params.e_d)
         # the bound a bijection must meet to prove Yes
         self.bound = self.two_e if self.regime is Regime.TAU_ONE else one_e
-        # at high tau, avoidance at (e_i, e_d) proves No only for budgets
-        # below M*K/(2M-1)
-        below = self.regime is Regime.HIGH_TAU and params.tau_budget < budget_bound(params)
-        self.one_e = one_e if below else None
-
-    def restricted(self, z: Message) -> Flags:
-        """Whether no two strands of Z lie within (2e_i, 2e_d), and whether
-        the budget is below M*K/(2M-1) and none lie within (e_i, e_d)."""
-        return (
-            in_restricted_space(z, *self.two_e),
-            self.one_e is not None and in_restricted_space(z, *self.one_e),
+        # at high tau a missing bijection proves No when both messages
+        # avoid strand pairs within (2e_i, 2e_d), or within (e_i, e_d) for
+        # budgets below M*K/(2M-1); avoiding the doubled radius implies
+        # avoiding the single one, so one radius decides either way
+        self.below_bound = (
+            self.regime is Regime.HIGH_TAU and params.tau_budget < budget_bound(params)
         )
+        self.avoid = one_e if self.below_bound else self.two_e
 
-    def flags(self, messages: Sequence[Message]) -> list[Flags]:
-        """Each message's ``restricted`` flags at high tau, the only regime
-        that reads them; empty otherwise."""
+    def avoids(self, z: Message) -> bool:
+        """Whether no two strands of Z lie within the radius ``avoid``."""
+        return in_restricted_space(z, *self.avoid)
+
+    def flags(self, messages: Sequence[Message]) -> list[bool]:
+        """Whether each message ``avoids``, at high tau, the only regime
+        that reads it; empty otherwise."""
         if self.regime is not Regime.HIGH_TAU:
             return []
-        return [self.restricted(z) for z in messages]
+        return [self.avoids(z) for z in messages]
 
     def decide(
         self,
@@ -178,13 +166,13 @@ class PairTest:
         z2: Message,
         bits1: tuple[int, ...],
         bits2: tuple[int, ...],
-        flags: Optional[tuple[Flags, Flags]] = None,
+        both_avoid: Optional[bool] = None,
     ) -> tuple[Answer, Optional[Bijection]]:
         """The answer for two distinct messages of the params' shape, given
         their packed strands, and a bijection with Yes.
 
-        At high tau a No needs both messages' flags; when they are not
-        given they are computed here, once no bijection has been found.
+        At high tau a No needs both messages to avoid; when ``both_avoid``
+        is not given it is computed here, once no bijection has been found.
         """
         if self.regime is Regime.LOW_TAU:
             return Answer.UNKNOWN, None
@@ -193,9 +181,9 @@ class PairTest:
             return Answer.YES, bijection_of(z1, z2, match)
         if self.regime is Regime.TAU_ONE:
             return Answer.NO, None
-        if _flags_prove_no(*(flags or (self.restricted(z1), self.restricted(z2)))):
-            return Answer.NO, None
-        return Answer.UNKNOWN, None
+        if both_avoid is None:
+            both_avoid = self.avoids(z1) and self.avoids(z2)
+        return (Answer.NO if both_avoid else Answer.UNKNOWN), None
 
     def candidates(self, bits: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
         """The pairs i < j of messages, given by their packed strands, in
@@ -229,9 +217,9 @@ class PairTest:
         within the bound of a, and a message's own mask holds the bits of
         its strands.  Row u of pair (i, j) is then near[a_u] & own[j], and
         the pair answers No iff these rows admit no perfect matching.  At
-        high tau a No needs ``(two1 and two2) or (one1 and one2)``, so
-        each class of flags gets the mask of the messages it may answer No
-        with, and a row drops the rest of ``among`` before any matching.
+        high tau a No needs both messages to avoid, so the row of a message
+        that does not is 0, and any other row drops the messages that do
+        not from ``among`` before any matching.
         """
         if self.regime is Regime.LOW_TAU:
             return lambda i, among: 0
@@ -241,16 +229,13 @@ class PairTest:
         bit = {a: 1 << p for p, a in enumerate(values)}
         own = [sum(bit[a] for a in strands) for strands in bits]
         flags = self.flags(messages)
-        partners = {
-            flags1: sum(
-                1 << j for j, flags2 in enumerate(flags) if _flags_prove_no(flags1, flags2)
-            )
-            for flags1 in set(flags)
-        }
+        avoiding = sum(1 << j for j, avoids in enumerate(flags) if avoids)
 
         def row(i: int, among: int) -> int:
             if flags:
-                among &= partners[flags[i]]
+                if not flags[i]:
+                    return 0
+                among &= avoiding
             near_i = [near[a] for a in bits[i]]
             no = 0
             while among:
@@ -336,46 +321,29 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
     Only the pairs ``PairTest.candidates`` screens in are decided: in
     every other pair the first codeword's first strand has no partner
     within the bound, so no bijection exists and the pair cannot answer
-    Yes.  Such a pair is No at tau = 1, and at high tau it is No iff its
-    flags prove No, as is a candidate pair without a bijection.  So with
-    no Yes, the verdict is Indeterminate iff some pair fails the flag
-    rule, counted over the message classes of equal flags.
+    Yes.  Such a pair is No at tau = 1, and at high tau it is No iff both
+    codewords avoid (``PairTest.avoids``), as is a candidate pair without
+    a bijection.  So with no Yes, the verdict is Indeterminate iff some
+    codeword does not avoid.
     """
     codewords, bits = _validated_code(code, params)
     test = PairTest(params)
     flags = test.flags(codewords)
-    tag = _regime_tag(test, flags)
+    tag = _regime_tag(test, codewords, flags)
     if len(codewords) < 2:
         return Verdict(VerdictKind.CORRECTING, tag)
     if test.regime is Regime.LOW_TAU:
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
     for i, j in test.candidates(bits):
-        pair_flags = (flags[i], flags[j]) if flags else None
-        answer, bij = test.decide(codewords[i], codewords[j], bits[i], bits[j], pair_flags)
+        both_avoid = flags[i] and flags[j] if flags else None
+        answer, bij = test.decide(codewords[i], codewords[j], bits[i], bits[j], both_avoid)
         if answer is Answer.YES:
             assert bij is not None
             witness = Witness((codewords[i], codewords[j]), bij, test.bound)
             return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
-    if _some_pair_unproved(flags):
+    if not all(flags):
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=UNPROVED_REASON)
     return Verdict(VerdictKind.CORRECTING, tag)
-
-
-def _some_pair_unproved(flags: Sequence[Flags]) -> bool:
-    """Whether, among two or more messages with these high-tau flags, some
-    two fail the rule that lets a missing bijection prove No; False when
-    no flags are given, as in every other regime.
-
-    The rule reads the flags only, so the classes of equal flags decide
-    it: at most four classes, and one pass over the messages to find them.
-    A class fails the rule with itself only when both its flags are False,
-    and then it fails with every other message as well, so a class that
-    holds a single message needs no count.
-    """
-    return any(
-        not _flags_prove_no(flags1, flags2)
-        for flags1, flags2 in combinations_with_replacement(set(flags), 2)
-    )
 
 
 def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verdict:
@@ -390,7 +358,7 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
         raise EdNonZero(f"this test requires e_d = 0, got e_d = {params.e_d}")
     codewords, _ = _validated_code(code, params)
     test = PairTest(params)
-    tag = _regime_tag(test, test.flags(codewords))
+    tag = _regime_tag(test, codewords, test.flags(codewords))
     if len(codewords) < 2:
         return Verdict(VerdictKind.CORRECTING, tag)
     if tag.regime is Regime.LOW_TAU:
@@ -425,11 +393,23 @@ def _validated_code(
     return tuple(by_bits[b] for b in bits), bits
 
 
-def _regime_tag(test: PairTest, flags: Sequence[Flags]) -> RegimeTag:
+def _regime_tag(
+    test: PairTest, codewords: Sequence[Message], flags: Sequence[bool]
+) -> RegimeTag:
+    """The regime, and at high tau whether every codeword avoids strand
+    pairs within (2e_i, 2e_d), and, below M*K/(2M-1), within (e_i, e_d).
+
+    Below the bound ``flags`` are at (e_i, e_d), which every codeword that
+    avoids (2e_i, 2e_d) also avoids, so only a code whose codewords all
+    avoid needs a pass at the doubled radius.
+    """
     if test.regime is not Regime.HIGH_TAU:
         return RegimeTag(test.regime)
+    every = all(flags)
+    if not test.below_bound:
+        return RegimeTag(test.regime, restricted2e=every)
     return RegimeTag(
         test.regime,
-        restricted2e=all(two for two, _ in flags),
-        restricted1e_bound=test.one_e is not None and all(one for _, one in flags),
+        restricted2e=every and all(in_restricted_space(z, *test.two_e) for z in codewords),
+        restricted1e_bound=every,
     )

@@ -89,16 +89,19 @@ def test_flag_params_override_headers(capsys, bad_code):
 
 
 def test_verify_regime_line_shows_restriction_flags(capsys, tmp_path):
-    code_file = write(
-        tmp_path / "c.txt",
-        "%params M=2,L=4,l=2,K=2,tau=1/2,ei=1,ed=0\n\n0000\n1101\n\n0001\n1100\n",
-    )
-    code, out, _ = invoke(capsys, "verify", "--code", code_file)
+    # budget 1 is below M*K/(2M-1) = 4/3, so both hypotheses are reported
+    header = "%params M=2,L=4,l=2,K=2,tau=1/2,ei=1,ed=0\n"
+    both = write(tmp_path / "both.txt", header + "\n0000\n1101\n\n0001\n1100\n")
+    code, out, _ = invoke(capsys, "verify", "--code", both)
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "CORRECTING"
-    assert lines[1].startswith("regime: high-tau")
-    assert "+restricted2e" in lines[1]
+    assert out.splitlines() == [
+        "CORRECTING", "regime: high-tau +restricted2e +restricted1e-bound"
+    ]
+    # each codeword has two strands within (2, 0), none within (1, 0)
+    one = write(tmp_path / "one.txt", header + "\n0000\n1100\n\n0001\n1101\n")
+    code, out, _ = invoke(capsys, "verify", "--code", one)
+    assert code == 0
+    assert out.splitlines() == ["CORRECTING", "regime: high-tau +restricted1e-bound"]
 
 
 def test_distance(capsys, tmp_path):

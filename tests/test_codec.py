@@ -26,6 +26,8 @@ from dnacode import (
     budget_bound,
     classify_regime,
     enumerate_space,
+    exists_bijection_within,
+    in_restricted_space,
     is_dna_correcting,
     is_dna_correcting_ed0,
     oracle_balls_intersect,
@@ -163,6 +165,44 @@ def test_high_tau_one_e_restriction_can_decide():
     if got.answer is Answer.NO:
         assert not oracle_balls_intersect(z1, z2, p)
 
+
+def two_flag_answer(z1, z2, p, flags1, flags2):
+    """The high-tau answer by the rule as the paper states it: a bijection
+    within (e_i, e_d) is Yes; without one, both messages avoiding strand
+    pairs within (2e_i, 2e_d), or both avoiding them within (e_i, e_d)
+    with the budget below M*K/(2M-1), is No; anything else is Unknown."""
+    if exists_bijection_within(z1, z2, (p.e_i, p.e_d)) is not None:
+        return Answer.YES
+    (two1, one1), (two2, one2) = flags1, flags2
+    return Answer.NO if (two1 and two2) or (one1 and one2) else Answer.UNKNOWN
+
+
+def two_flags(z, p):
+    below = p.tau_budget < budget_bound(p)
+    return (
+        in_restricted_space(z, 2 * p.e_i, 2 * p.e_d),
+        below and in_restricted_space(z, p.e_i, p.e_d),
+    )
+
+
+def test_high_tau_answers_follow_the_two_flag_rule_on_every_pair():
+    classes = set()
+    for shape in [
+        (2, 4, 2, 4, "1/2", 1, 0),  # budget 2 < 8/3
+        (3, 4, 2, 4, "1/2", 1, 0),  # budget 2 < 12/5
+        (2, 4, 2, 4, "3/4", 1, 0),  # budget 3 >= 8/3
+        (3, 4, 2, 4, "3/4", 1, 0),  # budget 3 >= 12/5
+    ]:
+        p = mk_params(*shape)
+        assert classify_regime(p) is Regime.HIGH_TAU
+        space = list(enumerate_space(p))
+        flags = [two_flags(z, p) for z in space]
+        classes.update(flags)
+        for i, (z1, flags1) in enumerate(zip(space, flags)):
+            for z2, flags2 in zip(space[i + 1:], flags[i + 1:]):
+                expected = two_flag_answer(z1, z2, p, flags1, flags2)
+                assert balls_intersect(z1, z2, p).answer is expected, (shape, z1, z2)
+    assert classes == {(True, True), (True, False), (False, True), (False, False)}
 
 def test_verifier_examples():
     p = mk_params(1, 3, 2, 2, "1", 1, 0)

@@ -127,7 +127,7 @@ def _chain_pool(n):
     return p, z, ReadPool.from_reads(reads, 64)
 
 
-def test_deep_level_graph_does_not_exhaust_the_stack(capsys, tmp_path):
+def test_read_network_takes_a_1000_strand_augmenting_path(capsys, tmp_path):
     p, z, pool = _chain_pool(1000)
     assert assignment_feasible(pool, z, p) is True
 

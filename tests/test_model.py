@@ -501,7 +501,7 @@ def test_cli_message_inputs_match_the_per_strand_reference():
         if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
             p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
             _assert_same_outcomes(
-                [_outcome(cli._message, block, p)],
+                [_outcome(cli.validate_message, block, p)],
                 [_outcome(reference_validate_message, block, p)],
                 block,
             )

@@ -11,12 +11,16 @@ import pytest
 import dnacode
 from dnacode import (
     CompatibilityGraph,
+    Regime,
     Strategy,
     TooLargeForExact,
     ValidationError,
     VerdictKind,
+    budget_bound,
     build_graph,
+    classify_regime,
     enumerate_space,
+    in_restricted_space,
     is_dna_correcting,
     max_code,
     min_dna_distance,
@@ -166,9 +170,9 @@ def test_exact_has_a_vertex_limit():
 GREEDY_SPACES = [
     ((3, 4, 2, 2, "1", 1, 0), None),  # tau = 1, 256 messages
     ((1, 3, 1, 2, "1", 1, 1), None),
-    # high tau below M*K/(2M-1): flags (True, True), (False, True), (False, False)
+    # high tau below M*K/(2M-1): classes (True, True), (False, True), (False, False)
     ((2, 4, 2, 4, "1/2", 1, 0), None),
-    # high tau at or above it: flags (True, False), (False, False)
+    # high tau at or above it: classes (True, False), (False, False)
     ((3, 4, 2, 4, "3/4", 1, 0), None),
     ((2, 3, 2, 4, "1/4", 1, 0), None),  # low tau
     ((2, 3, 2, 2, "1", 1, 0), (2, 0)),
@@ -186,7 +190,15 @@ def test_lazy_greedy_finds_the_graph_greedy_code():
         code, row = run_search(p, Strategy.GREEDY, restrict)
         assert code == max_code(graph, Strategy.GREEDY), (shape, restrict)
         assert row.space_size == graph.vertex_count
-        classes.update(PairTest(p).flags(graph.vertices))
+        if classify_regime(p) is Regime.HIGH_TAU:
+            below = p.tau_budget < budget_bound(p)
+            classes.update(
+                (
+                    in_restricted_space(z, 2 * p.e_i, 2 * p.e_d),
+                    below and in_restricted_space(z, p.e_i, p.e_d),
+                )
+                for z in graph.vertices
+            )
     assert classes == {(True, True), (True, False), (False, True), (False, False)}
 
 
