@@ -114,8 +114,10 @@ def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, .
     the module docstring says."""
     flips: list[tuple[int, ...]] = [()] * params.k
     # randrange(n + 1) draws as randint(0, n) does, and a sample of 0
-    # items draws nothing, so skipping one leaves the stream unchanged
-    corrupt = rng.randrange(params.tau_budget + 1)
+    # items draws nothing, so skipping one leaves the stream unchanged.
+    # With no budget every count is 0 and the sample draws nothing else,
+    # so the count is not drawn: the pool is the same without it
+    corrupt = params.tau_budget and rng.randrange(params.tau_budget + 1)
     if not corrupt:
         return flips
     for copy in sorted(rng.sample(range(params.k), corrupt)):

@@ -214,40 +214,94 @@ class PairTest:
 
         The set-up is paid once per space.  Each distinct strand value a
         of the messages gets one bit, near[a] is the mask of the values
-        within the bound of a, and a message's own mask holds the bits of
-        its strands.  Row u of pair (i, j) is then near[a_u] & own[j], and
-        the pair answers No iff these rows admit no perfect matching.  At
-        high tau a No needs both messages to avoid, so the row of a message
-        that does not is 0, and any other row drops the messages that do
-        not from ``among`` before any matching.
+        within the bound of a, holders[a] is the mask of the messages
+        holding a, and a message's own mask holds the bits of its strands.
+        reach[a], the OR of holders[b] over the b in near[a], is built the
+        first time a row reads it.
+
+        A row screens all of ``among`` at once before any matching.  A
+        message outside reach[a] for some strand a of i, or holding a value
+        outside the union of i's near masks, has a strand with no partner
+        in the other message: a one-strand Hall violator (Hall 1935), so
+        the pair has no bijection within the bound and answers No (at high
+        tau, once both messages avoid, as below).  Only
+        the messages left, in which every strand on either side has a
+        partner, are matched: row u of pair (i, j) is near[a_u] & own[j],
+        and the pair answers No iff these rows admit no perfect matching.
+
+        At high tau a No needs both messages to avoid.  The flag of message
+        i is found first, and the row of a message that does not avoid is
+        0; any other row finds the flags of the messages of ``among`` not
+        yet known, and drops those that do not avoid before the screens.
         """
         if self.regime is Regime.LOW_TAU:
             return lambda i, among: 0
         bits = [packed(z) for z in messages]
         values = sorted({a for strands in bits for a in strands})
-        near = dict(zip(values, near_masks(values, self.data_len, self.bound, self.index_len)))
-        bit = {a: 1 << p for p, a in enumerate(values)}
-        own = [sum(bit[a] for a in strands) for strands in bits]
-        flags = self.flags(messages)
-        avoiding = sum(1 << j for j, avoids in enumerate(flags) if avoids)
+        near = near_masks(values, self.data_len, self.bound, self.index_len)
+        position = {a: p for p, a in enumerate(values)}
+        strands = [[position[a] for a in z] for z in bits]
+        holders = [0] * len(values)
+        for j, ps in enumerate(strands):
+            for p in ps:
+                holders[p] |= 1 << j
+        own = [sum(1 << p for p in ps) for ps in strands]
+        reach: dict[int, int] = {}
+        every_value = (1 << len(values)) - 1
+        high_tau = self.regime is Regime.HIGH_TAU
+        known = avoiding = 0
+
+        def held(value_mask: int) -> int:
+            """The messages holding a value of ``value_mask``."""
+            out = 0
+            for p in _bit_indices(value_mask):
+                out |= holders[p]
+            return out
+
+        def learn(mask: int) -> None:
+            """Find the flags of the messages of ``mask`` not yet known."""
+            nonlocal known, avoiding
+            for j in _bit_indices(mask & ~known):
+                if self.avoids(messages[j]):
+                    avoiding |= 1 << j
+            known |= mask
 
         def row(i: int, among: int) -> int:
-            if flags:
-                if not flags[i]:
+            if high_tau:
+                learn(1 << i)
+                if not avoiding >> i & 1:
                     return 0
+                learn(among)
                 among &= avoiding
-            near_i = [near[a] for a in bits[i]]
-            no = 0
-            while among:
-                low = among & -among
-                among ^= low
+            near_i = [near[p] for p in strands[i]]
+            left = among
+            union = 0
+            for p, near_p in zip(strands[i], near_i):
+                if p not in reach:
+                    reach[p] = held(near_p)
+                left &= reach[p]
+                union |= near_p
+            left &= ~held(every_value & ~union)
+            no = among & ~left
+            while left:
+                low = left & -left
+                left ^= low
                 mask = own[low.bit_length() - 1]
-                rows = [r & mask for r in near_i]
-                if not (all(rows) and has_perfect_matching(rows)):
+                if not has_perfect_matching([r & mask for r in near_i]):
                     no |= low
             return no
 
         return row
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> IntersectionResult:

@@ -8,12 +8,15 @@ first maximum clique by branch and bound under a greedy-colouring bound;
 the greedy search takes vertices one at a time.
 
 Both read the pair decision of ``PairTest.no_row``: an edge needs no
-bijection, so none is built.  The graph build asks each vertex's row
-for the vertices above it.  The greedy search builds no graph: it asks
-only for the rows of the vertices it takes, among the vertices still
-compatible with its clique.  The clique found is re-verified by
-``is_dna_correcting``, which keeps the bijection path that verify and
-intersect use for their witnesses.
+bijection, so none is built.  A row drops at once, with a few mask
+operations per strand value, every vertex whose pair with the row's
+vertex has a strand on either side with no partner within the bound,
+and runs a perfect-matching test only on the vertices left.  The graph
+build asks each vertex's row for the vertices above it.  The greedy
+search builds no graph: it asks only for the rows of the vertices it
+takes, among the vertices still compatible with its clique.  The
+clique found is re-verified by ``is_dna_correcting``, which keeps the
+bijection path that verify and intersect use for their witnesses.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 # balls_intersect is not called here: it stays importable under this
 # module for the benchmark tracer, which counts pair tests by that name
-from .codec import PairTest, VerdictKind, balls_intersect, is_dna_correcting
+from .codec import PairTest, VerdictKind, _bit_indices, balls_intersect, is_dna_correcting
 from .errors import TooLargeForExact, ValidationError
 from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space
 
@@ -135,15 +138,6 @@ def _verified_code(
     if is_dna_correcting(code, params).kind is not VerdictKind.CORRECTING:
         raise AssertionError("cliques are certified codes")
     return code
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _greedy_clique(n: int, row: Callable[[int, int], int]) -> int:

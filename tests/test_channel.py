@@ -29,7 +29,7 @@ from dnacode import (
     read_neighborhood,
     sample_ball,
 )
-from dnacode import matching
+from dnacode import channel, matching
 from dnacode.io import pool_lines, provenance_lines
 
 from oracles import (
@@ -264,6 +264,37 @@ def test_sampler_draws_the_reference_stream_read_for_read():
         assert seen[kind] >= 5, kind
     assert seen["M = 512"] == 1
     assert seen["shared records"] > 1000
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its draws: every ``randrange`` and
+    ``sample`` of this class goes through ``getrandbits``."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        CountingRandom.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 2, 3, "1/4", 1, 1), (3, 5, 2, 1, "1/2", 2, 1)])
+def test_sampler_draws_nothing_without_a_budget(monkeypatch, shape):
+    # floor(tau*K) = 0: every read is an exact copy, so no count, position
+    # or weight is drawn (the reference agreement above covers the pools)
+    p = mk_params(*shape)
+    assert p.tau_budget == 0
+    monkeypatch.setattr(channel, "random", mock.Mock(Random=CountingRandom))
+    rng = random.Random(5)
+    for seed in range(5):
+        CountingRandom.draws = 0
+        sample = sample_ball(random_message(rng, p), p, seed)
+        assert CountingRandom.draws == 0
+        assert all(not r.flips for r in sample.provenance)
+    # with a budget of 1 the counts are drawn, and counted
+    p = mk_params(*shape[:4], f"1/{shape[3]}", *shape[5:])
+    CountingRandom.draws = 0
+    sample_ball(random_message(rng, p), p, 0)
+    assert CountingRandom.draws >= p.m
 
 
 OPTIMIZED_AGREEMENT = """

@@ -1,15 +1,17 @@
 """The pair loops of the code verifier, the graph build and the minimum
-DNA-distance, checked against per-pair references; the verifier's
-screen, its pairs and its verdicts, on codes of 150 codewords, on codes
-too small for the row kernel's index lookup and with the kernel forced
-down either path; the violators that end a bijection test early,
-checked from the strands alone."""
+DNA-distance, checked against per-pair references; the partner screens
+of the search's rows, the pairs each drops and the matchings they save;
+the verifier's screen, its pairs and its verdicts, on codes of 150
+codewords, on codes too small for the row kernel's index lookup and with
+the kernel forced down either path; the violators that end a bijection
+test early, checked from the strands alone."""
 
 import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -17,10 +19,12 @@ import pytest
 
 import dnacode
 from dnacode import (
+    Answer,
     HallViolator,
     Message,
     Regime,
     ShapeMismatch,
+    Strategy,
     VerdictKind,
     bijection_within_or_violator,
     build_graph,
@@ -29,7 +33,9 @@ from dnacode import (
     in_restricted_space,
     is_dna_correcting,
     min_dna_distance,
+    run_search,
 )
+from dnacode import codec
 from dnacode.codec import PairTest
 from dnacode.io import code_lines, write_text
 from dnacode.matching import packed
@@ -411,6 +417,10 @@ SEARCH_SPACES = [
     ((4, 4, 2, 4, "3/4", 0, 1), None),
     # M = 8: the graph build has no M threshold
     ((8, 4, 3, 2, "1", 1, 0), None),
+    # tau = 1 spaces where pairs pass both partner screens of ``no_row``
+    # and still answer No: 64 of 120 pairs at M = 4, 864 at M = 3
+    ((4, 3, 2, 2, "1", 1, 0), None),
+    ((3, 4, 2, 2, "1", 1, 0), None),
 ]
 
 
@@ -420,6 +430,88 @@ def test_graph_matches_the_per_pair_reference(shape, restrict):
     graph = build_graph(params, restrict)
     assert graph.vertices == tuple(enumerate_space(params, restrict))
     assert graph.adjacency == pairwise_adjacency(graph.vertices, params)
+
+
+def within(a, b, params, bound):
+    """Whether packed strand values a and b are within ``bound``, from
+    their index and data fields."""
+    data = (1 << params.data_len) - 1
+    index_distance = ((a ^ b) >> params.data_len).bit_count()
+    return index_distance <= bound[0] and ((a ^ b) & data).bit_count() <= bound[1]
+
+
+def screen_class(x, y, params, bound):
+    """Which partner screen of ``PairTest.no_row`` drops the pair of
+    packed messages x (the row's) and y: "i-side" when a strand of x has
+    no partner in y, else "j-side" when a strand of y has none in x, else
+    None."""
+    if not all(any(within(a, b, params, bound) for b in y) for a in x):
+        return "i-side"
+    if not all(any(within(a, b, params, bound) for a in x) for b in y):
+        return "j-side"
+    return None
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 3, 2, 2, "1", 1, 0), (3, 4, 2, 2, "1", 1, 0), (3, 4, 2, 4, "3/4", 1, 0)]
+)
+def test_no_row_screens_drop_only_no_pairs(shape):
+    params = mk_params(*shape)
+    messages = tuple(enumerate_space(params))
+    bits = [packed(z) for z in messages]
+    test = PairTest(params)
+    n = len(messages)
+    answer = {}
+    for i, j in combinations(range(n), 2):
+        answer[i, j] = answer[j, i] = test.decide(messages[i], messages[j], bits[i], bits[j])[0]
+    classes = Counter()
+    for (i, j), got in answer.items():
+        screened = screen_class(bits[i], bits[j], params, test.bound)
+        if screened:
+            # a strand with no partner is a one-strand Hall violator
+            assert got is not Answer.YES, (i, j)
+            classes[screened] += 1
+        else:
+            classes["Yes" if got is Answer.YES else "no bijection"] += 1
+    assert set(classes) == {"i-side", "j-side", "no bijection", "Yes"}, classes
+    row = test.no_row(messages)
+    full = (1 << n) - 1
+    for i in range(n):
+        no = sum(1 << j for j in range(n) if j != i and answer[i, j] is Answer.NO)
+        assert row(i, full ^ 1 << i) == no, i
+
+
+def test_greedy_matches_only_pairs_both_screens_pass(monkeypatch):
+    params = mk_params(3, 4, 2, 2, "1", 1, 0)
+    messages = tuple(enumerate_space(params))
+    bits = [packed(z) for z in messages]
+    bound = PairTest(params).bound
+    asked = []  # (i, j) for every pair a row was asked to decide
+    matchings = 0
+    no_row = PairTest.no_row
+    has_perfect_matching = codec.has_perfect_matching
+
+    def recording(self, space):
+        row = no_row(self, space)
+
+        def recorded(i, among):
+            asked.extend((i, j) for j in range(len(space)) if among >> j & 1)
+            return row(i, among)
+
+        return recorded
+
+    def counted(rows):
+        nonlocal matchings
+        matchings += 1
+        return has_perfect_matching(rows)
+
+    monkeypatch.setattr(PairTest, "no_row", recording)
+    monkeypatch.setattr(codec, "has_perfect_matching", counted)
+    run_search(params, Strategy.GREEDY)
+    passing = sum(screen_class(bits[i], bits[j], params, bound) is None for i, j in asked)
+    assert len(asked) == 2552
+    assert matchings == passing
+    assert 4 * passing < len(asked)
 
 
 def test_early_exit_violators_are_real():
