@@ -392,6 +392,8 @@ def match_within(
         if not row:
             return HallViolator(frozenset((u,)), frozenset())
         rows.append(row)
+    # Hopcroft-Karp, not has_perfect_matching, builds every matching returned:
+    # the two pick different perfect matchings, and witnesses are printed
     return _matching_or_violator(len(left), len(right), rows)
 
 

@@ -12,7 +12,8 @@ bijection, so none is built.  A row drops at once, with a few mask
 operations per strand value, every vertex whose pair with the row's
 vertex has a strand on either side with no partner within the bound,
 and runs a perfect-matching test only on the vertices left.  The graph
-build asks each vertex's row for the vertices above it.  The greedy
+stores each vertex's row among the vertices above it, so each edge once,
+at its lower end, which is all the clique routines read.  The greedy
 search builds no graph: it asks only for the rows of the vertices it
 takes, among the vertices still compatible with its clique.  The
 clique found is re-verified by ``is_dna_correcting``, which keeps the
@@ -24,13 +25,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 # balls_intersect is not called here: it stays importable under this
 # module for the benchmark tracer, which counts pair tests by that name
 from .codec import PairTest, VerdictKind, _bit_indices, balls_intersect, is_dna_correcting
 from .errors import TooLargeForExact, ValidationError
-from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space
+from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space, space_size
 
 MAX_EXACT_VERTICES = 64
 
@@ -42,9 +44,11 @@ class Strategy(Enum):
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Vertices are messages in canonical enumeration order; adjacency
-    is one bitmask per vertex (bit j set iff balls of i and j are
-    provably disjoint)."""
+    """Vertices are messages in canonical enumeration order; bit j of
+    adjacency mask i is set iff j > i and the balls of i and j are
+    provably disjoint.  Each edge is stored once, at its lower end: the
+    clique routines take vertices in ascending order and intersect a
+    vertex's mask only with vertices above it."""
 
     params: SystemParams
     vertices: tuple[Message, ...]
@@ -52,18 +56,13 @@ class CompatibilityGraph:
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
-        adjacency = self.adjacency
-        if len(adjacency) != n:
-            raise ValidationError(f"adjacency has {len(adjacency)} masks for {n} vertices")
-        full = (1 << n) - 1
-        for i, mask in enumerate(adjacency):
-            if mask & ~full:
+        if len(self.adjacency) != n:
+            raise ValidationError(f"adjacency has {len(self.adjacency)} masks for {n} vertices")
+        for i, mask in enumerate(self.adjacency):
+            if mask >> n:
                 raise ValidationError(f"adjacency mask of vertex {i} is out of range")
-            if mask >> i & 1:
-                raise ValidationError(f"vertex {i} has a self-loop")
-            for j in _bit_indices(mask):
-                if not adjacency[j] >> i & 1:
-                    raise ValidationError(f"adjacency is not symmetric at ({i},{j})")
+            if mask & ((2 << i) - 1):
+                raise ValidationError(f"adjacency mask of vertex {i} has a bit at or below it")
 
     @property
     def vertex_count(self) -> int:
@@ -71,14 +70,10 @@ class CompatibilityGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.adjacency) // 2
+        return sum(mask.bit_count() for mask in self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i, mask in enumerate(self.adjacency)
-            for j in _bit_indices(mask >> (i + 1) << (i + 1))
-        ]
+        return [(i, j) for i, mask in enumerate(self.adjacency) for j in _bit_indices(mask)]
 
 
 def build_graph(
@@ -92,21 +87,20 @@ def build_graph(
 
     With ``exact``, a space of more than MAX_EXACT_VERTICES messages,
     which the exact search refuses, raises TooLargeForExact before any
-    pair is decided.
+    pair is decided, by its size alone if unrestricted, else by counting
+    the messages past the first MAX_EXACT_VERTICES + 1 without keeping them.
     """
-    vertices = tuple(enumerate_space(params, restrict, cap))
+    if exact and restrict is None and (size := space_size(params)) <= cap:
+        _check_exact(size)
+    messages = enumerate_space(params, restrict, cap)
+    vertices = tuple(islice(messages, MAX_EXACT_VERTICES + 1) if exact else messages)
     n = len(vertices)
     if exact:
-        _check_exact(n)
+        _check_exact(n + sum(1 for _ in messages))
     row = PairTest(params).no_row(vertices)
-    adjacency = [0] * n
     full = (1 << n) - 1
-    for i in range(n):
-        no = row(i, full >> (i + 1) << (i + 1))
-        adjacency[i] |= no
-        for j in _bit_indices(no):
-            adjacency[j] |= 1 << i
-    return CompatibilityGraph(params, vertices, tuple(adjacency))
+    adjacency = tuple(row(i, full >> (i + 1) << (i + 1)) for i in range(n))
+    return CompatibilityGraph(params, vertices, adjacency)
 
 
 def max_code(graph: CompatibilityGraph, strategy: Strategy) -> tuple[Message, ...]:
@@ -145,7 +139,8 @@ def _greedy_clique(n: int, row: Callable[[int, int], int]) -> int:
 
     ``row(v, among)`` is the mask of the vertices in ``among`` adjacent
     to v, so only the rows of the vertices taken are read, and each only
-    among the vertices still compatible with the clique.
+    among the vertices still compatible with the clique, which all lie
+    above v: upper-half masks serve.
     """
     clique = 0
     allowed = (1 << n) - 1
@@ -165,6 +160,7 @@ def _exact_clique(adjacency: Sequence[int]) -> int:
     its candidates (Tomita & Seki, 2003), which bounds any clique among
     them, cannot beat the best clique; the cuts drop only branches that
     cannot strictly improve, so the first maximum clique met is kept.
+    A vertex taken is the lowest candidate: upper-half masks serve.
     """
     best_mask = 0
     best_size = 0
@@ -190,7 +186,8 @@ def _exact_clique(adjacency: Sequence[int]) -> int:
 
 def _colour_count(adjacency: Sequence[int], vertices: int) -> int:
     """Colours of a greedy colouring of ``vertices``, each colour class
-    an independent set grown from its lowest uncoloured vertex."""
+    an independent set grown from its lowest uncoloured vertex.  Each
+    vertex added is the lowest still free: upper-half masks serve."""
     colours = 0
     while vertices:
         colours += 1

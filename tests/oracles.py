@@ -606,12 +606,11 @@ def pairwise_verdict(code: Sequence[Message], params: SystemParams) -> Verdict:
 
 def pairwise_adjacency(vertices: Sequence[Message], params: SystemParams) -> tuple[int, ...]:
     """Compatibility masks from ``balls_intersect`` on every pair: bit j of
-    mask i is set iff the pair (i, j) answers No."""
+    mask i is set iff j > i and the pair (i, j) answers No."""
     adjacency = [0] * len(vertices)
     for i, j in combinations(range(len(vertices)), 2):
         if balls_intersect(vertices[i], vertices[j], params).answer is Answer.NO:
             adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
     return tuple(adjacency)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: first-line protocol, exit codes, file flows."""
 
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from dnacode.io import code_lines, message_lines, params_header, pool_lines, wri
 from dnacode.model import split_popcount
 
 from oracles import (
+    message_of,
     mk_params,
     oracle_min_dna_distance,
     random_message,
@@ -155,6 +157,50 @@ def test_intersect_unknown_carries_reason_but_exits_zero(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "UNKNOWN"
     assert lines[1].startswith("reason: ")
+
+
+def test_witness_map_at_m_512_is_pinned(capsys, tmp_path):
+    # a near copy at M = 512, on which a first-free greedy leaves strands
+    # unmatched: the printed bijection is the one Hopcroft-Karp's
+    # augmenting paths pick, and another matching algorithm prints another
+    p = mk_params(512, 20, 11, 10, "1", 1, 1)
+    rng = random.Random(3)
+    z1 = random_message(rng, p)
+    used = {s.index_bits for s in z1.strands}
+    fields = []
+    for s in z1.strands:
+        # one index bit flipped, to an index neither message uses, and one data bit
+        while (index := s.index_bits ^ 1 << rng.randrange(p.index_len)) in used:
+            pass
+        used.add(index)
+        fields.append((index, s.data_bits ^ 1 << rng.randrange(p.data_len)))
+    z2 = message_of(p, fields)
+    # first-free greedy within (2 e_i, 2 e_d) = (2, 2), the bound at tau = 1
+    taken, unmatched = set(), 0
+    for a in z1.strands:
+        free = [
+            j for j, b in enumerate(z2.strands)
+            if j not in taken and max(split_popcount(a.bits ^ b.bits, p.data_len)) <= 2
+        ]
+        if free:
+            taken.add(free[0])
+        else:
+            unmatched += 1
+    assert unmatched > 0
+    a, b, code = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "code.txt"
+    write_text(a, [params_header(p)] + message_lines(z1))
+    write_text(b, [params_header(p)] + message_lines(z2))
+    write_text(code, code_lines([z1, z2], p))
+    digests = []
+    for argv in (["intersect", "--a", str(a), "--b", str(b)], ["verify", "--code", str(code)]):
+        status, out, _ = invoke(capsys, *argv)
+        maps = [line for line in out.splitlines() if line.startswith("map: ")]
+        assert status == 0 and len(maps) == 1
+        digests.append(hashlib.sha256(maps[0].encode()).hexdigest())
+    assert digests == [
+        "3b2bcefcef21194bb3b583aba6a1f7b87ae774b58de4bdc1283d8ec1063a556b",
+        "a83a7a39b67008625bd36d128638e5f4430f47f0d2c48693aedbae9d0a5ee1d8",
+    ]
 
 
 def test_oracle_intersect_agrees_with_analytic_answers(capsys, tmp_path):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ import dnacode
 from dnacode import (
     CompatibilityGraph,
     Regime,
+    SpaceTooLarge,
     Strategy,
     TooLargeForExact,
     ValidationError,
@@ -26,8 +28,10 @@ from dnacode import (
     min_dna_distance,
     run_search,
 )
+from dnacode import search
 from dnacode.cli import run
 from dnacode.codec import PairTest
+from dnacode.search import MAX_EXACT_VERTICES, _colour_count, _exact_clique, _greedy_clique
 
 from oracles import first_max_clique, mk_params
 
@@ -35,8 +39,11 @@ from oracles import first_max_clique, mk_params
 def test_graph_construction_validates_masks():
     p = mk_params(1, 2, 1, 2, "1", 1, 0)
     vertices = tuple(enumerate_space(p))
+    # each edge is stored once, at its lower end
+    g = CompatibilityGraph(p, vertices, (0b0010, 0b0000, 0b0000, 0b0000))
+    assert g.edge_count == 1 and g.edges() == [(0, 1)]
     with pytest.raises(ValidationError):
-        CompatibilityGraph(p, vertices, (0b0010, 0b0000, 0b0000, 0b0000))  # asymmetric
+        CompatibilityGraph(p, vertices, (0b0010, 0b0001, 0b0000, 0b0000))  # bit below its vertex
     with pytest.raises(ValidationError):
         CompatibilityGraph(p, vertices, (0b0000, 0b0001, 0b0000, 0b0000))  # below only
     with pytest.raises(ValidationError):
@@ -107,7 +114,6 @@ def test_greedy_never_beats_exact():
             for j in range(i + 1, n):
                 if rng.random() < 0.5:
                     masks[i] |= 1 << j
-                    masks[j] |= 1 << i
         g = CompatibilityGraph(p, space[:n], tuple(masks))
         assert len(max_code(g, Strategy.GREEDY)) <= len(max_code(g, Strategy.EXACT))
 
@@ -150,10 +156,33 @@ def test_exact_finds_the_first_maximum_clique_on_random_graphs():
             for j in range(i + 1, n):
                 if rng.random() < density:
                     masks[i] |= 1 << j
-                    masks[j] |= 1 << i
         g = CompatibilityGraph(p, space[:n], tuple(masks))
         first = tuple(space[i] for i in first_max_clique(masks))
         assert max_code(g, Strategy.EXACT) == first, masks
+
+
+def test_clique_routines_read_only_the_upper_half():
+    # each routine takes the lowest vertex first and meets its mask only
+    # with the vertices above it, so a symmetric graph's lower half is
+    # never read
+    rng = random.Random(23)
+    for _ in range(500):
+        n = rng.randint(0, 14)
+        density = rng.random()
+        upper, symmetric = [0] * n, [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    upper[i] |= 1 << j
+                    symmetric[i] |= 1 << j
+                    symmetric[j] |= 1 << i
+        assert _exact_clique(upper) == _exact_clique(symmetric), symmetric
+        assert _greedy_clique(n, lambda v, among: upper[v] & among) == _greedy_clique(
+            n, lambda v, among: symmetric[v] & among
+        ), symmetric
+        for _ in range(5):
+            subset = rng.getrandbits(n) if n else 0
+            assert _colour_count(upper, subset) == _colour_count(symmetric, subset), symmetric
 
 
 def test_exact_has_a_vertex_limit():
@@ -179,6 +208,7 @@ GREEDY_SPACES = [
     ((2, 3, 2, 2, "1/2", 1, 0), (2, 0)),
     ((2, 4, 2, 4, "3/4", 1, 1), (1, 1)),
     ((2, 3, 2, 2, "1", 1, 0), (2, 1)),  # empty
+    ((2, 6, 3, 2, "1", 1, 0), None),  # tau = 1, 1,792 messages
 ]
 
 
@@ -231,7 +261,33 @@ def test_exact_refuses_a_large_space_before_deciding_a_pair(monkeypatch, capsys,
         raise AssertionError("no pair may be decided")
 
     monkeypatch.setattr(PairTest, "no_row", refuse)
+    # a restricted space keeps its first 65 messages and only counts the
+    # rest: besides those, only the message counted and the one before
+    # it may be alive
+    enumerate_restricted = search.enumerate_space
+    alive = []
+
+    def watched(*args):
+        refs = []
+        for msg in enumerate_restricted(*args):
+            refs.append(weakref.ref(msg))
+            alive.append(sum(ref() is not None for ref in refs))
+            yield msg
+
+    monkeypatch.setattr(search, "enumerate_space", watched)
+    restricted = mk_params(2, 5, 3, 2, "1", 1, 0)
+    with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got 352"):
+        run_search(restricted, Strategy.EXACT, restrict=(2, 0))
+    assert len(alive) == 352 and max(alive) <= MAX_EXACT_VERTICES + 3
+    # a whole space over the cap is refused by the cap, as any search is
     p = mk_params(2, 6, 3, 2, "1", 1, 0)
+    with pytest.raises(SpaceTooLarge):
+        run_search(p, Strategy.EXACT, cap=1000)
+
+    def unreachable(*args):
+        raise AssertionError("a whole space is refused by its size alone")
+
+    monkeypatch.setattr(search, "enumerate_space", unreachable)
     with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got 1792"):
         run_search(p, Strategy.EXACT)
     out_file, table = tmp_path / "found.txt", tmp_path / "rows.csv"
