@@ -46,11 +46,27 @@ one bitmask row per left value.  ``has_bijection_within`` builds the
 rows from the values and answers no at the first empty row; the
 DNA-distance in ``metrics`` asks it whether a data group raises the
 worst value so far, and the minimum code distance whether a pair beats
-the best so far.  ``bottleneck_bijection`` reads the rows off the
-distance matrix it holds and sweeps t upward from the lower bound
-max(largest row minimum, largest column minimum) of that matrix, which
-is usually the optimum, and runs Hopcroft-Karp once, at the value
-found, for the bijection it returns.
+the best so far.  ``bottleneck_bijection`` sweeps t upward to the least
+threshold at which the test finds a perfect matching, and runs
+Hopcroft-Karp once, at the value found, on rows in ascending order,
+for the bijection it returns.
+
+Both build their rows in one of two ways, by one guard rule on the
+group size n and the lane width w, the smallest power of two above the
+bit width of the values.  Groups of at most w values pay one popcount
+per pair: ``has_bijection_within`` tests each pair against t, and
+``bottleneck_bijection`` holds the distance matrix and starts its sweep
+at its bound max(largest row minimum, largest column minimum), which is
+usually the optimum.  Larger groups use the lane kernel
+``_lane_distances``: the right group packed into one int of n lanes of
+w bits, and for each left value a, n distances in a few big-int
+operations on n*w bits (broadword sideways addition, Knuth, TAOCP 4A,
+7.1.3).  Three more operations read the row of any threshold off them,
+``_lane_threshold``, keeping one bit per right vertex, its lane's top
+bit, so ``has_perfect_matching`` runs on lane rows as on any others.
+There the sweep holds no matrix: it starts at 0, and its bound is the
+first threshold whose rows are all non-empty and together cover every
+right value.  Both functions raise SizeMismatch on groups of two sizes.
 
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
@@ -433,23 +449,91 @@ def exists_bijection_within(
     return None if isinstance(result, HallViolator) else result
 
 
-def has_bijection_within(left: Sequence[int], right: Sequence[int], threshold: int) -> bool:
+def _lane_distances(
+    left: Sequence[int], right: Sequence[int], w: int
+) -> tuple[int, Iterator[int]]:
+    """The lane kernel of both index-group decisions below, for values of
+    at most w - 1 bits and w a power of two: returns (rep, lanes).
+
+    ``right`` is packed into one int with value j in lane j, bits
+    j*w .. j*w + w - 1, and ``rep`` has a 1 in the low bit of every lane.
+    ``lanes`` yields, for each value a of ``left`` in turn, the int whose
+    lane j holds d(a, right[j]): the packed values XOR a * rep, with each
+    lane's bits summed by log2(w) sideways additions (Knuth, TAOCP 4A,
+    7.1.3).  A distance is below w, so no sum spills into the next lane.
+    """
+    ones = (1 << len(right) * w) - 1
+    rep = ones // ((1 << w) - 1)
+    packed_right = 0
+    for b in reversed(right):
+        packed_right = packed_right << w | b
+    # the mask of step s keeps the low s bits of every 2s-bit field
+    steps = []
+    s = 1
+    while s < w:
+        steps.append((s, ones // ((1 << 2 * s) - 1) * ((1 << s) - 1)))
+        s <<= 1
+
+    def lanes() -> Iterator[int]:
+        for a in left:
+            x = a * rep ^ packed_right
+            for shift, mask in steps:
+                x = (x & mask) + (x >> shift & mask)
+            yield x
+
+    return rep, lanes()
+
+
+def _lane_threshold(w: int, rep: int, threshold: int) -> tuple[int, int]:
+    """(top, add) such that top & ~(x + add) is the row of a ``lanes``
+    int x at ``threshold``, which lies in 0..w - 1: the top bit of lane j
+    is set iff lane j holds at most the threshold, since adding
+    2^(w-1) - 1 - threshold to a lane carries into its top bit exactly
+    when the lane holds more.  Each right vertex keeps one bit, its
+    lane's top bit, so ``has_perfect_matching`` runs on these rows as on
+    any other bitmask rows."""
+    return rep << (w - 1), rep * ((1 << (w - 1)) - 1 - threshold)
+
+
+def has_bijection_within(
+    left: Sequence[int], right: Sequence[int], threshold: int, index_len: int
+) -> bool:
     """Whether some bijection between the equal-size groups ``left`` and
-    ``right`` keeps every Hamming distance at most ``threshold``.
+    ``right`` of ``index_len``-bit values keeps every Hamming distance at
+    most ``threshold``; groups of two sizes raise SizeMismatch.
 
     One bitmask row per left value, of the right values within the
     threshold of it; the first empty row answers no (a negative
     threshold empties the first row), and otherwise the bitmask Kuhn
-    test ``has_perfect_matching`` decides.
+    test ``has_perfect_matching`` decides.  The one guard rule: a group
+    of more values than a lane of w = 2^bit_length(index_len) bits,
+    the smallest power of two above ``index_len``, reads each row off
+    the lanes of ``_lane_distances`` in a few big-int operations on n*w
+    bits, and a smaller group pays one popcount per pair instead.
     """
+    n = len(left)
+    if n != len(right):
+        raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
+    w = 1 << index_len.bit_length()
     rows = []
-    for a in left:
-        row = 0
-        bit = 1
-        for b in right:
-            if (a ^ b).bit_count() <= threshold:
-                row |= bit
-            bit <<= 1
+    if n <= w:
+        for a in left:
+            row = 0
+            bit = 1
+            for b in right:
+                if (a ^ b).bit_count() <= threshold:
+                    row |= bit
+                bit <<= 1
+            if not row:
+                return False
+            rows.append(row)
+        return has_perfect_matching(rows)
+    if threshold < 0:
+        return False
+    rep, dists = _lane_distances(left, right, w)
+    top, add = _lane_threshold(w, rep, min(threshold, w - 1))
+    for x in dists:
+        row = top & ~(x + add)
         if not row:
             return False
         rows.append(row)
@@ -463,39 +547,82 @@ def bottleneck_bijection(
 
     Every left value takes some right value and every right value some
     left value, so the optimum is at least the largest row minimum and
-    the largest column minimum of the distance matrix.  The sweep starts
-    there and raises the threshold one step at a time until the bitmask
-    Kuhn test ``has_perfect_matching`` finds a perfect matching among the
-    matrix entries within it; the bound is usually the optimum, so one
-    test usually settles it.  Returns the optimum and a perfect matching
-    of the threshold graph at the optimum, found by Hopcroft-Karp, as
-    (left, right) value pairs sorted by left value; among several
-    optimal bijections it is unspecified which one is returned.
+    the largest column minimum of the distance matrix.  The sweep raises
+    the threshold one step at a time from there until the bitmask Kuhn
+    test ``has_perfect_matching`` finds a perfect matching among the
+    pairs within it; the bound is usually the optimum, so one test
+    usually settles it.  Returns the optimum and a perfect matching of
+    the threshold graph at the optimum, found by Hopcroft-Karp on rows
+    in ascending right order, as (left, right) value pairs sorted by
+    left value; among several optimal bijections it is unspecified which
+    one is returned.  The values must be non-negative.
+
+    The guard rule of ``has_bijection_within`` picks the path, with the
+    bit length of the largest value, free once the sides are sorted, as
+    the width.  Above it no distance matrix is held: the sweep starts at
+    0 and reads the rows off the lanes of ``_lane_distances``, and the
+    bound is the first threshold at which no row is empty and the rows
+    together cover every right value.
     """
     lvals = sorted(left)
     rvals = sorted(right)
-    if len(lvals) != len(rvals):
-        raise SizeMismatch(f"sides have sizes {len(lvals)} and {len(rvals)}")
-    if not lvals:
+    n = len(lvals)
+    if n != len(rvals):
+        raise SizeMismatch(f"sides have sizes {n} and {len(rvals)}")
+    if not n:
         raise SizeMismatch("bottleneck assignment needs non-empty sides")
-    dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
-    value = max(max(map(min, dist)), max(map(min, zip(*dist))))
-    while True:
-        # bit j of row i is set when dist[i][j] <= value; plain loops, as a
-        # generator per row costs more than it saves on groups of a few values
-        masks = []
-        for row in dist:
-            mask, bit = 0, 1
-            for d in row:
-                if d <= value:
-                    mask |= bit
-                bit <<= 1
-            masks.append(mask)
-        if has_perfect_matching(masks):
-            break
-        value += 1
-    rows = [[j for j, d in enumerate(row) if d <= value] for row in dist]
-    match_l = _hopcroft_karp(len(lvals), len(rvals), rows)[0]
+    # the OR of the two largest values is as long as the larger
+    w = 1 << (lvals[-1] | rvals[-1]).bit_length().bit_length()
+    if n <= w:
+        dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
+        value = max(max(map(min, dist)), max(map(min, zip(*dist))))
+        while True:
+            # bit j of row i is set when dist[i][j] <= value; plain loops, as a
+            # generator per row costs more than it saves on groups of a few values
+            masks = []
+            for row in dist:
+                mask, bit = 0, 1
+                for d in row:
+                    if d <= value:
+                        mask |= bit
+                    bit <<= 1
+                masks.append(mask)
+            if has_perfect_matching(masks):
+                break
+            value += 1
+        rows = [[j for j, d in enumerate(row) if d <= value] for row in dist]
+    else:
+        rep, lanes = _lane_distances(lvals, rvals, w)
+        dists = list(lanes)
+        value = 0
+        while True:
+            top, add = _lane_threshold(w, rep, value)
+            masks = []
+            cover = 0
+            for x in dists:
+                mask = top & ~(x + add)
+                if not mask:
+                    break
+                masks.append(mask)
+                cover |= mask
+            else:
+                if cover == top and has_perfect_matching(masks):
+                    break
+            value += 1
+        # lane j's top bit is bit j*w + w - 1.  Each row is read from its
+        # highest bit down, which bit_length finds without a pass over the
+        # mask, and reversed into ascending order, as the matrix path has it
+        shift = w.bit_length() - 1
+        rows = []
+        for mask in masks:
+            row = []
+            while mask:
+                top_bit = mask.bit_length() - 1
+                row.append(top_bit >> shift)
+                mask ^= 1 << top_bit
+            row.reverse()
+            rows.append(row)
+    match_l = _hopcroft_karp(n, n, rows)[0]
     return value, tuple((lvals[i], rvals[j]) for i, j in enumerate(match_l))
 
 

@@ -75,16 +75,19 @@ def dna_distance(z1: Message, z2: Message) -> DnaDistance:
     g1, g2 = index_groups(z1), index_groups(z2)
     if g1.keys() != g2.keys() or any(len(g1[u]) != len(g2[u]) for u in g1):
         return math.inf
-    return _grouped_distance(g1, g2)
+    return _grouped_distance(g1, g2, z1.index_len)
 
 
-def _grouped_distance(g1: dict[int, list[int]], g2: dict[int, list[int]]) -> int:
-    # groups of one data-field multiset: the worst bottleneck over data
-    # fields.  A group within the worst so far cannot raise it, so only a
-    # group that fails that threshold decision needs its bottleneck
+def _grouped_distance(
+    g1: dict[int, list[int]], g2: dict[int, list[int]], index_len: int
+) -> int:
+    # groups of one data-field multiset of index_len-bit index fields: the
+    # worst bottleneck over data fields.  A group within the worst so far
+    # cannot raise it, so only a group that fails that threshold decision
+    # needs its bottleneck
     worst = 0
     for u in g1:
-        if not has_bijection_within(g1[u], g2[u], worst):
+        if not has_bijection_within(g1[u], g2[u], worst, index_len):
             worst = bottleneck_bijection(g1[u], g2[u])[0]
     return worst
 
@@ -109,6 +112,7 @@ def min_dna_distance(
     if len({(z.length, z.index_len, packed(z)) for z in code}) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
     check_shape(*code)
+    index_len = code[0].index_len
     groups = [index_groups(z) for z in code]
     buckets: dict[frozenset[tuple[int, int]], list[int]] = {}
     for i, g in enumerate(groups):
@@ -125,7 +129,7 @@ def min_dna_distance(
                     # it comes first in canonical order, within best - 1
                     # otherwise: a threshold decision per data group
                     t = best if (i, j) < first else best - 1
-                    if not all(has_bijection_within(gi[u], gj[u], t) for u in gi):
+                    if not all(has_bijection_within(gi[u], gj[u], t, index_len) for u in gi):
                         continue
-                best, first = _grouped_distance(gi, gj), (i, j)
+                best, first = _grouped_distance(gi, gj, index_len), (i, j)
     return best, (code[first[0]], code[first[1]])

@@ -1,12 +1,8 @@
 """Channel sampling, ball membership, and the exhaustive ball oracle."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -32,6 +28,7 @@ from dnacode import (
 from dnacode import channel, matching
 from dnacode.io import pool_lines, provenance_lines
 
+from conftest import run_under_python_O
 from oracles import (
     message_of,
     mk_message,
@@ -168,21 +165,6 @@ with mock.patch.object(channel, "assignment_feasible", lambda *args: False):
         raise SystemExit(0)
 raise SystemExit("sample_ball returned a pool outside the ball")
 """
-
-
-def run_under_python_O(script, timeout):
-    """Run ``script`` in a fresh ``python -O`` that imports the package and
-    this directory's modules; returns the finished process."""
-    src = str(Path(dnacode.__file__).resolve().parents[1])
-    tests = str(Path(__file__).resolve().parent)
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
 
 
 def test_sampler_postcondition_holds_under_python_O():

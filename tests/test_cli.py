@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dnacode
-from dnacode import ValidationError, sample_ball
+from dnacode import Message, ValidationError, sample_ball
 from dnacode.cli import run
 from dnacode.io import code_lines, message_lines, params_header, pool_lines, write_text
 from dnacode.model import split_popcount
@@ -24,8 +24,10 @@ from oracles import (
     random_message,
     reference_dna_distance,
     reference_read_blocks,
+    strand_from_fields,
 )
 from test_io import bad_input_files
+from test_matching import local_bottleneck
 from test_metrics import benchmark_shaped_code
 from test_search import CLI_IN_MODE
 
@@ -316,28 +318,62 @@ def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
             assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), mode
 
 
+def large_m_code(rng, size=3):
+    """``size`` codewords at M=512, L=20, l=11 sharing one data multiset of
+    8 values, each carried by 64 strands: the benchmark's large-m shape."""
+    data = [u for u in rng.sample(range(512), 8) for _ in range(64)]
+    return [
+        Message(
+            tuple(
+                strand_from_fields(i, u, 20, 11)
+                for i, u in zip(rng.sample(range(2048), 512), data)
+            )
+        )
+        for _ in range(size)
+    ]
+
+
+def local_dna_distance(z1, z2):
+    """The DNA-distance of two messages of one data multiset, each data
+    group's bottleneck from the matching tests' local reference."""
+    g1, g2 = {}, {}
+    for z, g in ((z1, g1), (z2, g2)):
+        for s in z.strands:
+            g.setdefault(s.data_bits, []).append(s.index_bits)
+    return max(local_bottleneck(g1[u], g2[u]) for u in g1)
+
+
 def test_distance_commands_print_the_same_under_python_O(tmp_path):
-    p = mk_params(8, 16, 8, 10, 1, 1, 0)
+    small = mk_params(8, 16, 8, 10, 1, 1, 0)
     code = benchmark_shaped_code(random.Random(23), buckets=10)
-    code_file = tmp_path / "code.txt"
-    write_text(code_file, code_lines(code, p))
     d, (za, zb) = oracle_min_dna_distance(code, reference_dna_distance)
-    # a finite pair (the witness) and an infinite one (different buckets)
+    # a finite pair (the witness) and an infinite one (different buckets),
+    # and the witness of a large-m code, whose groups take the lane kernel
     other = next(z for z in code if reference_dna_distance(za, z) == math.inf)
-    files = {}
-    for name, z in [("a", za), ("b", zb), ("c", other)]:
-        files[name] = tmp_path / f"{name}.txt"
-        write_text(files[name], [params_header(p), *message_lines(z)])
-    runs = {
-        f"D={d}\npair A: {za}\npair B: {zb}\n": ["min-distance", "--code", str(code_file)],
-        f"D={d}\n": ["distance", "--a", str(files["a"]), "--b", str(files["b"])],
-        "D=inf\n": ["distance", "--a", str(files["a"]), "--b", str(files["c"])],
-    }
+    wide = large_m_code(random.Random(29))
+    wide_d, (wa, wb) = oracle_min_dna_distance(wide, local_dna_distance)
+    large = mk_params(512, 20, 11, 10, 1, 1, 0)
+    runs = []
+    # each code with its pairs for `distance`, the witness pair first
+    for name, p, c, pairs in [
+        ("small", small, code, [(za, zb, d), (za, other, math.inf)]),
+        ("large", large, wide, [(wa, wb, wide_d)]),
+    ]:
+        code_file = tmp_path / f"{name}-code.txt"
+        write_text(code_file, code_lines(c, p))
+        x, y, best = pairs[0]
+        want = f"D={best}\npair A: {x}\npair B: {y}\n"
+        runs.append((want, ["min-distance", "--code", str(code_file)]))
+        for k, (z1, z2, dist) in enumerate(pairs):
+            files = [tmp_path / f"{name}-{k}-{side}.txt" for side in "ab"]
+            for f, z in zip(files, (z1, z2)):
+                write_text(f, [params_header(p), *message_lines(z)])
+            runs.append((f"D={dist}\n", ["distance", "--a", str(files[0]), "--b", str(files[1])]))
 
     src = str(Path(dnacode.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    for want, argv in runs.items():
+    for want, argv in runs:
         for mode, flags in [("debug", []), ("optimized", ["-O"])]:
             done = subprocess.run(
                 [sys.executable, *flags, "-c", CLI_IN_MODE, mode, *argv],

@@ -33,6 +33,7 @@ from dnacode.cli import run
 from dnacode.matching import bijection_graph, has_bijection_within, has_perfect_matching
 from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
+from conftest import run_under_python_O
 from oracles import (
     all_bipartite_graphs,
     is_optimal_bottleneck,
@@ -471,18 +472,142 @@ def test_bijection_decision_agrees_with_the_bottleneck_at_every_threshold():
         right = rng.sample(range(1 << width), n)
         value, _ = bottleneck_bijection(left, right)
         for t in range(-1, width + 1):
-            assert has_bijection_within(left, right, t) == (t >= value), (left, right, t)
+            assert has_bijection_within(left, right, t, width) == (t >= value), (left, right, t)
 
 
 def test_bijection_decision_examples():
-    assert has_bijection_within([0], [0], 0)
+    assert has_bijection_within([0], [0], 0, 1)
     # a negative threshold leaves the first row empty
-    assert not has_bijection_within([0], [0], -1)
+    assert not has_bijection_within([0], [0], -1, 1)
     # each left value has a partner within 1, but both want 0b01
-    assert not has_bijection_within([0b00, 0b11], [0b01, 0b10], 0)
-    assert has_bijection_within([0b00, 0b11], [0b01, 0b10], 1)
-    assert not has_bijection_within([0b000, 0b001], [0b011, 0b111], 1)
-    assert has_bijection_within([0b000, 0b001], [0b011, 0b111], 2)
+    assert not has_bijection_within([0b00, 0b11], [0b01, 0b10], 0, 2)
+    assert has_bijection_within([0b00, 0b11], [0b01, 0b10], 1, 2)
+    assert not has_bijection_within([0b000, 0b001], [0b011, 0b111], 1, 3)
+    assert has_bijection_within([0b000, 0b001], [0b011, 0b111], 2, 3)
+
+
+@pytest.mark.parametrize(
+    "left, right", [([0], [0, 1]), ([0, 1], [0]), ([], [0]), (list(range(20)), list(range(21)))]
+)
+def test_both_group_decisions_reject_groups_of_two_sizes(left, right):
+    # a row loop over the shorter side would find a left-perfect matching
+    with pytest.raises(SizeMismatch):
+        has_bijection_within(left, right, 0, 5)
+    with pytest.raises(SizeMismatch):
+        bottleneck_bijection(left, right)
+
+
+# index widths at and around the lane widths 2, 8, 16, 32 and 64
+LANE_WIDTHS = [1, 2, 7, 8, 11, 15, 16, 17, 31, 32, 33, 63]
+
+
+def _lane_bits(width):
+    """The guard's lane width: the smallest power of two above ``width``."""
+    return 1 << width.bit_length()
+
+
+def _local_perfect_matching(within):
+    """Whether the square 0/1 matrix ``within`` has a perfect matching, by
+    Kuhn's augmenting paths written out here."""
+    n = len(within)
+    mate = [-1] * n
+
+    def augment(u, seen):
+        for v in range(n):
+            if within[u][v] and not seen[v]:
+                seen[v] = True
+                if mate[v] == -1 or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return all(augment(u, [False] * n) for u in range(n))
+
+
+def local_bottleneck(left, right):
+    """The bottleneck value, by binary search over thresholds on a
+    distance matrix built here; shares no code with dnacode.matching."""
+    dist = [[(a ^ b).bit_count() for b in right] for a in left]
+    lo, hi = 0, max(map(max, dist))
+    while lo < hi:
+        t = (lo + hi) // 2
+        if _local_perfect_matching([[d <= t for d in row] for row in dist]):
+            hi = t
+        else:
+            lo = t + 1
+    return lo
+
+
+def lane_agreement():
+    """Three group pairs each of 1 and 2 values and of w, w + 1 and w + 5
+    values for lanes of w bits, at each index width: returns the
+    disagreements of ``has_bijection_within`` with t >= the local
+    bottleneck value, and of ``bottleneck_bijection`` with that value and
+    the pairs the oracles' Hopcroft-Karp finds on the ascending rows of a
+    local distance matrix, and the group pairs checked on each side of
+    the guard."""
+    disagreements = []
+    checked = Counter()
+    for width in LANE_WIDTHS:
+        rng = random.Random(width)
+        w = _lane_bits(width)
+        for n in (1, 2, w, w + 1, w + 5) * 3:
+            left = [rng.getrandbits(width) for _ in range(n)]
+            right = [rng.getrandbits(width) for _ in range(n)]
+            value = local_bottleneck(left, right)
+            for t in {-1, 0, value - 1, value, value + 1, width, width + 5}:
+                if has_bijection_within(left, right, t, width) != (t >= value):
+                    disagreements.append(("decision", width, n, t))
+            lvals, rvals = sorted(left), sorted(right)
+            rows = [
+                [j for j, b in enumerate(rvals) if (a ^ b).bit_count() <= value] for a in lvals
+            ]
+            match_left, _ = max_matching(BipartiteGraph(n, n, tuple(map(tuple, rows))))
+            pairs = tuple((lvals[i], rvals[j]) for i, j in enumerate(match_left))
+            if bottleneck_bijection(left, right) != (value, pairs):
+                disagreements.append(("bottleneck", width, n))
+            checked["lanes" if n > w else "loop"] += 1
+    return disagreements, checked
+
+
+def test_group_decisions_agree_with_a_local_reference_on_both_sides_of_the_guard():
+    disagreements, checked = lane_agreement()
+    assert disagreements == []
+    assert checked == {"loop": 9 * len(LANE_WIDTHS), "lanes": 6 * len(LANE_WIDTHS)}
+
+
+OPTIMIZED_LANE_AGREEMENT = """
+from test_matching import LANE_WIDTHS, lane_agreement
+
+if __debug__:
+    raise SystemExit("expected python -O")
+disagreements, checked = lane_agreement()
+if disagreements or checked["lanes"] != 6 * len(LANE_WIDTHS):
+    raise SystemExit(repr((disagreements, checked)))
+"""
+
+
+def test_group_decisions_agree_with_the_local_reference_under_python_O():
+    done = run_under_python_O(OPTIMIZED_LANE_AGREEMENT, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("width", [2, 8, 11, 16])
+def test_groups_at_or_below_the_guard_take_the_popcount_loop(width):
+    # the largest value is 2^width - 1 on both sides, so the bottleneck's
+    # width, the bit length of its largest value, is width too
+    rng = random.Random(width)
+    w = _lane_bits(width)
+    top = (1 << width) - 1
+    for n in (1, 2, w - 1, w, w + 1, 2 * w):
+        left = [top] + [rng.randrange(top) for _ in range(n - 1)]
+        right = [top] + [rng.randrange(top) for _ in range(n - 1)]
+        with mock.patch.object(
+            matching, "_lane_distances", wraps=matching._lane_distances
+        ) as lanes:
+            has_bijection_within(left, right, 1, width)
+            bottleneck_bijection(left, right)
+        assert lanes.call_count == (2 if n > w else 0), n
 
 
 def assignment_params():
