@@ -44,29 +44,35 @@ between two groups of index values with every Hamming distance at most
 t?  The bitmask Kuhn test ``has_perfect_matching`` answers each, over
 one bitmask row per left value.  ``has_bijection_within`` builds the
 rows from the values and answers no at the first empty row; the
-DNA-distance in ``metrics`` asks it whether a data group raises the
-worst value so far, and the minimum code distance whether a pair beats
-the best so far.  ``bottleneck_bijection`` sweeps t upward to the least
-threshold at which the test finds a perfect matching, and runs
-Hopcroft-Karp once, at the value found, on rows in ascending order,
-for the bijection it returns.
+minimum code distance in ``metrics`` asks it whether a pair beats the
+best so far.  A value is a threshold sweep: ``bottleneck_value`` raises
+t from a floor to the least threshold at which the test finds a perfect
+matching, and the DNA-distance asks it for each data group's value with
+the worst value so far as the floor.  The sweep exists once, in
+``_bottleneck_sweep``, which also hands back the rows at the value;
+``bottleneck_bijection`` sweeps from 0 and runs Hopcroft-Karp once, on
+those rows in ascending order, for the bijection it returns.  No value
+runs Hopcroft-Karp.
 
-Both build their rows in one of two ways, by one guard rule on the
-group size n and the lane width w, the smallest power of two above the
-bit width of the values.  Groups of at most w values pay one popcount
-per pair: ``has_bijection_within`` tests each pair against t, and
-``bottleneck_bijection`` holds the distance matrix and starts its sweep
-at its bound max(largest row minimum, largest column minimum), which is
-usually the optimum.  Larger groups use the lane kernel
-``_lane_distances``: the right group packed into one int of n lanes of
-w bits, and for each left value a, n distances in a few big-int
-operations on n*w bits (broadword sideways addition, Knuth, TAOCP 4A,
-7.1.3).  Three more operations read the row of any threshold off them,
-``_lane_threshold``, keeping one bit per right vertex, its lane's top
-bit, so ``has_perfect_matching`` runs on lane rows as on any others.
-There the sweep holds no matrix: it starts at 0, and its bound is the
-first threshold whose rows are all non-empty and together cover every
-right value.  Both functions raise SizeMismatch on groups of two sizes.
+Decision and sweep build their rows in one of two ways, by one guard
+rule on the group size n and the lane width w, the smallest power of
+two above the bit width of the values.  Groups of at most w values pay
+one popcount per pair: ``has_bijection_within`` tests each pair against
+t, and the sweep first decides its floor the same way and, only when
+that fails, holds the distance matrix and starts from its bound
+max(largest row minimum, largest column minimum) or one above the
+floor, whichever is larger; the bound is usually the optimum.  Larger
+groups use the lane kernel ``_lane_distances``: the right group packed
+into one int of n lanes of w bits, and for each left value a, n
+distances in a few big-int operations on n*w bits (broadword sideways
+addition, Knuth, TAOCP 4A, 7.1.3).  Three more operations read the row
+of any threshold off them, ``_lane_threshold``, keeping one bit per
+right vertex, its lane's top bit, so ``has_perfect_matching`` runs on
+lane rows as on any others.  There the sweep makes one pass of the
+kernel and holds no matrix: it starts at the floor, and its bound is
+the first threshold whose rows are all non-empty and together cover
+every right value.  Every one of these functions raises SizeMismatch on
+groups of two sizes.
 
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
@@ -515,23 +521,14 @@ def has_bijection_within(
     if n != len(right):
         raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
     w = 1 << index_len.bit_length()
-    rows = []
     if n <= w:
-        for a in left:
-            row = 0
-            bit = 1
-            for b in right:
-                if (a ^ b).bit_count() <= threshold:
-                    row |= bit
-                bit <<= 1
-            if not row:
-                return False
-            rows.append(row)
-        return has_perfect_matching(rows)
+        rows = _popcount_rows(left, right, threshold)
+        return rows is not None and has_perfect_matching(rows)
     if threshold < 0:
         return False
     rep, dists = _lane_distances(left, right, w)
     top, add = _lane_threshold(w, rep, min(threshold, w - 1))
+    rows = []
     for x in dists:
         row = top & ~(x + add)
         if not row:
@@ -540,42 +537,66 @@ def has_bijection_within(
     return has_perfect_matching(rows)
 
 
-def bottleneck_bijection(
-    left: Iterable[int], right: Iterable[int]
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Minimize, over bijections left -> right, the maximum Hamming distance.
+def _popcount_rows(
+    left: Sequence[int], right: Sequence[int], threshold: int
+) -> Optional[list[int]]:
+    """Bit j of row i set iff d(left[i], right[j]) <= ``threshold``, one
+    popcount per pair, or None at the first empty row."""
+    rows = []
+    for a in left:
+        row = 0
+        bit = 1
+        for b in right:
+            if (a ^ b).bit_count() <= threshold:
+                row |= bit
+            bit <<= 1
+        if not row:
+            return None
+        rows.append(row)
+    return rows
 
-    Every left value takes some right value and every right value some
-    left value, so the optimum is at least the largest row minimum and
-    the largest column minimum of the distance matrix.  The sweep raises
-    the threshold one step at a time from there until the bitmask Kuhn
-    test ``has_perfect_matching`` finds a perfect matching among the
-    pairs within it; the bound is usually the optimum, so one test
-    usually settles it.  Returns the optimum and a perfect matching of
-    the threshold graph at the optimum, found by Hopcroft-Karp on rows
-    in ascending right order, as (left, right) value pairs sorted by
-    left value; among several optimal bijections it is unspecified which
-    one is returned.  The values must be non-negative.
 
-    The guard rule of ``has_bijection_within`` picks the path, with the
-    bit length of the largest value, free once the sides are sorted, as
-    the width.  Above it no distance matrix is held: the sweep starts at
-    0 and reads the rows off the lanes of ``_lane_distances``, and the
-    bound is the first threshold at which no row is empty and the rows
+def bottleneck_value(
+    left: Sequence[int], right: Sequence[int], floor: int, index_len: int
+) -> int:
+    """The least threshold t >= ``floor`` at which the equal-size groups
+    ``left`` and ``right`` of ``index_len``-bit values admit a bijection
+    with every Hamming distance at most t: max(floor, the bottleneck
+    value).  Groups of two sizes raise SizeMismatch.  Threshold
+    decisions alone find it, and no bijection is built."""
+    return _bottleneck_sweep(left, right, floor, index_len)[0]
+
+
+def _bottleneck_sweep(
+    left: Sequence[int], right: Sequence[int], floor: int, index_len: int
+) -> tuple[int, list[int], int]:
+    """(t, masks, shift): the value of ``bottleneck_value``, the bitmask
+    rows of the threshold graph at t, and the shift that takes a set bit
+    of a row to the position of its right value.
+
+    The guard rule of ``has_bijection_within`` picks the path.  A group
+    of at most w values first decides ``floor``, whose first empty row
+    ends that decision, and only when it fails holds the distance
+    matrix.  Every left value takes some right value and every right
+    value some left value, so the value is at least the largest row
+    minimum and the largest column minimum, and the sweep raises the
+    threshold one step at a time from that bound or floor + 1, whichever
+    is larger, until ``has_perfect_matching`` finds a perfect matching;
+    the bound is usually the optimum.  A larger group holds no matrix:
+    one ``_lane_distances`` pass, and a sweep from ``floor`` whose bound
+    is the first threshold at which no row is empty and the rows
     together cover every right value.
     """
-    lvals = sorted(left)
-    rvals = sorted(right)
-    n = len(lvals)
-    if n != len(rvals):
-        raise SizeMismatch(f"sides have sizes {n} and {len(rvals)}")
-    if not n:
-        raise SizeMismatch("bottleneck assignment needs non-empty sides")
-    # the OR of the two largest values is as long as the larger
-    w = 1 << (lvals[-1] | rvals[-1]).bit_length().bit_length()
+    n = len(left)
+    if n != len(right):
+        raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
+    w = 1 << index_len.bit_length()
     if n <= w:
-        dist = [[(a ^ b).bit_count() for b in rvals] for a in lvals]
-        value = max(max(map(min, dist)), max(map(min, zip(*dist))))
+        rows = _popcount_rows(left, right, floor)
+        if rows is not None and has_perfect_matching(rows):
+            return floor, rows, 0
+        dist = [[(a ^ b).bit_count() for b in right] for a in left]
+        value = max(floor + 1, max(map(min, dist)), max(map(min, zip(*dist))))
         while True:
             # bit j of row i is set when dist[i][j] <= value; plain loops, as a
             # generator per row costs more than it saves on groups of a few values
@@ -588,41 +609,66 @@ def bottleneck_bijection(
                     bit <<= 1
                 masks.append(mask)
             if has_perfect_matching(masks):
+                return value, masks, 0
+            value += 1
+    rep, lanes = _lane_distances(left, right, w)
+    dists = list(lanes)
+    # a distance is below w, so every threshold from w - 1 up reads the
+    # same rows, and the lane arithmetic needs one in 0..w - 1
+    value = max(floor, 0)
+    while True:
+        top, add = _lane_threshold(w, rep, min(value, w - 1))
+        masks = []
+        cover = 0
+        for x in dists:
+            mask = top & ~(x + add)
+            if not mask:
                 break
-            value += 1
-        rows = [[j for j, d in enumerate(row) if d <= value] for row in dist]
-    else:
-        rep, lanes = _lane_distances(lvals, rvals, w)
-        dists = list(lanes)
-        value = 0
-        while True:
-            top, add = _lane_threshold(w, rep, value)
-            masks = []
-            cover = 0
-            for x in dists:
-                mask = top & ~(x + add)
-                if not mask:
-                    break
-                masks.append(mask)
-                cover |= mask
-            else:
-                if cover == top and has_perfect_matching(masks):
-                    break
-            value += 1
-        # lane j's top bit is bit j*w + w - 1.  Each row is read from its
-        # highest bit down, which bit_length finds without a pass over the
-        # mask, and reversed into ascending order, as the matrix path has it
-        shift = w.bit_length() - 1
-        rows = []
-        for mask in masks:
-            row = []
-            while mask:
-                top_bit = mask.bit_length() - 1
-                row.append(top_bit >> shift)
-                mask ^= 1 << top_bit
-            row.reverse()
-            rows.append(row)
-    match_l = _hopcroft_karp(n, n, rows)[0]
+            masks.append(mask)
+            cover |= mask
+        else:
+            if cover == top and has_perfect_matching(masks):
+                # lane j's top bit is bit j*w + w - 1
+                return value, masks, w.bit_length() - 1
+        value += 1
+
+
+def bottleneck_bijection(
+    left: Iterable[int], right: Iterable[int]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Minimize, over bijections left -> right, the maximum Hamming distance.
+
+    Returns the optimum and a perfect matching of the threshold graph at
+    the optimum, as (left, right) value pairs sorted by left value; among
+    several optimal bijections it is unspecified which one is returned.
+    The values must be non-negative.  The optimum comes from the one
+    threshold sweep of ``bottleneck_value`` at floor 0, with the bit
+    length of the largest value, free once the sides are sorted, as the
+    width of the guard rule.  Hopcroft-Karp then runs once, on the
+    sweep's rows at the optimum in ascending right order, for the pairs.
+    """
+    lvals = sorted(left)
+    rvals = sorted(right)
+    if len(lvals) != len(rvals):
+        raise SizeMismatch(f"sides have sizes {len(lvals)} and {len(rvals)}")
+    if not lvals:
+        raise SizeMismatch("bottleneck assignment needs non-empty sides")
+    # the OR of the two largest values is as long as the larger
+    value, masks, shift = _bottleneck_sweep(
+        lvals, rvals, 0, (lvals[-1] | rvals[-1]).bit_length()
+    )
+    # each row is read from its highest bit down, which bit_length finds
+    # without a pass over the mask, and reversed into ascending order
+    rows = []
+    for mask in masks:
+        row = []
+        while mask:
+            top_bit = mask.bit_length() - 1
+            row.append(top_bit >> shift)
+            mask ^= 1 << top_bit
+        row.reverse()
+        rows.append(row)
+    match_l = _hopcroft_karp(len(lvals), len(rvals), rows)[0]
     return value, tuple((lvals[i], rvals[j]) for i, j in enumerate(match_l))
 
 

@@ -7,23 +7,25 @@ data-field multisets is the worst bottleneck assignment between matching
 index groups; messages with different multisets are infinitely far
 apart, realized as math.inf so plain comparisons (k < math.inf) work.
 
-Both distances rest on one threshold decision,
-``matching.has_bijection_within``: is there a bijection between two
-index groups with every Hamming distance at most t (Gabow & Tarjan,
-"Algorithms for two bottleneck optimization problems", J. Algorithms
-1988)?  A pair's value needs the bottleneck of a data group only when
-the group does not fit within the worst value of the groups before it.
+Both distances rest on one threshold decision: is there a bijection
+between two index groups with every Hamming distance at most t (Gabow &
+Tarjan, "Algorithms for two bottleneck optimization problems",
+J. Algorithms 1988)?  A pair's value asks ``matching.bottleneck_value``
+for each data group in turn: the least threshold, at or above the worst
+value of the groups before it, at which the group admits a bijection.
+A group within that worst value costs one decision, and a value is
+found by threshold sweeps alone, with no bijection built behind it.
 
 The minimum distance of a code needs, pair by pair, only whether a pair
 beats the best so far.  A pair is within t iff every data group admits
-a bijection within t, one decision per group, stopping at the first
-group that fails.  The witness is the first pair at the minimum in
-canonical order, so a pair beats the witness iff it is within the best
-value when it comes before the witness in that order, and within one
-less otherwise.  Only a pair that beats the witness gets its exact
-value, and it becomes the witness: the witness the exact values would
-give, tie rule included.  Distinct codewords are at distance 1 or more,
-so the threshold is never negative.
+a bijection within t, one ``matching.has_bijection_within`` decision per
+group, stopping at the first group that fails.  The witness is the first
+pair at the minimum in canonical order, so a pair beats the witness iff
+it is within the best value when it comes before the witness in that
+order, and within one less otherwise.  Only a pair that beats the
+witness gets its exact value, and it becomes the witness: the witness
+the exact values would give, tie rule included.  Distinct codewords are
+at distance 1 or more, so the threshold is never negative.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import math
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
-from .matching import bottleneck_bijection, has_bijection_within, packed
+# bottleneck_bijection stays imported: perfbench/run.py traces metrics.bottleneck_bijection
+from .matching import bottleneck_bijection, bottleneck_value, has_bijection_within, packed
 from .model import Message, Strand, check_shape, index_groups, split_popcount
 
 
@@ -82,13 +85,11 @@ def _grouped_distance(
     g1: dict[int, list[int]], g2: dict[int, list[int]], index_len: int
 ) -> int:
     # groups of one data-field multiset of index_len-bit index fields: the
-    # worst bottleneck over data fields.  A group within the worst so far
-    # cannot raise it, so only a group that fails that threshold decision
-    # needs its bottleneck
+    # worst bottleneck over data fields, each group swept up from the worst
+    # so far, since a group within it cannot raise it
     worst = 0
     for u in g1:
-        if not has_bijection_within(g1[u], g2[u], worst, index_len):
-            worst = bottleneck_bijection(g1[u], g2[u])[0]
+        worst = bottleneck_value(g1[u], g2[u], worst, index_len)
     return worst
 
 

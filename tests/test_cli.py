@@ -27,8 +27,7 @@ from oracles import (
     strand_from_fields,
 )
 from test_io import bad_input_files
-from test_matching import local_bottleneck
-from test_metrics import benchmark_shaped_code
+from test_metrics import benchmark_shaped_code, large_m_code, local_dna_distance
 from test_search import CLI_IN_MODE
 
 
@@ -318,29 +317,18 @@ def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
             assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), mode
 
 
-def large_m_code(rng, size=3):
-    """``size`` codewords at M=512, L=20, l=11 sharing one data multiset of
-    8 values, each carried by 64 strands: the benchmark's large-m shape."""
-    data = [u for u in rng.sample(range(512), 8) for _ in range(64)]
-    return [
-        Message(
-            tuple(
-                strand_from_fields(i, u, 20, 11)
-                for i, u in zip(rng.sample(range(2048), 512), data)
-            )
-        )
-        for _ in range(size)
-    ]
-
-
-def local_dna_distance(z1, z2):
-    """The DNA-distance of two messages of one data multiset, each data
-    group's bottleneck from the matching tests' local reference."""
-    g1, g2 = {}, {}
-    for z, g in ((z1, g1), (z2, g2)):
-        for s in z.strands:
-            g.setdefault(s.data_bits, []).append(s.index_bits)
-    return max(local_bottleneck(g1[u], g2[u]) for u in g1)
+def small_space_code(rng, size=6):
+    """``size`` codewords at M=3, L=4, l=2 sharing the data multiset
+    {u, u, v}, so index groups of 2 and 1: the benchmark's small-space
+    distance shape."""
+    u, v = rng.sample(range(4), 2)
+    code = []
+    while len(code) < size:
+        indices = rng.sample(range(4), 3)
+        z = Message(tuple(strand_from_fields(i, d, 4, 2) for i, d in zip(indices, (u, u, v))))
+        if z not in code:
+            code.append(z)
+    return code
 
 
 def test_distance_commands_print_the_same_under_python_O(tmp_path):
@@ -348,16 +336,27 @@ def test_distance_commands_print_the_same_under_python_O(tmp_path):
     code = benchmark_shaped_code(random.Random(23), buckets=10)
     d, (za, zb) = oracle_min_dna_distance(code, reference_dna_distance)
     # a finite pair (the witness) and an infinite one (different buckets),
-    # and the witness of a large-m code, whose groups take the lane kernel
+    # the witness of a large-m code, whose groups take the lane kernel, and
+    # two pairs of a small-space code, whose groups of 2 and 1 are valued
+    # from the first group's floor-0 decision on
     other = next(z for z in code if reference_dna_distance(za, z) == math.inf)
     wide = large_m_code(random.Random(29))
     wide_d, (wa, wb) = oracle_min_dna_distance(wide, local_dna_distance)
     large = mk_params(512, 20, 11, 10, 1, 1, 0)
+    tiny = small_space_code(random.Random(31))
+    tiny_d, (ta, tb) = oracle_min_dna_distance(tiny, local_dna_distance)
+    tiny_params = mk_params(3, 4, 2, 4, 1, 1, 0)
     runs = []
     # each code with its pairs for `distance`, the witness pair first
     for name, p, c, pairs in [
         ("small", small, code, [(za, zb, d), (za, other, math.inf)]),
         ("large", large, wide, [(wa, wb, wide_d)]),
+        (
+            "tiny",
+            tiny_params,
+            tiny,
+            [(ta, tb, tiny_d), (tiny[0], tiny[-1], local_dna_distance(tiny[0], tiny[-1]))],
+        ),
     ]:
         code_file = tmp_path / f"{name}-code.txt"
         write_text(code_file, code_lines(c, p))

@@ -30,7 +30,12 @@ from dnacode import (
 )
 from dnacode import matching
 from dnacode.cli import run
-from dnacode.matching import bijection_graph, has_bijection_within, has_perfect_matching
+from dnacode.matching import (
+    bijection_graph,
+    bottleneck_value,
+    has_bijection_within,
+    has_perfect_matching,
+)
 from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
 from conftest import run_under_python_O
@@ -494,6 +499,8 @@ def test_both_group_decisions_reject_groups_of_two_sizes(left, right):
     with pytest.raises(SizeMismatch):
         has_bijection_within(left, right, 0, 5)
     with pytest.raises(SizeMismatch):
+        bottleneck_value(left, right, 0, 5)
+    with pytest.raises(SizeMismatch):
         bottleneck_bijection(left, right)
 
 
@@ -542,10 +549,10 @@ def lane_agreement():
     """Three group pairs each of 1 and 2 values and of w, w + 1 and w + 5
     values for lanes of w bits, at each index width: returns the
     disagreements of ``has_bijection_within`` with t >= the local
-    bottleneck value, and of ``bottleneck_bijection`` with that value and
-    the pairs the oracles' Hopcroft-Karp finds on the ascending rows of a
-    local distance matrix, and the group pairs checked on each side of
-    the guard."""
+    bottleneck value v, of ``bottleneck_value`` at floor f with max(f, v),
+    and of ``bottleneck_bijection`` with v and the pairs the oracles'
+    Hopcroft-Karp finds on the ascending rows of a local distance matrix,
+    and the group pairs checked on each side of the guard."""
     disagreements = []
     checked = Counter()
     for width in LANE_WIDTHS:
@@ -558,6 +565,9 @@ def lane_agreement():
             for t in {-1, 0, value - 1, value, value + 1, width, width + 5}:
                 if has_bijection_within(left, right, t, width) != (t >= value):
                     disagreements.append(("decision", width, n, t))
+            for f in {0, value - 1, value, value + 1, width + 5}:
+                if bottleneck_value(left, right, f, width) != max(f, value):
+                    disagreements.append(("value", width, n, f))
             lvals, rvals = sorted(left), sorted(right)
             rows = [
                 [j for j, b in enumerate(rvals) if (a ^ b).bit_count() <= value] for a in lvals
@@ -606,8 +616,9 @@ def test_groups_at_or_below_the_guard_take_the_popcount_loop(width):
             matching, "_lane_distances", wraps=matching._lane_distances
         ) as lanes:
             has_bijection_within(left, right, 1, width)
+            bottleneck_value(left, right, 1, width)
             bottleneck_bijection(left, right)
-        assert lanes.call_count == (2 if n > w else 0), n
+        assert lanes.call_count == (3 if n > w else 0), n
 
 
 def assignment_params():

@@ -21,7 +21,7 @@ from dnacode import (
     pair_leq,
     split_distance,
 )
-from dnacode import metrics
+from dnacode import matching, metrics
 from dnacode.matching import exists_bijection_within
 from dnacode.model import split_popcount
 
@@ -36,6 +36,7 @@ from oracles import (
     scipy_has_perfect_matching,
     strand_from_fields,
 )
+from test_matching import local_bottleneck
 
 
 def test_split_distance_examples():
@@ -254,15 +255,65 @@ def test_min_dna_distance_at_the_benchmark_shape():
 
 
 def test_min_dna_distance_computes_the_value_of_pairs_that_beat_the_best():
-    # the benchmark tracer wraps metrics.bottleneck_bijection: pairs that
-    # beat the best so far reach it, and the others are decided before
+    # pairs that beat the best so far reach the value path, one
+    # bottleneck_value call per data group, and the others are decided before
     code = benchmark_shaped_code(random.Random(11))
     with mock.patch.object(
-        metrics, "bottleneck_bijection", wraps=metrics.bottleneck_bijection
+        metrics, "_grouped_distance", wraps=metrics._grouped_distance
+    ) as valued, mock.patch.object(
+        metrics, "bottleneck_value", wraps=metrics.bottleneck_value
     ) as bottleneck:
         assert min_dna_distance(code) == oracle_min_dna_distance(code, reference_dna_distance)
     same_bucket_pairs = 30 * 10
-    assert 3 <= bottleneck.call_count < same_bucket_pairs
+    assert 3 <= valued.call_count < same_bucket_pairs
+    # three data values per codeword
+    assert bottleneck.call_count == 3 * valued.call_count
+
+
+def large_m_code(rng, size=3):
+    """``size`` codewords at M=512, L=20, l=11 sharing one data multiset of
+    8 values, each carried by 64 strands: the benchmark's large-m shape."""
+    data = [u for u in rng.sample(range(512), 8) for _ in range(64)]
+    return [
+        Message(
+            tuple(
+                strand_from_fields(i, u, 20, 11)
+                for i, u in zip(rng.sample(range(2048), 512), data)
+            )
+        )
+        for _ in range(size)
+    ]
+
+
+def local_dna_distance(z1, z2):
+    """The DNA-distance of two messages of one data multiset, each data
+    group's bottleneck from the matching tests' local reference."""
+    g1, g2 = {}, {}
+    for z, g in ((z1, g1), (z2, g2)):
+        for s in z.strands:
+            g.setdefault(s.data_bits, []).append(s.index_bits)
+    return max(local_bottleneck(g1[u], g2[u]) for u in g1)
+
+
+def test_distances_run_no_hopcroft_karp():
+    # a value is a threshold sweep: no bijection is built behind it
+    small = benchmark_shaped_code(random.Random(13))
+    # three buckets of five codewords: finite pairs and infinite ones
+    bucketed = sorted(small, key=lambda z: sorted(s.data_bits for s in z.strands))[:15]
+    wide = large_m_code(random.Random(17))
+    with mock.patch.object(
+        matching, "_hopcroft_karp", wraps=matching._hopcroft_karp
+    ) as hopcroft_karp:
+        small_values = [dna_distance(a, b) for a, b in combinations(bucketed, 2)]
+        small_min = min_dna_distance(small)
+        wide_values = [dna_distance(a, b) for a, b in combinations(wide, 2)]
+        wide_min = min_dna_distance(wide)
+    assert hopcroft_karp.call_count == 0
+    assert small_values == [reference_dna_distance(a, b) for a, b in combinations(bucketed, 2)]
+    assert 0 < sum(v < math.inf for v in small_values) < len(small_values)
+    assert small_min == oracle_min_dna_distance(small, reference_dna_distance)
+    assert wide_values == [local_dna_distance(a, b) for a, b in combinations(wide, 2)]
+    assert wide_min == oracle_min_dna_distance(wide, local_dna_distance)
 
 
 def two_strand_message(data, *indices):
