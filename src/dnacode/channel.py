@@ -9,10 +9,13 @@ its K reads of size uniform on {0..floor(tau*K)}, drawing for each an
 index-flip weight uniform on {0..e_i} and a data-flip weight uniform on
 {0..e_d}, at distinct uniform positions (a zero-weight draw is an exact
 copy).  A strand's exact copies share one ``ReadProvenance`` record, so
-only its altered reads are built and checked one at a time.  ``in_ball``
-decides membership, and ``oracle_balls_intersect`` decides ball
-intersection by exhaustive enumeration, independent of the
-matching-based criteria it is used to validate.
+only its altered reads are built and checked one at a time.  The records
+group the pool K reads per strand, so the sampler proves its pool in the
+ball by that grouping alone (``checker.grouping_fits``), with no flow.
+``in_ball`` decides membership of any pool, by the read-assignment
+flow, and ``oracle_balls_intersect`` decides ball intersection by
+exhaustive enumeration, independent of the matching-based criteria it
+is used to validate.
 
 Oracle enumeration is pruned losslessly: every read of a pool lying in
 both balls is within (e_i, e_d) of a strand of Z1 and of a strand of Z2,
@@ -59,6 +62,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+from .checker import grouping_fits
 from .errors import SpaceTooLarge, ValidationError
 from .matching import _read_network, assignment_feasible
 from .model import (
@@ -85,8 +89,15 @@ class ReadProvenance:
     flips: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flips", tuple(sorted(self.flips)))
-        expected = flip_positions(self.source.bits, self.source.length, self.flips)
+        flips = tuple(sorted(self.flips))
+        object.__setattr__(self, "flips", flips)
+        length = self.source.length
+        # sorted, so its ends bound every position
+        if flips and (flips[0] < 0 or flips[-1] >= length or len(set(flips)) < len(flips)):
+            raise ValidationError(
+                f"flips {flips} must be distinct positions in 0..{length - 1}"
+            )
+        expected = flip_positions(self.source.bits, length, flips)
         if self.read != expected:
             raise ValidationError(
                 f"read {self.read} does not equal source {self.source} with "
@@ -135,8 +146,9 @@ def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
 
     Strands are processed in canonical (sorted) order, K reads each.  A
     strand's exact copies share one record, built at the first of them;
-    every altered read gets a record of its own.  The result is checked
-    against ``assignment_feasible`` before returning.
+    every altered read gets a record of its own.  Before returning, the
+    records are checked to group the pool into the ball of Z
+    (``checker.grouping_fits``), which proves the pool a member.
     """
     check_shape(z, params=params)
     rng = random.Random(seed)
@@ -154,7 +166,7 @@ def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
             provenance.append(exact)
     pool = ReadPool.from_reads([p.read for p in provenance], params.length)
     sample = ChannelSample(pool, tuple(provenance), seed)
-    if not assignment_feasible(pool, z, params):
+    if not grouping_fits(sample.provenance, z, params):
         raise AssertionError("sampled pool must lie in the ball")
     return sample
 

@@ -26,7 +26,8 @@ from dnacode import (
     sample_ball,
 )
 from dnacode import channel, matching
-from dnacode.io import pool_lines, provenance_lines
+from dnacode.cli import run
+from dnacode.io import message_lines, params_header, pool_lines, provenance_lines, write_text
 
 from conftest import run_under_python_O
 from oracles import (
@@ -112,6 +113,20 @@ def test_provenance_rejects_flip_mismatch():
         ReadProvenance(read=1, source=s, flips=())
 
 
+@pytest.mark.parametrize(
+    "read, flips",
+    [
+        (0b1010, (3, 3)),  # a repeat: an exact copy recorded as altered
+        (0b1010 ^ 16, (-1,)),  # a read outside the L bits
+        (0b1010, (9,)),  # past the end, which shifted by a negative count
+    ],
+)
+def test_provenance_rejects_repeated_or_out_of_range_flips(read, flips):
+    s = Strand(0b1010, 4, 2)
+    with pytest.raises(ValidationError, match="distinct positions in 0..3"):
+        ReadProvenance(read, s, flips)
+
+
 def test_sample_rejects_pool_provenance_mismatch():
     s = Strand.from_string("000", 2)
     good = ReadProvenance(read=0, source=s, flips=())
@@ -157,19 +172,59 @@ from dnacode import Message, Strand, SystemParams, sample_ball
 
 if __debug__:
     raise SystemExit("expected python -O")
-z = Message((Strand(0, 2, 1),))
-with mock.patch.object(channel, "assignment_feasible", lambda *args: False):
-    try:
-        sample_ball(z, SystemParams(1, 2, 1, 2, 1, 1, 1), seed=0)
-    except AssertionError:
-        raise SystemExit(0)
-raise SystemExit("sample_ball returned a pool outside the ball")
+# K = 3 reads, floor(tau*K) = 1, (e_i, e_d) = (1, 1), l = 2
+p = SystemParams(1, 4, 2, 3, "1/2", 1, 1)
+z = Message((Strand(0, 4, 2),))
+# draws the real sampler never makes: one altered copy over the budget,
+# and one index flip over e_i
+illegal = {
+    "altered copies": [(p.index_len,)] * (p.tau_budget + 1) + [()] * (p.k - p.tau_budget - 1),
+    "index flips": [tuple(range(p.e_i + 1))] + [()] * (p.k - 1),
+}
+for name, draw in illegal.items():
+    with mock.patch.object(channel, "_strand_flips", lambda rng, params: draw):
+        try:
+            sample_ball(z, p, seed=0)
+        except AssertionError:
+            continue
+    raise SystemExit(f"sample_ball returned a pool outside the ball: {name}")
 """
 
 
 def test_sampler_postcondition_holds_under_python_O():
     done = run_under_python_O(OPTIMIZED_SAMPLER, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_sampler_proves_its_pool_without_the_flow(monkeypatch, capsys, tmp_path):
+    # the sampler certifies its pool by its own grouping; membership of
+    # the same pool, asked through the CLI, still runs the flow
+    calls = Counter()
+
+    def counting(where, real):
+        def wrapper(*args):
+            calls[where] += 1
+            return real(*args)
+
+        return wrapper
+
+    for module in (channel, matching):
+        monkeypatch.setattr(
+            module, "assignment_feasible", counting(module.__name__, module.assignment_feasible)
+        )
+    rng = random.Random(61)
+    for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
+        p = mk_params(*shape)
+        z = random_message(rng, p)
+        message = tmp_path / "message.txt"
+        pool = tmp_path / "pool.txt"
+        write_text(message, [params_header(p), *message_lines(z)])
+        calls.clear()
+        assert run(["simulate", "--message", str(message), "--seed", "7", "--out", str(pool)]) == 0
+        assert sum(calls.values()) == 0, shape
+        assert run(["member", "--pool", str(pool), "--message", str(message)]) == 0
+        assert capsys.readouterr().out == "OK\nYES\n"
+        assert calls["dnacode.channel"] == 1, shape
 
 
 # (M, L, l, K, tau, e_i, e_d) at the edges of the draw: floor(tau*K) = 0,

@@ -1,0 +1,177 @@
+"""The independent checker: the grouping that proves a sampled pool."""
+
+import ast
+import random
+import sys
+from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from dnacode import ReadPool, ReadProvenance, Strand, in_ball, sample_ball
+from dnacode import checker
+from dnacode.checker import grouping_fits
+from dnacode.model import flip_positions
+
+from oracles import mk_params, oracle_assignment_feasible, random_message
+from test_channel import _sampler_cases
+
+
+def test_checker_accepts_every_sample_and_agrees_with_membership():
+    rng = random.Random(11)
+    cases = 0
+    for p, z, seed in _sampler_cases():
+        sample = sample_ball(z, p, seed)
+        shuffled = list(sample.provenance)
+        rng.shuffle(shuffled)
+        # the order of the records does not matter
+        assert grouping_fits(sample.provenance, z, p)
+        assert grouping_fits(shuffled, z, p)
+        assert in_ball(sample.pool, z, p)
+        cases += 1
+    assert cases > 300
+
+
+def at(s, p, wi, wd):
+    """A record of strand s with wi index flips and wd data flips."""
+    flips = (*range(wi), *range(p.index_len, p.index_len + wd))
+    return ReadProvenance(flip_positions(s.bits, p.length, flips), s, flips)
+
+
+def edge_grouping(z, p):
+    """K records per strand: floor(tau*K) of them at (e_i, e_d), the rest
+    exact copies, altered ones first."""
+    return {
+        s: [at(s, p, p.e_i, p.e_d)] * p.tau_budget + [at(s, p, 0, 0)] * (p.k - p.tau_budget)
+        for s in z.strands
+    }
+
+
+def mutations(z, p):
+    """(name, records) for each single way out of the ball, on the first
+    strand of ``edge_grouping``: its first record is altered, its last
+    an exact copy."""
+    s = z.strands[0]
+    outside = next(
+        Strand(s.bits ^ d, p.length, p.index_len)
+        for d in range(1, 1 << p.data_len)
+        if s.bits ^ d not in {t.bits for t in z.strands}
+    )
+    # the one altered read within the radii that flips the fewest bits
+    near = (0, 1) if p.e_d else (1, 0)
+    groups = edge_grouping(z, p)
+    own = groups[s]
+    changes = {
+        "index flips over e_i": [at(s, p, p.e_i + 1, 0), *own[1:]],
+        "data flips over e_d": [at(s, p, 0, p.e_d + 1), *own[1:]],
+        "K - 1 records": own[:-1],
+        "K + 1 records": [*own, own[-1]],
+        "altered reads over the budget": [*own[:-1], at(s, p, *near)],
+        "a source outside z": [*own[:-1], ReadProvenance(outside.bits, outside, ())],
+        "a source of z's bits in another shape": [
+            *own[:-1],
+            ReadProvenance(s.bits, Strand(s.bits, p.length + 1, p.index_len), ()),
+        ],
+        "a read outside the L bits": [
+            SimpleNamespace(read=s.bits ^ (1 << p.length), source=s),
+            *own[1:],
+        ],
+    }
+    for name, records in changes.items():
+        yield name, [r for t in z.strands for r in (records if t == s else groups[t])]
+
+
+# floor(tau*K) >= 1 in both, so the first strand has an altered read to
+# replace; the second has e_i = 0 and a data radius of 2
+MUTATION_SHAPES = [(3, 6, 3, 4, "1/2", 1, 1), (2, 5, 2, 3, "1/3", 0, 2)]
+
+
+@pytest.mark.parametrize("shape", MUTATION_SHAPES)
+def test_checker_rejects_each_single_mutation(shape):
+    p = mk_params(*shape)
+    assert p.tau_budget >= 1
+    z = random_message(random.Random(3), p)
+    edge = [r for records in edge_grouping(z, p).values() for r in records]
+    assert grouping_fits(edge, z, p)
+    names = []
+    for name, records in mutations(z, p):
+        assert not grouping_fits(records, z, p), name
+        names.append(name)
+    assert len(names) == 8
+
+
+def tiny_params():
+    """Every shape with M <= 2 and L <= 4, K <= 3, a few taus and every
+    pair of radii."""
+    for m, length, k, tau in product((1, 2), (2, 3, 4), (1, 2, 3), ("1/3", "1/2", "1")):
+        for index_len in range(1, length):
+            if m > 1 << index_len:
+                continue
+            for e_i, e_d in product(range(index_len + 1), range(length - index_len + 1)):
+                yield mk_params(m, length, index_len, k, tau, e_i, e_d)
+
+
+def random_records(rng, z, p):
+    """Records near a grouping of z: mostly K per strand, at most one
+    over the radii in each field, now and then one record too many or
+    too few and a source outside z, in random order."""
+    records = []
+    for s in z.strands:
+        count = p.k + rng.choice((0, 0, 0, 0, -1, 1))
+        for _ in range(count):
+            source = s
+            if rng.random() < 0.05:
+                source = Strand(rng.randrange(1 << p.length), p.length, p.index_len)
+            flips = []
+            if rng.random() < 0.5:
+                wi = rng.randint(0, min(p.index_len, p.e_i + 1))
+                wd = rng.randint(0, min(p.data_len, p.e_d + 1))
+                flips = rng.sample(range(p.index_len), wi)
+                flips += rng.sample(range(p.index_len, p.length), wd)
+            records.append(
+                ReadProvenance(flip_positions(source.bits, p.length, flips), source, flips)
+            )
+    rng.shuffle(records)
+    return records
+
+
+def test_checker_is_sound_against_the_partition_search():
+    rng = random.Random(29)
+    shapes = accepted = rejected = 0
+    for p in tiny_params():
+        shapes += 1
+        for _ in range(4):
+            z = random_message(rng, p)
+            records = random_records(rng, z, p)
+            if not grouping_fits(records, z, p):
+                rejected += 1
+                continue
+            accepted += 1
+            pool = ReadPool.from_reads([r.read for r in records], p.length)
+            assert oracle_assignment_feasible(pool, z, p), (p, z, records)
+    assert shapes > 500
+    assert accepted > 500 and rejected > 500
+
+
+def test_checker_imports_only_the_model_and_the_standard_library():
+    # the checker must not call the code that found the answer it checks
+    tree = ast.parse(Path(checker.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                # from .x import ...: the package module x; from . import y: module y
+                base = "dnacode" + (f".{node.module}" if node.module else "")
+                imported += [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+            else:
+                imported.append(node.module)
+    assert imported
+    for name in imported:
+        top = name.split(".")[0]
+        if top == "dnacode":
+            assert name == "dnacode.model", name
+        else:
+            assert top in sys.stdlib_module_names, name
