@@ -8,10 +8,13 @@ ball, and the sampler corrupts, for each strand, a uniform subset of
 its K reads of size uniform on {0..floor(tau*K)}, drawing for each an
 index-flip weight uniform on {0..e_i} and a data-flip weight uniform on
 {0..e_d}, at distinct uniform positions (a zero-weight draw is an exact
-copy).  A strand's exact copies share one ``ReadProvenance`` record, so
-only its altered reads are built and checked one at a time.  The records
-group the pool K reads per strand, so the sampler proves its pool in the
-ball by that grouping alone (``checker.grouping_fits``), with no flow.
+copy).  A sample stores its records only: each record holds a read's
+strand and flipped positions and derives the read from them, and the
+pool is the multiset of the records' reads.  A strand's exact copies
+share one ``ReadProvenance`` record, so only its altered reads are built
+one at a time.  The records group the pool K reads per strand, so the
+sampler proves its pool in the ball by that grouping alone
+(``checker.grouping_fits``), with no flow.
 ``in_ball`` decides membership of any pool, by the read-assignment
 flow, and ``oracle_balls_intersect`` decides ball intersection by
 exhaustive enumeration, independent of the matching-based criteria it
@@ -60,7 +63,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .checker import grouping_fits
 from .errors import SpaceTooLarge, ValidationError
@@ -82,42 +86,47 @@ RNG_ID = "mt19937"
 
 @dataclass(frozen=True)
 class ReadProvenance:
-    """One read: its value, originating strand, and flipped string positions."""
+    """One read: its originating strand and flipped string positions; the
+    read itself is the strand with those positions flipped."""
 
-    read: int
     source: Strand
     flips: tuple[int, ...]
+    read: int = field(init=False)
 
     def __post_init__(self) -> None:
         flips = tuple(sorted(self.flips))
         object.__setattr__(self, "flips", flips)
-        length = self.source.length
-        # sorted, so its ends bound every position
-        if flips and (flips[0] < 0 or flips[-1] >= length or len(set(flips)) < len(flips)):
-            raise ValidationError(
-                f"flips {flips} must be distinct positions in 0..{length - 1}"
-            )
-        expected = flip_positions(self.source.bits, length, flips)
-        if self.read != expected:
-            raise ValidationError(
-                f"read {self.read} does not equal source {self.source} with "
-                f"positions {self.flips} flipped"
-            )
+        read = self.source.bits
+        if flips:
+            length = self.source.length
+            # sorted, so its ends bound every position
+            if flips[0] < 0 or flips[-1] >= length or len(set(flips)) < len(flips):
+                raise ValidationError(
+                    f"flips {flips} must be distinct positions in 0..{length - 1}"
+                )
+            read = flip_positions(read, length, flips)
+        object.__setattr__(self, "read", read)
 
 
 @dataclass(frozen=True)
 class ChannelSample:
-    """A sampled pool plus per-read provenance and the RNG identity."""
+    """A sampled pool, stored as its per-read provenance records, plus the
+    seed and RNG identity that drew it."""
 
-    pool: ReadPool
     provenance: tuple[ReadProvenance, ...]
     seed: int
-    rng: str = RNG_ID
+    rng: ClassVar[str] = RNG_ID
 
     def __post_init__(self) -> None:
-        from_prov = Counter(p.read for p in self.provenance)
-        if sorted(from_prov.items()) != list(self.pool.entries):
-            raise ValidationError("pool does not match the provenance multiset")
+        if not self.provenance:
+            raise ValidationError("a sample needs at least one read")
+
+    @property
+    def pool(self) -> ReadPool:
+        """The multiset of the records' reads."""
+        return ReadPool.from_reads(
+            [p.read for p in self.provenance], self.provenance[0].source.length
+        )
 
 
 def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, ...]]:
@@ -157,15 +166,12 @@ def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
         exact = None
         for f in _strand_flips(rng, params):
             if f:
-                provenance.append(
-                    ReadProvenance(flip_positions(s.bits, params.length, f), s, f)
-                )
+                provenance.append(ReadProvenance(s, f))
                 continue
             if exact is None:
-                exact = ReadProvenance(s.bits, s, ())
+                exact = ReadProvenance(s, ())
             provenance.append(exact)
-    pool = ReadPool.from_reads([p.read for p in provenance], params.length)
-    sample = ChannelSample(pool, tuple(provenance), seed)
+    sample = ChannelSample(tuple(provenance), seed)
     if not grouping_fits(sample.provenance, z, params):
         raise AssertionError("sampled pool must lie in the ball")
     return sample

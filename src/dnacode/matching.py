@@ -48,11 +48,10 @@ minimum code distance in ``metrics`` asks it whether a pair beats the
 best so far.  A value is a threshold sweep: ``bottleneck_value`` raises
 t from a floor to the least threshold at which the test finds a perfect
 matching, and the DNA-distance asks it for each data group's value with
-the worst value so far as the floor.  The sweep exists once, in
-``_bottleneck_sweep``, which also hands back the rows at the value;
-``bottleneck_bijection`` sweeps from 0 and runs Hopcroft-Karp once, on
-those rows in ascending order, for the bijection it returns.  No value
-runs Hopcroft-Karp.
+the worst value so far as the floor.  ``bottleneck_bijection`` takes
+the value at floor 0, builds the rows of the threshold graph at it by
+one popcount per pair, and runs Hopcroft-Karp once on them for the
+bijection it returns.  No value runs Hopcroft-Karp.
 
 Decision and sweep build their rows in one of two ways, by one guard
 rule on the group size n and the lane width w, the smallest power of
@@ -563,16 +562,7 @@ def bottleneck_value(
     ``left`` and ``right`` of ``index_len``-bit values admit a bijection
     with every Hamming distance at most t: max(floor, the bottleneck
     value).  Groups of two sizes raise SizeMismatch.  Threshold
-    decisions alone find it, and no bijection is built."""
-    return _bottleneck_sweep(left, right, floor, index_len)[0]
-
-
-def _bottleneck_sweep(
-    left: Sequence[int], right: Sequence[int], floor: int, index_len: int
-) -> tuple[int, list[int], int]:
-    """(t, masks, shift): the value of ``bottleneck_value``, the bitmask
-    rows of the threshold graph at t, and the shift that takes a set bit
-    of a row to the position of its right value.
+    decisions alone find it, and no bijection is built.
 
     The guard rule of ``has_bijection_within`` picks the path.  A group
     of at most w values first decides ``floor``, whose first empty row
@@ -594,7 +584,7 @@ def _bottleneck_sweep(
     if n <= w:
         rows = _popcount_rows(left, right, floor)
         if rows is not None and has_perfect_matching(rows):
-            return floor, rows, 0
+            return floor
         dist = [[(a ^ b).bit_count() for b in right] for a in left]
         value = max(floor + 1, max(map(min, dist)), max(map(min, zip(*dist))))
         while True:
@@ -609,7 +599,7 @@ def _bottleneck_sweep(
                     bit <<= 1
                 masks.append(mask)
             if has_perfect_matching(masks):
-                return value, masks, 0
+                return value
             value += 1
     rep, lanes = _lane_distances(left, right, w)
     dists = list(lanes)
@@ -628,8 +618,7 @@ def _bottleneck_sweep(
             cover |= mask
         else:
             if cover == top and has_perfect_matching(masks):
-                # lane j's top bit is bit j*w + w - 1
-                return value, masks, w.bit_length() - 1
+                return value
         value += 1
 
 
@@ -641,11 +630,11 @@ def bottleneck_bijection(
     Returns the optimum and a perfect matching of the threshold graph at
     the optimum, as (left, right) value pairs sorted by left value; among
     several optimal bijections it is unspecified which one is returned.
-    The values must be non-negative.  The optimum comes from the one
-    threshold sweep of ``bottleneck_value`` at floor 0, with the bit
-    length of the largest value, free once the sides are sorted, as the
-    width of the guard rule.  Hopcroft-Karp then runs once, on the
-    sweep's rows at the optimum in ascending right order, for the pairs.
+    The values must be non-negative.  The optimum is ``bottleneck_value``
+    at floor 0, with the bit length of the largest value, free once the
+    sides are sorted, as the width of the guard rule.  Hopcroft-Karp then
+    runs once, on the rows of the threshold graph at the optimum in
+    ascending right order, for the pairs.
     """
     lvals = sorted(left)
     rvals = sorted(right)
@@ -654,20 +643,8 @@ def bottleneck_bijection(
     if not lvals:
         raise SizeMismatch("bottleneck assignment needs non-empty sides")
     # the OR of the two largest values is as long as the larger
-    value, masks, shift = _bottleneck_sweep(
-        lvals, rvals, 0, (lvals[-1] | rvals[-1]).bit_length()
-    )
-    # each row is read from its highest bit down, which bit_length finds
-    # without a pass over the mask, and reversed into ascending order
-    rows = []
-    for mask in masks:
-        row = []
-        while mask:
-            top_bit = mask.bit_length() - 1
-            row.append(top_bit >> shift)
-            mask ^= 1 << top_bit
-        row.reverse()
-        rows.append(row)
+    value = bottleneck_value(lvals, rvals, 0, (lvals[-1] | rvals[-1]).bit_length())
+    rows = [[j for j, b in enumerate(rvals) if (a ^ b).bit_count() <= value] for a in lvals]
     match_l = _hopcroft_karp(len(lvals), len(rvals), rows)[0]
     return value, tuple((lvals[i], rvals[j]) for i, j in enumerate(match_l))
 

@@ -372,11 +372,12 @@ class SystemParams:
                 )
         if isinstance(self.tau, str):
             object.__setattr__(self, "tau", tau_from_string(self.tau))
-        elif isinstance(self.tau, (int, Fraction)):
+        elif isinstance(self.tau, (int, Fraction)) and not isinstance(self.tau, bool):
             object.__setattr__(self, "tau", Fraction(self.tau))
         else:
             # a float has already been rounded to binary, so floor(tau*K)
-            # of its exact value can fall one below the intended budget
+            # of its exact value can fall one below the intended budget;
+            # bool is an int subclass, but True is not a fraction
             raise ValidationError(
                 f"tau must be exact (an int, a Fraction or a 'p/q' string), "
                 f"got {type(self.tau).__name__} {self.tau!r}"

@@ -435,10 +435,10 @@ def reference_sample_ball(z: Message, params: SystemParams, seed: int) -> Channe
     """``sample_ball``'s draw one read at a time, as the library made it
     before a strand's exact copies shared a record: ``randint`` for every
     count and weight, every ``sample`` call made even when it draws
-    nothing, and one checked ``ReadProvenance`` per read, its value
-    rebuilt here from the flips.  ``randint(0, n)`` and ``randrange(n +
-    1)`` make the same draw, and a sample of 0 items draws nothing, so
-    the two samplers must agree read for read."""
+    nothing, and one ``ReadProvenance`` per read, whose derived value
+    must equal the read rebuilt here from the flips.  ``randint(0, n)``
+    and ``randrange(n + 1)`` make the same draw, and a sample of 0 items
+    draws nothing, so the two samplers must agree read for read."""
     check_shape(z, params=params)
     rng = random.Random(seed)
     provenance = []
@@ -455,9 +455,12 @@ def reference_sample_ball(z: Message, params: SystemParams, seed: int) -> Channe
             read = s.bits
             for pos in f:
                 read ^= 1 << (params.length - 1 - pos)
-            provenance.append(ReadProvenance(read, s, f))
-    pool = ReadPool.from_reads([p.read for p in provenance], params.length)
-    return ChannelSample(pool, tuple(provenance), seed)
+            record = ReadProvenance(s, f)
+            # an explicit raise, so the check holds under python -O too
+            if record.read != read:
+                raise AssertionError(f"record {record} does not hold read {read}")
+            provenance.append(record)
+    return ChannelSample(tuple(provenance), seed)
 
 
 def reference_sample_lines(

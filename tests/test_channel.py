@@ -20,6 +20,7 @@ from dnacode import (
     ValidationError,
     balls_intersect,
     classify_regime,
+    flip_positions,
     in_ball,
     oracle_balls_intersect,
     read_neighborhood,
@@ -107,31 +108,54 @@ def test_provenance_counts_flips_against_sources():
         assert sum(1 for pr in provs if pr.read != source.bits) <= budget
 
 
-def test_provenance_rejects_flip_mismatch():
-    s = Strand.from_string("000", 2)
-    with pytest.raises(ValidationError):
-        ReadProvenance(read=1, source=s, flips=())
-
-
 @pytest.mark.parametrize(
-    "read, flips",
+    "source, flips",
     [
-        (0b1010, (3, 3)),  # a repeat: an exact copy recorded as altered
-        (0b1010 ^ 16, (-1,)),  # a read outside the L bits
-        (0b1010, (9,)),  # past the end, which shifted by a negative count
+        (0b01010, (3, 3)),  # a repeat: an exact copy recorded as altered
+        (0b11010, (-1,)),  # before the first position: a read outside the L bits
+        (0b01010, (9,)),  # past the end, which would shift by a negative count
     ],
 )
-def test_provenance_rejects_repeated_or_out_of_range_flips(read, flips):
-    s = Strand(0b1010, 4, 2)
-    with pytest.raises(ValidationError, match="distinct positions in 0..3"):
-        ReadProvenance(read, s, flips)
+def test_provenance_rejects_repeated_or_out_of_range_flips(source, flips):
+    s = Strand(source, 5, 2)
+    with pytest.raises(ValidationError, match="distinct positions in 0..4"):
+        ReadProvenance(s, flips)
 
 
-def test_sample_rejects_pool_provenance_mismatch():
-    s = Strand.from_string("000", 2)
-    good = ReadProvenance(read=0, source=s, flips=())
+def test_sample_needs_a_read():
+    # a sample's pool comes from its records, and its length from the first
     with pytest.raises(ValidationError):
-        ChannelSample(ReadPool.from_reads([1], 3), (good,), seed=0)
+        ChannelSample((), 0)
+
+
+def test_sample_stores_records_and_builds_each_altered_read_once(monkeypatch):
+    # the sampler builds no pool, and only an altered record flips bits
+    calls = Counter()
+    from_reads = ReadPool.from_reads.__func__
+
+    def counting_from_reads(cls, *args):
+        calls["from_reads"] += 1
+        return from_reads(cls, *args)
+
+    def counting_flips(*args):
+        calls["flip_positions"] += 1
+        return flip_positions(*args)
+
+    monkeypatch.setattr(ReadPool, "from_reads", classmethod(counting_from_reads))
+    monkeypatch.setattr(channel, "flip_positions", counting_flips)
+    rng = random.Random(67)
+    altered_seen = 0
+    for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
+        p = mk_params(*shape)
+        for seed in range(3):
+            calls.clear()
+            sample = sample_ball(random_message(rng, p), p, seed)
+            altered = len({id(r) for r in sample.provenance if r.flips})
+            assert calls == Counter(flip_positions=altered), (shape, seed)
+            assert sample.pool.size == p.pool_size
+            assert calls["from_reads"] == 1
+            altered_seen += altered
+    assert altered_seen > 1000
 
 
 def test_sampler_draw_keeps_the_budget_and_radii():
@@ -168,7 +192,7 @@ def test_sampler_draw_keeps_the_budget_and_radii():
 OPTIMIZED_SAMPLER = """
 from unittest import mock
 import dnacode.channel as channel
-from dnacode import Message, Strand, SystemParams, sample_ball
+from dnacode import Message, Strand, SystemParams, ValidationError, sample_ball
 
 if __debug__:
     raise SystemExit("expected python -O")
@@ -188,6 +212,14 @@ for name, draw in illegal.items():
         except AssertionError:
             continue
     raise SystemExit(f"sample_ball returned a pool outside the ball: {name}")
+# a repeated flip position is rejected when its record is built
+with mock.patch.object(channel, "_strand_flips", lambda rng, params: [(3, 3)] + [()] * (p.k - 1)):
+    try:
+        sample_ball(z, p, seed=0)
+    except ValidationError:
+        pass
+    else:
+        raise SystemExit("sample_ball accepted a repeated flip position")
 """
 
 

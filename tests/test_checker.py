@@ -12,7 +12,6 @@ import pytest
 from dnacode import ReadPool, ReadProvenance, Strand, in_ball, sample_ball
 from dnacode import checker
 from dnacode.checker import grouping_fits
-from dnacode.model import flip_positions
 
 from oracles import mk_params, oracle_assignment_feasible, random_message
 from test_channel import _sampler_cases
@@ -36,7 +35,7 @@ def test_checker_accepts_every_sample_and_agrees_with_membership():
 def at(s, p, wi, wd):
     """A record of strand s with wi index flips and wd data flips."""
     flips = (*range(wi), *range(p.index_len, p.index_len + wd))
-    return ReadProvenance(flip_positions(s.bits, p.length, flips), s, flips)
+    return ReadProvenance(s, flips)
 
 
 def edge_grouping(z, p):
@@ -68,10 +67,10 @@ def mutations(z, p):
         "K - 1 records": own[:-1],
         "K + 1 records": [*own, own[-1]],
         "altered reads over the budget": [*own[:-1], at(s, p, *near)],
-        "a source outside z": [*own[:-1], ReadProvenance(outside.bits, outside, ())],
+        "a source outside z": [*own[:-1], ReadProvenance(outside, ())],
         "a source of z's bits in another shape": [
             *own[:-1],
-            ReadProvenance(s.bits, Strand(s.bits, p.length + 1, p.index_len), ()),
+            ReadProvenance(Strand(s.bits, p.length + 1, p.index_len), ()),
         ],
         "a read outside the L bits": [
             SimpleNamespace(read=s.bits ^ (1 << p.length), source=s),
@@ -129,9 +128,7 @@ def random_records(rng, z, p):
                 wd = rng.randint(0, min(p.data_len, p.e_d + 1))
                 flips = rng.sample(range(p.index_len), wi)
                 flips += rng.sample(range(p.index_len, p.length), wd)
-            records.append(
-                ReadProvenance(flip_positions(source.bits, p.length, flips), source, flips)
-            )
+            records.append(ReadProvenance(source, flips))
     rng.shuffle(records)
     return records
 

@@ -457,9 +457,12 @@ def test_bottleneck_threshold_is_minimal():
 def test_bottleneck_agrees_with_scipy_on_64_element_sides():
     pytest.importorskip("scipy")
     rng = random.Random(31)
-    for _ in range(20):
-        left = rng.sample(range(1 << 12), 64)
-        right = rng.sample(range(1 << 12), 64)
+    # 64 distinct 12-bit values a side, then 6-12 values below 8 with
+    # repeats: both are more values than the lanes (16 and 4 bits) have bits
+    sides = [(rng.sample(range(1 << 12), 64), rng.sample(range(1 << 12), 64)) for _ in range(20)]
+    for n in [6, 7, 8, 9, 10, 11, 12] * 6:
+        sides.append(([rng.randrange(8) for _ in range(n)], [rng.randrange(8) for _ in range(n)]))
+    for left, right in sides:
         value, pairs = bottleneck_bijection(left, right)
         assert sorted(a for a, _ in pairs) == sorted(left)
         assert sorted(b for _, b in pairs) == sorted(right)

@@ -298,6 +298,10 @@ def test_tau_must_be_exact():
     for bad in [0.7, 1.0, "seven tenths", "1/0", "0.75", "3e-1", " 3/4 ", "1_0/20"]:
         with pytest.raises(ValidationError):
             SystemParams(2, 4, 2, 10, bad, 1, 0)
+    # bool is an int subclass, but neither True nor False is a fraction
+    for bad in [True, False]:
+        with pytest.raises(ValidationError, match="^tau must be exact .* got bool"):
+            SystemParams(2, 4, 2, 10, bad, 1, 0)
 
 
 def test_integer_fields_must_be_ints():

@@ -14,7 +14,7 @@ def test_library_example_prints_its_comments():
     expected = [
         line.rsplit("#", 1)[1].strip() for line in block.splitlines() if line.startswith("print(")
     ]
-    assert expected == ["Answer.YES", "True"]
+    assert expected == ["Answer.YES", "True", "True"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
