@@ -8,13 +8,20 @@ ball, and the sampler corrupts, for each strand, a uniform subset of
 its K reads of size uniform on {0..floor(tau*K)}, drawing for each an
 index-flip weight uniform on {0..e_i} and a data-flip weight uniform on
 {0..e_d}, at distinct uniform positions (a zero-weight draw is an exact
-copy).  A sample stores its records only: each record holds a read's
-strand and flipped positions and derives the read from them, and the
-pool is the multiset of the records' reads.  A strand's exact copies
-share one ``ReadProvenance`` record, so only its altered reads are built
-one at a time.  The records group the pool K reads per strand, so the
-sampler proves its pool in the ball by that grouping alone
-(``checker.grouping_fits``), with no flow.
+copy).  The draws read MT19937's 32-bit outputs through ``getrandbits``
+(``random.Random(seed)``, Matsumoto & Nishimura 1998) and consume them
+as ``randrange`` and ``sample`` over a range do in CPython: ``_below``
+takes n.bit_length() bits until a value below n comes up, and
+``_sample`` follows ``Random.sample``'s list path or set path.  So a pool
+is fixed by (message, params, seed) and the generator's output alone,
+not by how a Python version implements those two methods.  A sample
+stores its records only, all of one (L, l) shape: each record holds a
+read's strand and flipped positions and derives the read from them, and
+the pool, built on first use, is the multiset of the records' reads.
+A strand's exact copies share one ``ReadProvenance`` record, so only
+its altered reads are built one at a time.  The records group the pool
+K reads per strand, so the sampler proves its pool in the ball by that
+grouping alone (``checker.grouping_fits``), with no flow.
 ``in_ball`` decides membership of any pool, by the read-assignment
 flow, and ``oracle_balls_intersect`` decides ball intersection by
 exhaustive enumeration, independent of the matching-based criteria it
@@ -64,7 +71,10 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import Callable, ClassVar
 
 from .checker import grouping_fits
 from .errors import SpaceTooLarge, ValidationError
@@ -120,32 +130,83 @@ class ChannelSample:
     def __post_init__(self) -> None:
         if not self.provenance:
             raise ValidationError("a sample needs at least one read")
+        # a sampled strand's records share one source object, so groupby
+        # meets each source once per run and compares by identity first
+        runs = groupby(self.provenance, attrgetter("source"))
+        shapes = {(s.length, s.index_len) for s, _ in runs}
+        if len(shapes) > 1:
+            raise ValidationError(
+                "the records' sources have different shapes: "
+                + " and ".join(f"(L={n},l={i})" for n, i in sorted(shapes))
+            )
 
-    @property
+    @cached_property
     def pool(self) -> ReadPool:
-        """The multiset of the records' reads."""
+        """The multiset of the records' reads, built on first use."""
         return ReadPool.from_reads(
             [p.read for p in self.provenance], self.provenance[0].source.length
         )
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``randrange(n)`` for n >= 1, drawn as CPython's
+    ``_randbelow_with_getrandbits`` draws it: ``n.bit_length()`` bits at a
+    time until a value below n comes up."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits: Callable[[int], int], start: int, n: int, k: int) -> list[int]:
+    """``sample(range(start, start + n), k)``, drawn as CPython's
+    ``Random.sample`` draws it: from a shrinking list when n is at most
+    its set size, and by rejecting repeats against a set otherwise.  Both
+    paths draw a single item as ``start + _below(n)``."""
+    if k == 1:
+        return [start + _below(getrandbits, n)]
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(start, start + n))
+        result = []
+        for i in range(k):
+            j = _below(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected: set[int] = set()
+    result = []
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in selected:
+            j = _below(getrandbits, n)
+        selected.add(j)
+        result.append(start + j)
+    return result
+
+
 def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, ...]]:
     """Flip sets (string positions) for one strand's K reads, drawn as
     the module docstring says."""
+    getrandbits = rng.getrandbits
     flips: list[tuple[int, ...]] = [()] * params.k
-    # randrange(n + 1) draws as randint(0, n) does, and a sample of 0
-    # items draws nothing, so skipping one leaves the stream unchanged.
-    # With no budget every count is 0 and the sample draws nothing else,
-    # so the count is not drawn: the pool is the same without it
-    corrupt = params.tau_budget and rng.randrange(params.tau_budget + 1)
+    # _below(n + 1) draws as randint(0, n) does, and a sample of 0 items
+    # draws nothing, so skipping one leaves the stream unchanged.  With
+    # no budget every count is 0 and the sample draws nothing else, so
+    # the count is not drawn: the pool is the same without it
+    corrupt = params.tau_budget and _below(getrandbits, params.tau_budget + 1)
     if not corrupt:
         return flips
-    for copy in sorted(rng.sample(range(params.k), corrupt)):
-        wi = rng.randrange(params.e_i + 1)
-        positions = rng.sample(range(params.index_len), wi) if wi else []
-        wd = rng.randrange(params.e_d + 1)
+    index_len, length = params.index_len, params.length
+    for copy in sorted(_sample(getrandbits, 0, params.k, corrupt)):
+        wi = _below(getrandbits, params.e_i + 1)
+        positions = _sample(getrandbits, 0, index_len, wi) if wi else []
+        wd = _below(getrandbits, params.e_d + 1)
         if wd:
-            positions += rng.sample(range(params.index_len, params.length), wd)
+            positions += _sample(getrandbits, index_len, length - index_len, wd)
         flips[copy] = tuple(sorted(positions))
     return flips
 

@@ -30,11 +30,10 @@ from .io import (
     code_lines,
     merge_headers,
     parse_param_items,
-    pool_lines,
-    provenance_lines,
     read_code_file,
     read_message_file,
     read_pool_file,
+    sample_lines,
     tau_text,
     write_text,
 )
@@ -298,9 +297,9 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block = read_message_file(args.message)
     params = _system_params(args, {args.message: header}, block)
     sample = sample_ball(validate_message(block, params), params, args.seed)
-    file_lines = pool_lines([p.read for p in sample.provenance], params)
+    file_lines, rows = sample_lines(sample, params)
     if args.provenance:
-        write_text(args.provenance, provenance_lines(sample))
+        write_text(args.provenance, rows)
     if args.out:
         write_text(args.out, file_lines)
         return ["OK"]

@@ -25,7 +25,6 @@ from .model import (
     Message,
     SystemParams,
     _is_bits,
-    bits_to_string,
     check_bits,
     int_from_string,
     tau_from_string,
@@ -211,30 +210,36 @@ def code_lines(code: Sequence[Message], params: SystemParams) -> list[str]:
     return lines
 
 
-def pool_lines(reads: Sequence[int], params: SystemParams) -> list[str]:
-    # a pool repeats its reads: format each distinct value once
-    text = {r: bits_to_string(r, params.length) for r in set(reads)}
-    return [params_header(params)] + [text[r] for r in reads]
-
-
-def provenance_lines(sample: ChannelSample) -> list[str]:
-    """Sidecar rows: read index, source strand, flipped positions."""
+def sample_lines(sample: ChannelSample, params: SystemParams) -> tuple[list[str], list[str]]:
+    """The pool file and the provenance sidecar of a sample, in one walk
+    over its records.  The pool file is the params header and one read
+    per line, in record order; the sidecar is a '# seed=.. rng=..' line
+    and one row per read: its index, source strand and flipped positions
+    ('-' for none), tab-separated."""
+    width = f"0{params.length}b"
+    pool = [params_header(params)]
     rows = [f"# seed={sample.seed} rng={sample.rng}"]
-    # a sampled strand's exact copies share one record, and M sources
-    # serve M*K reads: format each record's tail and each source once,
-    # keyed on identity, as the sample holds every record and source
-    tails: dict[int, str] = {}
-    names: dict[int, str] = {}
+    # a sampled strand's exact copies share one record, M sources serve
+    # M*K reads, and few flip sets recur: format each record and source
+    # once, keyed on identity as the sample holds them all, and each
+    # flip set once
+    texts: dict[int, tuple[str, str]] = {}
+    sources: dict[int, str] = {}
+    flip_sets: dict[tuple[int, ...], str] = {(): "-"}
     for i, p in enumerate(sample.provenance):
-        tail = tails.get(id(p))
-        if tail is None:
-            source = names.get(id(p.source))
+        text = texts.get(id(p))
+        if text is None:
+            source = sources.get(id(p.source))
             if source is None:
-                source = names[id(p.source)] = str(p.source)
-            flips = ",".join(map(str, p.flips)) if p.flips else "-"
-            tail = tails[id(p)] = f"\t{source}\t{flips}"
-        rows.append(f"{i}{tail}")
-    return rows
+                source = sources[id(p.source)] = format(p.source.bits, width)
+            flips = flip_sets.get(p.flips)
+            if flips is None:
+                flips = flip_sets[p.flips] = ",".join(map(str, p.flips))
+            read = format(p.read, width) if p.flips else source
+            text = texts[id(p)] = (read, f"\t{source}\t{flips}")
+        pool.append(text[0])
+        rows.append(f"{i}{text[1]}")
+    return pool, rows
 
 
 def write_text(path: Union[str, Path], lines: Sequence[str]) -> None:

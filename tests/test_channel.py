@@ -28,7 +28,7 @@ from dnacode import (
 )
 from dnacode import channel, matching
 from dnacode.cli import run
-from dnacode.io import message_lines, params_header, pool_lines, provenance_lines, write_text
+from dnacode.io import message_lines, params_header, sample_lines, write_text
 
 from conftest import run_under_python_O
 from oracles import (
@@ -128,6 +128,16 @@ def test_sample_needs_a_read():
         ChannelSample((), 0)
 
 
+@pytest.mark.parametrize("first, second", [((0b01010, 5, 2), (0b011, 3, 1)),
+                                           ((0b011, 3, 1), (0b01010, 5, 2)),
+                                           ((0b01010, 5, 2), (0b01010, 5, 3))])
+def test_sample_rejects_records_of_different_shapes(first, second):
+    # a pool has one read length, so its records need one (L, l) shape
+    records = (ReadProvenance(Strand(*first), (1,)), ReadProvenance(Strand(*second), ()))
+    with pytest.raises(ValidationError, match="different shapes"):
+        ChannelSample(records, 0)
+
+
 def test_sample_stores_records_and_builds_each_altered_read_once(monkeypatch):
     # the sampler builds no pool, and only an altered record flips bits
     calls = Counter()
@@ -152,7 +162,9 @@ def test_sample_stores_records_and_builds_each_altered_read_once(monkeypatch):
             sample = sample_ball(random_message(rng, p), p, seed)
             altered = len({id(r) for r in sample.provenance if r.flips})
             assert calls == Counter(flip_positions=altered), (shape, seed)
+            # the pool is built on first use, once
             assert sample.pool.size == p.pool_size
+            assert sample.pool is sample.pool
             assert calls["from_reads"] == 1
             altered_seen += altered
     assert altered_seen > 1000
@@ -260,8 +272,10 @@ def test_sampler_proves_its_pool_without_the_flow(monkeypatch, capsys, tmp_path)
 
 
 # (M, L, l, K, tau, e_i, e_d) at the edges of the draw: floor(tau*K) = 0,
-# e_i = 0, e_d = 0, both 0, e_i = l, a budget of all K reads (tau = 1), and
-# the benchmark's large-m pool
+# e_i = 0, e_d = 0, both 0, e_i = l, a budget of all K reads (tau = 1),
+# and fields wider than 21 positions, where ``random.Random.sample``
+# rejects repeats against a set for 2-5 positions; then the benchmark's
+# large-m pool
 SAMPLER_EDGE_SHAPES = [
     (2, 4, 2, 3, "1/4", 1, 1),
     (3, 5, 2, 4, "1/2", 0, 2),
@@ -269,6 +283,7 @@ SAMPLER_EDGE_SHAPES = [
     (2, 4, 2, 3, "1", 0, 0),
     (2, 5, 2, 5, "1", 2, 1),
     (4, 6, 3, 2, "1", 3, 3),
+    (3, 64, 30, 25, "4/5", 7, 6),
 ]
 LARGE_M_SHAPE = (512, 20, 11, 10, "1/2", 1, 1)
 
@@ -303,14 +318,15 @@ def sampler_agreement():
     ``_sampler_cases``: pool entries, provenance and the text of both
     files.  Returns the disagreements (found without assert, so that it
     checks under python -O too) and counts of the cases, of those with no
-    budget, no index flips, no data flips and index flips up to l, and of
-    the reads that share a record with an earlier read."""
+    budget, no index flips, no data flips and index flips up to l, of the
+    reads that share a record with an earlier read, and of the position
+    draws that ``random.Random.sample`` makes by set rejection."""
     disagreements, seen = [], Counter()
     for p, z, seed in _sampler_cases():
         got, want = sample_ball(z, p, seed), reference_sample_ball(z, p, seed)
         rows = [(r.read, r.source.bits, r.flips) for r in got.provenance]
         want_rows = [(r.read, r.source.bits, r.flips) for r in want.provenance]
-        text = (pool_lines([r.read for r in got.provenance], p), provenance_lines(got))
+        text = sample_lines(got, p)
         if (got.pool.entries, rows, got.seed, got.rng, text) != (
             want.pool.entries, want_rows, want.seed, want.rng, reference_sample_lines(want, p)
         ):
@@ -322,6 +338,11 @@ def sampler_agreement():
         seen["e_i = l"] += p.e_i == p.index_len
         seen["M = 512"] += p.m == 512
         seen["shared records"] += len(got.provenance) - len({id(r) for r in got.provenance})
+        for r in {id(r): r for r in got.provenance}.values():
+            wi = sum(1 for pos in r.flips if pos < p.index_len)
+            for width, weight in ((p.index_len, wi), (p.data_len, len(r.flips) - wi)):
+                # sample() draws 2-5 items of over 21 by set rejection
+                seen["set path"] += width > 21 and 1 < weight <= 5
     return disagreements, seen
 
 
@@ -333,6 +354,51 @@ def test_sampler_draws_the_reference_stream_read_for_read():
         assert seen[kind] >= 5, kind
     assert seen["M = 512"] == 1
     assert seen["shared records"] > 1000
+    assert seen["set path"] >= 20
+
+
+# (n, k): one item, none, all, list and set paths, and k > 5, where the
+# set size grows to 21 + 4**ceil(log(3k, 4)): 85 for k = 6..21
+DRAW_SIZES = [(1, 0), (1, 1), (2, 2), (5, 0), (9, 1), (10, 4), (21, 5), (21, 21),
+              (22, 2), (22, 5), (30, 30), (34, 3), (60, 7), (85, 6), (86, 6), (86, 21),
+              (200, 22), (500, 5), (1 << 33, 4)]
+
+
+@pytest.mark.parametrize("n, k", DRAW_SIZES)
+def test_draw_helpers_consume_the_stdlib_stream(n, k):
+    # _below(n) is randrange(n) and _sample is sample(range(..), k): the
+    # same values from the same words, leaving the generator in one state
+    for seed in range(20):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        start = seed * 3
+        assert channel._below(ours.getrandbits, n) == stdlib.randrange(n)
+        assert channel._sample(ours.getrandbits, start, n, k) == stdlib.sample(
+            range(start, start + n), k
+        )
+        assert channel._below(ours.getrandbits, k + 1) == stdlib.randint(0, k)
+        assert ours.getstate() == stdlib.getstate()
+
+
+def test_sampler_draws_without_randrange_or_sample(monkeypatch, capsys, tmp_path):
+    # the sampler reads the generator through getrandbits alone
+    rng = random.Random(83)
+    messages = []
+    for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
+        p = mk_params(*shape)
+        messages.append((p, random_message(rng, p)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler called randrange or sample")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    monkeypatch.setattr(random.Random, "sample", refuse)
+    for p, z in messages:
+        message = tmp_path / "message.txt"
+        write_text(message, [params_header(p), *message_lines(z)])
+        argv = ["simulate", "--message", str(message), "--seed", "7",
+                "--out", str(tmp_path / "pool.txt"), "--provenance", str(tmp_path / "prov.txt")]
+        assert run(argv) == 0, p
+        assert capsys.readouterr().out == "OK\n"
 
 
 class CountingRandom(random.Random):

@@ -14,8 +14,8 @@ import pytest
 import dnacode
 from dnacode import Message, ValidationError, sample_ball
 from dnacode.cli import run
-from dnacode.io import code_lines, message_lines, params_header, pool_lines, write_text
-from dnacode.model import split_popcount
+from dnacode.io import code_lines, message_lines, params_header, write_text
+from dnacode.model import bits_to_string, split_popcount
 
 from oracles import (
     message_of,
@@ -298,8 +298,9 @@ def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
     msg = tmp_path / "message.txt"
     write_text(msg, [params_header(p), *message_lines(z)])
     pools = {"YES\n": tmp_path / "sampled.txt", "NO\n": tmp_path / "moved.txt"}
-    write_text(pools["YES\n"], pool_lines(reads, p))
-    write_text(pools["NO\n"], pool_lines(moved, p))
+    for want, pool_reads in [("YES\n", reads), ("NO\n", moved)]:
+        lines = [bits_to_string(r, p.length) for r in pool_reads]
+        write_text(pools[want], [params_header(p), *lines])
 
     src = str(Path(dnacode.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -11,15 +11,14 @@ from dnacode.io import (
     message_lines,
     params_header,
     parse_param_items,
-    pool_lines,
-    provenance_lines,
     read_code_file,
     read_message_file,
     read_pool_file,
+    sample_lines,
     tau_text,
     write_text,
 )
-from dnacode.channel import sample_ball
+from dnacode.channel import ChannelSample, ReadProvenance, sample_ball
 from dnacode.model import Message, Strand, tau_from_string
 
 from oracles import mk_message, mk_params, reference_read_blocks
@@ -140,27 +139,40 @@ def test_code_file_round_trip(tmp_path):
     assert blocks == [["00"], ["11"]]
 
 
+def _sample_of(reads, length, index_len, seed=0):
+    """A sample whose records hold the given reads in order, each flipped
+    from the all-zero strand, with equal reads sharing one record."""
+    source = Strand(0, length, index_len)
+    records = {}
+    for r in reads:
+        if r not in records:
+            flips = tuple(pos for pos in range(length) if r >> (length - 1 - pos) & 1)
+            records[r] = ReadProvenance(source, flips)
+    return ChannelSample(tuple(records[r] for r in reads), seed)
+
+
 def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
     p = mk_params(1, 2, 1, 3, "1", 1, 0)
     path = tmp_path / "pool.txt"
-    write_text(path, pool_lines([0b00, 0b10, 0b00], p))
+    write_text(path, sample_lines(_sample_of([0b00, 0b10, 0b00], 2, 1), p)[0])
     _, block = read_pool_file(path)
     assert sorted(block) == ["00", "00", "10"]
 
 
 def test_pool_lines_preserve_the_given_order():
     p = mk_params(1, 2, 1, 2, "1", 1, 0)
-    lines = pool_lines([0b10, 0b00], p)
-    assert lines[1:] == ["10", "00"]
+    pool, rows = sample_lines(_sample_of([0b10, 0b00], 2, 1), p)
+    assert pool == [params_header(p), "10", "00"]
+    assert rows[1:] == ["0\t00\t0", "1\t00\t-"]
 
 
 def test_provenance_lines_record_seed_and_flips():
     p = mk_params(1, 2, 1, 2, "1", 1, 0)
     z = mk_message(1, "00")
     sample = sample_ball(z, p, seed=5)
-    lines = provenance_lines(sample)
+    pool, lines = sample_lines(sample, p)
     assert lines[0] == "# seed=5 rng=mt19937"
-    assert len(lines) == 1 + p.pool_size
+    assert len(lines) == len(pool) == 1 + p.pool_size
     for row, entry in enumerate(lines[1:]):
         position, source, flips = entry.split("\t")
         assert position == str(row) and source == "00"
@@ -172,11 +184,28 @@ def test_provenance_lines_match_per_read_formatting():
     z = mk_message(3, "000101", "011000", "101111", "110010")
     for seed in range(5):
         sample = sample_ball(z, p, seed)
+        reads = [format(r.read, "06b") for r in sample.provenance]
         rows = [
             f"{i}\t{r.source}\t{','.join(str(pos) for pos in r.flips) or '-'}"
             for i, r in enumerate(sample.provenance)
         ]
-        assert provenance_lines(sample) == [f"# seed={seed} rng=mt19937", *rows]
+        assert sample_lines(sample, p) == (
+            [params_header(p), *reads],
+            [f"# seed={seed} rng=mt19937", *rows],
+        )
+
+
+def test_sample_lines_format_records_that_share_nothing():
+    # records built apart, with equal sources and flip sets, format as
+    # the records a sampler shares do
+    p = mk_params(2, 4, 2, 2, "1", 1, 1)
+    a, b = Strand(0b0110, 4, 2), Strand(0b1001, 4, 2)
+    records = [ReadProvenance(a, (0, 3)), ReadProvenance(Strand(0b0110, 4, 2), (0, 3)),
+               ReadProvenance(b, ()), ReadProvenance(Strand(0b1001, 4, 2), ())]
+    pool, rows = sample_lines(ChannelSample(tuple(records), 7), p)
+    assert pool[1:] == ["1111", "1111", "1001", "1001"]
+    assert rows == ["# seed=7 rng=mt19937", "0\t0110\t0,3", "1\t0110\t0,3",
+                    "2\t1001\t-", "3\t1001\t-"]
 
 
 def test_write_text_ends_with_newline(tmp_path):
