@@ -42,36 +42,35 @@ witnesses do not depend on which path built it.
 Bottleneck questions are threshold decisions: is there a bijection
 between two groups of index values with every Hamming distance at most
 t?  The bitmask Kuhn test ``has_perfect_matching`` answers each, over
-one bitmask row per left value.  ``has_bijection_within`` builds the
-rows from the values and answers no at the first empty row; the
-minimum code distance in ``metrics`` asks it whether a pair beats the
-best so far.  A value is a threshold sweep: ``bottleneck_value`` raises
-t from a floor to the least threshold at which the test finds a perfect
+one bitmask row per left value.  One builder, ``_threshold_rows``, makes
+those rows at any threshold, and gives none at all when a row is empty
+or the rows leave some right value uncovered.  ``has_bijection_within``
+is one call of it and one test; the minimum code distance in
+``metrics`` asks it whether a pair beats the best so far.  A value is a
+threshold sweep: ``bottleneck_value`` raises t one step at a time from
+a floor to the least threshold at which the test finds a perfect
 matching, and the DNA-distance asks it for each data group's value with
-the worst value so far as the floor.  ``bottleneck_bijection`` takes
-the value at floor 0, builds the rows of the threshold graph at it by
-one popcount per pair, and runs Hopcroft-Karp once on them for the
-bijection it returns.  No value runs Hopcroft-Karp.
+the worst value so far as the floor.  The sweep has one bound rule, the
+builder's: no row is empty and the rows cover every right value exactly
+when t is at least the largest row minimum and the largest column
+minimum of the distances, so every step below that bound, which is
+usually the optimum, ends without a matching.  ``bottleneck_bijection``
+takes the value at floor 0, builds the rows of the threshold graph at
+it by one popcount per pair, and runs Hopcroft-Karp once on them for
+the bijection it returns.  No value runs Hopcroft-Karp.
 
-Decision and sweep build their rows in one of two ways, by one guard
-rule on the group size n and the lane width w, the smallest power of
-two above the bit width of the values.  Groups of at most w values pay
-one popcount per pair: ``has_bijection_within`` tests each pair against
-t, and the sweep first decides its floor the same way and, only when
-that fails, holds the distance matrix and starts from its bound
-max(largest row minimum, largest column minimum) or one above the
-floor, whichever is larger; the bound is usually the optimum.  Larger
-groups use the lane kernel ``_lane_distances``: the right group packed
-into one int of n lanes of w bits, and for each left value a, n
-distances in a few big-int operations on n*w bits (broadword sideways
-addition, Knuth, TAOCP 4A, 7.1.3).  Three more operations read the row
-of any threshold off them, ``_lane_threshold``, keeping one bit per
-right vertex, its lane's top bit, so ``has_perfect_matching`` runs on
-lane rows as on any others.  There the sweep makes one pass of the
-kernel and holds no matrix: it starts at the floor, and its bound is
-the first threshold whose rows are all non-empty and together cover
-every right value.  Every one of these functions raises SizeMismatch on
-groups of two sizes.
+The builder checks the group sizes, raising SizeMismatch on groups of
+two sizes, and makes its rows in one of two ways, by one guard rule on
+the group size n and the lane width w, the smallest power of two above
+the bit width of the values.  Groups of at most w values pay one
+popcount per pair at each threshold.  Larger groups use the lane kernel
+``_lane_distances``, once per group: the right group packed into one
+int of n lanes of w bits, and for each left value a, n distances in a
+few big-int operations on n*w bits (broadword sideways addition, Knuth,
+TAOCP 4A, 7.1.3).  Three more operations read the row of any threshold
+off them, ``_lane_threshold``, keeping one bit per right vertex, its
+lane's top bit, so ``has_perfect_matching`` runs on lane rows as on any
+others.
 
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
@@ -107,7 +106,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
 from .model import Message, ReadPool, Strand, SystemParams, check_shape
@@ -500,6 +499,68 @@ def _lane_threshold(w: int, rep: int, threshold: int) -> tuple[int, int]:
     return rep << (w - 1), rep * ((1 << (w - 1)) - 1 - threshold)
 
 
+def _threshold_rows(
+    left: Sequence[int], right: Sequence[int], index_len: int
+) -> tuple[Iterable[int], Callable[[Iterable[int], int], Optional[list[int]]]]:
+    """The row builder of both index-group decisions below, for the
+    equal-size groups ``left`` and ``right`` of ``index_len``-bit values;
+    groups of two sizes raise SizeMismatch.  Returns (items, rows_at):
+    one item per left value, and ``rows_at(items, t)``, the bitmask rows
+    at threshold t, bit j of row i set iff d(left[i], right[j]) <= t, or
+    None as soon as a row is empty or once the rows leave some right
+    value uncovered.  The items may be a one-pass iterator.
+
+    The one guard rule: with w = 2^bit_length(index_len), the smallest
+    power of two above ``index_len``, a group of at most w values is its
+    own items and pays one popcount per pair, and a larger group's items
+    are the lanes of ``_lane_distances``, each row read off one in a few
+    big-int operations on n*w bits.
+    """
+    n = len(left)
+    if n != len(right):
+        raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
+    w = 1 << index_len.bit_length()
+    if n <= w:
+        full = (1 << n) - 1
+
+        def popcount_rows(items: Iterable[int], t: int) -> Optional[list[int]]:
+            rows = []
+            cover = 0
+            for a in items:
+                row = 0
+                bit = 1
+                for b in right:
+                    if (a ^ b).bit_count() <= t:
+                        row |= bit
+                    bit <<= 1
+                if not row:
+                    return None
+                rows.append(row)
+                cover |= row
+            return rows if cover == full else None
+
+        return left, popcount_rows
+    rep, lanes = _lane_distances(left, right, w)
+
+    def lane_rows(items: Iterable[int], t: int) -> Optional[list[int]]:
+        if t < 0:
+            return None
+        # a distance is below w, so every threshold from w - 1 up reads the
+        # same rows, and the lane arithmetic needs one in 0..w - 1
+        top, add = _lane_threshold(w, rep, min(t, w - 1))
+        rows = []
+        cover = 0
+        for x in items:
+            row = top & ~(x + add)
+            if not row:
+                return None
+            rows.append(row)
+            cover |= row
+        return rows if cover == top else None
+
+    return lanes, lane_rows
+
+
 def has_bijection_within(
     left: Sequence[int], right: Sequence[int], threshold: int, index_len: int
 ) -> bool:
@@ -507,52 +568,13 @@ def has_bijection_within(
     ``right`` of ``index_len``-bit values keeps every Hamming distance at
     most ``threshold``; groups of two sizes raise SizeMismatch.
 
-    One bitmask row per left value, of the right values within the
-    threshold of it; the first empty row answers no (a negative
-    threshold empties the first row), and otherwise the bitmask Kuhn
-    test ``has_perfect_matching`` decides.  The one guard rule: a group
-    of more values than a lane of w = 2^bit_length(index_len) bits,
-    the smallest power of two above ``index_len``, reads each row off
-    the lanes of ``_lane_distances`` in a few big-int operations on n*w
-    bits, and a smaller group pays one popcount per pair instead.
+    The rows of ``_threshold_rows`` at the threshold, and the bitmask
+    Kuhn test ``has_perfect_matching`` on them; an empty row or an
+    uncovered right value answers no before any matching.
     """
-    n = len(left)
-    if n != len(right):
-        raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
-    w = 1 << index_len.bit_length()
-    if n <= w:
-        rows = _popcount_rows(left, right, threshold)
-        return rows is not None and has_perfect_matching(rows)
-    if threshold < 0:
-        return False
-    rep, dists = _lane_distances(left, right, w)
-    top, add = _lane_threshold(w, rep, min(threshold, w - 1))
-    rows = []
-    for x in dists:
-        row = top & ~(x + add)
-        if not row:
-            return False
-        rows.append(row)
-    return has_perfect_matching(rows)
-
-
-def _popcount_rows(
-    left: Sequence[int], right: Sequence[int], threshold: int
-) -> Optional[list[int]]:
-    """Bit j of row i set iff d(left[i], right[j]) <= ``threshold``, one
-    popcount per pair, or None at the first empty row."""
-    rows = []
-    for a in left:
-        row = 0
-        bit = 1
-        for b in right:
-            if (a ^ b).bit_count() <= threshold:
-                row |= bit
-            bit <<= 1
-        if not row:
-            return None
-        rows.append(row)
-    return rows
+    items, rows_at = _threshold_rows(left, right, index_len)
+    rows = rows_at(items, threshold)
+    return rows is not None and has_perfect_matching(rows)
 
 
 def bottleneck_value(
@@ -564,61 +586,20 @@ def bottleneck_value(
     value).  Groups of two sizes raise SizeMismatch.  Threshold
     decisions alone find it, and no bijection is built.
 
-    The guard rule of ``has_bijection_within`` picks the path.  A group
-    of at most w values first decides ``floor``, whose first empty row
-    ends that decision, and only when it fails holds the distance
-    matrix.  Every left value takes some right value and every right
-    value some left value, so the value is at least the largest row
-    minimum and the largest column minimum, and the sweep raises the
-    threshold one step at a time from that bound or floor + 1, whichever
-    is larger, until ``has_perfect_matching`` finds a perfect matching;
-    the bound is usually the optimum.  A larger group holds no matrix:
-    one ``_lane_distances`` pass, and a sweep from ``floor`` whose bound
-    is the first threshold at which no row is empty and the rows
-    together cover every right value.
+    One sweep raises t one step at a time from ``floor`` over the rows of
+    ``_threshold_rows``.  Every left value takes some right value and
+    every right value some left value, so below max(largest row minimum,
+    largest column minimum) the rows come out None, with no matching
+    tried; from that bound on, which is usually the optimum,
+    ``has_perfect_matching`` decides each step.
     """
-    n = len(left)
-    if n != len(right):
-        raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
-    w = 1 << index_len.bit_length()
-    if n <= w:
-        rows = _popcount_rows(left, right, floor)
-        if rows is not None and has_perfect_matching(rows):
-            return floor
-        dist = [[(a ^ b).bit_count() for b in right] for a in left]
-        value = max(floor + 1, max(map(min, dist)), max(map(min, zip(*dist))))
-        while True:
-            # bit j of row i is set when dist[i][j] <= value; plain loops, as a
-            # generator per row costs more than it saves on groups of a few values
-            masks = []
-            for row in dist:
-                mask, bit = 0, 1
-                for d in row:
-                    if d <= value:
-                        mask |= bit
-                    bit <<= 1
-                masks.append(mask)
-            if has_perfect_matching(masks):
-                return value
-            value += 1
-    rep, lanes = _lane_distances(left, right, w)
-    dists = list(lanes)
-    # a distance is below w, so every threshold from w - 1 up reads the
-    # same rows, and the lane arithmetic needs one in 0..w - 1
-    value = max(floor, 0)
+    items, rows_at = _threshold_rows(left, right, index_len)
+    items = list(items)
+    value = floor
     while True:
-        top, add = _lane_threshold(w, rep, min(value, w - 1))
-        masks = []
-        cover = 0
-        for x in dists:
-            mask = top & ~(x + add)
-            if not mask:
-                break
-            masks.append(mask)
-            cover |= mask
-        else:
-            if cover == top and has_perfect_matching(masks):
-                return value
+        rows = rows_at(items, value)
+        if rows is not None and has_perfect_matching(rows):
+            return value
         value += 1
 
 
@@ -630,11 +611,12 @@ def bottleneck_bijection(
     Returns the optimum and a perfect matching of the threshold graph at
     the optimum, as (left, right) value pairs sorted by left value; among
     several optimal bijections it is unspecified which one is returned.
-    The values must be non-negative.  The optimum is ``bottleneck_value``
-    at floor 0, with the bit length of the largest value, free once the
-    sides are sorted, as the width of the guard rule.  Hopcroft-Karp then
-    runs once, on the rows of the threshold graph at the optimum in
-    ascending right order, for the pairs.
+    The values must be non-negative: a negative one raises
+    ValidationError.  The optimum is ``bottleneck_value`` at floor 0,
+    with the bit length of the largest value, free once the sides are
+    sorted, as the width of the guard rule.  Hopcroft-Karp then runs
+    once, on the rows of the threshold graph at the optimum in ascending
+    right order, for the pairs.
     """
     lvals = sorted(left)
     rvals = sorted(right)
@@ -642,6 +624,10 @@ def bottleneck_bijection(
         raise SizeMismatch(f"sides have sizes {len(lvals)} and {len(rvals)}")
     if not lvals:
         raise SizeMismatch("bottleneck assignment needs non-empty sides")
+    # sorted, so a side's first value is its least
+    for v in (lvals[0], rvals[0]):
+        if v < 0:
+            raise ValidationError(f"values must be non-negative, got {v}")
     # the OR of the two largest values is as long as the larger
     value = bottleneck_value(lvals, rvals, 0, (lvals[-1] | rvals[-1]).bit_length())
     rows = [[j for j, b in enumerate(rvals) if (a ^ b).bit_count() <= value] for a in lvals]

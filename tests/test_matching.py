@@ -19,6 +19,7 @@ from dnacode import (
     ReadPool,
     ShapeMismatch,
     SizeMismatch,
+    ValidationError,
     WrongPoolSize,
     assignment_feasible,
     balls_intersect,
@@ -427,6 +428,12 @@ def test_bottleneck_errors():
         bottleneck_bijection([0, 1], [0])
     with pytest.raises(SizeMismatch):
         bottleneck_bijection([], [])
+    with pytest.raises(ValidationError, match="-1"):
+        bottleneck_bijection([-1], [0])
+    with pytest.raises(ValidationError, match="-3"):
+        bottleneck_bijection([0, -3], [1, 2])
+    with pytest.raises(ValidationError, match="-5"):
+        bottleneck_bijection([0, 1], [2, -5])
 
 
 def test_bottleneck_random_agreement_with_oracle():
@@ -492,6 +499,16 @@ def test_bijection_decision_examples():
     assert has_bijection_within([0b00, 0b11], [0b01, 0b10], 1, 2)
     assert not has_bijection_within([0b000, 0b001], [0b011, 0b111], 1, 3)
     assert has_bijection_within([0b000, 0b001], [0b011, 0b111], 2, 3)
+    # no row is empty, but no left value is within 1 of 0b111 (popcount
+    # rows), and none within 0 of the value 1 (lane rows, w = 2)
+    assert not has_bijection_within([0b000, 0b001], [0b000, 0b111], 1, 3)
+    assert not has_bijection_within([0, 0, 0], [0, 0, 1], 0, 1)
+
+
+def test_empty_groups_admit_the_empty_bijection_at_any_threshold():
+    assert has_bijection_within([], [], -1, 1)
+    for floor in (-1, 0, 3):
+        assert bottleneck_value([], [], floor, 1) == floor
 
 
 @pytest.mark.parametrize(
@@ -568,7 +585,7 @@ def lane_agreement():
             for t in {-1, 0, value - 1, value, value + 1, width, width + 5}:
                 if has_bijection_within(left, right, t, width) != (t >= value):
                     disagreements.append(("decision", width, n, t))
-            for f in {0, value - 1, value, value + 1, width + 5}:
+            for f in {-2, -1, 0, value - 1, value, value + 1, width + 5}:
                 if bottleneck_value(left, right, f, width) != max(f, value):
                     disagreements.append(("value", width, n, f))
             lvals, rvals = sorted(left), sorted(right)
