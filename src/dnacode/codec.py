@@ -51,13 +51,14 @@ from .matching import (
     near_masks,
     packed,
 )
-from .metrics import min_dna_distance, pair_leq, split_distance
+from .metrics import min_dna_distance, pair_leq
 from .model import (
     Message,
     SystemParams,
     check_shape,
     has_distinct_data,
     in_restricted_space,
+    split_popcount,
 )
 
 UNPROVED_REASON = "necessity unproved outside restricted spaces"
@@ -338,13 +339,23 @@ class Witness:
     bound: tuple[int, int]
 
     def __post_init__(self) -> None:
+        # on packed values: once z2 and every strand of the bijection
+        # have z1's shape, a strand is its bits, so one shape comparison
+        # and two sorted bit tuples check the pairing
         z1, z2 = self.pair
-        lefts = [x for x, _ in self.bijection]
-        rights = [y for _, y in self.bijection]
-        if sorted(lefts) != list(z1.strands) or sorted(rights) != list(z2.strands):
+        shapes = {(s.length, s.index_len) for pair in self.bijection for s in pair}
+        shapes.add((z2.length, z2.index_len))
+        lefts = tuple(sorted(x.bits for x, _ in self.bijection))
+        rights = tuple(sorted(y.bits for _, y in self.bijection))
+        if (
+            shapes != {(z1.length, z1.index_len)}
+            or lefts != packed(z1)
+            or rights != packed(z2)
+        ):
             raise ValidationError("witness bijection must pair the two codewords' strands")
+        data_len = z1.data_len
         for x, y in self.bijection:
-            if not pair_leq(split_distance(x, y), self.bound):
+            if not pair_leq(split_popcount(x.bits ^ y.bits, data_len), self.bound):
                 raise ValidationError(
                     f"witness pair {x} -> {y} exceeds the bound {self.bound}"
                 )

@@ -30,14 +30,22 @@ the code verifier's screen (``codec.PairTest.candidates``), the search's
 neighbourhood table (``near_masks``), ``bijection_graph`` and the value
 edges of the read network.  A strand b is within the
 bound of a only if b's index field is a's XOR some l-bit mask of weight
-at most r1 (the mask 0 included), so a dict from index field to the
+at most r1 (the mask 0 included), so a store from index field to the
 strands carrying it, probed with the V(l, r1) = sum_{i <= r1} C(l, i)
 masks, finds each candidate once, and its data field then decides
 (multi-index hashing: Norouzi, Punjani & Fleet, CVPR 2012).  The one
-guard rule: look up only when V(l, r1) < min(len(right), 2^l), and
-otherwise scan every strand of the other side through the full split
-distance.  Either way a row comes out sorted, so matchings and
-witnesses do not depend on which path built it.
+guard rule for the path: look up only when V(l, r1) < min(len(right),
+2^l), and otherwise scan every strand of the other side through the
+full split distance.  The one guard rule for the store: a table with
+one slot per index field, read by list subscript, when its 2^l slots
+are no more than the len(left) * V(l, r1) probes the rows make, so its
+size is bounded by work the call does anyway, and a dict otherwise
+(wide index fields, l = 40 say).  The same probe loop is written once
+for each store: the table is read by list subscript and the dict by its
+bound ``get``, since a dict read by subscript needs a ``__missing__``
+hook that costs about twice a ``get`` on the misses most probes are.
+On every path a row comes out sorted, so matchings and witnesses do not
+depend on which path built it.
 
 Bottleneck questions are threshold decisions: is there a bijection
 between two groups of index values with every Hamming distance at most
@@ -63,14 +71,17 @@ The builder checks the group sizes, raising SizeMismatch on groups of
 two sizes, and makes its rows in one of two ways, by one guard rule on
 the group size n and the lane width w, the smallest power of two above
 the bit width of the values.  Groups of at most w values pay one
-popcount per pair at each threshold.  Larger groups use the lane kernel
-``_lane_distances``, once per group: the right group packed into one
-int of n lanes of w bits, and for each left value a, n distances in a
-few big-int operations on n*w bits (broadword sideways addition, Knuth,
-TAOCP 4A, 7.1.3).  Three more operations read the row of any threshold
-off them, ``_lane_threshold``, keeping one bit per right vertex, its
-lane's top bit, so ``has_perfect_matching`` runs on lane rows as on any
-others.
+popcount per pair at each threshold (``_popcount_rows``).  Larger
+groups use the lane kernel ``_lane_distances``, once per group: the
+right group packed into one int of n lanes of w bits, and for each
+left value a, n distances in a few big-int operations on n*w bits
+(broadword sideways addition, Knuth, TAOCP 4A, 7.1.3).  Three more
+operations read the row of any threshold off them, ``_lane_threshold``,
+keeping one bit per right vertex, its lane's top bit, so
+``has_perfect_matching`` runs on lane rows as on any others
+(``_lane_rows``).  Both row functions are module-level and take
+the group's state as an argument, so a decision builds no closure: on
+the 1-3-value groups of most data groups, a call is mostly overhead.
 
 Most read values lie within (e_i, e_d) of one strand only, and the
 flow has nothing to decide for them, so ``assignment_feasible`` peels
@@ -106,7 +117,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ShapeMismatch, SizeMismatch, ValidationError, WrongPoolSize
 from .model import Message, ReadPool, Strand, SystemParams, check_shape
@@ -263,6 +274,46 @@ def _matching_or_violator(
     return HallViolator(frozenset(reach), frozenset(v for u in reach for v in adj[u]))
 
 
+# the (position, data field) pairs under one index field, or None
+Slot = Optional[list[tuple[int, int]]]
+
+
+def _index_table(index_len: int) -> list[Slot]:
+    """An empty table: one slot, None, per ``index_len``-bit index field.
+    The kernel's one allocation of 2^l slots, made only where
+    ``_index_store``'s guard allows it."""
+    return [None] * (1 << index_len)
+
+
+def _index_store(
+    right: Sequence[int], data_len: int, index_len: int, probes: int
+) -> Union[list[Slot], dict[int, list[tuple[int, int]]]]:
+    """The (position, data field) pairs of the packed strands of
+    ``right``, in position order, under each ``index_len``-bit index
+    field that carries any, for a lookup that makes ``probes`` probes.
+
+    The one guard rule: a list with one slot per index field, None where
+    no strand carries the field, when its 2^l slots are no more than
+    ``probes``, so its size is bounded by work the lookup does anyway;
+    otherwise a dict of the fields that strands carry.
+    """
+    mask = (1 << data_len) - 1
+    if 1 << index_len > probes:
+        by_index: dict[int, list[tuple[int, int]]] = {}
+        for j, b in enumerate(right):
+            by_index.setdefault(b >> data_len, []).append((j, b & mask))
+        return by_index
+    table = _index_table(index_len)
+    for j, b in enumerate(right):
+        index = b >> data_len
+        hits = table[index]
+        if hits is None:
+            table[index] = [(j, b & mask)]
+        else:
+            hits.append((j, b & mask))
+    return table
+
+
 def _rows_within(
     left: Sequence[int],
     right: Sequence[int],
@@ -276,13 +327,17 @@ def _rows_within(
 
     A partner's index field is the strand's XOR a mask of weight at most
     r1, so when those V(l, r1) masks are fewer than both the strands of
-    ``right`` and the 2^l index fields, the partners are looked up in a
-    dict from index field to the strands of ``right`` that carry it, and
-    only their data fields are tested.  Each strand of ``right`` is found
-    at most once, so the lookup never tests more pairs than a scan, and
-    no ball of len(right) or more masks is enumerated.  Otherwise every
-    strand of ``right`` is scanned, with ``model.split_popcount`` written
-    out inline: this is the innermost loop of every pair decision.
+    ``right`` and the 2^l index fields, the partners are looked up in the
+    ``_index_store`` of ``right``, from index field to the strands that
+    carry it, and only their data fields are tested.  The store is a
+    table with one slot per index field when 2^l <= len(left) * V(l, r1),
+    the probes the rows make, read by list subscript, and a dict
+    otherwise, read by its bound ``get``.  Each strand of ``right`` is
+    found at most once, so the lookup never tests more pairs than a
+    scan, and no ball of len(right) or more masks is enumerated.
+    Otherwise every strand of
+    ``right`` is scanned, with ``model.split_popcount`` written out
+    inline: this is the innermost loop of every pair decision.
     """
     r1, r2 = bound
     mask = (1 << data_len) - 1
@@ -291,10 +346,22 @@ def _rows_within(
     # V(l, r1) < 2^l exactly when r1 < l, which is the cheaper test
     if r1 < index_len and _ball_volume(index_len, r1) < len(right):
         flips = _flip_masks(index_len, r1)
-        by_index: dict[int, list[tuple[int, int]]] = {}
-        for j, b in enumerate(right):
-            by_index.setdefault(b >> data_len, []).append((j, b & mask))
-        get = by_index.get
+        store = _index_store(right, data_len, index_len, len(left) * len(flips))
+        # one loop per store, each with the store's cheapest read
+        if isinstance(store, list):
+            for a in left:
+                index, data = a >> data_len, a & mask
+                row = []
+                for f in flips:
+                    hits = store[index ^ f]
+                    if hits:
+                        for j, d in hits:
+                            if (data ^ d).bit_count() <= r2:
+                                row.append(j)
+                row.sort()
+                yield row
+            return
+        get = store.get
         for a in left:
             index, data = a >> data_len, a & mask
             row = []
@@ -499,66 +566,76 @@ def _lane_threshold(w: int, rep: int, threshold: int) -> tuple[int, int]:
     return rep << (w - 1), rep * ((1 << (w - 1)) - 1 - threshold)
 
 
+def _popcount_rows(items: Iterable[int], right: Sequence[int], t: int) -> Optional[list[int]]:
+    """The rows of ``_threshold_rows`` for a group of at most w values,
+    one popcount per pair: bit j of the row of a set iff
+    d(a, right[j]) <= t."""
+    rows = []
+    cover = 0
+    for a in items:
+        row = 0
+        bit = 1
+        for b in right:
+            if (a ^ b).bit_count() <= t:
+                row |= bit
+            bit <<= 1
+        if not row:
+            return None
+        rows.append(row)
+        cover |= row
+    return rows if cover == (1 << len(right)) - 1 else None
+
+
+def _lane_rows(items: Iterable[int], lanes: tuple[int, int], t: int) -> Optional[list[int]]:
+    """The rows of ``_threshold_rows`` for a larger group, each read off
+    a ``_lane_distances`` int; ``lanes`` is (w, rep) of those ints."""
+    if t < 0:
+        return None
+    w, rep = lanes
+    # a distance is below w, so every threshold from w - 1 up reads the
+    # same rows, and the lane arithmetic needs one in 0..w - 1
+    top, add = _lane_threshold(w, rep, min(t, w - 1))
+    rows = []
+    cover = 0
+    for x in items:
+        row = top & ~(x + add)
+        if not row:
+            return None
+        rows.append(row)
+        cover |= row
+    return rows if cover == top else None
+
+
+RowsAt = Callable[[Iterable[int], Any, int], Optional[list[int]]]
+
+
 def _threshold_rows(
     left: Sequence[int], right: Sequence[int], index_len: int
-) -> tuple[Iterable[int], Callable[[Iterable[int], int], Optional[list[int]]]]:
+) -> tuple[Iterable[int], RowsAt, Any]:
     """The row builder of both index-group decisions below, for the
     equal-size groups ``left`` and ``right`` of ``index_len``-bit values;
-    groups of two sizes raise SizeMismatch.  Returns (items, rows_at):
-    one item per left value, and ``rows_at(items, t)``, the bitmask rows
-    at threshold t, bit j of row i set iff d(left[i], right[j]) <= t, or
-    None as soon as a row is empty or once the rows leave some right
-    value uncovered.  The items may be a one-pass iterator.
+    groups of two sizes raise SizeMismatch.  Returns (items, rows_at,
+    state): one item per left value, and ``rows_at(items, state, t)``,
+    the bitmask rows at threshold t, bit j of row i set iff
+    d(left[i], right[j]) <= t, or None as soon as a row is empty or once
+    the rows leave some right value uncovered.  The items may be a
+    one-pass iterator.
 
     The one guard rule: with w = 2^bit_length(index_len), the smallest
     power of two above ``index_len``, a group of at most w values is its
-    own items and pays one popcount per pair, and a larger group's items
-    are the lanes of ``_lane_distances``, each row read off one in a few
-    big-int operations on n*w bits.
+    own items and pays one popcount per pair (``_popcount_rows``, whose
+    state is ``right``), and a larger group's items are the lanes of
+    ``_lane_distances``, each row read off one in a few big-int
+    operations on n*w bits (``_lane_rows``, whose state is (w, rep)).
     """
     n = len(left)
     if n != len(right):
         raise SizeMismatch(f"sides have sizes {n} and {len(right)}")
     w = 1 << index_len.bit_length()
     if n <= w:
-        full = (1 << n) - 1
-
-        def popcount_rows(items: Iterable[int], t: int) -> Optional[list[int]]:
-            rows = []
-            cover = 0
-            for a in items:
-                row = 0
-                bit = 1
-                for b in right:
-                    if (a ^ b).bit_count() <= t:
-                        row |= bit
-                    bit <<= 1
-                if not row:
-                    return None
-                rows.append(row)
-                cover |= row
-            return rows if cover == full else None
-
-        return left, popcount_rows
+        return left, _popcount_rows, right
     rep, lanes = _lane_distances(left, right, w)
-
-    def lane_rows(items: Iterable[int], t: int) -> Optional[list[int]]:
-        if t < 0:
-            return None
-        # a distance is below w, so every threshold from w - 1 up reads the
-        # same rows, and the lane arithmetic needs one in 0..w - 1
-        top, add = _lane_threshold(w, rep, min(t, w - 1))
-        rows = []
-        cover = 0
-        for x in items:
-            row = top & ~(x + add)
-            if not row:
-                return None
-            rows.append(row)
-            cover |= row
-        return rows if cover == top else None
-
-    return lanes, lane_rows
+    return lanes, _lane_rows, (w, rep)
 
 
 def has_bijection_within(
@@ -572,8 +649,8 @@ def has_bijection_within(
     Kuhn test ``has_perfect_matching`` on them; an empty row or an
     uncovered right value answers no before any matching.
     """
-    items, rows_at = _threshold_rows(left, right, index_len)
-    rows = rows_at(items, threshold)
+    items, rows_at, state = _threshold_rows(left, right, index_len)
+    rows = rows_at(items, state, threshold)
     return rows is not None and has_perfect_matching(rows)
 
 
@@ -593,11 +670,11 @@ def bottleneck_value(
     tried; from that bound on, which is usually the optimum,
     ``has_perfect_matching`` decides each step.
     """
-    items, rows_at = _threshold_rows(left, right, index_len)
+    items, rows_at, state = _threshold_rows(left, right, index_len)
     items = list(items)
     value = floor
     while True:
-        rows = rows_at(items, value)
+        rows = rows_at(items, state, value)
         if rows is not None and has_perfect_matching(rows):
             return value
         value += 1

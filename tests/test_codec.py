@@ -37,6 +37,7 @@ from dnacode.cli import run
 from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON, _validated_code
 from dnacode.io import code_lines, write_text
 from dnacode.metrics import min_dna_distance, pair_leq, split_distance
+from dnacode.model import Strand
 
 from oracles import (
     message_of,
@@ -271,6 +272,17 @@ def test_witness_construction_is_validated():
         Witness((z1, z2), ((s1, s1),), (2, 0))  # wrong right side
     with pytest.raises(ValidationError):
         Witness((z1, z2), ((s1, s2),), (1, 0))  # exceeds the bound
+    with pytest.raises(ValidationError):
+        # the right strand's bits with another index length
+        Witness((z1, z2), ((s1, Strand(s2.bits, s2.length, 1)),), (2, 0))
+    with pytest.raises(ValidationError):
+        # the right codeword's bits with another index length
+        Witness((z1, mk_message(1, "110")), ((s1, s2),), (2, 0))
+    z3, z4 = mk_message(2, "000", "010"), mk_message(2, "100", "110")
+    (a, b), (c, d) = z3.strands, z4.strands
+    Witness((z3, z4), ((a, c), (b, d)), (2, 1))
+    with pytest.raises(ValidationError):
+        Witness((z3, z4), ((a, c), (a, d)), (2, 1))  # a repeated strand
 
 
 def test_verdict_shape_constraints():
@@ -444,34 +456,47 @@ def test_balls_intersect_agrees_with_networkx_and_scipy_at_large_m(m, index_len,
 # stand-ins for ``matching._ball_volume`` that force the row kernel's
 # path: never below a strand count, so every row is scanned, or never
 # above 0, so every row is looked up whenever there are strands to look
-# up among and r1 < l
-KERNEL_VOLUME = {"scan": lambda width, radius: math.inf, "lookup": lambda width, radius: 0}
+# up among and r1 < l; and the probe counts that force the lookup's
+# store, a table (no index field is wider than the count) or a dict
+KERNEL_VOLUME = {
+    "scan": lambda width, radius: math.inf,
+    "table": lambda width, radius: 0,
+    "dict": lambda width, radius: 0,
+}
+STORE_PROBES = {"table": math.inf, "dict": 0}
 
 
 def on_path(outcome, path=None):
     """``outcome()`` with the row kernel's guard as it is (None), forced
-    to look up ("lookup") or forced to scan ("scan"), and whether the
-    kernel asked for index masks, which only its lookup does."""
-    asked = []
-    masks = matching._flip_masks
+    to look up in a table ("table") or a dict ("dict"), or forced to scan
+    ("scan"), and the set of stores the kernel's lookups used: empty when
+    every row was scanned."""
+    stores = set()
+    build = matching._index_store
 
-    def recording_masks(width, radius):
-        asked.append(radius)
-        return masks(width, radius)
+    def recording_store(right, data_len, index_len, probes):
+        # a forced table has 2^l slots: keep it small
+        assert path != "table" or index_len <= 16
+        store = build(right, data_len, index_len, STORE_PROBES.get(path, probes))
+        stores.add("table" if isinstance(store, list) else "dict")
+        return store
 
     volume = KERNEL_VOLUME.get(path, matching._ball_volume)
-    with mock.patch.object(matching, "_flip_masks", recording_masks), mock.patch.object(
+    with mock.patch.object(matching, "_index_store", recording_store), mock.patch.object(
         matching, "_ball_volume", volume
     ):
-        return outcome(), bool(asked)
+        return outcome(), stores
 
 
 def looked_up_and_scanned(outcome):
     """``outcome()`` with the row kernel's guard as it is, and again with
-    every row scanned; fails unless the first run looked rows up."""
-    looked_up, asked = on_path(outcome)
-    assert asked
-    return looked_up, on_path(outcome, "scan")[0]
+    every row scanned, and the stores the first run used; fails if the
+    first run looked no row up, or if a run with every lookup forced
+    into a dict gives another outcome than the first."""
+    looked_up, stores = on_path(outcome)
+    assert stores
+    assert on_path(outcome, "dict")[0] == looked_up
+    return looked_up, on_path(outcome, "scan")[0], stores
 
 
 @pytest.mark.parametrize("m", [256, 512])
@@ -487,8 +512,9 @@ def test_lookup_rows_give_the_scan_answers_and_witnesses_at_large_m(m, tau):
             for x, y in pairs
         ]
 
-    looked_up, scanned = looked_up_and_scanned(outcome)
+    looked_up, scanned, stores = looked_up_and_scanned(outcome)
     assert looked_up == scanned
+    assert "table" in stores
     (yes, bijection), (_, empty_row), (_, violator) = looked_up
     assert yes.answer is Answer.YES and yes.bijection == bijection
     # a Yes, a No on a strand with no partner, and a No that needs the
@@ -507,8 +533,9 @@ def test_cli_verify_output_is_the_same_with_lookup_and_scan_at_large_m(tmp_path,
         code = run(["verify", "--code", str(path)])
         return code, capsys.readouterr()
 
-    looked_up, scanned = looked_up_and_scanned(outcome)
+    looked_up, scanned, stores = looked_up_and_scanned(outcome)
     assert looked_up == scanned
+    assert "table" in stores
     code, captured = looked_up
     assert code == 0 and captured.out.startswith("NOT_CORRECTING\n")
     assert "map: " in captured.out

@@ -40,6 +40,7 @@ from dnacode.matching import (
 from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
 
 from conftest import run_under_python_O
+from test_codec import on_path
 from oracles import (
     all_bipartite_graphs,
     is_optimal_bottleneck,
@@ -267,26 +268,14 @@ def _reference_rows(left, right, data_len, bound):
 
 
 def _kernel_rows(left, right, data_len, bound, index_len, path):
-    """``_rows_within``'s rows with the guard left as it is (None), forced
-    to look up ("lookup") or forced to scan ("scan"); also whether the
-    index masks were asked for, which only the lookup does."""
-    asked = []
-    enumerate_masks = matching._flip_masks
-
-    def recording_masks(width, radius):
-        asked.append((width, radius))
-        return enumerate_masks(width, radius)
-
-    volume = {
-        None: matching._ball_volume,
-        "lookup": lambda w, r: -1,
-        "scan": lambda w, r: len(right),
-    }
-    with mock.patch.object(matching, "_flip_masks", recording_masks), mock.patch.object(
-        matching, "_ball_volume", volume[path]
-    ):
-        rows = list(matching._rows_within(left, right, data_len, bound, index_len))
-    return rows, bool(asked)
+    """``_rows_within``'s rows on ``path``, as ``test_codec.on_path``
+    takes it, and the store its lookup used, "table" or "dict", or None
+    when the rows were scanned."""
+    rows, stores = on_path(
+        lambda: list(matching._rows_within(left, right, data_len, bound, index_len)), path
+    )
+    assert len(stores) <= 1
+    return rows, (stores.pop() if stores else None)
 
 
 def _kernel_sides(rng, index_len, data_len, size, distinct):
@@ -308,7 +297,14 @@ def _kernel_sides(rng, index_len, data_len, size, distinct):
     return rng.sample(near, min(len(near), 6)) + far + right[:2], right
 
 
-def test_row_kernel_matches_the_all_pairs_rows_on_both_paths():
+def row_kernel_agreement():
+    """Rows of ``_rows_within`` with the guard as it is and forced to a
+    table, a dict and a scan, on sides of 24 strands at each index width
+    from 1 to 11 and every bound: returns the disagreements with
+    ``_reference_rows`` or with the store each path must use, and the
+    number of row sets built on each (path, store)."""
+    disagreements = []
+    used = Counter()
     rng = random.Random(1212)
     data_len = 3
     for index_len in range(1, 12):
@@ -318,15 +314,41 @@ def test_row_kernel_matches_the_all_pairs_rows_on_both_paths():
                 for r2 in range(data_len + 1):
                     bound = (r1, r2)
                     want = _reference_rows(left, right, data_len, bound)
-                    assert all(row == sorted(set(row)) for row in want)
-                    for path in (None, "lookup", "scan"):
-                        got, looked_up = _kernel_rows(
+                    if any(row != sorted(set(row)) for row in want):
+                        disagreements.append(("reference", index_len, distinct, bound))
+                    for path in (None, "table", "dict", "scan"):
+                        got, store = _kernel_rows(
                             left, right, data_len, bound, index_len, path
                         )
-                        assert got == want, (index_len, distinct, bound, path)
                         # r1 = l has no lookup: its ball is every index field
-                        if path:
-                            assert looked_up is (path == "lookup" and r1 < index_len)
+                        forced = path if path != "scan" and r1 < index_len else None
+                        if got != want or (path and store != forced):
+                            disagreements.append((index_len, distinct, bound, path, store))
+                        used[path, store] += 1
+    return disagreements, used
+
+
+def test_row_kernel_matches_the_all_pairs_rows_on_both_paths():
+    disagreements, used = row_kernel_agreement()
+    assert disagreements == []
+    # the guard itself takes each of the three paths somewhere
+    assert {store for path, store in used if path is None} == {"table", "dict", None}
+
+
+OPTIMIZED_ROW_KERNEL_AGREEMENT = """
+from test_matching import row_kernel_agreement
+
+if __debug__:
+    raise SystemExit("expected python -O")
+disagreements, used = row_kernel_agreement()
+if disagreements or {store for path, store in used if path is None} != {"table", "dict", None}:
+    raise SystemExit(repr((disagreements, used)))
+"""
+
+
+def test_row_kernel_matches_the_all_pairs_rows_under_python_O():
+    done = run_under_python_O(OPTIMIZED_ROW_KERNEL_AGREEMENT, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_row_kernel_guard_looks_up_only_below_both_sizes():
@@ -339,19 +361,68 @@ def test_row_kernel_guard_looks_up_only_below_both_sizes():
             for size in sizes:
                 left, right = _kernel_sides(rng, index_len, data_len, size, True)
                 bound = (r1, 1)
-                rows, looked_up = _kernel_rows(left, right, data_len, bound, index_len, None)
+                rows, store = _kernel_rows(left, right, data_len, bound, index_len, None)
                 assert rows == _reference_rows(left, right, data_len, bound)
                 # V(l, r1) < min(M, 2^l): r1 >= l gives V = 2^l and scans
-                assert looked_up is (volume < size and r1 < index_len), (index_len, r1, size)
+                looked_up = volume < size and r1 < index_len
+                assert (store is not None) is looked_up, (index_len, r1, size)
+                if looked_up:
+                    table = 1 << index_len <= len(left) * volume
+                    assert store == ("table" if table else "dict"), (index_len, r1, size)
         # repeated index fields can outnumber the 2^l fields; r1 = l still scans
         right = [(i << data_len) | d for i in range(1 << index_len) for d in (0, 3)]
         left = [rng.randrange(1 << (index_len + data_len)) for _ in range(6)]
-        rows, looked_up = _kernel_rows(left, right, data_len, (index_len, 1), index_len, None)
-        assert not looked_up
+        rows, store = _kernel_rows(left, right, data_len, (index_len, 1), index_len, None)
+        assert store is None
         assert rows == _reference_rows(left, right, data_len, (index_len, 1))
-    for path in (None, "lookup", "scan"):
+    for path in (None, "table", "dict", "scan"):
         assert _kernel_rows([], [5, 6, 9], 2, (1, 1), 2, path)[0] == []
         assert _kernel_rows([5, 6], [], 2, (1, 1), 2, path)[0] == [[], []]
+
+
+def test_row_kernel_store_follows_the_probe_count():
+    data_len = 2
+    make_table, make_store = matching._index_table, matching._index_store
+    stores = []
+
+    def watched_table(index_len):
+        # a table of 2^40 slots must never be asked for
+        if index_len > 16:
+            pytest.fail(f"asked for a table of 2^{index_len} slots")
+        return make_table(index_len)
+
+    def watched_store(*args):
+        store = make_store(*args)
+        stores.append("table" if isinstance(store, list) else "dict")
+        return store
+
+    def store_of(left, right, bound, index_len):
+        stores.clear()
+        rows = list(matching._rows_within(left, right, data_len, bound, index_len))
+        assert rows == _reference_rows(left, right, data_len, bound)
+        assert len(stores) == 1
+        return stores[0]
+
+    rng = random.Random(1214)
+    with mock.patch.object(matching, "_index_table", watched_table), mock.patch.object(
+        matching, "_index_store", watched_store
+    ):
+        # l = 40, r1 = 1: V = 41 masks, fewer than the 64 strands of
+        # either side, and 64 * 41 probes against 2^40 index fields
+        index_len = 40
+        right = [rng.getrandbits(index_len + data_len) for _ in range(64)]
+        left = [b ^ (1 << rng.randrange(index_len + data_len)) for b in right]
+        assert matching._ball_volume(index_len, 1) < len(right)
+        assert store_of(left, right, (1, 1), index_len) == "dict"
+        # 2^l slots against len(left) * V(l, r1) probes: a table at
+        # equality, a dict one left strand below it, which at r1 = 0
+        # (V = 1) leaves one slot more than the probes
+        for index_len, r1, at_equality in [(3, 0, 8), (4, 0, 16), (3, 1, 2)]:
+            assert at_equality * matching._ball_volume(index_len, r1) == 1 << index_len
+            right = [(i << data_len) | rng.getrandbits(data_len) for i in range(1 << index_len)]
+            for size, want in [(at_equality, "table"), (at_equality - 1, "dict")]:
+                left = [rng.getrandbits(index_len + data_len) for _ in range(size)]
+                assert store_of(left, right, (r1, 1), index_len) == want, (index_len, r1, size)
 
 
 def test_bijection_examples():

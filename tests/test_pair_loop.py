@@ -205,7 +205,7 @@ def test_screen_keeps_the_first_of_several_planted_collisions(shape):
         one_e, two_e = yes_bound(params), (2 * params.e_i, 2 * params.e_d)
         code += [with_close_strands(rng, params, one_e), with_close_strands(rng, params, two_e)]
     rng.shuffle(code)
-    got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+    got, scanned, _ = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
     assert got == scanned
     assert got.kind is VerdictKind.NOT_CORRECTING
     assert got.witness.pair == (first, min(later))
@@ -218,7 +218,7 @@ def test_screen_without_a_collision(shape):
     rng = random.Random(str(shape))
     code = random_code(rng, params, 40)
     code += [first_strand_copy(rng, code, params) for _ in range(3)]
-    got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+    got, scanned, _ = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
     assert got == scanned
     assert got.kind is VerdictKind.CORRECTING
     assert got == pairwise_verdict(code, params)
@@ -295,7 +295,7 @@ def test_two_codewords_at_large_m_are_looked_up():
     params = mk_params(*LARGE_M_PARAMS)
     kinds = set()
     for code in large_m_codes(random.Random(512), params):
-        got, scanned = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
+        got, scanned, _ = looked_up_and_scanned(lambda: is_dna_correcting(code, params))
         assert got == scanned
         assert got == pairwise_verdict(code, params)
         kinds.add(got.kind)
@@ -340,14 +340,14 @@ def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
             if screened_in(code[i], code[j], bound)
         ]
         kept += len(want)
-        for path in [None, "lookup", "scan"]:
-            got, asked = on_path(lambda: list(PairTest(params).candidates(bits)), path)
+        for path in [None, "table", "dict", "scan"]:
+            got, stores = on_path(lambda: list(PairTest(params).candidates(bits)), path)
             assert got == want, (path, [str(z) for z in code])
             if path and len(code) >= 2:
-                assert asked is (path == "lookup")
+                assert stores == ({path} if path != "scan" else set())
     assert kept > 0
     # the guard's own choice on the last code, the largest
-    assert on_path(lambda: list(PairTest(params).candidates(bits)))[1] is looked_up
+    assert bool(on_path(lambda: list(PairTest(params).candidates(bits)))[1]) is looked_up
 
 
 @pytest.mark.parametrize("tau", ["1/2", "3/4"])
