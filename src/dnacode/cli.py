@@ -17,12 +17,13 @@ import csv
 import functools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .channel import in_ball, oracle_balls_intersect, sample_ball
 from .codec import RegimeTag, balls_intersect, is_dna_correcting
-from .errors import ResourceCapExceeded, ValidationError
+from .errors import FileFormatError, ResourceCapExceeded, ValidationError
 from .io import (
     PARAM_KEYS,
     ParamValue,
@@ -212,11 +213,29 @@ def _system_params(
     )
 
 
+def _packed(tokens: Iterable[str]) -> list[int]:
+    """The packed values of tokens that ``io.read_blocks`` has checked as
+    0/1 strings: the one step from a file token to a packed value."""
+    return [int(token, 2) for token in tokens]
+
+
+def _check_token_length(path: str, tokens: Block, length: int) -> None:
+    """Compare the file's token length, one per file, with the L in force."""
+    if tokens and len(tokens[0]) != length:
+        message = f"lines have length {len(tokens[0])} but the parameters say L={length}"
+        raise FileFormatError(message, path=path)
+
+
+def _message(path: str, block: Block, params: SystemParams) -> Message:
+    _check_token_length(path, block, params.length)
+    return validate_message(_packed(block), params)
+
+
 def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
     header_a, block_a = read_message_file(args.a)
     header_b, block_b = read_message_file(args.b)
     params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a)
-    return validate_message(block_a, params), validate_message(block_b, params), params
+    return _message(args.a, block_a, params), _message(args.b, block_b, params), params
 
 
 def _bare_message(block: Block, index_len: int) -> Message:
@@ -224,7 +243,7 @@ def _bare_message(block: Block, index_len: int) -> Message:
     tokens are non-empty 0/1 strings of one length."""
     length = len(block[0])
     _check_strand_shape(length, index_len)
-    return _message_from_packed([int(token, 2) for token in block], length, index_len)
+    return _message_from_packed(_packed(block), length, index_len)
 
 
 def _fmt_distance(d: float) -> str:
@@ -247,7 +266,9 @@ def _regime_line(tag: RegimeTag) -> str:
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     header, blocks = read_code_file(args.code)
     params = _system_params(args, {args.code: header}, blocks[0] if blocks else None)
-    code = [validate_message(block, params) for block in blocks]
+    if blocks:
+        _check_token_length(args.code, blocks[0], params.length)
+    code = [validate_message(_packed(block), params) for block in blocks]
     verdict = is_dna_correcting(code, params)
     lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
@@ -296,7 +317,7 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block = read_message_file(args.message)
     params = _system_params(args, {args.message: header}, block)
-    sample = sample_ball(validate_message(block, params), params, args.seed)
+    sample = sample_ball(_message(args.message, block, params), params, args.seed)
     file_lines, rows = sample_lines(sample, params)
     if args.provenance:
         write_text(args.provenance, rows)
@@ -310,8 +331,10 @@ def _cmd_member(args: argparse.Namespace) -> list[str]:
     pool_header, reads = read_pool_file(args.pool)
     msg_header, block = read_message_file(args.message)
     params = _system_params(args, {args.pool: pool_header, args.message: msg_header}, block)
-    pool = ReadPool.from_reads(reads, params.length)
-    return ["YES" if in_ball(pool, validate_message(block, params), params) else "NO"]
+    _check_token_length(args.pool, reads, params.length)
+    counts = Counter(reads)  # so each distinct read is packed once
+    pool = ReadPool(params.length, tuple(zip(_packed(counts), counts.values())))
+    return ["YES" if in_ball(pool, _message(args.message, block, params), params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:

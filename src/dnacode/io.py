@@ -9,8 +9,8 @@ file lists one read per line with repeats expressing multiplicity.
 
 ``read_blocks`` is where a token's characters and length are checked:
 a block at a time, with the file's line of the first bad token in the
-error.  The count, duplicate-strand and duplicate-index checks of a
-message run later, on packed ints, in ``model``.
+error.  The CLI packs each checked token into an int once, and the
+builders in ``model`` take only ints.
 """
 
 from __future__ import annotations

@@ -13,18 +13,19 @@ corruption budget ``floor(tau*K)`` never suffers float rounding at regime
 boundaries such as tau*K == K/2.
 
 Each input is checked once, where the check is cheapest.  File tokens
-are checked by ``io.read_blocks`` (0/1 only, one length per file).
-Messages are built from packed ints by one private builder,
+are checked by ``io.read_blocks`` (0/1 only, one length per file) and
+packed once by the CLI; the builders here take packed ints only, and
+``_check_packed`` is their one rule for a packed value of L bits (an
+int, not a bool, in range).  Messages are built by one private builder,
 ``_message_from_packed``: it runs the count, duplicate-strand and
 duplicate-index checks on the ints and creates the strand and message
-objects without checking each again.  ``validate_message`` (after its
-per-item length and bit-string checks) and the CLI's reader of
-parameter-less message files (after one strand-shape check per block)
-build through it.  ``enumerate_space``, whose index fields are distinct
-by construction, makes its strands with the builder's unchecked
-``_strand`` and shares them among its messages.  The public ``Strand``
-and ``Message`` constructors keep all their checks; ``Message`` runs
-the builder's int-level checks after its shape check.
+objects without checking each again.  ``validate_message`` and the
+CLI's reader of parameter-less message files build through it.
+``enumerate_space``, whose index fields are distinct by construction,
+makes its strands with the builder's unchecked ``_strand`` and shares
+them among its messages.  The public ``Strand`` and ``Message``
+constructors keep all their checks; ``Message`` runs the builder's
+int-level checks after its shape check.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DuplicateIndex,
@@ -129,6 +130,16 @@ def _flip_masks(width: int, radius: int) -> tuple[int, ...]:
     )
 
 
+def _check_packed(value: object, length: int, what: str) -> None:
+    """Require a packed value of ``length`` bits: an int that is not a
+    bool (True is not a bit vector), in range.  ``what`` names the value
+    in the error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    if not 0 <= value < (1 << length):
+        raise WrongLength(f"{what} {value} does not fit in {length} bits")
+
+
 def _check_strand_shape(length: int, index_len: int) -> None:
     """Require 0 < index_len < length <= MAX_STRAND_LEN."""
     if not 0 < index_len < length:
@@ -149,8 +160,7 @@ class Strand:
 
     def __post_init__(self) -> None:
         _check_strand_shape(self.length, self.index_len)
-        if not 0 <= self.bits < (1 << self.length):
-            raise WrongLength(f"bit value {self.bits} does not fit in {self.length} bits")
+        _check_packed(self.bits, self.length, "bit value")
 
     @property
     def data_len(self) -> int:
@@ -281,15 +291,9 @@ def _unchecked_message(strands: tuple[Strand, ...]) -> Message:
     return msg
 
 
-def _check_read(value: int, length: int) -> None:
-    """Require a read value to fit in ``length`` bits."""
-    if not 0 <= value < (1 << length):
-        raise WrongLength(f"read {value} does not fit in {length} bits")
-
-
 @dataclass(frozen=True)
 class ReadPool:
-    """A multiset of length-``length`` reads, stored as (value, count) pairs."""
+    """A multiset of length-``length`` reads, stored as sorted (value, count) pairs."""
 
     length: int
     entries: tuple[tuple[int, int], ...]
@@ -297,47 +301,20 @@ class ReadPool:
     def __post_init__(self) -> None:
         norm: dict[int, int] = {}
         for value, count in self.entries:
-            if count <= 0:
-                raise ValidationError(f"read multiplicity must be positive, got {count}")
-            _check_read(value, self.length)
+            if isinstance(count, bool) or not isinstance(count, int) or count <= 0:
+                raise ValidationError(f"read multiplicity must be a positive int, got {count!r}")
+            _check_packed(value, self.length, "read")
             norm[value] = norm.get(value, 0) + count
         object.__setattr__(self, "entries", tuple(sorted(norm.items())))
 
     @classmethod
-    def from_reads(cls, reads: Iterable[int | str], length: int) -> "ReadPool":
-        """The pool of the given reads, each an int or a binary string of
-        ``length`` characters.  Each distinct token is parsed once, in the
-        order it first appears, so the first bad token raises; an int out
-        of range raises after every string has been read, as the
-        constructor would raise it.  The counts are merged here, so the
-        pool is made without the constructor's second merge."""
-        counts: dict[int, int] = {}
-        ints: list[int] = []
-        for r, n in Counter(reads).items():
-            if isinstance(r, str):
-                v = bits_from_string(r)
-                if len(r) != length:
-                    raise WrongLength(f"read {r!r} has length {len(r)}, expected {length}")
-            else:
-                v = r
-                ints.append(v)
-            counts[v] = counts.get(v, 0) + n
-        for v in ints:  # a string's value fits by its length
-            _check_read(v, length)
-        pool = object.__new__(cls)
-        object.__setattr__(pool, "length", length)
-        object.__setattr__(pool, "entries", tuple(sorted(counts.items())))
-        return pool
+    def from_reads(cls, reads: Iterable[int], length: int) -> "ReadPool":
+        """The pool of the given packed reads, counted, through the constructor."""
+        return cls(length, tuple(Counter(reads).items()))
 
     @property
     def size(self) -> int:
         return sum(count for _, count in self.entries)
-
-    def to_reads(self) -> list[int]:
-        out: list[int] = []
-        for value, count in self.entries:
-            out.extend([value] * count)
-        return out
 
 
 @dataclass(frozen=True)
@@ -450,34 +427,29 @@ def check_shape(*messages: Message, params: SystemParams | None = None) -> None:
             )
 
 
-RawStrand = Union[int, str, Strand]
+def validate_message(raw: Iterable[int | Strand], params: SystemParams) -> Message:
+    """Canonicalize ``raw``, packed ints and Strands, into a message of
+    exactly ``params.m`` strands.
 
-
-def validate_message(raw: Sequence[RawStrand], params: SystemParams) -> Message:
-    """Canonicalize ``raw`` into a message of exactly ``params.m`` strands.
-
-    Each item in turn raises WrongLength (or, for a string, the bit-string
-    error); then come WrongCount / DuplicateStrand / DuplicateIndex, in
-    that order of precedence, from the packed values.
+    Each item in turn must be a packed value of L bits or a Strand of
+    the params' shape, else it raises ValidationError (WrongLength for a
+    value out of range or a Strand of another shape); then come
+    WrongCount / DuplicateStrand / DuplicateIndex, in that order of
+    precedence, from the packed values.
     """
     length, index_len = params.length, params.index_len
     values: list[int] = []
     for item in raw:
-        if isinstance(item, str):
-            if len(item) != length:
-                raise WrongLength(f"strand {item!r} has length {len(item)}, expected {length}")
-            values.append(bits_from_string(item))
-        elif isinstance(item, Strand):
+        if isinstance(item, Strand):
             if item.length != length or item.index_len != index_len:
                 raise WrongLength(
                     f"strand {item} has shape ({item.length},{item.index_len}), "
                     f"expected ({length},{index_len})"
                 )
             values.append(item.bits)
-        elif 0 <= item < (1 << length):
-            values.append(item)
         else:
-            raise WrongLength(f"bit value {item} does not fit in {length} bits")
+            _check_packed(item, length, "bit value")
+            values.append(item)
     return _message_from_packed(values, length, index_len, params.m)
 
 

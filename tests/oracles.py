@@ -193,7 +193,7 @@ def networkx_has_perfect_matching(within: Sequence[Sequence[bool]]) -> bool:
 
 def oracle_assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> bool:
     """Partition search: try every read-to-strand assignment."""
-    reads = pool.to_reads()
+    reads = [value for value, count in pool.entries for _ in range(count)]
     strands = z.strands
     data_len = params.data_len
     data_mask = (1 << data_len) - 1
@@ -753,9 +753,7 @@ def reference_message(strands: Sequence[Strand]) -> Message:
     return Message(given)
 
 
-def reference_validate_message(
-    raw: Sequence[Union[int, str, Strand]], params: SystemParams
-) -> Message:
+def reference_validate_message(raw: Sequence[Union[int, Strand]], params: SystemParams) -> Message:
     """``validate_message`` one strand object at a time: each item made a
     checked Strand (a Strand is shape-checked), the count, then
     ``reference_message``."""
@@ -768,12 +766,6 @@ def reference_validate_message(
                     f"expected ({params.length},{params.index_len})"
                 )
             strands.append(item)
-        elif isinstance(item, str):
-            if len(item) != params.length:
-                raise WrongLength(
-                    f"strand {item!r} has length {len(item)}, expected {params.length}"
-                )
-            strands.append(Strand.from_string(item, params.index_len))
         else:
             strands.append(Strand(item, params.length, params.index_len))
     if len(strands) != params.m:

@@ -451,8 +451,8 @@ def test_sampler_draws_the_reference_stream_under_python_O():
 def test_ball_membership_examples():
     p = small_params(m=1, length=2, index_len=1, k=2, tau="1", e_i=1, e_d=0)
     z = mk_message(1, "00")
-    assert in_ball(ReadPool.from_reads(["00", "10"], 2), z, p)
-    assert not in_ball(ReadPool.from_reads(["00", "01"], 2), z, p)
+    assert in_ball(ReadPool.from_reads([0b00, 0b10], 2), z, p)
+    assert not in_ball(ReadPool.from_reads([0b00, 0b01], 2), z, p)
 
 
 def test_read_neighborhood_contents():

@@ -486,6 +486,51 @@ def test_malformed_file_reports_path_and_line(capsys, tmp_path):
     assert f"{bad}:2:" in err
 
 
+def _length_mismatch_cases(tmp_path):
+    """(argv, the file the error names, its token length, the L in force)
+    for files whose tokens disagree with L: through --params L=, or a
+    second file whose tokens differ from the first one's with no L given."""
+    msg = write(tmp_path / "m.txt", "%params M=2,l=1,K=2,tau=1/2,ei=1,ed=1\n000\n110\n")
+    code = write(tmp_path / "code.txt", "%params M=1,L=3,l=2,K=2,tau=1,ei=1,ed=0\n\n000\n\n001\n")
+    wide = write(tmp_path / "wide.txt", "0000\n1100\n")
+    pools = {n: write(tmp_path / f"pool{n}.txt", ("0" * n + "\n") * 4) for n in (2, 3, 4)}
+    return {
+        "verify --params": (["verify", "--code", code, "--params", "L=4"], code, 3, 4),
+        "intersect --params": (["intersect", "--a", msg, "--b", msg, "--params", "L=4"], msg, 3, 4),
+        "intersect b": (["intersect", "--a", msg, "--b", wide], wide, 4, 3),
+        "oracle-intersect --params": (
+            ["oracle-intersect", "--a", msg, "--b", msg, "--params", "L=4"], msg, 3, 4
+        ),
+        "simulate --params": (
+            ["simulate", "--message", msg, "--seed", "1", "--params", "L=4"], msg, 3, 4
+        ),
+        "member --params": (
+            ["member", "--pool", pools[3], "--message", msg, "--params", "L=4"], pools[3], 3, 4
+        ),
+        "member shorter pool": (["member", "--pool", pools[2], "--message", msg], pools[2], 2, 3),
+        "member longer pool": (["member", "--pool", pools[4], "--message", msg], pools[4], 4, 3),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "verify --params", "intersect --params", "intersect b", "oracle-intersect --params",
+    "simulate --params", "member --params", "member shorter pool", "member longer pool",
+])
+def test_token_length_against_the_params_is_checked_once_per_file(capsys, tmp_path, case):
+    argv, path, length, params_length = _length_mismatch_cases(tmp_path)[case]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: lines have length {length} but the parameters say L={params_length}\n"
+
+
+def test_member_keeps_the_pool_size_error_for_an_empty_pool_file(capsys, tmp_path):
+    msg = write(tmp_path / "m.txt", "%params M=2,l=1,K=2,tau=1/2,ei=1,ed=1\n000\n110\n")
+    for text in ("", "%params L=3\n# no reads\n"):
+        pool = write(tmp_path / "empty.txt", text)
+        code, out, err = invoke(capsys, "member", "--pool", pool, "--message", msg)
+        assert (code, out, err) == (2, "", "error: pool has 0 reads, expected 4\n")
+
+
 def test_conflicting_headers_exit_two(capsys, tmp_path):
     a = write(tmp_path / "a.txt", "%params M=1,L=2,l=1,K=2,tau=1,ei=1,ed=0\n00\n")
     b = write(tmp_path / "b.txt", "%params M=1,L=2,l=1,K=2,tau=1/2,ei=1,ed=0\n11\n")
@@ -550,7 +595,8 @@ print(json.dumps(results))
 
 def test_file_errors_name_the_line_a_per_line_reader_names_under_python_O(tmp_path):
     """`member` and `verify` on pool and code files with one bad line
-    print the error of a reader that checks each line as it comes."""
+    print the error of a reader that checks each line as it comes, and
+    `member` on a pool whose token length is not L names the pool."""
     message = write(tmp_path / "message.txt", "%params L=20,l=11\n" + "0" * 20 + "\n")
     argvs, wants = [], []
     for name, (kind, path) in bad_input_files(tmp_path).items():
@@ -561,6 +607,11 @@ def test_file_errors_name_the_line_a_per_line_reader_names_under_python_O(tmp_pa
             argvs.append(["member", "--pool", path, "--message", message])
         else:
             argvs.append(["verify", "--code", path])
+    # a pool whose tokens disagree with the message's L, an explicit check
+    short = write(tmp_path / "short.txt", "0" * 19 + "\n")
+    argvs.append(["member", "--pool", short, "--message", message,
+                  "--params", "M=1,K=1,tau=1,ei=1,ed=1"])
+    wants.append([2, "", f"error: {short}: lines have length 19 but the parameters say L=20\n"])
     src = str(Path(dnacode.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

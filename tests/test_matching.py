@@ -719,19 +719,19 @@ def assignment_params():
 def test_assignment_examples():
     p = assignment_params()
     z = mk_message(1, "00")
-    assert assignment_feasible(ReadPool.from_reads(["00", "10"], 2), z, p)
-    assert not assignment_feasible(ReadPool.from_reads(["00", "01"], 2), z, p)
+    assert assignment_feasible(ReadPool.from_reads([0b00, 0b10], 2), z, p)
+    assert not assignment_feasible(ReadPool.from_reads([0b00, 0b01], 2), z, p)
     half = mk_params(1, 2, 1, 2, "1/2", 1, 0)
-    assert not assignment_feasible(ReadPool.from_reads(["10", "10"], 2), z, half)
+    assert not assignment_feasible(ReadPool.from_reads([0b10, 0b10], 2), z, half)
 
 
 def test_assignment_errors():
     p = assignment_params()
     z = mk_message(1, "00")
     with pytest.raises(WrongPoolSize):
-        assignment_feasible(ReadPool.from_reads(["00"], 2), z, p)
+        assignment_feasible(ReadPool.from_reads([0b00], 2), z, p)
     with pytest.raises(ShapeMismatch):
-        assignment_feasible(ReadPool.from_reads(["000", "000"], 3), z, p)
+        assignment_feasible(ReadPool.from_reads([0b000, 0b000], 3), z, p)
 
 
 def test_assignment_random_agreement_with_oracle():
@@ -1027,17 +1027,17 @@ def test_forced_reads_need_no_flow_network():
     z = mk_message(3, "0000", "1110")
     no_network = mock.Mock(side_effect=AssertionError("built a flow network"))
     with mock.patch.object(matching, "_FlowNetwork", no_network):
-        assert assignment_feasible(ReadPool.from_reads(["0000", "0010", "1110", "1110"], 4), z, p)
+        assert assignment_feasible(ReadPool.from_reads([0b0000, 0b0010, 0b1110, 0b1110], 4), z, p)
         # forced exact copies above K, and forced noisy copies above
         # floor(tau*K) = 1
-        assert not assignment_feasible(ReadPool.from_reads(["0000"] * 3 + ["1110"], 4), z, p)
-        assert not assignment_feasible(ReadPool.from_reads(["0010", "0010", "1110", "1110"], 4), z, p)
+        assert not assignment_feasible(ReadPool.from_reads([0b0000] * 3 + [0b1110], 4), z, p)
+        assert not assignment_feasible(ReadPool.from_reads([0b0010, 0b0010, 0b1110, 0b1110], 4), z, p)
         # a read with no candidate strand
-        assert not assignment_feasible(ReadPool.from_reads(["0001", "0000", "1110", "1110"], 4), z, p)
+        assert not assignment_feasible(ReadPool.from_reads([0b0001, 0b0000, 0b1110, 0b1110], 4), z, p)
     # with the index fields 000 and 011, the read 0010 is within (1, 0) of
     # both strands, so the flow decides it, over a network of that one read
     z = mk_message(3, "0000", "0110")
-    shared = ReadPool.from_reads(["0000", "0010", "0110", "0110"], 4)
+    shared = ReadPool.from_reads([0b0000, 0b0010, 0b0110, 0b0110], 4)
     with mock.patch.object(matching, "_FlowNetwork", wraps=matching._FlowNetwork) as network:
         assert assignment_feasible(shared, z, p)
     network.assert_called_once_with(1 + 1 + 2 * 2 + 1)

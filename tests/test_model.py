@@ -3,7 +3,6 @@
 import random
 from collections.abc import Iterator
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,7 +33,7 @@ from dnacode import (
     space_size,
     validate_message,
 )
-from dnacode import cli, model
+from dnacode import cli
 from dnacode.model import bits_from_string, bits_to_string, flip_positions
 
 from oracles import (
@@ -97,8 +96,15 @@ def test_strand_fields():
 
 
 def test_strand_rejects_out_of_range_bits():
-    with pytest.raises(ValidationError):
+    with pytest.raises(WrongLength):
         Strand(bits=8, length=3, index_len=1)
+    with pytest.raises(WrongLength):
+        Strand(bits=-1, length=3, index_len=1)
+    # a packed value is an int: not a float, a bool or a string
+    for bits in (2.5, 2.0, True, False, "010", None):
+        with pytest.raises(ValidationError, match="bit value must be an int") as caught:
+            Strand(bits, 3, 2)
+        assert type(caught.value) is ValidationError
     with pytest.raises(ValidationError):
         Strand(bits=0, length=0, index_len=0)
     with pytest.raises(ValidationError):
@@ -132,34 +138,39 @@ def test_validate_message_error_precedence():
     p = mk_params(2, 3, 2, 2, 1, 1, 1)
     # wrong length reported before wrong count
     with pytest.raises(WrongLength):
-        validate_message(["0000"], p)
+        validate_message([0b1000], p)
     with pytest.raises(WrongCount):
-        validate_message(["000"], p)
+        validate_message([0b000], p)
     with pytest.raises(WrongCount):
-        validate_message(["000", "010", "100"], p)
+        validate_message([0b000, 0b010, 0b100], p)
     with pytest.raises(DuplicateStrand):
-        validate_message(["000", "000"], p)
+        validate_message([0b000, 0b000], p)
     with pytest.raises(DuplicateIndex):
-        validate_message(["000", "001"], p)
-    z = validate_message(["010", "000"], p)
+        validate_message([0b000, 0b001], p)
+    z = validate_message([0b010, 0b000], p)
     assert str(z) == "{000,010}"
+    # an item that is not a packed int is reported first, as a ValidationError
+    for bad in (0.0, 2.5, True, "000", b"000", None):
+        with pytest.raises(ValidationError, match="bit value must be an int") as caught:
+            validate_message([0b000, bad, 0b000], p)
+        assert type(caught.value) is ValidationError
     # a repeated strand is reported even when a shared index sorts first
     both = ["000", "001", "100", "100"]
     with pytest.raises(DuplicateStrand):
-        validate_message(both, mk_params(4, 3, 2, 2, 1, 1, 1))
+        validate_message([int(s, 2) for s in both], mk_params(4, 3, 2, 2, 1, 1, 1))
     with pytest.raises(DuplicateStrand):
         Message(tuple(Strand.from_string(s, 2) for s in both))
 
 
 def test_validate_message_takes_a_one_shot_iterable():
     p = mk_params(2, 3, 2, 2, 1, 1, 1)
-    assert validate_message(iter(["010", "000"]), p) == validate_message(["010", "000"], p)
-    with pytest.raises(WrongLength, match="'0000'"):
-        validate_message(iter(["000", "0000"]), p)
+    assert validate_message(iter([0b010, 0b000]), p) == validate_message([0b010, 0b000], p)
+    with pytest.raises(WrongLength, match="bit value 8 does not fit in 3 bits"):
+        validate_message(iter([0b000, 0b1000]), p)
 
 
 SHAPE_PARAMS = mk_params(2, 3, 2, 2, 1, 1, 0)
-SHAPE_POOL = ReadPool.from_reads(["000", "000", "110", "110"], 3)
+SHAPE_POOL = ReadPool.from_reads([0b000, 0b000, 0b110, 0b110], 3)
 SHAPE_CALLS = {
     "balls_intersect": lambda zs: balls_intersect(*zs, SHAPE_PARAMS),
     "is_dna_correcting": lambda zs: is_dna_correcting(zs, SHAPE_PARAMS),
@@ -192,72 +203,33 @@ def test_shape_rule(name, case):
 
 
 def test_read_pool_is_a_sorted_multiset():
-    pool = ReadPool.from_reads(["11", "00", "11"], 2)
+    pool = ReadPool.from_reads([0b11, 0b00, 0b11], 2)
     assert pool.entries == ((0, 1), (3, 2))
     assert pool.size == 3
-    assert pool.to_reads() == [0, 3, 3]
     assert pool == ReadPool.from_reads([3, 3, 0], 2)
+    assert pool == ReadPool(2, ((3, 1), (0, 1), (3, 1)))
 
 
-def _first_token_error(tokens, length):
-    """The error the first bad token raises when each token is parsed in
-    turn, as (type, message), or None."""
-    for t in tokens:
-        if isinstance(t, str):
-            try:
-                bits_from_string(t)
-            except ValidationError as e:
-                return type(e), str(e)
-            if len(t) != length:
-                return WrongLength, f"read {t!r} has length {len(t)}, expected {length}"
-    return None
-
-
-def test_read_pool_parses_each_distinct_token_once():
-    reads = ["10", "01", "10", "11", "01", "10"] * 50
-    with mock.patch.object(model, "bits_from_string", wraps=model.bits_from_string) as parse:
-        pool = ReadPool.from_reads(reads, 2)
-    assert parse.call_count == 3
-    assert pool.entries == ((1, 100), (2, 150), (3, 50))
-
-
-def test_read_pool_raises_the_first_bad_token():
-    cases = [
-        ["01", "0x", "1", "0x"],
-        ["01", "1", "0x", "01"],
-        ["01", "011", "01", "2"],
-        ["01", 3, "01", " 01", "1"],
-        ["11", "10", "1", "10"],
-    ]
-    rng = random.Random(43)
-    alphabet = ["0", "1", "00", "01", "10", "11", "000", "0b", "-1", "", 2, 3]
-    cases += [[rng.choice(alphabet) for _ in range(rng.randint(1, 8))] for _ in range(300)]
-    for tokens in cases:
-        want = _first_token_error(tokens, 2)
-        if want is None:
-            ReadPool.from_reads(tokens, 2)
-            continue
-        with pytest.raises(ValidationError) as caught:
-            ReadPool.from_reads(tokens, 2)
-        assert (type(caught.value), str(caught.value)) == want, tokens
-
-
-def test_read_pool_merges_ints_and_strings_in_sorted_entries():
-    pool = ReadPool.from_reads(["11", 1, "01", 3, 0, "01", "10"], 2)
-    assert pool.entries == ((0, 1), (1, 3), (2, 1), (3, 2))
-    assert pool == ReadPool.from_reads([3, 3, 2, 1, 1, 1, 0], 2)
-
-
-def test_read_pool_raises_an_int_out_of_range_as_the_constructor_does():
-    for reads in ([7, "01"], ["01", 2, 7, -1], [-1, 4, "11"], ["10", 4, 4]):
-        with pytest.raises(WrongLength) as want:
-            ReadPool(2, tuple((r if isinstance(r, int) else int(r, 2), 1) for r in reads))
-        with pytest.raises(WrongLength) as got:
+def test_read_pool_checks_each_value_and_count():
+    # a value out of range raises WrongLength, the first in the given order
+    for reads in ([7, 1], [1, 2, 7, -1], [-1, 4, 3], [2, 4, 4]):
+        bad = next(r for r in reads if not 0 <= r < 4)
+        with pytest.raises(WrongLength, match=f"^read {bad} does not fit in 2 bits$"):
+            ReadPool(2, tuple((r, 1) for r in reads))
+        with pytest.raises(WrongLength, match=f"^read {bad} does not fit in 2 bits$"):
             ReadPool.from_reads(reads, 2)
-        assert str(got.value) == str(want.value), reads
-    # every string is parsed before an int is range-checked
-    with pytest.raises(ValidationError, match="only 0 and 1"):
-        ReadPool.from_reads([7, "0x"], 2)
+    # a value that is not an int, e.g. an unpacked file token
+    for value in (1.0, True, "01", None):
+        with pytest.raises(ValidationError, match="read must be an int") as caught:
+            ReadPool(2, ((0, 1), (value, 2)))
+        assert type(caught.value) is ValidationError
+        with pytest.raises(ValidationError, match="read must be an int"):
+            ReadPool.from_reads([0, value], 2)
+    # a count that is not a positive int; an empty pool is a pool
+    for count in (0, -1, 1.5, 0.5, True, "1"):
+        with pytest.raises(ValidationError, match="multiplicity must be a positive int"):
+            ReadPool(3, ((0, 1), (1, count)))
+    assert ReadPool.from_reads([], 3).size == 0
 
 
 def test_system_params_validation():
@@ -422,14 +394,14 @@ def _assert_same_outcomes(got, want, case):
 
 
 _MALFORMED = (
-    "valid", "bad-character", "wrong-length", "int-out-of-range", "other-shape",
+    "valid", "not-an-int", "int-out-of-range", "other-shape",
     "wrong-count", "duplicate-strand", "duplicate-index", "duplicate-both",
 )
 
 
 def _raw_strands(rng, p, kind):
-    """M strand items (strings, ints and Strands mixed) of a valid message,
-    then spoiled as ``kind`` names."""
+    """M strand items (ints and Strands mixed) of a valid message, then
+    spoiled as ``kind`` names."""
     indices = rng.sample(range(1 << p.index_len), p.m)
     values = [(i << p.data_len) | rng.randrange(1 << p.data_len) for i in indices]
     if kind in ("duplicate-index", "duplicate-both"):
@@ -438,19 +410,12 @@ def _raw_strands(rng, p, kind):
         values.insert(rng.randrange(len(values) + 1), rng.choice(values))
     if kind == "wrong-count":
         values = values[:-1] if rng.random() < 0.5 else values + [values[0] ^ 1 << p.data_len]
-    forms = [
-        lambda v: bits_to_string(v, p.length),
-        lambda v: v,
-        lambda v: Strand(v, p.length, p.index_len),
-    ]
+    forms = [lambda v: v, lambda v: Strand(v, p.length, p.index_len)]
     raw = [rng.choice(forms)(v) for v in values]
     at = rng.randrange(len(raw)) if raw else 0
-    text = bits_to_string(values[at], p.length) if raw else ""
-    if kind == "bad-character":
-        pos = rng.randrange(p.length)
-        raw[at] = text[:pos] + rng.choice("2x b١") + text[pos + 1:]
-    elif kind == "wrong-length":
-        raw[at] = text + "0" if rng.random() < 0.5 else text[1:]
+    if kind == "not-an-int":
+        v = values[at]
+        raw[at] = rng.choice([bits_to_string(v, p.length), float(v), bool(v & 1), None])
     elif kind == "int-out-of-range":
         raw[at] = rng.choice([-1, 1 << p.length, (1 << p.length) + values[at]])
     elif kind == "other-shape":
@@ -484,10 +449,15 @@ def test_validate_message_matches_the_per_strand_reference():
     _assert_same_outcomes(got, want, "order")
 
 
+def _reference_strands(block, p):
+    """A block's tokens as Strands, each parsed on its own by ``Strand.from_string``."""
+    return [Strand.from_string(token, p.index_len) for token in block]
+
+
 def test_cli_message_inputs_match_the_per_strand_reference():
-    """The blocks `verify` (through validate_message) and `distance` /
-    `min-distance` (without params) read: 0/1 tokens of one length, as
-    io.read_blocks passes them on."""
+    """The blocks `verify` (packed by the CLI, then validate_message) and
+    `distance` / `min-distance` (without params) read: 0/1 tokens of one
+    length, as io.read_blocks passes them on."""
     rng = random.Random(1702)
     cases = 0
     for _ in range(600):
@@ -505,8 +475,8 @@ def test_cli_message_inputs_match_the_per_strand_reference():
         if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
             p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
             _assert_same_outcomes(
-                [_outcome(cli.validate_message, block, p)],
-                [_outcome(reference_validate_message, block, p)],
+                [_outcome(cli.validate_message, cli._packed(block), p)],
+                [_outcome(reference_validate_message, _reference_strands(block, p), p)],
                 block,
             )
             cases += 1
