@@ -13,7 +13,6 @@ else.
 
 from .channel import (
     ChannelSample,
-    ReadProvenance,
     in_ball,
     oracle_balls_intersect,
     read_neighborhood,
@@ -80,7 +79,6 @@ from .model import (
     bits_from_string,
     bits_to_string,
     enumerate_space,
-    flip_positions,
     has_distinct_data,
     in_restricted_space,
     space_size,

@@ -15,12 +15,11 @@ takes n.bit_length() bits until a value below n comes up, and
 ``_sample`` follows ``Random.sample``'s list path or set path.  So a pool
 is fixed by (message, params, seed) and the generator's output alone,
 not by how a Python version implements those two methods.  A sample
-stores its records only, all of one (L, l) shape: each record holds a
-read's strand and flipped positions and derives the read from them, and
-the pool, built on first use, is the multiset of the records' reads.
-A strand's exact copies share one ``ReadProvenance`` record, so only
-its altered reads are built one at a time.  The records group the pool
-K reads per strand, so the sampler proves its pool in the ball by that
+is its grouping: for each strand of the message, in canonical order,
+the tuple of packed reads drawn from it, in draw order.  Each read is
+its strand XOR a flip mask (0 for an exact copy), and the pool, built
+on first use, is the multiset of the groups' reads.  The groups hold K
+reads per strand, so the sampler proves its pool in the ball by that
 grouping alone (``checker.grouping_fits``), with no flow.
 ``in_ball`` decides membership of any pool, by the read-assignment
 flow, and ``oracle_balls_intersect`` decides ball intersection by
@@ -70,10 +69,9 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain
 from typing import Callable, ClassVar
 
 from .checker import grouping_fits
@@ -83,69 +81,49 @@ from .model import (
     DEFAULT_SPACE_CAP,
     Message,
     ReadPool,
-    Strand,
     SystemParams,
     _ball_volume,
+    _check_packed,
     _flip_masks,
     check_shape,
-    flip_positions,
 )
 
 RNG_ID = "mt19937"
 
 
 @dataclass(frozen=True)
-class ReadProvenance:
-    """One read: its originating strand and flipped string positions; the
-    read itself is the strand with those positions flipped."""
-
-    source: Strand
-    flips: tuple[int, ...]
-    read: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        flips = tuple(sorted(self.flips))
-        object.__setattr__(self, "flips", flips)
-        read = self.source.bits
-        if flips:
-            length = self.source.length
-            # sorted, so its ends bound every position
-            if flips[0] < 0 or flips[-1] >= length or len(set(flips)) < len(flips):
-                raise ValidationError(
-                    f"flips {flips} must be distinct positions in 0..{length - 1}"
-                )
-            read = flip_positions(read, length, flips)
-        object.__setattr__(self, "read", read)
-
-
-@dataclass(frozen=True)
 class ChannelSample:
-    """A sampled pool, stored as its per-read provenance records, plus the
-    seed and RNG identity that drew it."""
+    """A sampled pool, stored as its grouping: ``groups[j]`` holds the
+    packed reads drawn from ``message.strands[j]``, in draw order.  The
+    seed and RNG identity that drew it come with it."""
 
-    provenance: tuple[ReadProvenance, ...]
+    message: Message
+    groups: tuple[tuple[int, ...], ...]
     seed: int
     rng: ClassVar[str] = RNG_ID
 
     def __post_init__(self) -> None:
-        if not self.provenance:
-            raise ValidationError("a sample needs at least one read")
-        # a sampled strand's records share one source object, so groupby
-        # meets each source once per run and compares by identity first
-        runs = groupby(self.provenance, attrgetter("source"))
-        shapes = {(s.length, s.index_len) for s, _ in runs}
-        if len(shapes) > 1:
+        # the sidecar records the seed, and simulate --seed replays only
+        # a non-negative int
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValidationError(f"seed must be a non-negative int, got {seed!r}")
+        if len(self.groups) != self.message.m:
             raise ValidationError(
-                "the records' sources have different shapes: "
-                + " and ".join(f"(L={n},l={i})" for n, i in sorted(shapes))
+                f"a sample of {self.message.m} strands needs as many groups, "
+                f"got {len(self.groups)}"
             )
+        length = self.message.length
+        for group in self.groups:
+            if not group:
+                raise ValidationError("a sample needs at least one read per strand")
+            for read in group:
+                _check_packed(read, length, "read")
 
     @cached_property
     def pool(self) -> ReadPool:
-        """The multiset of the records' reads, built on first use."""
-        return ReadPool.from_reads(
-            [p.read for p in self.provenance], self.provenance[0].source.length
-        )
+        """The multiset of the groups' reads, built on first use."""
+        return ReadPool.from_reads(chain.from_iterable(self.groups), self.message.length)
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -188,54 +166,48 @@ def _sample(getrandbits: Callable[[int], int], start: int, n: int, k: int) -> li
     return result
 
 
-def _strand_flips(rng: random.Random, params: SystemParams) -> list[tuple[int, ...]]:
-    """Flip sets (string positions) for one strand's K reads, drawn as
+def _strand_flips(rng: random.Random, params: SystemParams) -> list[int]:
+    """Flip masks for one strand's K reads, 0 for an exact copy, drawn as
     the module docstring says."""
     getrandbits = rng.getrandbits
-    flips: list[tuple[int, ...]] = [()] * params.k
+    masks = [0] * params.k
     # _below(n + 1) draws as randint(0, n) does, and a sample of 0 items
     # draws nothing, so skipping one leaves the stream unchanged.  With
     # no budget every count is 0 and the sample draws nothing else, so
     # the count is not drawn: the pool is the same without it
     corrupt = params.tau_budget and _below(getrandbits, params.tau_budget + 1)
     if not corrupt:
-        return flips
+        return masks
     index_len, length = params.index_len, params.length
+    top = length - 1
     for copy in sorted(_sample(getrandbits, 0, params.k, corrupt)):
+        mask = 0
         wi = _below(getrandbits, params.e_i + 1)
-        positions = _sample(getrandbits, 0, index_len, wi) if wi else []
+        if wi:
+            for p in _sample(getrandbits, 0, index_len, wi):
+                mask |= 1 << (top - p)
         wd = _below(getrandbits, params.e_d + 1)
         if wd:
-            positions += _sample(getrandbits, index_len, length - index_len, wd)
-        flips[copy] = tuple(sorted(positions))
-    return flips
+            for p in _sample(getrandbits, index_len, length - index_len, wd):
+                mask |= 1 << (top - p)
+        masks[copy] = mask
+    return masks
 
 
 def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
     """Draw one pool from the ball of Z, deterministic given the seed.
 
-    Strands are processed in canonical (sorted) order, K reads each.  A
-    strand's exact copies share one record, built at the first of them;
-    every altered read gets a record of its own.  Before returning, the
-    records are checked to group the pool into the ball of Z
+    Strands are processed in canonical (sorted) order, K reads each, and
+    each strand's reads form its group.  Before returning, the groups
+    are checked to group the pool into the ball of Z
     (``checker.grouping_fits``), which proves the pool a member.
     """
     check_shape(z, params=params)
     rng = random.Random(seed)
-    provenance: list[ReadProvenance] = []
-    for s in z.strands:
-        exact = None
-        for f in _strand_flips(rng, params):
-            if f:
-                provenance.append(ReadProvenance(s, f))
-                continue
-            if exact is None:
-                exact = ReadProvenance(s, ())
-            provenance.append(exact)
-    sample = ChannelSample(tuple(provenance), seed)
-    if not grouping_fits(sample.provenance, z, params):
+    groups = tuple(tuple(s.bits ^ f for f in _strand_flips(rng, params)) for s in z.strands)
+    if not grouping_fits(groups, z, params):
         raise AssertionError("sampled pool must lie in the ball")
-    return sample
+    return ChannelSample(z, groups, seed)
 
 
 def in_ball(pool: ReadPool, z: Message, params: SystemParams) -> bool:
@@ -245,6 +217,7 @@ def in_ball(pool: ReadPool, z: Message, params: SystemParams) -> bool:
 
 def read_neighborhood(z: Message, params: SystemParams) -> set[int]:
     """All read values within (e_i, e_d) of at least one strand of Z."""
+    check_shape(z, params=params)
     data_len = params.data_len
     index_masks = [i << data_len for i in _flip_masks(params.index_len, params.e_i)]
     data_masks = _flip_masks(data_len, params.e_d)

@@ -7,54 +7,51 @@ reads the model's types and nothing else, so a fault in a search cannot
 be repeated by the check of its result.
 
 ``grouping_fits`` proves a pool in the error ball of Z from a grouping
-of its reads.  The ball is the set of pools that split into K reads per
-strand of Z with at most floor(tau*K) of each strand's reads differing
-from it, every such read within (e_i, e_d) of its strand; a grouping
-that meets those terms is that split, read for read.
+of its reads: one group per strand of Z, in canonical order.  The ball
+is the set of pools that split into K reads per strand of Z with at
+most floor(tau*K) of each strand's reads differing from it, every such
+read within (e_i, e_d) of its strand; a grouping that meets those terms
+is that split, read for read.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from .model import Message, SystemParams
 
 
-def grouping_fits(records: Iterable, z: Message, params: SystemParams) -> bool:
-    """True iff the records group a pool into the ball of Z.
+def grouping_fits(groups: Sequence[Sequence[int]], z: Message, params: SystemParams) -> bool:
+    """True iff the groups group a pool into the ball of Z.
 
-    Each record has a ``read`` (a packed int) and the ``source`` strand
-    it is grouped under, as ``channel.ReadProvenance`` has; the pool is
-    the multiset of the records' reads.  The grouping fits exactly when
-    every record's source is a strand of Z, every strand of Z has K
-    records, at most floor(tau*K) of a strand's records have a read
-    other than the strand, and each such read is a length-L word within
-    (e_i, e_d) of its strand.
+    ``groups[j]`` holds the packed reads grouped under ``z.strands[j]``,
+    as ``channel.ChannelSample.groups`` does; the pool is the multiset of
+    all of them.  The grouping fits exactly when there is one group per
+    strand of Z, every group has K reads, at most floor(tau*K) of a
+    group's reads differ from its strand, and each such read is a
+    length-L word within (e_i, e_d) of its strand.
     """
-    strands = {s.bits: s for s in z.strands}
-    reads = dict.fromkeys(strands, 0)
-    altered = dict.fromkeys(strands, 0)
+    if len(groups) != len(z.strands):
+        return False
+    k, budget = params.k, params.tau_budget
     length, data_len = params.length, params.data_len
     data_mask = (1 << data_len) - 1
     e_i, e_d = params.e_i, params.e_d
-    src = None
-    for r in records:
-        # a strand's records usually come together and share one source
-        # object, so the source is looked up once per run of them
-        if r.source is not src:
-            src = r.source
-            bits = src.bits
-            s = strands.get(bits)
-            if s is not src and s != src:
-                return False
-        reads[bits] += 1
-        if r.read != bits:
-            altered[bits] += 1
-            x = r.read ^ bits
-            if (
-                x >> length
-                or (x >> data_len).bit_count() > e_i
-                or (x & data_mask).bit_count() > e_d
-            ):
-                return False
-    return all(n == params.k for n in reads.values()) and max(altered.values()) <= params.tau_budget
+    for s, group in zip(z.strands, groups):
+        if len(group) != k:
+            return False
+        bits = s.bits
+        altered = 0
+        for read in group:
+            if read != bits:
+                altered += 1
+                x = read ^ bits
+                if (
+                    x >> length
+                    or (x >> data_len).bit_count() > e_i
+                    or (x & data_mask).bit_count() > e_d
+                ):
+                    return False
+        if altered > budget:
+            return False
+    return True

@@ -212,34 +212,46 @@ def code_lines(code: Sequence[Message], params: SystemParams) -> list[str]:
 
 def sample_lines(sample: ChannelSample, params: SystemParams) -> tuple[list[str], list[str]]:
     """The pool file and the provenance sidecar of a sample, in one walk
-    over its records.  The pool file is the params header and one read
-    per line, in record order; the sidecar is a '# seed=.. rng=..' line
-    and one row per read: its index, source strand and flipped positions
-    ('-' for none), tab-separated."""
-    width = f"0{params.length}b"
+    over its strands and their groups.  The pool file is the params
+    header and one read per line, group by group; the sidecar is a
+    '# seed=.. rng=..' line and one row per read: its index, source
+    strand and flipped string positions ('-' for none), tab-separated.
+    The flips of a read are the set positions of read XOR strand."""
+    length = params.length
+    width = f"0{length}b"
     pool = [params_header(params)]
     rows = [f"# seed={sample.seed} rng={sample.rng}"]
-    # a sampled strand's exact copies share one record, M sources serve
-    # M*K reads, and few flip sets recur: format each record and source
-    # once, keyed on identity as the sample holds them all, and each
-    # flip set once
-    texts: dict[int, tuple[str, str]] = {}
-    sources: dict[int, str] = {}
-    flip_sets: dict[tuple[int, ...], str] = {(): "-"}
-    for i, p in enumerate(sample.provenance):
-        text = texts.get(id(p))
-        if text is None:
-            source = sources.get(id(p.source))
-            if source is None:
-                source = sources[id(p.source)] = format(p.source.bits, width)
-            flips = flip_sets.get(p.flips)
-            if flips is None:
-                flips = flip_sets[p.flips] = ",".join(map(str, p.flips))
-            read = format(p.read, width) if p.flips else source
-            text = texts[id(p)] = (read, f"\t{source}\t{flips}")
-        pool.append(text[0])
-        rows.append(f"{i}{text[1]}")
+    # most reads are exact copies, which print their strand's text, and
+    # a flip mask recurs across strands: format each mask's positions once
+    flip_sets: dict[int, str] = {}
+    i = 0
+    for s, group in zip(sample.message.strands, sample.groups):
+        bits = s.bits
+        source = format(bits, width)
+        for read in group:
+            if read == bits:
+                pool.append(source)
+                rows.append(f"{i}\t{source}\t-")
+            else:
+                mask = read ^ bits
+                flips = flip_sets.get(mask)
+                if flips is None:
+                    flips = flip_sets[mask] = _flip_text(mask, length)
+                pool.append(format(read, width))
+                rows.append(f"{i}\t{source}\t{flips}")
+            i += 1
     return pool, rows
+
+
+def _flip_text(mask: int, length: int) -> str:
+    """The string positions of a mask's set bits, ascending and
+    comma-separated: its highest bit first, at position L - bit_length."""
+    positions = []
+    while mask:
+        n = mask.bit_length()
+        positions.append(str(length - n))
+        mask ^= 1 << (n - 1)
+    return ",".join(positions)
 
 
 def write_text(path: Union[str, Path], lines: Sequence[str]) -> None:

@@ -108,13 +108,6 @@ def bits_to_string(bits: int, length: int) -> str:
     return format(bits, f"0{length}b")
 
 
-def flip_positions(bits: int, length: int, positions: Iterable[int]) -> int:
-    """Flip string positions (0 = leftmost) in a packed bit vector."""
-    for p in positions:
-        bits ^= 1 << (length - 1 - p)
-    return bits
-
-
 def _ball_volume(width: int, radius: int) -> int:
     """V(width, radius): the number of width-bit words within Hamming
     distance radius of a given one."""

@@ -12,7 +12,8 @@ breadth-first max flow of its own that share no code with
 ``dnacode.matching``.  ``reference_read_network`` builds the
 read-assignment flow network by comparing every read with every strand,
 for networkx to solve.  ``reference_sample_ball`` is the channel
-sampler's draw as it was, one checked record per read.  The per-pair
+sampler's draw as it was, through ``randint`` and ``sample``, with each
+read rebuilt from the positions it drew.  The per-pair
 references near the end rebuild a code's verdict and a space's
 compatibility graph from ``balls_intersect`` one pair at a time, the way
 the library did before its pair loops computed per-code data once, so
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Optional, Sequence, Union
 
-from dnacode.channel import ChannelSample, ReadProvenance, read_neighborhood
+from dnacode.channel import ChannelSample, read_neighborhood
 from dnacode.codec import (
     Answer,
     Regime,
@@ -431,17 +432,27 @@ def networkx_max_flow(edges: Iterable[tuple[int, int, int]], sink: int) -> int:
     return nx.maximum_flow_value(g, 0, sink)
 
 
-def reference_sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
+def flip_positions(bits: int, length: int, positions: Iterable[int]) -> int:
+    """Flip string positions (0 = leftmost) in a packed bit vector."""
+    for p in positions:
+        bits ^= 1 << (length - 1 - p)
+    return bits
+
+
+def reference_sample_ball(
+    z: Message, params: SystemParams, seed: int
+) -> tuple[ChannelSample, list[tuple[int, ...]]]:
     """``sample_ball``'s draw one read at a time, as the library made it
-    before a strand's exact copies shared a record: ``randint`` for every
-    count and weight, every ``sample`` call made even when it draws
-    nothing, and one ``ReadProvenance`` per read, whose derived value
-    must equal the read rebuilt here from the flips.  ``randint(0, n)``
-    and ``randrange(n + 1)`` make the same draw, and a sample of 0 items
-    draws nothing, so the two samplers must agree read for read."""
+    when each read was stored with its flip positions: ``randint`` for
+    every count and weight, every ``sample`` call made even when it draws
+    nothing, and each read rebuilt from its positions.  Returns the
+    sample and every read's drawn positions, sorted, in pool order.
+    ``randint(0, n)`` and ``randrange(n + 1)`` make the same draw, and a
+    sample of 0 items draws nothing, so the two samplers must agree read
+    for read."""
     check_shape(z, params=params)
     rng = random.Random(seed)
-    provenance = []
+    groups, drawn = [], []
     for s in z.strands:
         flips: list[tuple[int, ...]] = [()] * params.k
         corrupt = rng.randint(0, params.tau_budget)
@@ -451,28 +462,24 @@ def reference_sample_ball(z: Message, params: SystemParams, seed: int) -> Channe
             wd = rng.randint(0, params.e_d)
             dpos = rng.sample(range(params.index_len, params.length), wd)
             flips[copy] = tuple(sorted(ipos + dpos))
-        for f in flips:
-            read = s.bits
-            for pos in f:
-                read ^= 1 << (params.length - 1 - pos)
-            record = ReadProvenance(s, f)
-            # an explicit raise, so the check holds under python -O too
-            if record.read != read:
-                raise AssertionError(f"record {record} does not hold read {read}")
-            provenance.append(record)
-    return ChannelSample(tuple(provenance), seed)
+        groups.append(tuple(flip_positions(s.bits, params.length, f) for f in flips))
+        drawn += flips
+    return ChannelSample(z, tuple(groups), seed), drawn
 
 
 def reference_sample_lines(
-    sample: ChannelSample, params: SystemParams
+    sample: ChannelSample, flips: Sequence[tuple[int, ...]], params: SystemParams
 ) -> tuple[list[str], list[str]]:
     """The pool file and provenance sidecar lines of a sample, each read
-    and each row formatted on its own."""
+    and each row formatted on its own, the flips from the positions
+    ``reference_sample_ball`` drew."""
     width = f"0{params.length}b"
-    pool = [params_header(params)] + [format(p.read, width) for p in sample.provenance]
+    reads = [r for group in sample.groups for r in group]
+    sources = [s for s, group in zip(sample.message.strands, sample.groups) for _ in group]
+    pool = [params_header(params)] + [format(r, width) for r in reads]
     rows = [f"# seed={sample.seed} rng={sample.rng}"] + [
-        f"{i}\t{format(p.source.bits, width)}\t{','.join(map(str, p.flips)) or '-'}"
-        for i, p in enumerate(sample.provenance)
+        f"{i}\t{format(s.bits, width)}\t{','.join(map(str, f)) or '-'}"
+        for i, (s, f) in enumerate(zip(sources, flips))
     ]
     return pool, rows
 

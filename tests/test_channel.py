@@ -1,26 +1,27 @@
 """Channel sampling, ball membership, and the exhaustive ball oracle."""
 
+import hashlib
 import math
 import random
 from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dnacode
 from dnacode import (
     Answer,
     ChannelSample,
     Regime,
+    Message,
     ReadPool,
-    ReadProvenance,
     ShapeMismatch,
     SpaceTooLarge,
     Strand,
     ValidationError,
     balls_intersect,
     classify_regime,
-    flip_positions,
     in_ball,
     oracle_balls_intersect,
     read_neighborhood,
@@ -32,6 +33,7 @@ from dnacode.io import message_lines, params_header, sample_lines, write_text
 
 from conftest import run_under_python_O
 from oracles import (
+    flip_positions,
     message_of,
     mk_message,
     mk_params,
@@ -62,6 +64,9 @@ def test_sample_is_deterministic_per_seed():
     assert a.rng == "mt19937"
     assert a.seed == 9
     assert any(sample_ball(z, p, seed=s) != a for s in range(5))
+    # -9 would draw the pool of 9 under a seed that cannot be replayed
+    with pytest.raises(ValidationError, match="seed must be a non-negative int"):
+        sample_ball(z, p, seed=-9)
 
 
 def test_samples_lie_in_the_ball():
@@ -85,61 +90,68 @@ def test_noiseless_sample_is_k_exact_copies():
     for seed in range(20):
         sample = sample_ball(z, p, seed=seed)
         assert sample.pool.entries == tuple((s.bits, 3) for s in z.strands)
-        assert all(prov.flips == () for prov in sample.provenance)
+        assert sample.groups == tuple((s.bits,) * 3 for s in z.strands)
 
 
 def test_provenance_counts_flips_against_sources():
     p = small_params()
     z = mk_message(2, "000", "110")
     sample = sample_ball(z, p, seed=3)
-    budget = p.tau_budget
-    by_source = {}
-    for prov in sample.provenance:
-        read = prov.source.bits
-        for pos in prov.flips:
-            read ^= 1 << (p.length - 1 - pos)
-        assert prov.read == read
-        wi = sum(1 for pos in prov.flips if pos < p.index_len)
-        wd = len(prov.flips) - wi
-        assert wi <= p.e_i and wd <= p.e_d
-        by_source.setdefault(prov.source, []).append(prov)
-    for source, provs in by_source.items():
-        assert len(provs) == p.k
-        assert sum(1 for pr in provs if pr.read != source.bits) <= budget
+    assert sample.message == z
+    assert len(sample.groups) == z.m
+    for s, group in zip(z.strands, sample.groups):
+        assert len(group) == p.k
+        assert sum(1 for read in group if read != s.bits) <= p.tau_budget
+        for read in group:
+            flips = [pos for pos in range(p.length) if (read ^ s.bits) >> (p.length - 1 - pos) & 1]
+            assert flip_positions(s.bits, p.length, flips) == read
+            wi = sum(1 for pos in flips if pos < p.index_len)
+            assert wi <= p.e_i and len(flips) - wi <= p.e_d
 
 
-@pytest.mark.parametrize(
-    "source, flips",
-    [
-        (0b01010, (3, 3)),  # a repeat: an exact copy recorded as altered
-        (0b11010, (-1,)),  # before the first position: a read outside the L bits
-        (0b01010, (9,)),  # past the end, which would shift by a negative count
-    ],
-)
-def test_provenance_rejects_repeated_or_out_of_range_flips(source, flips):
-    s = Strand(source, 5, 2)
-    with pytest.raises(ValidationError, match="distinct positions in 0..4"):
-        ReadProvenance(s, flips)
+def _one_strand_sample(**fields):
+    """``ChannelSample`` of the one-strand message 01010 (L = 5, l = 2)
+    with two exact copies, seed 0, and the given fields replaced."""
+    z = Message((Strand(0b01010, 5, 2),))
+    kwargs = dict(message=z, groups=((0b01010, 0b01010),), seed=0)
+    kwargs.update(fields)
+    return ChannelSample(**kwargs)
 
 
 def test_sample_needs_a_read():
-    # a sample's pool comes from its records, and its length from the first
-    with pytest.raises(ValidationError):
-        ChannelSample((), 0)
+    # every strand has a group, and every group a read
+    with pytest.raises(ValidationError, match="at least one read"):
+        _one_strand_sample(groups=((),))
 
 
-@pytest.mark.parametrize("first, second", [((0b01010, 5, 2), (0b011, 3, 1)),
-                                           ((0b011, 3, 1), (0b01010, 5, 2)),
-                                           ((0b01010, 5, 2), (0b01010, 5, 3))])
-def test_sample_rejects_records_of_different_shapes(first, second):
-    # a pool has one read length, so its records need one (L, l) shape
-    records = (ReadProvenance(Strand(*first), (1,)), ReadProvenance(Strand(*second), ()))
-    with pytest.raises(ValidationError, match="different shapes"):
-        ChannelSample(records, 0)
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        pytest.param({"groups": ()}, "needs as many groups, got 0", id="no-group"),
+        pytest.param(
+            {"groups": ((0b01010,), (0b01010,))}, "needs as many groups, got 2", id="extra-group"
+        ),
+        pytest.param({"groups": ((0b01010, -1),)}, "does not fit in 5 bits", id="negative-read"),
+        pytest.param({"groups": ((0b01010, 1 << 5),)}, "does not fit in 5 bits", id="wide-read"),
+        # True is not a bit vector, nor is a read's text
+        pytest.param({"groups": ((True,),)}, "must be an int, got bool", id="bool-read"),
+        pytest.param({"groups": (("01010",),)}, "must be an int, got str", id="str-read"),
+        # random.Random draws the same pool at -3 as at 3 and at True as
+        # at 1, but the sidecar's seed must be one simulate --seed takes
+        *(
+            pytest.param({"seed": seed}, "seed must be a non-negative int", id=f"seed-{name}")
+            for seed, name in [(-3, "negative"), (True, "True"), (False, "False"),
+                               ("3", "str"), (1.5, "float"), (None, "None")]
+        ),
+    ],
+)
+def test_sample_rejects_a_malformed_grouping_or_seed(fields, match):
+    with pytest.raises(ValidationError, match=match):
+        _one_strand_sample(**fields)
 
 
-def test_sample_stores_records_and_builds_each_altered_read_once(monkeypatch):
-    # the sampler builds no pool, and only an altered record flips bits
+def test_sample_builds_its_pool_once_on_first_use(monkeypatch):
+    # the sampler builds no pool; the pool is built on first use, once
     calls = Counter()
     from_reads = ReadPool.from_reads.__func__
 
@@ -147,27 +159,17 @@ def test_sample_stores_records_and_builds_each_altered_read_once(monkeypatch):
         calls["from_reads"] += 1
         return from_reads(cls, *args)
 
-    def counting_flips(*args):
-        calls["flip_positions"] += 1
-        return flip_positions(*args)
-
     monkeypatch.setattr(ReadPool, "from_reads", classmethod(counting_from_reads))
-    monkeypatch.setattr(channel, "flip_positions", counting_flips)
     rng = random.Random(67)
-    altered_seen = 0
     for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
         p = mk_params(*shape)
         for seed in range(3):
             calls.clear()
             sample = sample_ball(random_message(rng, p), p, seed)
-            altered = len({id(r) for r in sample.provenance if r.flips})
-            assert calls == Counter(flip_positions=altered), (shape, seed)
-            # the pool is built on first use, once
+            assert calls["from_reads"] == 0, (shape, seed)
             assert sample.pool.size == p.pool_size
             assert sample.pool is sample.pool
             assert calls["from_reads"] == 1
-            altered_seen += altered
-    assert altered_seen > 1000
 
 
 def test_sampler_draw_keeps_the_budget_and_radii():
@@ -188,34 +190,34 @@ def test_sampler_draw_keeps_the_budget_and_radii():
             rng.randint(0, length - index_len),
         )
         z = random_message(rng, p)
-        by_source = {s: [] for s in z.strands}
-        for prov in sample_ball(z, p, seed).provenance:
-            by_source[prov.source].append(prov.flips)
-        for flip_sets in by_source.values():
-            assert len(flip_sets) == p.k
-            assert sum(1 for f in flip_sets if f) <= p.tau_budget
-            for f in flip_sets:
-                assert len(set(f)) == len(f)
-                assert all(0 <= pos < p.length for pos in f)
-                wi = sum(1 for pos in f if pos < p.index_len)
-                assert wi <= p.e_i and len(f) - wi <= p.e_d
+        groups = sample_ball(z, p, seed).groups
+        assert len(groups) == p.m
+        for s, group in zip(z.strands, groups):
+            masks = [read ^ s.bits for read in group]
+            assert len(masks) == p.k
+            assert sum(1 for mask in masks if mask) <= p.tau_budget
+            for mask in masks:
+                assert 0 <= mask < 1 << p.length
+                assert (mask >> p.data_len).bit_count() <= p.e_i
+                assert (mask & ((1 << p.data_len) - 1)).bit_count() <= p.e_d
 
 
 OPTIMIZED_SAMPLER = """
 from unittest import mock
 import dnacode.channel as channel
-from dnacode import Message, Strand, SystemParams, ValidationError, sample_ball
+from dnacode import Message, Strand, SystemParams, sample_ball
 
 if __debug__:
     raise SystemExit("expected python -O")
 # K = 3 reads, floor(tau*K) = 1, (e_i, e_d) = (1, 1), l = 2
 p = SystemParams(1, 4, 2, 3, "1/2", 1, 1)
 z = Message((Strand(0, 4, 2),))
-# draws the real sampler never makes: one altered copy over the budget,
-# and one index flip over e_i
+# flip masks the real sampler never draws: one altered copy over the
+# budget, one index flip over e_i, and a flip outside the L bits
 illegal = {
-    "altered copies": [(p.index_len,)] * (p.tau_budget + 1) + [()] * (p.k - p.tau_budget - 1),
-    "index flips": [tuple(range(p.e_i + 1))] + [()] * (p.k - 1),
+    "altered copies": [0b0010] * (p.tau_budget + 1) + [0] * (p.k - p.tau_budget - 1),
+    "index flips": [0b1100] + [0] * (p.k - 1),
+    "a read outside the L bits": [1 << p.length] + [0] * (p.k - 1),
 }
 for name, draw in illegal.items():
     with mock.patch.object(channel, "_strand_flips", lambda rng, params: draw):
@@ -224,14 +226,6 @@ for name, draw in illegal.items():
         except AssertionError:
             continue
     raise SystemExit(f"sample_ball returned a pool outside the ball: {name}")
-# a repeated flip position is rejected when its record is built
-with mock.patch.object(channel, "_strand_flips", lambda rng, params: [(3, 3)] + [()] * (p.k - 1)):
-    try:
-        sample_ball(z, p, seed=0)
-    except ValidationError:
-        pass
-    else:
-        raise SystemExit("sample_ball accepted a repeated flip position")
 """
 
 
@@ -315,20 +309,21 @@ def _sampler_cases():
 
 def sampler_agreement():
     """Compare ``sample_ball`` with ``reference_sample_ball`` on
-    ``_sampler_cases``: pool entries, provenance and the text of both
-    files.  Returns the disagreements (found without assert, so that it
-    checks under python -O too) and counts of the cases, of those with no
+    ``_sampler_cases``: pool entries, groups and the text of both files,
+    the sidecar's flips against the positions the reference drew.
+    Returns the disagreements (found without assert, so that it checks
+    under python -O too) and counts of the cases, of those with no
     budget, no index flips, no data flips and index flips up to l, of the
-    reads that share a record with an earlier read, and of the position
-    draws that ``random.Random.sample`` makes by set rejection."""
+    altered reads, and of the position draws that ``random.Random.sample``
+    makes by set rejection."""
     disagreements, seen = [], Counter()
     for p, z, seed in _sampler_cases():
-        got, want = sample_ball(z, p, seed), reference_sample_ball(z, p, seed)
-        rows = [(r.read, r.source.bits, r.flips) for r in got.provenance]
-        want_rows = [(r.read, r.source.bits, r.flips) for r in want.provenance]
+        got = sample_ball(z, p, seed)
+        want, flips = reference_sample_ball(z, p, seed)
         text = sample_lines(got, p)
-        if (got.pool.entries, rows, got.seed, got.rng, text) != (
-            want.pool.entries, want_rows, want.seed, want.rng, reference_sample_lines(want, p)
+        if (got.pool.entries, got.groups, got.seed, got.rng, text) != (
+            want.pool.entries, want.groups, want.seed, want.rng,
+            reference_sample_lines(want, flips, p),
         ):
             disagreements.append((p, str(z), seed))
         seen["cases"] += 1
@@ -337,10 +332,10 @@ def sampler_agreement():
         seen["e_d = 0"] += p.e_d == 0
         seen["e_i = l"] += p.e_i == p.index_len
         seen["M = 512"] += p.m == 512
-        seen["shared records"] += len(got.provenance) - len({id(r) for r in got.provenance})
-        for r in {id(r): r for r in got.provenance}.values():
-            wi = sum(1 for pos in r.flips if pos < p.index_len)
-            for width, weight in ((p.index_len, wi), (p.data_len, len(r.flips) - wi)):
+        for f in flips:
+            seen["altered reads"] += bool(f)
+            wi = sum(1 for pos in f if pos < p.index_len)
+            for width, weight in ((p.index_len, wi), (p.data_len, len(f) - wi)):
                 # sample() draws 2-5 items of over 21 by set rejection
                 seen["set path"] += width > 21 and 1 < weight <= 5
     return disagreements, seen
@@ -353,8 +348,53 @@ def test_sampler_draws_the_reference_stream_read_for_read():
     for kind in ("no budget", "e_i = 0", "e_d = 0", "e_i = l"):
         assert seen[kind] >= 5, kind
     assert seen["M = 512"] == 1
-    assert seen["shared records"] > 1000
+    assert seen["altered reads"] > 1000
     assert seen["set path"] >= 20
+
+
+# (M, L, l, K, tau, e_i, e_d) of the pinned digest: M = 1, a zero budget,
+# e_i = 0, e_i = l, fields wider than 21 positions, and M = 512
+DIGEST_SHAPES = [
+    (1, 4, 2, 3, "1", 1, 1),
+    (2, 4, 2, 3, "1/4", 1, 1),
+    (3, 5, 2, 4, "1/2", 0, 2),
+    (4, 6, 3, 2, "1", 3, 3),
+    (3, 64, 30, 25, "4/5", 7, 6),
+    LARGE_M_SHAPE,
+]
+SAMPLE_DIGEST = "62486beed35b27907f89ee18ec2c7541913109e68b46fc7c15a8dfe6e0f19446"
+
+
+def test_sampler_output_matches_the_pinned_digest():
+    # the pool file, the sidecar and the pool entries of three seeds per
+    # shape, byte for byte as the sampler has written them since it drew
+    # through getrandbits
+    digest = hashlib.sha256()
+    rng = random.Random(101)
+    for shape in DIGEST_SHAPES:
+        p = mk_params(*shape)
+        for seed in range(3):
+            sample = sample_ball(random_message(rng, p), p, seed)
+            pool, rows = sample_lines(sample, p)
+            for lines in (pool, rows, [repr(sample.pool.entries)]):
+                digest.update(("\n".join(lines) + "\n").encode())
+    assert digest.hexdigest() == SAMPLE_DIGEST
+
+
+def test_flip_positions_counts_from_left():
+    # the reference sampler rebuilds its reads with this helper
+    assert flip_positions(0b000, 3, [0]) == 0b100
+    assert flip_positions(0b000, 3, [2]) == 0b001
+    assert flip_positions(0b010, 3, [0, 2]) == 0b111
+
+
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.lists(st.integers(0, n - 1), unique=True)
+)))
+def test_flip_positions_is_an_involution(case):
+    length, bits, positions = case
+    once = flip_positions(bits, length, positions)
+    assert flip_positions(once, length, positions) == bits
 
 
 # (n, k): one item, none, all, list and set paths, and k > 5, where the
@@ -424,7 +464,7 @@ def test_sampler_draws_nothing_without_a_budget(monkeypatch, shape):
         CountingRandom.draws = 0
         sample = sample_ball(random_message(rng, p), p, seed)
         assert CountingRandom.draws == 0
-        assert all(not r.flips for r in sample.provenance)
+        assert sample.groups == tuple((s.bits,) * p.k for s in sample.message.strands)
     # with a budget of 1 the counts are drawn, and counted
     p = mk_params(*shape[:4], f"1/{shape[3]}", *shape[5:])
     CountingRandom.draws = 0

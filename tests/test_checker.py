@@ -5,15 +5,14 @@ import random
 import sys
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from dnacode import ReadPool, ReadProvenance, Strand, in_ball, sample_ball
+from dnacode import ReadPool, in_ball, sample_ball
 from dnacode import checker
 from dnacode.checker import grouping_fits
 
-from oracles import mk_params, oracle_assignment_feasible, random_message
+from oracles import flip_positions, mk_params, oracle_assignment_feasible, random_message
 from test_channel import _sampler_cases
 
 
@@ -22,10 +21,9 @@ def test_checker_accepts_every_sample_and_agrees_with_membership():
     cases = 0
     for p, z, seed in _sampler_cases():
         sample = sample_ball(z, p, seed)
-        shuffled = list(sample.provenance)
-        rng.shuffle(shuffled)
-        # the order of the records does not matter
-        assert grouping_fits(sample.provenance, z, p)
+        shuffled = [rng.sample(group, len(group)) for group in sample.groups]
+        # the order of the reads within a group does not matter
+        assert grouping_fits(sample.groups, z, p)
         assert grouping_fits(shuffled, z, p)
         assert in_ball(sample.pool, z, p)
         cases += 1
@@ -33,52 +31,43 @@ def test_checker_accepts_every_sample_and_agrees_with_membership():
 
 
 def at(s, p, wi, wd):
-    """A record of strand s with wi index flips and wd data flips."""
+    """Strand s's bits with wi index flips and wd data flips."""
     flips = (*range(wi), *range(p.index_len, p.index_len + wd))
-    return ReadProvenance(s, flips)
+    return s.bits ^ sum(1 << (p.length - 1 - pos) for pos in flips)
 
 
 def edge_grouping(z, p):
-    """K records per strand: floor(tau*K) of them at (e_i, e_d), the rest
+    """K reads per strand: floor(tau*K) of them at (e_i, e_d), the rest
     exact copies, altered ones first."""
-    return {
-        s: [at(s, p, p.e_i, p.e_d)] * p.tau_budget + [at(s, p, 0, 0)] * (p.k - p.tau_budget)
+    return [
+        [at(s, p, p.e_i, p.e_d)] * p.tau_budget + [at(s, p, 0, 0)] * (p.k - p.tau_budget)
         for s in z.strands
-    }
+    ]
 
 
 def mutations(z, p):
-    """(name, records) for each single way out of the ball, on the first
-    strand of ``edge_grouping``: its first record is altered, its last
-    an exact copy."""
+    """(name, groups) for each single way out of the ball, on the first
+    group of ``edge_grouping``: its first read is altered, its last an
+    exact copy."""
     s = z.strands[0]
-    outside = next(
-        Strand(s.bits ^ d, p.length, p.index_len)
-        for d in range(1, 1 << p.data_len)
-        if s.bits ^ d not in {t.bits for t in z.strands}
-    )
     # the one altered read within the radii that flips the fewest bits
     near = (0, 1) if p.e_d else (1, 0)
     groups = edge_grouping(z, p)
-    own = groups[s]
+    own = groups[0]
     changes = {
         "index flips over e_i": [at(s, p, p.e_i + 1, 0), *own[1:]],
         "data flips over e_d": [at(s, p, 0, p.e_d + 1), *own[1:]],
-        "K - 1 records": own[:-1],
-        "K + 1 records": [*own, own[-1]],
+        "K - 1 reads": own[:-1],
+        "K + 1 reads": [*own, own[-1]],
         "altered reads over the budget": [*own[:-1], at(s, p, *near)],
-        "a source outside z": [*own[:-1], ReadProvenance(outside, ())],
-        "a source of z's bits in another shape": [
-            *own[:-1],
-            ReadProvenance(Strand(s.bits, p.length + 1, p.index_len), ()),
-        ],
-        "a read outside the L bits": [
-            SimpleNamespace(read=s.bits ^ (1 << p.length), source=s),
-            *own[1:],
-        ],
+        "a read outside the L bits": [s.bits ^ (1 << p.length), *own[1:]],
+        "an (L+1)-bit read at the radii": [own[0] | 1 << p.length, *own[1:]],
     }
-    for name, records in changes.items():
-        yield name, [r for t in z.strands for r in (records if t == s else groups[t])]
+    for name, group in changes.items():
+        yield name, [group, *groups[1:]]
+    # a group too few, and one more for a strand outside z
+    yield "a group too few", groups[:-1]
+    yield "a group too many", [*groups, groups[-1]]
 
 
 # floor(tau*K) >= 1 in both, so the first strand has an altered read to
@@ -91,13 +80,12 @@ def test_checker_rejects_each_single_mutation(shape):
     p = mk_params(*shape)
     assert p.tau_budget >= 1
     z = random_message(random.Random(3), p)
-    edge = [r for records in edge_grouping(z, p).values() for r in records]
-    assert grouping_fits(edge, z, p)
+    assert grouping_fits(edge_grouping(z, p), z, p)
     names = []
-    for name, records in mutations(z, p):
-        assert not grouping_fits(records, z, p), name
+    for name, groups in mutations(z, p):
+        assert not grouping_fits(groups, z, p), name
         names.append(name)
-    assert len(names) == 8
+    assert len(names) == 9
 
 
 def tiny_params():
@@ -111,26 +99,32 @@ def tiny_params():
                 yield mk_params(m, length, index_len, k, tau, e_i, e_d)
 
 
-def random_records(rng, z, p):
-    """Records near a grouping of z: mostly K per strand, at most one
-    over the radii in each field, now and then one record too many or
-    too few and a source outside z, in random order."""
-    records = []
+def random_groups(rng, z, p):
+    """Groups near a grouping of z: mostly K reads per strand, at most
+    one flip over the radii in each field, now and then one read too many
+    or too few, a read anywhere in the L bits, and one group too few or
+    too many."""
+    groups = []
     for s in z.strands:
-        count = p.k + rng.choice((0, 0, 0, 0, -1, 1))
-        for _ in range(count):
-            source = s
+        group = []
+        for _ in range(p.k + rng.choice((0, 0, 0, 0, -1, 1))):
+            read = s.bits
             if rng.random() < 0.05:
-                source = Strand(rng.randrange(1 << p.length), p.length, p.index_len)
-            flips = []
-            if rng.random() < 0.5:
+                read = rng.randrange(1 << p.length)
+            elif rng.random() < 0.5:
                 wi = rng.randint(0, min(p.index_len, p.e_i + 1))
                 wd = rng.randint(0, min(p.data_len, p.e_d + 1))
                 flips = rng.sample(range(p.index_len), wi)
                 flips += rng.sample(range(p.index_len, p.length), wd)
-            records.append(ReadProvenance(source, flips))
-    rng.shuffle(records)
-    return records
+                read = flip_positions(read, p.length, flips)
+            group.append(read)
+        groups.append(group)
+    count = rng.random()
+    if count < 0.025:
+        groups.pop()
+    elif count < 0.05:
+        groups.append(groups[-1])
+    return groups
 
 
 def test_checker_is_sound_against_the_partition_search():
@@ -140,13 +134,13 @@ def test_checker_is_sound_against_the_partition_search():
         shapes += 1
         for _ in range(4):
             z = random_message(rng, p)
-            records = random_records(rng, z, p)
-            if not grouping_fits(records, z, p):
+            groups = random_groups(rng, z, p)
+            if not grouping_fits(groups, z, p):
                 rejected += 1
                 continue
             accepted += 1
-            pool = ReadPool.from_reads([r.read for r in records], p.length)
-            assert oracle_assignment_feasible(pool, z, p), (p, z, records)
+            pool = ReadPool.from_reads([r for group in groups for r in group], p.length)
+            assert oracle_assignment_feasible(pool, z, p), (p, z, groups)
     assert shapes > 500
     assert accepted > 500 and rejected > 500
 

@@ -284,7 +284,7 @@ def test_member_decides_a_512_strand_pool_in_both_interpreter_modes(tmp_path):
     p = mk_params(512, 20, 11, 10, "1/2", 1, 1)
     rng = random.Random(512)
     z = random_message(rng, p)
-    reads = [r.read for r in sample_ball(z, p, seed=3).provenance]
+    reads = [r for group in sample_ball(z, p, seed=3).groups for r in group]
 
     def outside(read, s):
         di, dd = split_popcount(read ^ s.bits, p.data_len)

@@ -18,7 +18,7 @@ from dnacode.io import (
     tau_text,
     write_text,
 )
-from dnacode.channel import ChannelSample, ReadProvenance, sample_ball
+from dnacode.channel import ChannelSample, sample_ball
 from dnacode.model import Message, Strand, tau_from_string
 
 from oracles import mk_message, mk_params, reference_read_blocks
@@ -140,15 +140,10 @@ def test_code_file_round_trip(tmp_path):
 
 
 def _sample_of(reads, length, index_len, seed=0):
-    """A sample whose records hold the given reads in order, each flipped
-    from the all-zero strand, with equal reads sharing one record."""
-    source = Strand(0, length, index_len)
-    records = {}
-    for r in reads:
-        if r not in records:
-            flips = tuple(pos for pos in range(length) if r >> (length - 1 - pos) & 1)
-            records[r] = ReadProvenance(source, flips)
-    return ChannelSample(tuple(records[r] for r in reads), seed)
+    """A sample of the one all-zero strand whose group holds the given
+    reads in order."""
+    z = Message((Strand(0, length, index_len),))
+    return ChannelSample(z, (tuple(reads),), seed)
 
 
 def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
@@ -184,28 +179,17 @@ def test_provenance_lines_match_per_read_formatting():
     z = mk_message(3, "000101", "011000", "101111", "110010")
     for seed in range(5):
         sample = sample_ball(z, p, seed)
-        reads = [format(r.read, "06b") for r in sample.provenance]
+        pairs = [(s, r) for s, group in zip(z.strands, sample.groups) for r in group]
+        reads = [format(r, "06b") for _, r in pairs]
+        flips = [[pos for pos in range(6) if (r ^ s.bits) >> (5 - pos) & 1] for s, r in pairs]
         rows = [
-            f"{i}\t{r.source}\t{','.join(str(pos) for pos in r.flips) or '-'}"
-            for i, r in enumerate(sample.provenance)
+            f"{i}\t{s}\t{','.join(map(str, f)) or '-'}"
+            for i, ((s, _), f) in enumerate(zip(pairs, flips))
         ]
         assert sample_lines(sample, p) == (
             [params_header(p), *reads],
             [f"# seed={seed} rng=mt19937", *rows],
         )
-
-
-def test_sample_lines_format_records_that_share_nothing():
-    # records built apart, with equal sources and flip sets, format as
-    # the records a sampler shares do
-    p = mk_params(2, 4, 2, 2, "1", 1, 1)
-    a, b = Strand(0b0110, 4, 2), Strand(0b1001, 4, 2)
-    records = [ReadProvenance(a, (0, 3)), ReadProvenance(Strand(0b0110, 4, 2), (0, 3)),
-               ReadProvenance(b, ()), ReadProvenance(Strand(0b1001, 4, 2), ())]
-    pool, rows = sample_lines(ChannelSample(tuple(records), 7), p)
-    assert pool[1:] == ["1111", "1111", "1001", "1001"]
-    assert rows == ["# seed=7 rng=mt19937", "0\t0110\t0,3", "1\t0110\t0,3",
-                    "2\t1001\t-", "3\t1001\t-"]
 
 
 def test_write_text_ends_with_newline(tmp_path):

@@ -37,12 +37,13 @@ from dnacode.matching import (
     has_bijection_within,
     has_perfect_matching,
 )
-from dnacode.model import Strand, bits_to_string, flip_positions, split_popcount
+from dnacode.model import Strand, bits_to_string, split_popcount
 
 from conftest import run_under_python_O
 from test_codec import on_path
 from oracles import (
     all_bipartite_graphs,
+    flip_positions,
     is_optimal_bottleneck,
     max_matching,
     mk_message,
@@ -808,7 +809,8 @@ def _scale_pools(rng, p, seed):
     differential test at scale."""
     z, t, a, b = _scale_message(rng, p)
     sample = sample_ball(z, p, seed)
-    reads = [r.read for r in sample.provenance]
+    sources = [t for t, group in zip(z.strands, sample.groups) for _ in group]
+    reads = [r for group in sample.groups for r in group]
     pools = [("sampled", reads, True)]
 
     # one read moved to an index at distance e_i + 1 from the nearest strand
@@ -826,7 +828,7 @@ def _scale_pools(rng, p, seed):
         noisy = flip_positions(s.bits, p.length, flips)
         if noisy != s.bits and [y for y in z.strands if _within(noisy, y, p)] == [s]:
             break
-    over = [r.read for r in sample.provenance if r.source != s]
+    over = [r for r, t in zip(reads, sources) if t != s]
     over += [s.bits] * max(0, p.k - p.tau_budget - 1) + [noisy] * (p.tau_budget + 1)
     del over[: len(over) - p.pool_size]
     pools.append(("over budget", over, False))
@@ -835,7 +837,7 @@ def _scale_pools(rng, p, seed):
     # of a's reads: an exact one if a has noisy budget left, else a noisy one
     apart = [q for q in range(p.index_len) if (a.bits ^ b.bits) >> (p.data_len + q) & 1]
     mid = a.bits ^ sum(1 << (p.data_len + q) for q in apart[: p.e_i])
-    own = [i for i, r in enumerate(sample.provenance) if r.source == a]
+    own = [i for i, t in enumerate(sources) if t == a]
     noisy_count = sum(1 for i in own if reads[i] != a.bits)
     keep_exact = noisy_count < p.tau_budget
     slot = next(i for i in own if (reads[i] == a.bits) == keep_exact)

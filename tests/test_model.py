@@ -29,12 +29,13 @@ from dnacode import (
     in_restricted_space,
     is_dna_correcting,
     oracle_balls_intersect,
+    read_neighborhood,
     sample_ball,
     space_size,
     validate_message,
 )
 from dnacode import cli
-from dnacode.model import bits_from_string, bits_to_string, flip_positions
+from dnacode.model import bits_from_string, bits_to_string
 
 from oracles import (
     mk_message,
@@ -69,22 +70,6 @@ def test_bits_from_string_accepts_only_0_and_1(s):
 
 def test_bits_from_empty_string_is_zero():
     assert bits_from_string("") == 0
-
-
-def test_flip_positions_counts_from_left():
-    assert flip_positions(bits_from_string("000"), 3, [0]) == bits_from_string("100")
-    assert flip_positions(bits_from_string("000"), 3, [2]) == bits_from_string("001")
-    assert flip_positions(bits_from_string("010"), 3, [0, 2]) == bits_from_string("111")
-
-
-@given(bitstrings, st.data())
-def test_flip_positions_is_an_involution(s, data):
-    positions = data.draw(
-        st.lists(st.integers(0, len(s) - 1), unique=True, max_size=len(s))
-    )
-    bits = bits_from_string(s)
-    once = flip_positions(bits, len(s), positions)
-    assert flip_positions(once, len(s), positions) == bits
 
 
 def test_strand_fields():
@@ -176,6 +161,7 @@ SHAPE_CALLS = {
     "is_dna_correcting": lambda zs: is_dna_correcting(zs, SHAPE_PARAMS),
     "oracle_balls_intersect": lambda zs: oracle_balls_intersect(*zs, SHAPE_PARAMS),
     "sample_ball": lambda zs: sample_ball(zs[0], SHAPE_PARAMS, seed=0),
+    "read_neighborhood": lambda zs: read_neighborhood(zs[0], SHAPE_PARAMS),
     "in_ball": lambda zs: in_ball(SHAPE_POOL, zs[0], SHAPE_PARAMS),
     "assignment_feasible": lambda zs: assignment_feasible(SHAPE_POOL, zs[0], SHAPE_PARAMS),
 }
