@@ -85,6 +85,7 @@ from .model import (
     _ball_volume,
     _check_packed,
     _flip_masks,
+    _pool_from_counts,
     check_shape,
 )
 
@@ -103,11 +104,7 @@ class ChannelSample:
     rng: ClassVar[str] = RNG_ID
 
     def __post_init__(self) -> None:
-        # the sidecar records the seed, and simulate --seed replays only
-        # a non-negative int
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError(f"seed must be a non-negative int, got {seed!r}")
+        _check_seed(self.seed)
         if len(self.groups) != self.message.m:
             raise ValidationError(
                 f"a sample of {self.message.m} strands needs as many groups, "
@@ -123,7 +120,26 @@ class ChannelSample:
     @cached_property
     def pool(self) -> ReadPool:
         """The multiset of the groups' reads, built on first use."""
-        return ReadPool.from_reads(chain.from_iterable(self.groups), self.message.length)
+        return _pool_from_counts(self.message.length, Counter(chain.from_iterable(self.groups)))
+
+
+def _check_seed(seed: object) -> None:
+    """Require a non-negative int seed: the sidecar records the seed, and
+    simulate --seed replays only such a one."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative int, got {seed!r}")
+
+
+def _proven_sample(
+    message: Message, groups: tuple[tuple[int, ...], ...], seed: int
+) -> ChannelSample:
+    """A ChannelSample of a checked seed and of groups that
+    ``checker.grouping_fits`` has proved, made without checking them again."""
+    sample = object.__new__(ChannelSample)
+    object.__setattr__(sample, "message", message)
+    object.__setattr__(sample, "groups", groups)
+    object.__setattr__(sample, "seed", seed)
+    return sample
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -197,17 +213,20 @@ def _strand_flips(rng: random.Random, params: SystemParams) -> list[int]:
 def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
     """Draw one pool from the ball of Z, deterministic given the seed.
 
-    Strands are processed in canonical (sorted) order, K reads each, and
-    each strand's reads form its group.  Before returning, the groups
-    are checked to group the pool into the ball of Z
-    (``checker.grouping_fits``), which proves the pool a member.
+    The seed is checked before anything is drawn.  Strands are processed
+    in canonical (sorted) order, K reads each, and each strand's reads
+    form its group.  Before returning, the groups are checked to group
+    the pool into the ball of Z (``checker.grouping_fits``), which proves
+    the pool a member and each read an L-bit value, so the sample is
+    built without the constructor's checks.
     """
+    _check_seed(seed)
     check_shape(z, params=params)
     rng = random.Random(seed)
     groups = tuple(tuple(s.bits ^ f for f in _strand_flips(rng, params)) for s in z.strands)
     if not grouping_fits(groups, z, params):
         raise AssertionError("sampled pool must lie in the ball")
-    return ChannelSample(z, groups, seed)
+    return _proven_sample(z, groups, seed)
 
 
 def in_ball(pool: ReadPool, z: Message, params: SystemParams) -> bool:

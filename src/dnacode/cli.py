@@ -17,9 +17,8 @@ import csv
 import functools
 import math
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .channel import in_ball, oracle_balls_intersect, sample_ball
 from .codec import RegimeTag, balls_intersect, is_dna_correcting
@@ -30,6 +29,7 @@ from .io import (
     Block,
     code_lines,
     merge_headers,
+    message_lines,
     parse_param_items,
     read_code_file,
     read_message_file,
@@ -43,10 +43,10 @@ from .metrics import dna_distance, min_dna_distance
 from .model import (
     DEFAULT_SPACE_CAP,
     Message,
-    ReadPool,
     SystemParams,
     _check_strand_shape,
     _message_from_packed,
+    _pool_from_counts,
     int_from_string,
     validate_message,
 )
@@ -182,17 +182,18 @@ def _resolve(
     args: argparse.Namespace,
     headers: Mapping[str, dict[str, ParamValue]],
     block: Optional[Block] = None,
+    length: Optional[int] = None,
     need: Sequence[str] = PARAM_KEYS,
 ) -> dict[str, ParamValue]:
     """The parameters in force: the file headers, keyed by file and
-    required to agree, under --params, with M and L read off ``block``
-    where neither gives them."""
+    required to agree, under --params, with M read off ``block`` and L
+    off its file's token ``length`` where neither gives them."""
     values = merge_headers(*headers.values(), names=list(headers))
     if args.params:
         values.update(parse_param_items(args.params))
     if block:
         values.setdefault("M", len(block))
-        values.setdefault("L", len(block[0]))
+        values.setdefault("L", length)
     missing = [k for k in need if k not in values]
     if missing:
         raise ValidationError(
@@ -205,53 +206,58 @@ def _system_params(
     args: argparse.Namespace,
     headers: Mapping[str, dict[str, ParamValue]],
     block: Optional[Block] = None,
+    length: Optional[int] = None,
 ) -> SystemParams:
-    values = _resolve(args, headers, block)
+    values = _resolve(args, headers, block, length)
     return SystemParams(
         m=values["M"], length=values["L"], index_len=values["l"], k=values["K"],
         tau=values["tau"], e_i=values["ei"], e_d=values["ed"],
     )
 
 
-def _packed(tokens: Iterable[str]) -> list[int]:
-    """The packed values of tokens that ``io.read_blocks`` has checked as
-    0/1 strings: the one step from a file token to a packed value."""
-    return [int(token, 2) for token in tokens]
-
-
-def _check_token_length(path: str, tokens: Block, length: int) -> None:
-    """Compare the file's token length, one per file, with the L in force."""
-    if tokens and len(tokens[0]) != length:
-        message = f"lines have length {len(tokens[0])} but the parameters say L={length}"
+def _check_token_length(path: str, token_len: Optional[int], length: int) -> None:
+    """Compare the file's token length, None without tokens, with the L in force."""
+    if token_len is not None and token_len != length:
+        message = f"lines have length {token_len} but the parameters say L={length}"
         raise FileFormatError(message, path=path)
 
 
-def _message(path: str, block: Block, params: SystemParams) -> Message:
-    _check_token_length(path, block, params.length)
-    return validate_message(_packed(block), params)
+def _message(path: str, block: Block, length: int, params: SystemParams) -> Message:
+    """The message of a block of packed tokens ``length`` bits wide."""
+    _check_token_length(path, length, params.length)
+    return validate_message(block, params)
 
 
 def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
-    header_a, block_a = read_message_file(args.a)
-    header_b, block_b = read_message_file(args.b)
-    params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a)
-    return _message(args.a, block_a, params), _message(args.b, block_b, params), params
+    header_a, block_a, length_a = read_message_file(args.a)
+    header_b, block_b, length_b = read_message_file(args.b)
+    params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a, length_a)
+    return (
+        _message(args.a, block_a, length_a, params),
+        _message(args.b, block_b, length_b, params),
+        params,
+    )
 
 
-def _bare_message(block: Block, index_len: int) -> Message:
+def _bare_message(block: Block, length: int, index_len: int) -> Message:
     """The message of a block that ``io.read_blocks`` has checked: its
-    tokens are non-empty 0/1 strings of one length."""
-    length = len(block[0])
+    values are packed from non-empty 0/1 tokens ``length`` bits wide."""
     _check_strand_shape(length, index_len)
-    return _message_from_packed(_packed(block), length, index_len)
+    return _message_from_packed(block, length, index_len)
 
 
 def _fmt_distance(d: float) -> str:
     return "inf" if math.isinf(d) else str(int(d))
 
 
+def _fmt_message(z: Message) -> str:
+    """``str(z)``, formatted from the packed values."""
+    return "{" + ",".join(message_lines(z)) + "}"
+
+
 def _fmt_bijection(bijection: Bijection) -> str:
-    return " ".join(f"{x}->{y}" for x, y in bijection)
+    width = f"0{bijection[0][0].length}b"
+    return " ".join([f"{x.bits:{width}}->{y.bits:{width}}" for x, y in bijection])
 
 
 def _regime_line(tag: RegimeTag) -> str:
@@ -264,18 +270,17 @@ def _regime_line(tag: RegimeTag) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
-    header, blocks = read_code_file(args.code)
-    params = _system_params(args, {args.code: header}, blocks[0] if blocks else None)
-    if blocks:
-        _check_token_length(args.code, blocks[0], params.length)
-    code = [validate_message(_packed(block), params) for block in blocks]
+    header, blocks, length = read_code_file(args.code)
+    params = _system_params(args, {args.code: header}, blocks[0] if blocks else None, length)
+    _check_token_length(args.code, length, params.length)
+    code = [validate_message(block, params) for block in blocks]
     verdict = is_dna_correcting(code, params)
     lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
         za, zb = verdict.witness.pair
         lines += [
-            f"pair A: {za}",
-            f"pair B: {zb}",
+            f"pair A: {_fmt_message(za)}",
+            f"pair B: {_fmt_message(zb)}",
             f"map: {_fmt_bijection(verdict.witness.bijection)}",
         ]
     if verdict.reason is not None:
@@ -284,19 +289,21 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> list[str]:
-    header_a, block_a = read_message_file(args.a)
-    header_b, block_b = read_message_file(args.b)
+    header_a, block_a, length_a = read_message_file(args.a)
+    header_b, block_b, length_b = read_message_file(args.b)
     index_len = _resolve(args, {args.a: header_a, args.b: header_b}, need=["l"])["l"]
-    d = dna_distance(_bare_message(block_a, index_len), _bare_message(block_b, index_len))
+    d = dna_distance(
+        _bare_message(block_a, length_a, index_len), _bare_message(block_b, length_b, index_len)
+    )
     return [f"D={_fmt_distance(d)}"]
 
 
 def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
-    header, blocks = read_code_file(args.code)
+    header, blocks, length = read_code_file(args.code)
     index_len = _resolve(args, {args.code: header}, need=["l"])["l"]
-    code = [_bare_message(block, index_len) for block in blocks]
+    code = [_bare_message(block, length, index_len) for block in blocks]
     d, (za, zb) = min_dna_distance(code)
-    return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
+    return [f"D={_fmt_distance(d)}", f"pair A: {_fmt_message(za)}", f"pair B: {_fmt_message(zb)}"]
 
 
 def _cmd_intersect(args: argparse.Namespace) -> list[str]:
@@ -315,9 +322,9 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
-    header, block = read_message_file(args.message)
-    params = _system_params(args, {args.message: header}, block)
-    sample = sample_ball(_message(args.message, block, params), params, args.seed)
+    header, block, length = read_message_file(args.message)
+    params = _system_params(args, {args.message: header}, block, length)
+    sample = sample_ball(_message(args.message, block, length, params), params, args.seed)
     file_lines, rows = sample_lines(sample, params)
     if args.provenance:
         write_text(args.provenance, rows)
@@ -328,13 +335,14 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_member(args: argparse.Namespace) -> list[str]:
-    pool_header, reads = read_pool_file(args.pool)
-    msg_header, block = read_message_file(args.message)
-    params = _system_params(args, {args.pool: pool_header, args.message: msg_header}, block)
-    _check_token_length(args.pool, reads, params.length)
-    counts = Counter(reads)  # so each distinct read is packed once
-    pool = ReadPool(params.length, tuple(zip(_packed(counts), counts.values())))
-    return ["YES" if in_ball(pool, _message(args.message, block, params), params) else "NO"]
+    pool_header, counts, pool_length = read_pool_file(args.pool)
+    msg_header, block, length = read_message_file(args.message)
+    headers = {args.pool: pool_header, args.message: msg_header}
+    params = _system_params(args, headers, block, length)
+    _check_token_length(args.pool, pool_length, params.length)
+    pool = _pool_from_counts(params.length, counts)
+    z = _message(args.message, block, length, params)
+    return ["YES" if in_ball(pool, z, params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:

@@ -7,17 +7,25 @@ non-blank line is a binary string: a message file holds one strand per
 line, a code file separates messages with one blank line, and a pool
 file lists one read per line with repeats expressing multiplicity.
 
-``read_blocks`` is where a token's characters and length are checked:
-a block at a time, with the file's line of the first bad token in the
-error.  The CLI packs each checked token into an int once, and the
-builders in ``model`` take only ints.
+``read_blocks`` reads a file in one pass over its distinct lines: it
+counts the stripped lines, checks the distinct tokens together (0/1
+only, one length) and packs each into an int once.  Only a failed check
+reads the lines one by one, for the line of the first bad token, so
+errors name their line and come in line order.  A message or code file
+comes back as tuples of packed ints in file order, and a pool file as
+the number of lines holding each packed read, each with the file's
+token length; the builders in ``model`` take only ints.  Output goes
+the other way in one step: each line is formatted from its packed value
+by one ``format(v, "0{L}b")``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .channel import ChannelSample
 from .errors import FileFormatError, ParamMismatch, ValidationError
@@ -32,7 +40,7 @@ from .model import (
 
 PARAM_KEYS = ("M", "L", "l", "K", "tau", "ei", "ed")
 ParamValue = Union[int, Fraction]
-Block = list[str]
+Block = tuple[int, ...]
 
 
 def tau_text(tau: Fraction) -> str:
@@ -87,75 +95,107 @@ def merge_headers(
     return {key: value for key, (value, _) in merged.items()}
 
 
-def read_blocks(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
-    """Parse a file into its header and blank-line-separated blocks of
-    binary strings.
+class TokenFile(NamedTuple):
+    """A file that ``read_blocks`` has checked: its merged %params
+    ``header``, its one token ``length`` (None when no line is a token),
+    its ``lines`` stripped, how often each stripped line occurs
+    (``counts``) and the packed value of each distinct token
+    (``values``)."""
 
-    The line loop only sorts lines into blank, comment, directive and
-    token lines.  Tokens are checked a block at a time (0/1 only, one
-    length in the whole file), when the block ends and before the next
-    directive is parsed.  When a block fails, the lines are read again
-    one by one for the first bad token, so each error names its line and
-    errors come in line order.
+    header: dict[str, ParamValue]
+    length: Optional[int]
+    lines: list[str]
+    counts: Counter[str]
+    values: dict[str, int]
+
+    def blocks(self) -> list[Block]:
+        """The blank-line-separated blocks of packed tokens, in file order."""
+        values = self.values
+        blocks: list[Block] = []
+        current: list[int] = []
+        for line in self.lines:
+            value = values.get(line)
+            if value is not None:
+                current.append(value)
+            elif current and not line:
+                blocks.append(tuple(current))
+                current = []
+        if current:
+            blocks.append(tuple(current))
+        return blocks
+
+    def value_counts(self) -> dict[int, int]:
+        """How many token lines hold each packed value."""
+        return dict(zip(self.values.values(), map(self.counts.__getitem__, self.values)))
+
+
+def read_blocks(path: Union[str, Path]) -> TokenFile:
+    """Read and check a file: its header and its tokens, each distinct
+    line handled once.
+
+    The stripped lines are counted first, so each distinct line is
+    sorted into blank, comment, directive or token once.  The distinct
+    tokens are checked together (0/1 only, one length in the whole file)
+    and packed by one ``int(t, 2)`` each.  A directive's lines are found
+    by ``list.index`` and parsed in line order.  When a token fails, the
+    lines are read again one by one for the first bad token
+    (``_first_bad_token``), and only the directives above it are parsed
+    first, so each error names its line and errors come in line order.
     """
     name = str(path)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # open() directly: a Path object costs more than a small file's parse
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as e:
         raise FileFormatError(f"cannot read file: {e.strerror or e}", path=name)
-    lines = text.splitlines()
-    header: dict[str, ParamValue] = {}
-    blocks: list[Block] = []
-    current: Block = []
-    token_len: Optional[int] = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                token_len = _check_tokens(current, token_len, lines, name)
-                blocks.append(current)
-                current = []
-        elif line[0] == "#":
+    lines = list(map(str.strip, text.splitlines()))
+    counts = Counter(lines)
+    tokens: list[str] = []
+    directives: list[tuple[int, str]] = []
+    for line in counts:
+        if not line or line[0] == "#":
             continue
-        elif line[0] == "%":
-            if current:
-                token_len = _check_tokens(current, token_len, lines, name)
-            if not (line == "%params" or line.startswith("%params ")):
-                raise FileFormatError(
-                    f"unknown directive {line.split()[0]!r}", path=name, line=lineno
-                )
-            items = parse_param_items(line[len("%params"):], path=name, line=lineno)
-            header = merge_headers(header, items, where=f"{name}:{lineno}: ")
+        if line[0] == "%":
+            at = -1
+            for _ in range(counts[line]):
+                at = lines.index(line, at + 1)
+                directives.append((at + 1, line))
         else:
-            current.append(line)
-    if current:
-        token_len = _check_tokens(current, token_len, lines, name)
-        blocks.append(current)
+            tokens.append(line)
+    bad: Optional[FileFormatError] = None
+    token_len: Optional[int] = None
+    if tokens:
+        # the counter keeps first appearances in file order
+        token_len = len(tokens[0])
+        if not (_is_bits("".join(tokens)) and set(map(len, tokens)) == {token_len}):
+            bad = _first_bad_token(lines, name)
+    header: dict[str, ParamValue] = {}
+    for lineno, line in sorted(directives):
+        if bad is not None and lineno > bad.line:
+            break
+        if not (line == "%params" or line.startswith("%params ")):
+            raise FileFormatError(
+                f"unknown directive {line.split()[0]!r}", path=name, line=lineno
+            )
+        items = parse_param_items(line[len("%params"):], path=name, line=lineno)
+        header = merge_headers(header, items, where=f"{name}:{lineno}: ")
+    if bad is not None:
+        raise bad
     if token_len is not None and header.get("L", token_len) != token_len:
         raise FileFormatError(
             f"lines have length {token_len} but the header says L={header['L']}", path=name
         )
-    return header, blocks
-
-
-def _check_tokens(block: Block, token_len: Optional[int], lines: list[str], name: str) -> int:
-    """The file's token length, after checking that every token of
-    ``block`` is a 0/1 string of that length (the first token's when no
-    block came before)."""
-    if token_len is None:
-        token_len = len(block[0])
-    if not (_is_bits("".join(block)) and set(map(len, block)) == {token_len}):
-        raise _first_bad_token(lines, name)
-    return token_len
+    values = dict(zip(tokens, map(int, tokens, repeat(2))))
+    return TokenFile(header, token_len, lines, counts, values)
 
 
 def _first_bad_token(lines: list[str], name: str) -> FileFormatError:
     """The error of the file's first token line that is not a 0/1 string
-    of the first token's length, with its line; called only when a block
-    holds such a line, so one is found."""
+    of the first token's length, with its line, given the stripped
+    lines; called only when a token is such a line, so one is found."""
     token_len: Optional[int] = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
         if not line or line[0] in "#%":
             continue
         try:
@@ -170,25 +210,37 @@ def _first_bad_token(lines: list[str], name: str) -> FileFormatError:
                 path=name,
                 line=lineno,
             )
-    raise AssertionError("a block failed its check, so some token line is bad")
+    raise AssertionError("a token failed its check, so some token line is bad")
 
 
-def read_message_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block]:
-    header, blocks = read_blocks(path)
+def read_message_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block, int]:
+    """The header, the one block of packed strands and the token length
+    of a message file."""
+    file = read_blocks(path)
+    blocks = file.blocks()
     if len(blocks) != 1:
         raise FileFormatError(
             f"expected exactly one message, found {len(blocks)}", path=str(path)
         )
-    return header, blocks[0]
+    return file.header, blocks[0], file.length
 
 
-def read_code_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], list[Block]]:
-    return read_blocks(path)
+def read_code_file(
+    path: Union[str, Path]
+) -> tuple[dict[str, ParamValue], list[Block], Optional[int]]:
+    """The header, the blocks of packed strands and the token length of a
+    code file."""
+    file = read_blocks(path)
+    return file.header, file.blocks(), file.length
 
 
-def read_pool_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block]:
-    header, blocks = read_blocks(path)
-    return header, [token for block in blocks for token in block]
+def read_pool_file(
+    path: Union[str, Path]
+) -> tuple[dict[str, ParamValue], dict[int, int], Optional[int]]:
+    """The header, the number of lines holding each packed read and the
+    token length of a pool file."""
+    file = read_blocks(path)
+    return file.header, file.value_counts(), file.length
 
 
 def params_header(params: SystemParams) -> str:
@@ -199,7 +251,9 @@ def params_header(params: SystemParams) -> str:
 
 
 def message_lines(msg: Message) -> list[str]:
-    return [str(s) for s in msg.strands]
+    """One line per strand, each formatted from its packed value."""
+    width = f"0{msg.length}b"
+    return [format(s.bits, width) for s in msg.strands]
 
 
 def code_lines(code: Sequence[Message], params: SystemParams) -> list[str]:
@@ -255,4 +309,5 @@ def _flip_text(mask: int, length: int) -> str:
 
 
 def write_text(path: Union[str, Path], lines: Sequence[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -326,27 +326,31 @@ def _rows_within(
     strands with ``index_len``-bit index fields.
 
     A partner's index field is the strand's XOR a mask of weight at most
-    r1, so when those V(l, r1) masks are fewer than both the strands of
-    ``right`` and the 2^l index fields, the partners are looked up in the
-    ``_index_store`` of ``right``, from index field to the strands that
-    carry it, and only their data fields are tested.  The store is a
+    r1.  When those V(l, r1) masks are fewer than both the strands of
+    ``right`` and the 2^l index fields, and the lookup's work, a store of
+    len(right) entries and len(left) * V(l, r1) probes, is no more than
+    the len(left) * len(right) pairs a scan tests, the partners are
+    looked up in the ``_index_store`` of ``right``, from index field to
+    the strands that carry it, and only their data fields are tested.
+    So a single strand on the left is always scanned.  The store is a
     table with one slot per index field when 2^l <= len(left) * V(l, r1),
     the probes the rows make, read by list subscript, and a dict
     otherwise, read by its bound ``get``.  Each strand of ``right`` is
     found at most once, so the lookup never tests more pairs than a
-    scan, and no ball of len(right) or more masks is enumerated.
-    Otherwise every strand of
-    ``right`` is scanned, with ``model.split_popcount`` written out
-    inline: this is the innermost loop of every pair decision.
+    scan.  Otherwise every strand of ``right`` is scanned, with
+    ``model.split_popcount`` written out inline: this is the innermost
+    loop of every pair decision.
     """
     r1, r2 = bound
     mask = (1 << data_len) - 1
+    n_left, n_right = len(left), len(right)
     # plain loops: a comprehension pays for a frame per row, more than it
     # saves on the short rows and short scans met here
     # V(l, r1) < 2^l exactly when r1 < l, which is the cheaper test
-    if r1 < index_len and _ball_volume(index_len, r1) < len(right):
+    volume = _ball_volume(index_len, r1)
+    if r1 < index_len and volume < n_right and n_right + n_left * volume <= n_left * n_right:
         flips = _flip_masks(index_len, r1)
-        store = _index_store(right, data_len, index_len, len(left) * len(flips))
+        store = _index_store(right, data_len, index_len, n_left * len(flips))
         # one loop per store, each with the store's cheapest read
         if isinstance(store, list):
             for a in left:

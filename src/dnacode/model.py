@@ -13,10 +13,12 @@ corruption budget ``floor(tau*K)`` never suffers float rounding at regime
 boundaries such as tau*K == K/2.
 
 Each input is checked once, where the check is cheapest.  File tokens
-are checked by ``io.read_blocks`` (0/1 only, one length per file) and
-packed once by the CLI; the builders here take packed ints only, and
-``_check_packed`` is their one rule for a packed value of L bits (an
-int, not a bool, in range).  Messages are built by one private builder,
+are checked and packed by ``io.read_blocks`` (0/1 only, one length per
+file, each distinct token once); the builders here take packed ints
+only, and ``_check_packed`` is their one rule for a packed value of L
+bits (an int, not a bool, in range).  A pool of checked reads and
+counts is built by ``_pool_from_counts`` without checking each read
+again.  Messages are built by one private builder,
 ``_message_from_packed``: it runs the count, duplicate-strand and
 duplicate-index checks on the ints and creates the strand and message
 objects without checking each again.  ``validate_message`` and the
@@ -52,9 +54,14 @@ MAX_STRAND_LEN = 64
 DEFAULT_SPACE_CAP = 10_000_000
 
 
+# deletes 0 and 1: str.translate is one C pass, where str.strip with a
+# character set searches that set once per character
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def _is_bits(s: str) -> bool:
     """Whether ``s`` holds no character other than 0 and 1."""
-    return not s.strip("01")
+    return not s.translate(_DROP_BITS)
 
 
 def check_bits(s: str) -> None:
@@ -308,6 +315,18 @@ class ReadPool:
     @property
     def size(self) -> int:
         return sum(count for _, count in self.entries)
+
+
+def _pool_from_counts(length: int, counts: dict[int, int]) -> ReadPool:
+    """The pool holding each packed read ``counts[read]`` times, for a
+    caller that has checked every read fits in ``length`` bits and every
+    count is positive: it is made without checking them again."""
+    pool = object.__new__(ReadPool)
+    object.__setattr__(pool, "length", length)
+    # sorting the int keys alone is cheaper than sorting (read, count) pairs
+    reads = sorted(counts)
+    object.__setattr__(pool, "entries", tuple(zip(reads, map(counts.__getitem__, reads))))
+    return pool
 
 
 @dataclass(frozen=True)

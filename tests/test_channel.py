@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -153,23 +154,63 @@ def test_sample_rejects_a_malformed_grouping_or_seed(fields, match):
 def test_sample_builds_its_pool_once_on_first_use(monkeypatch):
     # the sampler builds no pool; the pool is built on first use, once
     calls = Counter()
-    from_reads = ReadPool.from_reads.__func__
+    build = channel._pool_from_counts
 
-    def counting_from_reads(cls, *args):
-        calls["from_reads"] += 1
-        return from_reads(cls, *args)
+    def counting_build(*args):
+        calls["built"] += 1
+        return build(*args)
 
-    monkeypatch.setattr(ReadPool, "from_reads", classmethod(counting_from_reads))
+    monkeypatch.setattr(channel, "_pool_from_counts", counting_build)
     rng = random.Random(67)
     for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
         p = mk_params(*shape)
         for seed in range(3):
             calls.clear()
             sample = sample_ball(random_message(rng, p), p, seed)
-            assert calls["from_reads"] == 0, (shape, seed)
+            assert calls["built"] == 0, (shape, seed)
             assert sample.pool.size == p.pool_size
             assert sample.pool is sample.pool
-            assert calls["from_reads"] == 1
+            assert calls["built"] == 1
+            reads = [r for group in sample.groups for r in group]
+            assert sample.pool == ReadPool.from_reads(reads, p.length)
+
+
+def test_sampler_builds_a_sample_the_constructor_accepts(monkeypatch):
+    # the sampler's groups are proved by grouping_fits, so it skips the
+    # constructor's checks, and the public constructor takes what it built
+    checked = Counter()
+    post_init = ChannelSample.__post_init__
+
+    def counting_post_init(self):
+        checked["samples"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(ChannelSample, "__post_init__", counting_post_init)
+    rng = random.Random(68)
+    for shape in [*SAMPLER_EDGE_SHAPES, LARGE_M_SHAPE]:
+        p = mk_params(*shape)
+        sample = sample_ball(random_message(rng, p), p, 4)
+        assert checked["samples"] == 0, shape
+        assert ChannelSample(sample.message, sample.groups, sample.seed) == sample
+        assert checked["samples"] == 1
+        checked.clear()
+
+
+@pytest.mark.parametrize(
+    "seed", [[1], (1,), 1.5, -3, True, None],
+    ids=["list", "tuple", "float", "negative", "True", "None"],
+)
+def test_sample_ball_checks_its_seed_before_drawing(monkeypatch, seed):
+    # a list seed would reach random.Random and raise TypeError there
+    def no_draw(*args):
+        pytest.fail(f"a generator was seeded with {seed!r}")
+
+    monkeypatch.setattr(channel, "random", SimpleNamespace(Random=no_draw))
+    p = mk_params(2, 4, 2, 3, "1", 1, 1)
+    z = random_message(random.Random(5), p)
+    with pytest.raises(ValidationError) as caught:
+        sample_ball(z, p, seed)
+    assert str(caught.value) == f"seed must be a non-negative int, got {seed!r}"
 
 
 def test_sampler_draw_keeps_the_budget_and_radii():

@@ -26,6 +26,7 @@ from oracles import (
     reference_read_blocks,
     strand_from_fields,
 )
+from test_channel import DIGEST_SHAPES
 from test_io import bad_input_files
 from test_metrics import benchmark_shaped_code, large_m_code, local_dna_distance
 from test_search import CLI_IN_MODE
@@ -160,22 +161,26 @@ def test_intersect_unknown_carries_reason_but_exits_zero(capsys, tmp_path):
     assert lines[1].startswith("reason: ")
 
 
+def near_copy_pair(p, rng):
+    """A random message and its near copy: each strand with one index bit
+    flipped, to an index neither message uses, and one data bit."""
+    z1 = random_message(rng, p)
+    used = {s.index_bits for s in z1.strands}
+    fields = []
+    for s in z1.strands:
+        while (index := s.index_bits ^ 1 << rng.randrange(p.index_len)) in used:
+            pass
+        used.add(index)
+        fields.append((index, s.data_bits ^ 1 << rng.randrange(p.data_len)))
+    return z1, message_of(p, fields)
+
+
 def test_witness_map_at_m_512_is_pinned(capsys, tmp_path):
     # a near copy at M = 512, on which a first-free greedy leaves strands
     # unmatched: the printed bijection is the one Hopcroft-Karp's
     # augmenting paths pick, and another matching algorithm prints another
     p = mk_params(512, 20, 11, 10, "1", 1, 1)
-    rng = random.Random(3)
-    z1 = random_message(rng, p)
-    used = {s.index_bits for s in z1.strands}
-    fields = []
-    for s in z1.strands:
-        # one index bit flipped, to an index neither message uses, and one data bit
-        while (index := s.index_bits ^ 1 << rng.randrange(p.index_len)) in used:
-            pass
-        used.add(index)
-        fields.append((index, s.data_bits ^ 1 << rng.randrange(p.data_len)))
-    z2 = message_of(p, fields)
+    z1, z2 = near_copy_pair(p, random.Random(3))
     # first-free greedy within (2 e_i, 2 e_d) = (2, 2), the bound at tau = 1
     taken, unmatched = set(), 0
     for a in z1.strands:
@@ -202,6 +207,55 @@ def test_witness_map_at_m_512_is_pinned(capsys, tmp_path):
         "3b2bcefcef21194bb3b583aba6a1f7b87ae774b58de4bdc1283d8ec1063a556b",
         "a83a7a39b67008625bd36d128638e5f4430f47f0d2c48693aedbae9d0a5ee1d8",
     ]
+
+
+def cli_transcript(capsys, tmp_path):
+    """The exit code, stdout, stderr and written files of simulate and
+    member runs over several shapes and seeds, and of verify and
+    min-distance on two M = 512 codes, in one text with the directory
+    named alike in every run."""
+    parts = []
+
+    def call(*argv):
+        status, out, err = invoke(capsys, *map(str, argv))
+        parts.append(f"{argv[0]} exit={status}\n{out}{err}")
+
+    rng = random.Random(113)
+    for shape in DIGEST_SHAPES:
+        p = mk_params(*shape)
+        msg, foreign = tmp_path / "message.txt", tmp_path / "foreign.txt"
+        write_text(msg, [params_header(p), *message_lines(random_message(rng, p))])
+        write_text(foreign, [params_header(p), *message_lines(random_message(rng, p))])
+        for seed in range(3):
+            pool, prov = tmp_path / "pool.txt", tmp_path / "prov.txt"
+            call("simulate", "--message", msg, "--seed", seed, "--out", pool, "--provenance", prov)
+            parts += [pool.read_text(encoding="utf-8"), prov.read_text(encoding="utf-8")]
+            call("member", "--pool", pool, "--message", msg)
+            call("member", "--pool", pool, "--message", foreign)
+            lines = pool.read_text(encoding="utf-8").splitlines()
+            at = rng.randrange(1, len(lines))
+            lines[at] = lines[at][:-1] + ("x" if seed == 1 else "01")
+            write_text(pool, lines)
+            call("member", "--pool", pool, "--message", msg)
+        call("simulate", "--message", msg, "--seed", 7)
+    p = mk_params(512, 20, 11, 10, "1", 1, 1)
+    code = tmp_path / "code.txt"
+    for z in (near_copy_pair(p, random.Random(3)), large_m_code(random.Random(37))):
+        write_text(code, code_lines(z, p))
+        call("verify", "--code", code)
+        call("min-distance", "--code", code)
+    return "".join(parts).replace(str(tmp_path), "<dir>")
+
+
+CLI_DIGEST = "1473adc369ffe548a0fea0795f0fd983c52492afd958367897f83fefba3e2150"
+
+
+def test_cli_output_matches_the_pinned_digest(capsys, tmp_path):
+    # simulate's pool file and sidecar, member's answers and the M = 512
+    # witness lines, byte for byte as the CLI has printed them since each
+    # file token was packed once
+    text = cli_transcript(capsys, tmp_path)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLI_DIGEST
 
 
 def test_oracle_intersect_agrees_with_analytic_answers(capsys, tmp_path):

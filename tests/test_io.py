@@ -1,7 +1,9 @@
 """Text formats: parameter headers, message/code/pool files."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from dnacode.io import (
 from dnacode.channel import ChannelSample, sample_ball
 from dnacode.model import Message, Strand, tau_from_string
 
+from conftest import run_under_python_O
 from oracles import mk_message, mk_params, reference_read_blocks
 
 
@@ -61,16 +64,16 @@ def test_params_header_round_trips_through_a_file(tmp_path):
     p = mk_params(2, 3, 2, 2, "1/2", 1, 0)
     path = tmp_path / "msg.txt"
     write_text(path, [params_header(p)] + message_lines(mk_message(2, "000", "110")))
-    header, block = read_message_file(path)
+    header, block, length = read_message_file(path)
     assert header == {"M": 2, "L": 3, "l": 2, "K": 2, "tau": Fraction(1, 2), "ei": 1, "ed": 0}
-    assert block == ["000", "110"]
+    assert (block, length) == ((0b000, 0b110), 3)
 
 
 def test_message_file_ignores_comments_and_blanks(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# a comment\n\n000\n# another\n110\n\n", encoding="utf-8")
-    _, block = read_message_file(path)
-    assert block == ["000", "110"]
+    _, block, length = read_message_file(path)
+    assert (block, length) == ((0b000, 0b110), 3)
 
 
 def test_message_file_reports_position_of_bad_lines(tmp_path):
@@ -109,7 +112,7 @@ def test_unknown_directive_is_rejected(tmp_path):
 def test_repeated_headers_merge_but_must_agree(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("%params M=1\n%params L=3\n000\n", encoding="utf-8")
-    header, _ = read_message_file(path)
+    header, _, _ = read_message_file(path)
     assert header == {"M": 1, "L": 3}
 
     conflicting = tmp_path / "bad.txt"
@@ -134,9 +137,9 @@ def test_code_file_round_trip(tmp_path):
     code = [mk_message(1, "00"), mk_message(1, "11")]
     path = tmp_path / "code.txt"
     write_text(path, code_lines(code, p))
-    header, blocks = read_code_file(path)
+    header, blocks, length = read_code_file(path)
     assert header["M"] == 1 and header["tau"] == Fraction(1)
-    assert blocks == [["00"], ["11"]]
+    assert (blocks, length) == ([(0b00,), (0b11,)], 2)
 
 
 def _sample_of(reads, length, index_len, seed=0):
@@ -150,8 +153,8 @@ def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
     p = mk_params(1, 2, 1, 3, "1", 1, 0)
     path = tmp_path / "pool.txt"
     write_text(path, sample_lines(_sample_of([0b00, 0b10, 0b00], 2, 1), p)[0])
-    _, block = read_pool_file(path)
-    assert sorted(block) == ["00", "00", "10"]
+    _, counts, length = read_pool_file(path)
+    assert (counts, length) == ({0b00: 2, 0b10: 1}, 2)
 
 
 def test_pool_lines_preserve_the_given_order():
@@ -262,3 +265,133 @@ def test_read_blocks_reports_the_line_a_per_line_reader_reports(tmp_path):
         want = _error(reference_read_blocks, path)
         assert _error(read, path) == want, name
         assert want[0] is FileFormatError, name
+
+
+def _decorated(rng, line):
+    """A line with white space the reader strips: spaces or tabs on
+    either side, or none."""
+    return rng.choice(["", " ", "\t", "  \t"]) + line + rng.choice(["", " ", "\t", " \t "])
+
+
+def random_token_file(rng):
+    """(text, kind) of a random file: one to four blocks of tokens of one
+    length, drawn from a few values so that values repeat, separated by
+    runs of blank lines; comments; and %params lines before, between and
+    after the tokens, some repeated with equal values.  Lines carry
+    spaces and tabs and end in LF or CRLF.  In "bad" files one line at a
+    random place is a bad token or directive, or a header disagrees
+    with the tokens' length."""
+    length = rng.randint(1, 8)
+    values = [rng.randrange(1 << length) for _ in range(rng.randint(1, 5))]
+    headers = [f"%params L={length}", "%params M=3,tau=1/2", "%params K=2", "%params"]
+    lines = []
+    for b in range(rng.randint(1, 4)):
+        if b:
+            lines += [""] * rng.randint(1, 3)
+        for _ in range(rng.randint(1, 6)):
+            while rng.random() < 0.3:
+                lines.append(rng.choice([*headers, "# a comment", "#"]))
+            lines.append(format(rng.choice(values), f"0{length}b"))
+    for _ in range(rng.randint(0, 2)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice([*headers, "# note"]))
+    lines += [""] * rng.randint(0, 2) + rng.sample(["# end", headers[0], ""], rng.randint(0, 3))
+    kind = "good"
+    if rng.random() < 0.5:
+        kind = "bad"
+        spoilt = rng.choice([
+            "0" * length + "x",
+            "1" * (length + 1),
+            "0" * (length - 1) + "2" if length > 1 else "2",
+            "%settings x=1",
+            "%params K=0_2",
+            "%params M=4",
+            f"%params L={length + 1}",
+            "%params bad",
+        ])
+        if spoilt.startswith("%params L="):
+            # alone, it disagrees with the tokens rather than a header
+            lines = [line for line in lines if line != headers[0]]
+        lines.insert(rng.randrange(len(lines) + 1), spoilt)
+    ending = rng.choice(["\n", "\r\n"])
+    return ending.join(_decorated(rng, line) for line in lines) + ending, kind
+
+
+# a fragment of each error text the random files raise
+ERROR_KINDS = [
+    "may contain only 0 and 1",
+    "used above",
+    "unknown directive",
+    "headers disagree",
+    "the header says",
+    "must be a non-negative integer",
+    "expected key=value",
+]
+
+
+def reader_agreement(directory, files=400):
+    """Each random file read by the three file readers and by
+    ``reference_read_blocks``: the disagreements, and how many good and
+    bad files were read."""
+    disagreements = []
+    seen = dict.fromkeys(["good", "bad", "one block", *ERROR_KINDS], 0)
+    rng = random.Random(331)
+    for n in range(files):
+        text, kind = random_token_file(rng)
+        path = Path(directory) / f"file{n}.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            header, blocks = reference_read_blocks(str(path))
+        except ValidationError:
+            want = _error(reference_read_blocks, path)
+            seen["bad"] += 1
+            for what in ERROR_KINDS:
+                seen[what] += what in want[1]
+            for read in (read_message_file, read_code_file, read_pool_file):
+                if _error(read, path) != want:
+                    disagreements.append((n, read.__name__, _error(read, path), want))
+            continue
+        seen["good"] += 1
+        packed = [tuple(int(token, 2) for token in block) for block in blocks]
+        length = len(blocks[0][0]) if blocks else None
+        counts = dict(Counter(value for block in packed for value in block))
+        got = {
+            "code": read_code_file(path),
+            "pool": read_pool_file(path),
+        }
+        want = {"code": (header, packed, length), "pool": (header, counts, length)}
+        if len(blocks) == 1:
+            seen["one block"] += 1
+            got["message"] = read_message_file(path)
+            want["message"] = (header, packed[0], length)
+        elif _error(read_message_file, path)[1] != (
+            f"{path}: expected exactly one message, found {len(blocks)}"
+        ):
+            disagreements.append((n, "message block count"))
+        for reader, result in got.items():
+            if result != want[reader]:
+                disagreements.append((n, reader, result, want[reader]))
+    return disagreements, seen
+
+
+def test_file_readers_agree_with_the_per_line_reader_on_random_files(tmp_path):
+    disagreements, seen = reader_agreement(tmp_path)
+    assert disagreements == []
+    assert min(seen.values()) >= 10, seen
+
+
+OPTIMIZED_READER_AGREEMENT = """
+import sys, tempfile
+from test_io import reader_agreement
+
+if __debug__:
+    raise SystemExit("expected python -O")
+with tempfile.TemporaryDirectory() as directory:
+    disagreements, seen = reader_agreement(directory)
+if disagreements or min(seen.values()) < 10:
+    raise SystemExit(repr((disagreements[:5], seen)))
+"""
+
+
+def test_file_readers_agree_with_the_per_line_reader_under_python_O():
+    done = run_under_python_O(OPTIMIZED_READER_AGREEMENT, timeout=120)
+    assert done.returncode == 0, done.stderr

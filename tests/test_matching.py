@@ -364,8 +364,14 @@ def test_row_kernel_guard_looks_up_only_below_both_sizes():
                 bound = (r1, 1)
                 rows, store = _kernel_rows(left, right, data_len, bound, index_len, None)
                 assert rows == _reference_rows(left, right, data_len, bound)
-                # V(l, r1) < min(M, 2^l): r1 >= l gives V = 2^l and scans
-                looked_up = volume < size and r1 < index_len
+                # V(l, r1) < min(M, 2^l), and a store of M entries and
+                # len(left) * V probes no more than the len(left) * M pairs
+                # of a scan: r1 >= l gives V = 2^l and scans
+                looked_up = (
+                    volume < size
+                    and r1 < index_len
+                    and size + len(left) * volume <= len(left) * size
+                )
                 assert (store is not None) is looked_up, (index_len, r1, size)
                 if looked_up:
                     table = 1 << index_len <= len(left) * volume
@@ -376,6 +382,10 @@ def test_row_kernel_guard_looks_up_only_below_both_sizes():
         rows, store = _kernel_rows(left, right, data_len, (index_len, 1), index_len, None)
         assert store is None
         assert rows == _reference_rows(left, right, data_len, (index_len, 1))
+        # one left strand: its store would cost more than its scan
+        rows, store = _kernel_rows(left[:1], right, data_len, (0, 1), index_len, None)
+        assert store is None
+        assert rows == _reference_rows(left[:1], right, data_len, (0, 1))
     for path in (None, "table", "dict", "scan"):
         assert _kernel_rows([], [5, 6, 9], 2, (1, 1), 2, path)[0] == []
         assert _kernel_rows([5, 6], [], 2, (1, 1), 2, path)[0] == [[], []]
@@ -418,7 +428,7 @@ def test_row_kernel_store_follows_the_probe_count():
         # 2^l slots against len(left) * V(l, r1) probes: a table at
         # equality, a dict one left strand below it, which at r1 = 0
         # (V = 1) leaves one slot more than the probes
-        for index_len, r1, at_equality in [(3, 0, 8), (4, 0, 16), (3, 1, 2)]:
+        for index_len, r1, at_equality in [(3, 0, 8), (4, 0, 16), (7, 1, 16)]:
             assert at_equality * matching._ball_volume(index_len, r1) == 1 << index_len
             right = [(i << data_len) | rng.getrandbits(data_len) for i in range(1 << index_len)]
             for size, want in [(at_equality, "table"), (at_equality - 1, "dict")]:

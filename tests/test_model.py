@@ -441,9 +441,9 @@ def _reference_strands(block, p):
 
 
 def test_cli_message_inputs_match_the_per_strand_reference():
-    """The blocks `verify` (packed by the CLI, then validate_message) and
-    `distance` / `min-distance` (without params) read: 0/1 tokens of one
-    length, as io.read_blocks passes them on."""
+    """The blocks `verify` (validate_message) and `distance` /
+    `min-distance` (without params) read: 0/1 tokens of one length,
+    packed as io.read_blocks passes them on."""
     rng = random.Random(1702)
     cases = 0
     for _ in range(600):
@@ -457,11 +457,14 @@ def test_cli_message_inputs_match_the_per_strand_reference():
         if kind in ("duplicate-index", "duplicate-both"):
             block.append(block[0][:-1] + ("1" if block[0][-1] == "0" else "0"))
         want = _outcome(reference_bare_message, block, index_len)
-        _assert_same_outcomes([_outcome(cli._bare_message, block, index_len)], [want], block)
+        packed = tuple(int(token, 2) for token in block)
+        _assert_same_outcomes(
+            [_outcome(cli._bare_message, packed, length, index_len)], [want], block
+        )
         if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
             p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
             _assert_same_outcomes(
-                [_outcome(cli.validate_message, cli._packed(block), p)],
+                [_outcome(cli.validate_message, packed, p)],
                 [_outcome(reference_validate_message, _reference_strands(block, p), p)],
                 block,
             )

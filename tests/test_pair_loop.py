@@ -315,11 +315,12 @@ def screen_codes(rng, params):
     return [codes[0][:size] for size in (0, 1, 2)] + codes
 
 
-# each shape with whether the row kernel's guard looks its largest code up
+# each shape with whether the row kernel's guard looks its largest code
+# up; a two-codeword code screens one first strand, which is scanned
 SCREEN_SHAPES = (
     [(s, True) for s in SCREEN_PARAMS]
     + [(s, False) for s in SCAN_PARAMS]
-    + [(LARGE_M_PARAMS, True)]
+    + [(LARGE_M_PARAMS, False)]
 )
 
 
