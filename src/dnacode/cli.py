@@ -29,7 +29,6 @@ from .io import (
     Block,
     code_lines,
     merge_headers,
-    message_lines,
     parse_param_items,
     read_code_file,
     read_message_file,
@@ -250,11 +249,6 @@ def _fmt_distance(d: float) -> str:
     return "inf" if math.isinf(d) else str(int(d))
 
 
-def _fmt_message(z: Message) -> str:
-    """``str(z)``, formatted from the packed values."""
-    return "{" + ",".join(message_lines(z)) + "}"
-
-
 def _fmt_bijection(bijection: Bijection) -> str:
     width = f"0{bijection[0][0].length}b"
     return " ".join([f"{x.bits:{width}}->{y.bits:{width}}" for x, y in bijection])
@@ -279,8 +273,8 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
     if verdict.witness is not None:
         za, zb = verdict.witness.pair
         lines += [
-            f"pair A: {_fmt_message(za)}",
-            f"pair B: {_fmt_message(zb)}",
+            f"pair A: {za}",
+            f"pair B: {zb}",
             f"map: {_fmt_bijection(verdict.witness.bijection)}",
         ]
     if verdict.reason is not None:
@@ -303,7 +297,7 @@ def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
     index_len = _resolve(args, {args.code: header}, need=["l"])["l"]
     code = [_bare_message(block, length, index_len) for block in blocks]
     d, (za, zb) = min_dna_distance(code)
-    return [f"D={_fmt_distance(d)}", f"pair A: {_fmt_message(za)}", f"pair B: {_fmt_message(zb)}"]
+    return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
 
 
 def _cmd_intersect(args: argparse.Namespace) -> list[str]:

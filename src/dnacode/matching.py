@@ -347,8 +347,11 @@ def _rows_within(
     # plain loops: a comprehension pays for a frame per row, more than it
     # saves on the short rows and short scans met here
     # V(l, r1) < 2^l exactly when r1 < l, which is the cheaper test
-    volume = _ball_volume(index_len, r1)
-    if r1 < index_len and volume < n_right and n_right + n_left * volume <= n_left * n_right:
+    if (
+        r1 < index_len
+        and (volume := _ball_volume(index_len, r1)) < n_right
+        and n_right + n_left * volume <= n_left * n_right
+    ):
         flips = _flip_masks(index_len, r1)
         store = _index_store(right, data_len, index_len, n_left * len(flips))
         # one loop per store, each with the store's cheapest read

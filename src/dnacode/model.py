@@ -225,7 +225,8 @@ class Message:
         return self.strands[0].data_len
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(s) for s in self.strands) + "}"
+        width = f"0{self.length}b"
+        return "{" + ",".join([format(s.bits, width) for s in self.strands]) + "}"
 
 
 def _check_strand_values(values: Sequence[int], length: int, index_len: int) -> list[int]:
