@@ -95,7 +95,7 @@ RNG_ID = "mt19937"
 @dataclass(frozen=True)
 class ChannelSample:
     """A sampled pool, stored as its grouping: ``groups[j]`` holds the
-    packed reads drawn from ``message.strands[j]``, in draw order.  The
+    packed reads drawn from strand ``message.bits[j]``, in draw order.  The
     seed and RNG identity that drew it come with it."""
 
     message: Message
@@ -223,7 +223,7 @@ def sample_ball(z: Message, params: SystemParams, seed: int) -> ChannelSample:
     _check_seed(seed)
     check_shape(z, params=params)
     rng = random.Random(seed)
-    groups = tuple(tuple(s.bits ^ f for f in _strand_flips(rng, params)) for s in z.strands)
+    groups = tuple(tuple(s ^ f for f in _strand_flips(rng, params)) for s in z.bits)
     if not grouping_fits(groups, z, params):
         raise AssertionError("sampled pool must lie in the ball")
     return _proven_sample(z, groups, seed)
@@ -240,7 +240,7 @@ def read_neighborhood(z: Message, params: SystemParams) -> set[int]:
     data_len = params.data_len
     index_masks = [i << data_len for i in _flip_masks(params.index_len, params.e_i)]
     data_masks = _flip_masks(data_len, params.e_d)
-    return {s.bits ^ i ^ d for s in z.strands for i in index_masks for d in data_masks}
+    return {s ^ i ^ d for s in z.bits for i in index_masks for d in data_masks}
 
 
 def oracle_balls_intersect(
@@ -278,7 +278,7 @@ def oracle_balls_intersect(
     base: Counter[int] = Counter()
     forced = params.k - params.tau_budget
     if forced > 0:
-        for v in {s.bits for s in z1.strands} | {s.bits for s in z2.strands}:
+        for v in set(z1.bits) | set(z2.bits):
             # every strand keeps >= K - floor(tau*K) exact copies, and all
             # reads of a common pool lie in the pruned universe
             if v not in shared:

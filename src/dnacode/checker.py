@@ -24,23 +24,22 @@ from .model import Message, SystemParams
 def grouping_fits(groups: Sequence[Sequence[int]], z: Message, params: SystemParams) -> bool:
     """True iff the groups group a pool into the ball of Z.
 
-    ``groups[j]`` holds the packed reads grouped under ``z.strands[j]``,
+    ``groups[j]`` holds the packed reads grouped under strand ``z.bits[j]``,
     as ``channel.ChannelSample.groups`` does; the pool is the multiset of
     all of them.  The grouping fits exactly when there is one group per
     strand of Z, every group has K reads, at most floor(tau*K) of a
     group's reads differ from its strand, and each such read is a
     length-L word within (e_i, e_d) of its strand.
     """
-    if len(groups) != len(z.strands):
+    if len(groups) != len(z.bits):
         return False
     k, budget = params.k, params.tau_budget
     length, data_len = params.length, params.data_len
     data_mask = (1 << data_len) - 1
     e_i, e_d = params.e_i, params.e_d
-    for s, group in zip(z.strands, groups):
+    for bits, group in zip(z.bits, groups):
         if len(group) != k:
             return False
-        bits = s.bits
         altered = 0
         for read in group:
             if read != bits:

@@ -49,7 +49,6 @@ from .matching import (
     has_perfect_matching,
     match_within,
     near_masks,
-    packed,
 )
 from .metrics import min_dna_distance, pair_leq
 from .model import (
@@ -144,9 +143,12 @@ class PairTest:
         # at high tau a missing bijection proves No when both messages
         # avoid strand pairs within (2e_i, 2e_d), or within (e_i, e_d) for
         # budgets below M*K/(2M-1); avoiding the doubled radius implies
-        # avoiding the single one, so one radius decides either way
+        # avoiding the single one, so one radius decides either way.  The
+        # budget is below budget_bound(params) iff budget*(2M-1) < M*K, as
+        # 2M-1 > 0: decided in ints, with no Fraction built per call
+        m = params.m
         self.below_bound = (
-            self.regime is Regime.HIGH_TAU and params.tau_budget < budget_bound(params)
+            self.regime is Regime.HIGH_TAU and params.tau_budget * (2 * m - 1) < m * params.k
         )
         self.avoid = one_e if self.below_bound else self.two_e
 
@@ -237,7 +239,7 @@ class PairTest:
         """
         if self.regime is Regime.LOW_TAU:
             return lambda i, among: 0
-        bits = [packed(z) for z in messages]
+        bits = [z.bits for z in messages]
         values = sorted({a for strands in bits for a in strands})
         near = near_masks(values, self.data_len, self.bound, self.index_len)
         position = {a: p for p, a in enumerate(values)}
@@ -316,7 +318,7 @@ def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> Intersect
     if z1 == z2:
         return IntersectionResult(Answer.YES, tuple((s, s) for s in z1.strands))
     test = PairTest(params)
-    answer, bij = test.decide(z1, z2, packed(z1), packed(z2))
+    answer, bij = test.decide(z1, z2, z1.bits, z2.bits)
     if answer is Answer.UNKNOWN:
         reason = LOW_TAU_REASON if test.regime is Regime.LOW_TAU else UNPROVED_REASON
         return IntersectionResult(answer, reason=reason)
@@ -349,8 +351,8 @@ class Witness:
         rights = tuple(sorted(y.bits for _, y in self.bijection))
         if (
             shapes != {(z1.length, z1.index_len)}
-            or lefts != packed(z1)
-            or rights != packed(z2)
+            or lefts != z1.bits
+            or rights != z2.bits
         ):
             raise ValidationError("witness bijection must pair the two codewords' strands")
         data_len = z1.data_len
@@ -451,7 +453,7 @@ def _validated_code(
     order is the order of ``sorted(code)``.
     """
     check_shape(*code, params=params)
-    by_bits = {packed(z): z for z in code}
+    by_bits = {z.bits: z for z in code}
     if len(by_bits) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
     bits = sorted(by_bits)

@@ -253,7 +253,7 @@ def params_header(params: SystemParams) -> str:
 def message_lines(msg: Message) -> list[str]:
     """One line per strand, each formatted from its packed value."""
     width = f"0{msg.length}b"
-    return [format(s.bits, width) for s in msg.strands]
+    return [format(b, width) for b in msg.bits]
 
 
 def code_lines(code: Sequence[Message], params: SystemParams) -> list[str]:
@@ -279,8 +279,7 @@ def sample_lines(sample: ChannelSample, params: SystemParams) -> tuple[list[str]
     # a flip mask recurs across strands: format each mask's positions once
     flip_sets: dict[int, str] = {}
     i = 0
-    for s, group in zip(sample.message.strands, sample.groups):
-        bits = s.bits
+    for bits, group in zip(sample.message.bits, sample.groups):
         source = format(bits, width)
         for read in group:
             if read == bits:

@@ -25,7 +25,10 @@ them at K, so each strand has two nodes, its noisy slot and itself.
 
 Strand rows come from one kernel, ``_rows_within``: for each strand of
 one side, the ascending positions of the strands of the other side
-within a bound (r1, r2).  It serves every pair decision (``match_within``),
+within a bound (r1, r2).  Its sides are packed values, a message's
+``bits``, so no strand object is made.  Only the bijection of a Yes
+reads ``Message.strands``: ``bijection_of`` turns a matching into the
+strand pairs that certify it.  The kernel serves every pair decision (``match_within``),
 the code verifier's screen (``codec.PairTest.candidates``), the search's
 neighbourhood table (``near_masks``), ``bijection_graph`` and the value
 edges of the read network.  A strand b is within the
@@ -453,7 +456,7 @@ def has_perfect_matching(rows: Sequence[int]) -> bool:
 def bijection_graph(z1: Message, z2: Message, bound: tuple[int, int]) -> BipartiteGraph:
     """Graph on Z1 x Z2 with an edge iff the split distance is within ``bound``."""
     check_shape(z1, z2)
-    rows = _rows_within(packed(z1), packed(z2), z1.data_len, bound, z1.index_len)
+    rows = _rows_within(z1.bits, z2.bits, z1.data_len, bound, z1.index_len)
     return BipartiteGraph(z1.m, z2.m, tuple(map(tuple, rows)))
 
 
@@ -501,7 +504,7 @@ def bijection_within_or_violator(
     no partner within the bound, the violator is that one strand.
     """
     check_shape(z1, z2)
-    result = match_within(packed(z1), packed(z2), z1.data_len, bound, z1.index_len)
+    result = match_within(z1.bits, z2.bits, z1.data_len, bound, z1.index_len)
     if isinstance(result, HallViolator):
         return result
     return bijection_of(z1, z2, result)
@@ -511,11 +514,6 @@ def bijection_of(z1: Message, z2: Message, match: Sequence[int]) -> Bijection:
     """The strand pairs of a ``match_within`` result on Z1 and Z2."""
     right = z2.strands
     return tuple((x, right[v]) for x, v in zip(z1.strands, match))
-
-
-def packed(z: Message) -> tuple[int, ...]:
-    """The packed values of Z's strands, in canonical order."""
-    return tuple(s.bits for s in z.strands)
 
 
 def exists_bijection_within(
@@ -733,7 +731,7 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
         )
     if pool.size != params.pool_size:
         raise WrongPoolSize(f"pool has {pool.size} reads, expected {params.pool_size}")
-    strands = packed(z)
+    strands = z.bits
     room = [params.k] * z.m
     slack = [params.tau_budget] * z.m
     shared: list[tuple[int, int]] = []
@@ -794,7 +792,7 @@ def _read_network(
     base = 1 + len(values)
     sink = base + 2 * z.m
     net = _FlowNetwork(sink + 1)
-    strands = packed(z)
+    strands = z.bits
     for j in range(z.m):
         noisy = base + 2 * j
         net.add_edge(noisy, noisy + 1, slack[j])

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import DuplicateCodeword, ShapeMismatch, TooFewCodewords
 # bottleneck_bijection stays imported: perfbench/run.py traces metrics.bottleneck_bijection
-from .matching import bottleneck_bijection, bottleneck_value, has_bijection_within, packed
+from .matching import bottleneck_bijection, bottleneck_value, has_bijection_within
 from .model import Message, Strand, check_shape, index_groups, split_popcount
 
 
@@ -108,9 +108,9 @@ def min_dna_distance(
     """
     if len(code) < 2:
         raise TooFewCodewords(f"need at least 2 codewords, got {len(code)}")
-    # this check comes before the shape check, so its key holds the shape:
-    # equal packed strands of two shapes are two distinct codewords
-    if len({(z.length, z.index_len, packed(z)) for z in code}) != len(code):
+    # this check comes before the shape check: equal packed strands of
+    # two shapes are two distinct codewords, as they are unequal messages
+    if len(set(code)) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
     check_shape(*code)
     index_len = code[0].index_len

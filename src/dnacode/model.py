@@ -12,6 +12,11 @@ verification never needs them.
 corruption budget ``floor(tau*K)`` never suffers float rounding at regime
 boundaries such as tau*K == K/2.
 
+A message is its packed strands: ``Message.bits``, the sorted tuple of
+their packed values, and one (length, index_len) shape.  Every reader
+in the package works on ``bits``; the ``Strand`` objects are made only
+when ``Message.strands`` is first read, and kept.
+
 Each input is checked once, where the check is cheapest.  File tokens
 are checked and packed by ``io.read_blocks`` (0/1 only, one length per
 file, each distinct token once); the builders here take packed ints
@@ -20,22 +25,22 @@ bits (an int, not a bool, in range).  A pool of checked reads and
 counts is built by ``_pool_from_counts`` without checking each read
 again.  Messages are built by one private builder,
 ``_message_from_packed``: it runs the count, duplicate-strand and
-duplicate-index checks on the ints and creates the strand and message
-objects without checking each again.  ``validate_message`` and the
-CLI's reader of parameter-less message files build through it.
+duplicate-index checks on the ints and makes the message from the
+sorted ints through ``_unchecked_message``.  ``validate_message`` and
+the CLI's reader of parameter-less message files build through it.
 ``enumerate_space``, whose index fields are distinct by construction,
-makes its strands with the builder's unchecked ``_strand`` and shares
-them among its messages.  The public ``Strand`` and ``Message``
-constructors keep all their checks; ``Message`` runs the builder's
-int-level checks after its shape check.
+calls ``_unchecked_message`` on each pick of one packed strand per
+column.  The public ``Strand`` and ``Message`` constructors keep all
+their checks; ``Message`` runs the builder's int-level checks after its
+shape check.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from functools import total_ordering
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -182,20 +187,25 @@ class Strand:
         return bits_to_string(self.bits, self.length)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Message:
     """A set of strands with pairwise-distinct index fields.
 
-    Strands are stored sorted by packed value, which is the canonical
-    order used everywhere (hashing, golden files, pair iteration).
+    A message is ``bits``, the packed values of its strands sorted
+    ascending, which is the canonical order used everywhere (hashing,
+    golden files, pair iteration), and the one (length, index_len) shape
+    of its strands.  The ``Strand`` objects are made from them only when
+    ``strands`` is first read, and kept.  Equality, order and ``repr``
+    are those of the canonical strand tuple; the message is immutable.
     """
 
-    strands: tuple[Strand, ...]
+    __slots__ = ("bits", "_shape", "_strands", "__weakref__")
+    bits: tuple[int, ...]
+    _shape: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        given = tuple(self.strands)
+    def __init__(self, strands: Iterable[Strand]) -> None:
+        given = tuple(strands)
         ordered = tuple(sorted(given))
-        object.__setattr__(self, "strands", ordered)
         if not ordered:
             raise WrongCount("a message needs at least one strand")
         first = ordered[0]
@@ -206,27 +216,77 @@ class Message:
                     f"strand {s} has shape ({s.length},{s.index_len}), "
                     f"expected ({first.length},{first.index_len})"
                 )
-        _check_strand_values([s.bits for s in given], *shape)
+        _set_bits(self, tuple(_check_strand_values([s.bits for s in given], *shape)))
+        _set_shape(self, shape)
+        _set_strands(self, ordered)
+
+    @property
+    def strands(self) -> tuple[Strand, ...]:
+        """The strands in canonical order, made on first read."""
+        try:
+            return self._strands
+        except AttributeError:
+            length, index_len = self._shape
+            strands = tuple([_strand(b, length, index_len) for b in self.bits])
+            _set_strands(self, strands)
+            return strands
 
     @property
     def m(self) -> int:
-        return len(self.strands)
+        return len(self.bits)
 
     @property
     def length(self) -> int:
-        return self.strands[0].length
+        return self._shape[0]
 
     @property
     def index_len(self) -> int:
-        return self.strands[0].index_len
+        return self._shape[1]
 
     @property
     def data_len(self) -> int:
-        return self.strands[0].data_len
+        return self._shape[0] - self._shape[1]
 
     def __str__(self) -> str:
         width = f"0{self.length}b"
-        return "{" + ",".join([format(s.bits, width) for s in self.strands]) + "}"
+        return "{" + ",".join([format(b, width) for b in self.bits]) + "}"
+
+    def __repr__(self) -> str:
+        return f"Message(strands={self.strands!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self._shape == other._shape
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self._shape))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # strand tuples compare first strands as (bits, length, index_len),
+        # and reach the second strands only when the shapes are equal
+        return (self.bits[0], self._shape, self.bits) < (other.bits[0], other._shape, other.bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the builder: the default path
+        # would restore the slots through the refusing __setattr__
+        return _unchecked_message, (self.bits, self._shape)
+
+
+# the slots are filled through their descriptors: the class's own
+# __setattr__ refuses, and a descriptor's __set__ costs less than
+# object.__setattr__, which looks the name up first
+_set_bits = Message.bits.__set__  # type: ignore[attr-defined]
+_set_shape = Message._shape.__set__  # type: ignore[attr-defined]
+_set_strands = Message._strands.__set__  # type: ignore[attr-defined]
 
 
 def _check_strand_values(values: Sequence[int], length: int, index_len: int) -> list[int]:
@@ -261,16 +321,24 @@ def _message_from_packed(
     fits in ``length`` bits.
 
     With ``m``, a count other than m raises WrongCount first; then come
-    the checks of :class:`Message`, on the ints.  The strands and the
-    message are then created without checking each object again.
+    the checks of :class:`Message`, on the ints.
     """
     if m is not None and len(values) != m:
         raise WrongCount(f"expected {m} strands, got {len(values)}")
     if not values:
         raise WrongCount("a message needs at least one strand")
     return _unchecked_message(
-        tuple(_strand(v, length, index_len) for v in _check_strand_values(values, length, index_len))
+        tuple(_check_strand_values(values, length, index_len)), (length, index_len)
     )
+
+
+def _unchecked_message(bits: tuple[int, ...], shape: tuple[int, int]) -> Message:
+    """The Message of packed strand values that are checked, of the
+    checked shape (length, index_len), and in canonical order."""
+    msg = object.__new__(Message)
+    _set_bits(msg, bits)
+    _set_shape(msg, shape)
+    return msg
 
 
 def _strand(bits: int, length: int, index_len: int) -> Strand:
@@ -283,13 +351,6 @@ def _strand(bits: int, length: int, index_len: int) -> Strand:
     object.__setattr__(s, "length", length)
     object.__setattr__(s, "index_len", index_len)
     return s
-
-
-def _unchecked_message(strands: tuple[Strand, ...]) -> Message:
-    """A Message of strands that are checked and in canonical order."""
-    msg = object.__new__(Message)
-    object.__setattr__(msg, "strands", strands)
-    return msg
 
 
 @dataclass(frozen=True)
@@ -307,11 +368,6 @@ class ReadPool:
             _check_packed(value, self.length, "read")
             norm[value] = norm.get(value, 0) + count
         object.__setattr__(self, "entries", tuple(sorted(norm.items())))
-
-    @classmethod
-    def from_reads(cls, reads: Iterable[int], length: int) -> "ReadPool":
-        """The pool of the given packed reads, counted, through the constructor."""
-        return cls(length, tuple(Counter(reads).items()))
 
     @property
     def size(self) -> int:
@@ -425,7 +481,7 @@ def check_shape(*messages: Message, params: SystemParams | None = None) -> None:
     Raises ShapeMismatch when two messages disagree with each other, and
     ParamMismatch when their common shape disagrees with ``params``.
     """
-    shapes = [(z.m, z.length, z.index_len) for z in messages]
+    shapes = [(len(z.bits), *z._shape) for z in messages]
     for shape in shapes[1:]:
         if shape != shapes[0]:
             raise ShapeMismatch(
@@ -476,8 +532,8 @@ def index_groups(msg: Message) -> dict[int, list[int]]:
     data_len = msg.data_len
     mask = (1 << data_len) - 1
     groups: dict[int, list[int]] = {}
-    for s in msg.strands:
-        groups.setdefault(s.bits & mask, []).append(s.bits >> data_len)
+    for b in msg.bits:
+        groups.setdefault(b & mask, []).append(b >> data_len)
     return groups
 
 
@@ -490,8 +546,8 @@ def in_restricted_space(msg: Message, r1: int, r2: int) -> bool:
     """True iff no two strands are simultaneously within r1 index bits and r2 data bits."""
     data_len = msg.data_len
     return not any(
-        (d := split_popcount(x.bits ^ y.bits, data_len))[0] <= r1 and d[1] <= r2
-        for x, y in combinations(msg.strands, 2)
+        (d := split_popcount(x ^ y, data_len))[0] <= r1 and d[1] <= r2
+        for x, y in combinations(msg.bits, 2)
     )
 
 
@@ -513,23 +569,20 @@ def enumerate_space(
 
     With ``restrict=(r1, r2)`` only messages of the restricted space pass.
     The (unfiltered) space size is checked against ``cap`` up front.
-    Each index-field set builds its M columns of 2^(L-l) strands once,
-    and its messages are the product of those columns, sharing the
-    strand objects.
+    Each index-field set builds its M columns of 2^(L-l) packed strands
+    once, and its messages are the product of those columns.
     """
     count = space_size(params)
     if count > cap:
         raise SpaceTooLarge(count, cap, what="message space")
-    length, index_len, data_len = params.length, params.index_len, params.data_len
+    shape = (params.length, params.index_len)
+    data_len = params.data_len
     data_values = range(1 << data_len)
-    for index_combo in combinations(range(1 << index_len), params.m):
+    for index_combo in combinations(range(1 << params.index_len), params.m):
         # the index fields are distinct and ascending, so every product of
         # the columns is a message in canonical order
-        columns = [
-            [_strand(ind << data_len | dat, length, index_len) for dat in data_values]
-            for ind in index_combo
-        ]
-        for strands in product(*columns):
-            msg = _unchecked_message(strands)
+        columns = [[ind << data_len | dat for dat in data_values] for ind in index_combo]
+        for bits in product(*columns):
+            msg = _unchecked_message(bits, shape)
             if restrict is None or in_restricted_space(msg, *restrict):
                 yield msg

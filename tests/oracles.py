@@ -25,7 +25,10 @@ shares no code with ``dnacode.matching``.  The input references at the
 end build messages one checked ``Strand`` at a time and run the message
 checks on those objects, and read files one checked line at a time: the
 per-object paths the library's packed-value builder and block checks
-replace.  ``max_matching`` is no oracle: it runs the library's
+replace.  ``SnapshotMessage`` is a message as the frozen dataclass over
+its tuple of ``Strand`` objects that ``Message`` was before it held
+packed values, and ``reference_pool`` counts reads into the checked
+``ReadPool`` constructor.  ``max_matching`` is no oracle: it runs the library's
 Hopcroft-Karp on a ``BipartiteGraph`` for the tests to check.
 """
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable, Optional, Sequence, Union
@@ -727,12 +731,11 @@ def random_same_ms_pair(rng: random.Random, params: SystemParams) -> tuple[Messa
     return z1, z2
 
 
-def reference_message(strands: Sequence[Strand]) -> Message:
-    """The message of these strands, after the checks run on the strand
-    objects: at least one strand, one shape, then every repeated strand
-    (first repeat in the given order) before any shared index field
-    (first pair in sorted order)."""
-    given = tuple(strands)
+def _checked_strand_tuple(given: tuple[Strand, ...]) -> tuple[Strand, ...]:
+    """The strands of ``given`` in canonical order, after the checks run
+    on the strand objects: at least one strand, one shape, then every
+    repeated strand (first repeat in the given order) before any shared
+    index field (first pair in sorted order)."""
     ordered = tuple(sorted(given))
     if not ordered:
         raise WrongCount("a message needs at least one strand")
@@ -757,7 +760,47 @@ def reference_message(strands: Sequence[Strand]) -> Message:
                 f"{format(index, f'0{s.index_len}b')}"
             )
         by_index[index] = s
+    return ordered
+
+
+def reference_message(strands: Sequence[Strand]) -> Message:
+    """The message of these strands, after ``_checked_strand_tuple``'s
+    checks on the strand objects."""
+    given = tuple(strands)
+    _checked_strand_tuple(given)
     return Message(given)
+
+
+@dataclass(frozen=True, order=True)
+class SnapshotMessage:
+    """A message as a frozen dataclass over its canonical tuple of
+    ``Strand`` objects, checked on those objects: the representation
+    ``Message`` had before it held packed values, whose equality,
+    hashing, order, text and errors it keeps."""
+
+    strands: tuple[Strand, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "strands", _checked_strand_tuple(tuple(self.strands)))
+
+    @property
+    def m(self) -> int:
+        return len(self.strands)
+
+    @property
+    def length(self) -> int:
+        return self.strands[0].length
+
+    @property
+    def index_len(self) -> int:
+        return self.strands[0].index_len
+
+    @property
+    def data_len(self) -> int:
+        return self.strands[0].data_len
+
+    def __str__(self) -> str:
+        return "{" + ",".join(str(s) for s in self.strands) + "}"
 
 
 def reference_validate_message(raw: Sequence[Union[int, Strand]], params: SystemParams) -> Message:
@@ -801,6 +844,12 @@ def reference_enumerate_space(
             msg = reference_message(strands)
             if restrict is None or in_restricted_space(msg, *restrict):
                 yield msg
+
+
+def reference_pool(reads: Iterable[int], length: int) -> ReadPool:
+    """The pool of the given packed reads, counted, through the checked
+    ``ReadPool`` constructor: the tests' pool builder."""
+    return ReadPool(length, tuple(Counter(reads).items()))
 
 
 def reference_read_blocks(path: str) -> tuple[dict, list[list[str]]]:

@@ -38,7 +38,6 @@ from dnacode.matching import (
     exists_bijection_within,
 )
 from dnacode.metrics import pair_leq, split_distance
-from dnacode.model import ReadPool
 
 from conftest import ACCEPTANCE_RESULTS
 from oracles import (
@@ -53,6 +52,7 @@ from oracles import (
     random_graph,
     random_message,
     random_same_ms_pair,
+    reference_pool,
 )
 
 
@@ -269,7 +269,7 @@ def test_criterion_6_matching_and_flow_oracles():
                 else rng.choice(z.strands).bits
                 for _ in range(m * k)
             ]
-            pool = ReadPool.from_reads(reads, length)
+            pool = reference_pool(reads, length)
             assert assignment_feasible(pool, z, params) == oracle_assignment_feasible(
                 pool, z, params
             )

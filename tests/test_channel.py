@@ -16,7 +16,6 @@ from dnacode import (
     ChannelSample,
     Regime,
     Message,
-    ReadPool,
     ShapeMismatch,
     SpaceTooLarge,
     Strand,
@@ -40,6 +39,7 @@ from oracles import (
     mk_params,
     random_message,
     reference_balls_intersect,
+    reference_pool,
     reference_pools,
     reference_sample_ball,
     reference_sample_lines,
@@ -172,7 +172,7 @@ def test_sample_builds_its_pool_once_on_first_use(monkeypatch):
             assert sample.pool is sample.pool
             assert calls["built"] == 1
             reads = [r for group in sample.groups for r in group]
-            assert sample.pool == ReadPool.from_reads(reads, p.length)
+            assert sample.pool == reference_pool(reads, p.length)
 
 
 def test_sampler_builds_a_sample_the_constructor_accepts(monkeypatch):
@@ -532,8 +532,8 @@ def test_sampler_draws_the_reference_stream_under_python_O():
 def test_ball_membership_examples():
     p = small_params(m=1, length=2, index_len=1, k=2, tau="1", e_i=1, e_d=0)
     z = mk_message(1, "00")
-    assert in_ball(ReadPool.from_reads([0b00, 0b10], 2), z, p)
-    assert not in_ball(ReadPool.from_reads([0b00, 0b01], 2), z, p)
+    assert in_ball(reference_pool([0b00, 0b10], 2), z, p)
+    assert not in_ball(reference_pool([0b00, 0b01], 2), z, p)
 
 
 def test_read_neighborhood_contents():

@@ -8,11 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from dnacode import ReadPool, in_ball, sample_ball
+from dnacode import in_ball, sample_ball
 from dnacode import checker
 from dnacode.checker import grouping_fits
 
-from oracles import flip_positions, mk_params, oracle_assignment_feasible, random_message
+from oracles import (
+    flip_positions,
+    mk_params,
+    oracle_assignment_feasible,
+    random_message,
+    reference_pool,
+)
 from test_channel import _sampler_cases
 
 
@@ -139,7 +145,7 @@ def test_checker_is_sound_against_the_partition_search():
                 rejected += 1
                 continue
             accepted += 1
-            pool = ReadPool.from_reads([r for group in groups for r in group], p.length)
+            pool = reference_pool([r for group in groups for r in group], p.length)
             assert oracle_assignment_feasible(pool, z, p), (p, z, groups)
     assert shapes > 500
     assert accepted > 500 and rejected > 500

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dnacode
-from dnacode import Message, ValidationError, sample_ball
+from dnacode import Message, Strand, ValidationError, model, sample_ball, validate_message
 from dnacode.cli import run
 from dnacode.io import code_lines, message_lines, params_header, write_text
 from dnacode.model import bits_to_string, split_popcount
@@ -704,3 +704,56 @@ def test_simulate_accepts_seed_zero(capsys, tmp_path):
                           "--provenance", str(prov))
     assert code == 0 and out.splitlines()[0].startswith("%params")
     assert prov.read_text(encoding="utf-8").startswith("# seed=0 rng=mt19937\n")
+
+
+def _made_strands(monkeypatch):
+    """The packed values of the Strand objects made from now on: a Strand
+    is made by its checked constructor or by ``model._strand``, which
+    ``Message.strands`` calls on first read."""
+    made = []
+    unchecked, check = model._strand, Strand.__post_init__
+
+    def counted_unchecked(bits, length, index_len):
+        made.append(bits)
+        return unchecked(bits, length, index_len)
+
+    def counted_check(self):
+        made.append(self.bits)
+        check(self)
+
+    monkeypatch.setattr(model, "_strand", counted_unchecked)
+    monkeypatch.setattr(Strand, "__post_init__", counted_check)
+    return made
+
+
+def test_cli_makes_strand_objects_only_for_a_witness(capsys, tmp_path, monkeypatch):
+    p = mk_params(8, 16, 8, 4, "1", 1, 1)
+    rng = random.Random(3403)
+    code = [random_message(rng, p) for _ in range(40)]
+    near = near_copy_pair(p, rng)
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    msg, pool = tmp_path / "message.txt", tmp_path / "pool.txt"
+    write_text(good, code_lines(code, p))
+    write_text(bad, code_lines(near, p))
+    write_text(msg, [params_header(p), *message_lines(code[0])])
+    made = _made_strands(monkeypatch)
+    # the count sees both ways a Strand is made
+    z = random_message(rng, p)
+    assert len(made) == p.m
+    assert validate_message(z.bits, p).strands == z.strands
+    assert len(made) == 2 * p.m
+    made.clear()
+    for argv, first in [
+        (["verify", "--code", good], "CORRECTING"),
+        (["min-distance", "--code", good], "D="),
+        (["simulate", "--message", msg, "--seed", 5, "--out", pool], "OK"),
+        (["member", "--pool", pool, "--message", msg], "YES"),
+    ]:
+        status, out, _ = invoke(capsys, *map(str, argv))
+        assert status == 0 and out.startswith(first), argv
+        assert made == [], argv
+    status, out, _ = invoke(capsys, "verify", "--code", str(bad))
+    assert status == 0 and out.startswith("NOT_CORRECTING")
+    pair = out.splitlines()[2:4]
+    witness = {int(t, 2) for line in pair for t in line.split(": ")[1].strip("{}").split(",")}
+    assert len(made) <= 2 * p.m and set(made) <= witness

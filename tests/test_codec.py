@@ -17,6 +17,7 @@ from dnacode import (
     Regime,
     RegimeTag,
     ShapeMismatch,
+    SystemParams,
     ValidationError,
     Verdict,
     VerdictKind,
@@ -34,7 +35,13 @@ from dnacode import (
 )
 from dnacode import matching
 from dnacode.cli import run
-from dnacode.codec import ED0_MIXED_REASON, LOW_TAU_REASON, UNPROVED_REASON, _validated_code
+from dnacode.codec import (
+    ED0_MIXED_REASON,
+    LOW_TAU_REASON,
+    UNPROVED_REASON,
+    PairTest,
+    _validated_code,
+)
 from dnacode.io import code_lines, write_text
 from dnacode.metrics import min_dna_distance, pair_leq, split_distance
 from dnacode.model import Strand
@@ -72,6 +79,17 @@ def test_budget_bound_is_exact():
     # budget 2 is NOT strictly below 6/3 = 2: the one-e converse is off
     p = mk_params(2, 3, 2, 3, "2/3", 1, 0)
     assert not p.tau_budget < budget_bound(p)
+
+
+def test_pair_test_decides_the_budget_bound_in_ints():
+    """``PairTest.below_bound`` compares budget*(2M-1) with M*K; it must
+    agree with the exact rational ``budget < budget_bound`` everywhere."""
+    for m in range(1, 65):
+        for k in range(1, 65):
+            for budget in range(1, k + 1):
+                p = SystemParams(m, 7, 6, k, Fraction(budget, k), 0, 0)
+                want = classify_regime(p) is Regime.HIGH_TAU and budget < budget_bound(p)
+                assert PairTest(p).below_bound is want, (m, k, budget)
 
 
 def test_regime_tag_flags_only_in_high_tau():
@@ -592,4 +610,4 @@ def test_validated_code_keeps_the_order_of_sorted_codewords():
         rng.shuffle(code)
         codewords, bits = _validated_code(code, p)
         assert codewords == tuple(sorted(code))
-        assert bits == [matching.packed(z) for z in codewords]
+        assert bits == [z.bits for z in codewords]

@@ -16,7 +16,6 @@ from dnacode import (
     HallViolator,
     Message,
     PerfectMatching,
-    ReadPool,
     ShapeMismatch,
     SizeMismatch,
     ValidationError,
@@ -55,6 +54,7 @@ from oracles import (
     oracle_max_matching_size,
     random_graph,
     random_message,
+    reference_pool,
     reference_read_network,
     reference_space,
     scipy_has_perfect_matching,
@@ -133,7 +133,7 @@ def _chain_pool(n):
     z = Message(tuple(strand_from_fields(j, d, 64, 11) for j, d in enumerate(walk)))
     odd = strand_from_fields(n, walk[0] ^ 1 << 52, 64, 11)
     reads = [s.bits for s in z.strands[1:]] + [odd.bits]
-    return p, z, ReadPool.from_reads(reads, 64)
+    return p, z, reference_pool(reads, 64)
 
 
 def test_read_network_takes_a_1000_strand_augmenting_path(capsys, tmp_path):
@@ -730,19 +730,19 @@ def assignment_params():
 def test_assignment_examples():
     p = assignment_params()
     z = mk_message(1, "00")
-    assert assignment_feasible(ReadPool.from_reads([0b00, 0b10], 2), z, p)
-    assert not assignment_feasible(ReadPool.from_reads([0b00, 0b01], 2), z, p)
+    assert assignment_feasible(reference_pool([0b00, 0b10], 2), z, p)
+    assert not assignment_feasible(reference_pool([0b00, 0b01], 2), z, p)
     half = mk_params(1, 2, 1, 2, "1/2", 1, 0)
-    assert not assignment_feasible(ReadPool.from_reads([0b10, 0b10], 2), z, half)
+    assert not assignment_feasible(reference_pool([0b10, 0b10], 2), z, half)
 
 
 def test_assignment_errors():
     p = assignment_params()
     z = mk_message(1, "00")
     with pytest.raises(WrongPoolSize):
-        assignment_feasible(ReadPool.from_reads([0b00], 2), z, p)
+        assignment_feasible(reference_pool([0b00], 2), z, p)
     with pytest.raises(ShapeMismatch):
-        assignment_feasible(ReadPool.from_reads([0b000, 0b000], 3), z, p)
+        assignment_feasible(reference_pool([0b000, 0b000], 3), z, p)
 
 
 def test_assignment_random_agreement_with_oracle():
@@ -764,7 +764,7 @@ def test_assignment_random_agreement_with_oracle():
             rng.randrange(1 << L) if rng.random() < 0.5 else rng.choice(z.strands).bits
             for _ in range(m * k)
         ]
-        pool = ReadPool.from_reads(reads, L)
+        pool = reference_pool(reads, L)
         assert assignment_feasible(pool, z, p) == oracle_assignment_feasible(pool, z, p)
         checked += 1
 
@@ -776,7 +776,7 @@ def test_assignment_budget_monotone():
         p_hi = mk_params(2, 3, 1, 2, "1", 1, 1)
         z = random_message(rng, p_lo)
         reads = [rng.randrange(8) for _ in range(4)]
-        pool = ReadPool.from_reads(reads, 3)
+        pool = reference_pool(reads, 3)
         if assignment_feasible(pool, z, p_lo):
             assert assignment_feasible(pool, z, p_hi)
 
@@ -854,7 +854,7 @@ def _scale_pools(rng, p, seed):
     shared = list(reads)
     shared[slot] = mid
     pools.append(("shared read", shared, True))
-    return z, a, b, mid, [(name, ReadPool.from_reads(r, p.length), want) for name, r, want in pools]
+    return z, a, b, mid, [(name, reference_pool(r, p.length), want) for name, r, want in pools]
 
 
 class _RecordingNetwork(matching._FlowNetwork):
@@ -1012,7 +1012,7 @@ def test_peel_agrees_with_oracle_on_exhaustive_small_shapes(tau):
         for e in [(1, 0), (0, 1), (1, 1)]:
             p = mk_params(m, length, index_len, k, f"1/{k + 1}" if tau == "below 1/K" else tau, *e)
             pools = [
-                ReadPool.from_reads(reads, length)
+                reference_pool(reads, length)
                 for reads in combinations_with_replacement(range(1 << length), p.pool_size)
             ]
             for z in reference_space(p):
@@ -1039,17 +1039,17 @@ def test_forced_reads_need_no_flow_network():
     z = mk_message(3, "0000", "1110")
     no_network = mock.Mock(side_effect=AssertionError("built a flow network"))
     with mock.patch.object(matching, "_FlowNetwork", no_network):
-        assert assignment_feasible(ReadPool.from_reads([0b0000, 0b0010, 0b1110, 0b1110], 4), z, p)
+        assert assignment_feasible(reference_pool([0b0000, 0b0010, 0b1110, 0b1110], 4), z, p)
         # forced exact copies above K, and forced noisy copies above
         # floor(tau*K) = 1
-        assert not assignment_feasible(ReadPool.from_reads([0b0000] * 3 + [0b1110], 4), z, p)
-        assert not assignment_feasible(ReadPool.from_reads([0b0010, 0b0010, 0b1110, 0b1110], 4), z, p)
+        assert not assignment_feasible(reference_pool([0b0000] * 3 + [0b1110], 4), z, p)
+        assert not assignment_feasible(reference_pool([0b0010, 0b0010, 0b1110, 0b1110], 4), z, p)
         # a read with no candidate strand
-        assert not assignment_feasible(ReadPool.from_reads([0b0001, 0b0000, 0b1110, 0b1110], 4), z, p)
+        assert not assignment_feasible(reference_pool([0b0001, 0b0000, 0b1110, 0b1110], 4), z, p)
     # with the index fields 000 and 011, the read 0010 is within (1, 0) of
     # both strands, so the flow decides it, over a network of that one read
     z = mk_message(3, "0000", "0110")
-    shared = ReadPool.from_reads([0b0000, 0b0010, 0b0110, 0b0110], 4)
+    shared = reference_pool([0b0000, 0b0010, 0b0110, 0b0110], 4)
     with mock.patch.object(matching, "_FlowNetwork", wraps=matching._FlowNetwork) as network:
         assert assignment_feasible(shared, z, p)
     network.assert_called_once_with(1 + 1 + 2 * 2 + 1)
@@ -1074,7 +1074,7 @@ def test_assignment_never_enumerates_an_index_ball_larger_than_m():
                 rng.randrange(1 << 64) if rng.random() < 0.3 else rng.choice(z.strands).bits
                 for _ in range(p.pool_size)
             ]
-            for pool in (sample_ball(z, p, seed).pool, ReadPool.from_reads(reads, 64)):
+            for pool in (sample_ball(z, p, seed).pool, reference_pool(reads, 64)):
                 assert assignment_feasible(pool, z, p) == oracle_assignment_feasible(pool, z, p)
 
 

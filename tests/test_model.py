@@ -1,6 +1,9 @@
 """Strand/message/parameter model: packing, validation, enumeration."""
 
+import copy
+import pickle
 import random
+import weakref
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -35,14 +38,16 @@ from dnacode import (
     validate_message,
 )
 from dnacode import cli
-from dnacode.model import bits_from_string, bits_to_string
+from dnacode.model import _message_from_packed, bits_from_string, bits_to_string
 
 from oracles import (
+    SnapshotMessage,
     mk_message,
     mk_params,
     random_message,
     reference_bare_message,
     reference_enumerate_space,
+    reference_pool,
     reference_space,
     reference_validate_message,
     strand_from_fields,
@@ -155,7 +160,7 @@ def test_validate_message_takes_a_one_shot_iterable():
 
 
 SHAPE_PARAMS = mk_params(2, 3, 2, 2, 1, 1, 0)
-SHAPE_POOL = ReadPool.from_reads([0b000, 0b000, 0b110, 0b110], 3)
+SHAPE_POOL = reference_pool([0b000, 0b000, 0b110, 0b110], 3)
 SHAPE_CALLS = {
     "balls_intersect": lambda zs: balls_intersect(*zs, SHAPE_PARAMS),
     "is_dna_correcting": lambda zs: is_dna_correcting(zs, SHAPE_PARAMS),
@@ -189,10 +194,10 @@ def test_shape_rule(name, case):
 
 
 def test_read_pool_is_a_sorted_multiset():
-    pool = ReadPool.from_reads([0b11, 0b00, 0b11], 2)
+    pool = reference_pool([0b11, 0b00, 0b11], 2)
     assert pool.entries == ((0, 1), (3, 2))
     assert pool.size == 3
-    assert pool == ReadPool.from_reads([3, 3, 0], 2)
+    assert pool == reference_pool([3, 3, 0], 2)
     assert pool == ReadPool(2, ((3, 1), (0, 1), (3, 1)))
 
 
@@ -203,19 +208,19 @@ def test_read_pool_checks_each_value_and_count():
         with pytest.raises(WrongLength, match=f"^read {bad} does not fit in 2 bits$"):
             ReadPool(2, tuple((r, 1) for r in reads))
         with pytest.raises(WrongLength, match=f"^read {bad} does not fit in 2 bits$"):
-            ReadPool.from_reads(reads, 2)
+            reference_pool(reads, 2)
     # a value that is not an int, e.g. an unpacked file token
     for value in (1.0, True, "01", None):
         with pytest.raises(ValidationError, match="read must be an int") as caught:
             ReadPool(2, ((0, 1), (value, 2)))
         assert type(caught.value) is ValidationError
         with pytest.raises(ValidationError, match="read must be an int"):
-            ReadPool.from_reads([0, value], 2)
+            reference_pool([0, value], 2)
     # a count that is not a positive int; an empty pool is a pool
     for count in (0, -1, 1.5, 0.5, True, "1"):
         with pytest.raises(ValidationError, match="multiplicity must be a positive int"):
             ReadPool(3, ((0, 1), (1, count)))
-    assert ReadPool.from_reads([], 3).size == 0
+    assert reference_pool([], 3).size == 0
 
 
 def test_system_params_validation():
@@ -493,3 +498,126 @@ def test_enumerate_space_matches_the_per_strand_reference(params, restrict):
     got = list(enumerate_space(params, restrict))
     want = list(reference_enumerate_space(params, restrict))
     _assert_same_outcomes(got, want, (params, restrict))
+
+
+# two shapes share L = 4, so equal packed values of two shapes come up
+_SNAPSHOT_SHAPES = [(4, 2), (4, 1), (3, 1)]
+
+
+def _random_strands(rng, length, index_len):
+    """The strands of a valid message of this shape, in random order."""
+    m = rng.randint(1, min(3, 1 << index_len))
+    data_len = length - index_len
+    return [
+        Strand(i << data_len | rng.randrange(1 << data_len), length, index_len)
+        for i in rng.sample(range(1 << index_len), m)
+    ]
+
+
+def _snapshot_repr(old):
+    """The repr of a SnapshotMessage, under the class name it had as Message."""
+    return "Message" + repr(old).removeprefix(type(old).__name__)
+
+
+def _same_object_semantics(new, old):
+    """Text, fields, strands, immutability, copies and weak references."""
+    assert (str(new), repr(new)) == (str(old), _snapshot_repr(old))
+    fields = ("m", "length", "index_len", "data_len", "strands")
+    assert [getattr(new, f) for f in fields] == [getattr(old, f) for f in fields]
+    assert all(type(s) is Strand for s in new.strands)
+    for name in ("strands", "bits", "m", "other"):
+        assert _outcome(setattr, new, name, 1) == _outcome(setattr, old, name, 1)
+        assert _outcome(delattr, new, name) == _outcome(delattr, old, name)
+    for twin in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+        assert type(twin) is Message
+        assert twin == new and hash(twin) == hash(new) and repr(twin) == repr(new)
+    assert weakref.ref(new)() is new
+    assert (new == 0, new != 0) == (old == 0, old != 0)
+    assert _outcome(lambda: new < 0)[0] is _outcome(lambda: old < 0)[0] is TypeError
+
+
+def test_message_keeps_the_semantics_of_the_strand_tuple_dataclass():
+    """The packed message against the frozen dataclass over Strand
+    tuples it replaced, on random messages of three shapes."""
+    rng = random.Random(3401)
+    new, old = [], []
+    for _ in range(150):
+        raw = _random_strands(rng, *rng.choice(_SNAPSHOT_SHAPES))
+        a, b = Message(raw), SnapshotMessage(raw)
+        # the public constructor keeps the given strand objects, sorted
+        assert [id(s) for s in a.strands] == [id(s) for s in b.strands]
+        _same_object_semantics(a, b)
+        # a message built from ints makes its strands on first read, once
+        packed = _message_from_packed(tuple(s.bits for s in raw), a.length, a.index_len)
+        assert packed.strands is packed.strands
+        _same_object_semantics(packed, b)
+        new.append(rng.choice([a, packed]))
+        old.append(b)
+    shapes = {(z.length, z.index_len) for z in new}
+    assert len(shapes) == len(_SNAPSHOT_SHAPES)
+    equal = 0
+    for i in range(len(new)):
+        for j in range(len(new)):
+            a, b = new[i], new[j]
+            ops = (a == b, a != b, a < b, a <= b, a > b, a >= b)
+            x, y = old[i], old[j]
+            assert ops == (x == y, x != y, x < y, x <= y, x > y, x >= y), (x, y)
+            if a == b:
+                assert hash(a) == hash(b)
+                equal += i != j
+    assert equal > 0
+    order = list(range(len(new)))
+    rng.shuffle(order)
+    assert sorted(order, key=new.__getitem__) == sorted(order, key=old.__getitem__)
+
+
+def test_message_constructor_errors_match_the_strand_tuple_dataclass():
+    """Every error of ``Message(strands)``, and its precedence, as the
+    frozen dataclass over Strand tuples raised it."""
+    rng = random.Random(3402)
+    raised = set()
+    for _ in range(800):
+        length, index_len = rng.choice(_SNAPSHOT_SHAPES)
+        raw = _random_strands(rng, length, index_len)
+        for _ in range(rng.randint(0, 2)):
+            spoil = rng.choice(["repeat", "index", "shape", "drop", "other", "empty"])
+            strands = [i for i, s in enumerate(raw) if isinstance(s, Strand)]
+            if not strands or spoil == "empty":
+                raw = []
+                continue
+            at = rng.choice(strands)
+            if spoil == "repeat":
+                raw.insert(rng.randrange(len(raw) + 1), raw[at])
+            elif spoil == "index":
+                raw.append(Strand(raw[at].bits ^ 1, length, index_len))
+            elif spoil == "shape":
+                other = rng.choice([s for s in _SNAPSHOT_SHAPES if s != (length, index_len)])
+                raw[at] = Strand(raw[at].bits % (1 << other[0]), *other)
+            elif spoil == "drop":
+                del raw[at]
+            else:
+                raw[at] = rng.choice([raw[at].bits, None, str(raw[at])])
+        source = rng.choice([list, tuple, iter])
+        got = _outcome(Message, source(raw))
+        want = _outcome(SnapshotMessage, source(raw))
+        if isinstance(want, tuple):
+            assert got == want, raw
+            raised.add(want[0])
+        else:
+            assert isinstance(got, Message), raw
+            _same_object_semantics(got, want)
+    kinds = {WrongCount, ShapeMismatch, DuplicateStrand, DuplicateIndex, TypeError, AttributeError}
+    assert raised == kinds
+
+
+@pytest.mark.parametrize("params, restrict", SMALL_SPACES)
+def test_constructor_builder_and_enumeration_give_equal_messages(params, restrict):
+    length, index_len = params.length, params.index_len
+    for z in enumerate_space(params, restrict):
+        backwards = z.bits[::-1]
+        public = Message([Strand(b, length, index_len) for b in backwards])
+        built = _message_from_packed(backwards, length, index_len, params.m)
+        for other in (public, built):
+            assert other == z and hash(other) == hash(z) and not other < z
+            assert other.bits == z.bits and other.strands == z.strands
+        assert repr(z) == _snapshot_repr(SnapshotMessage(public.strands))

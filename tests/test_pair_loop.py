@@ -38,7 +38,6 @@ from dnacode import (
 from dnacode import codec
 from dnacode.codec import PairTest
 from dnacode.io import code_lines, write_text
-from dnacode.matching import packed
 
 from oracles import (
     is_real_violator,
@@ -334,7 +333,7 @@ def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
     bound = yes_bound(params)
     kept = 0
     for code in screen_codes(random.Random(str(shape)), params):
-        bits = [packed(z) for z in code]
+        bits = [z.bits for z in code]
         want = [
             (i, j)
             for i, j in combinations(range(len(code)), 2)
@@ -459,7 +458,7 @@ def screen_class(x, y, params, bound):
 def test_no_row_screens_drop_only_no_pairs(shape):
     params = mk_params(*shape)
     messages = tuple(enumerate_space(params))
-    bits = [packed(z) for z in messages]
+    bits = [z.bits for z in messages]
     test = PairTest(params)
     n = len(messages)
     answer = {}
@@ -485,7 +484,7 @@ def test_no_row_screens_drop_only_no_pairs(shape):
 def test_greedy_matches_only_pairs_both_screens_pass(monkeypatch):
     params = mk_params(3, 4, 2, 2, "1", 1, 0)
     messages = tuple(enumerate_space(params))
-    bits = [packed(z) for z in messages]
+    bits = [z.bits for z in messages]
     bound = PairTest(params).bound
     asked = []  # (i, j) for every pair a row was asked to decide
     matchings = 0
