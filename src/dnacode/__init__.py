@@ -58,7 +58,6 @@ from .matching import (
     assignment_feasible,
     bijection_within_or_violator,
     bottleneck_bijection,
-    exists_bijection_within,
     perfect_matching_or_violator,
 )
 from .metrics import (

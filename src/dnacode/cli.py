@@ -39,6 +39,7 @@ from .io import (
 )
 from .matching import Bijection
 from .metrics import dna_distance, min_dna_distance
+# validate_message stays imported: perfbench/run.py traces cli.validate_message
 from .model import (
     DEFAULT_SPACE_CAP,
     Message,
@@ -50,9 +51,6 @@ from .model import (
     validate_message,
 )
 from .search import SearchRow, Strategy, run_search
-
-def main() -> int:
-    return run()
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -221,28 +219,34 @@ def _check_token_length(path: str, token_len: Optional[int], length: int) -> Non
         raise FileFormatError(message, path=path)
 
 
-def _message(path: str, block: Block, length: int, params: SystemParams) -> Message:
-    """The message of a block of packed tokens ``length`` bits wide."""
-    _check_token_length(path, length, params.length)
-    return validate_message(block, params)
+def _message(
+    path: str,
+    block: Block,
+    length: int,
+    index_len: int,
+    m: Optional[int] = None,
+    L: Optional[int] = None,
+) -> Message:
+    """The message of a block that ``io.read_blocks`` has checked: its
+    values are packed from non-empty 0/1 tokens ``length`` bits wide.
+    The block must have the M in force, when one is, and its file's
+    tokens the L in force, when one is."""
+    if L is not None:
+        _check_token_length(path, length, L)
+    _check_strand_shape(length, index_len)
+    return _message_from_packed(block, length, index_len, m)
 
 
 def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
     header_a, block_a, length_a = read_message_file(args.a)
     header_b, block_b, length_b = read_message_file(args.b)
     params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a, length_a)
+    m, L, index_len = params.m, params.length, params.index_len
     return (
-        _message(args.a, block_a, length_a, params),
-        _message(args.b, block_b, length_b, params),
+        _message(args.a, block_a, length_a, index_len, m, L),
+        _message(args.b, block_b, length_b, index_len, m, L),
         params,
     )
-
-
-def _bare_message(block: Block, length: int, index_len: int) -> Message:
-    """The message of a block that ``io.read_blocks`` has checked: its
-    values are packed from non-empty 0/1 tokens ``length`` bits wide."""
-    _check_strand_shape(length, index_len)
-    return _message_from_packed(block, length, index_len)
 
 
 def _fmt_distance(d: float) -> str:
@@ -266,8 +270,10 @@ def _regime_line(tag: RegimeTag) -> str:
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
     header, blocks, length = read_code_file(args.code)
     params = _system_params(args, {args.code: header}, blocks[0] if blocks else None, length)
-    _check_token_length(args.code, length, params.length)
-    code = [validate_message(block, params) for block in blocks]
+    code = [
+        _message(args.code, block, length, params.index_len, params.m, params.length)
+        for block in blocks
+    ]
     verdict = is_dna_correcting(code, params)
     lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
@@ -285,17 +291,20 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
 def _cmd_distance(args: argparse.Namespace) -> list[str]:
     header_a, block_a, length_a = read_message_file(args.a)
     header_b, block_b, length_b = read_message_file(args.b)
-    index_len = _resolve(args, {args.a: header_a, args.b: header_b}, need=["l"])["l"]
+    values = _resolve(args, {args.a: header_a, args.b: header_b}, need=["l"])
+    m, L, index_len = values.get("M"), values.get("L"), values["l"]
     d = dna_distance(
-        _bare_message(block_a, length_a, index_len), _bare_message(block_b, length_b, index_len)
+        _message(args.a, block_a, length_a, index_len, m, L),
+        _message(args.b, block_b, length_b, index_len, m, L),
     )
     return [f"D={_fmt_distance(d)}"]
 
 
 def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
     header, blocks, length = read_code_file(args.code)
-    index_len = _resolve(args, {args.code: header}, need=["l"])["l"]
-    code = [_bare_message(block, length, index_len) for block in blocks]
+    values = _resolve(args, {args.code: header}, need=["l"])
+    m, L, index_len = values.get("M"), values.get("L"), values["l"]
+    code = [_message(args.code, block, length, index_len, m, L) for block in blocks]
     d, (za, zb) = min_dna_distance(code)
     return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
 
@@ -318,7 +327,8 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
     header, block, length = read_message_file(args.message)
     params = _system_params(args, {args.message: header}, block, length)
-    sample = sample_ball(_message(args.message, block, length, params), params, args.seed)
+    z = _message(args.message, block, length, params.index_len, params.m, params.length)
+    sample = sample_ball(z, params, args.seed)
     file_lines, rows = sample_lines(sample, params)
     if args.provenance:
         write_text(args.provenance, rows)
@@ -335,7 +345,7 @@ def _cmd_member(args: argparse.Namespace) -> list[str]:
     params = _system_params(args, headers, block, length)
     _check_token_length(args.pool, pool_length, params.length)
     pool = _pool_from_counts(params.length, counts)
-    z = _message(args.message, block, length, params)
+    z = _message(args.message, block, length, params.index_len, params.m, params.length)
     return ["YES" if in_ball(pool, z, params) else "NO"]
 
 
@@ -387,4 +397,4 @@ def _append_table_row(path: str, row: SearchRow, restrict_text: Optional[str]) -
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

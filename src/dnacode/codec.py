@@ -24,7 +24,9 @@ fields within r2.  The row kernel of ``matching`` gives a's partners
 among the strands of the later codewords, by index-field lookup or by
 scan, and so names every j that can answer Yes with i.  Only these
 candidate pairs are decided, in canonical order, so the first Yes, and
-its bijection, is the one the all-pairs loop finds.
+its bijection, is the one the all-pairs loop finds.  Both steps read
+the packed strands off the messages: ``PairTest.candidates(codewords)``
+and ``PairTest.decide(z1, z2, both_avoid=None)`` take messages only.
 Every other pair has the one-strand Hall violator ({a}, {}): at tau = 1
 it is No, and at high tau it is No exactly when both codewords avoid
 close strand pairs, the same rule a candidate pair without a bijection
@@ -45,7 +47,6 @@ from .matching import (
     HallViolator,
     _rows_within,
     bijection_of,
-    exists_bijection_within,
     has_perfect_matching,
     match_within,
     near_masks,
@@ -164,22 +165,17 @@ class PairTest:
         return [self.avoids(z) for z in messages]
 
     def decide(
-        self,
-        z1: Message,
-        z2: Message,
-        bits1: tuple[int, ...],
-        bits2: tuple[int, ...],
-        both_avoid: Optional[bool] = None,
+        self, z1: Message, z2: Message, both_avoid: Optional[bool] = None
     ) -> tuple[Answer, Optional[Bijection]]:
-        """The answer for two distinct messages of the params' shape, given
-        their packed strands, and a bijection with Yes.
+        """The answer for two distinct messages of the params' shape, and a
+        bijection with Yes.
 
         At high tau a No needs both messages to avoid; when ``both_avoid``
         is not given it is computed here, once no bijection has been found.
         """
         if self.regime is Regime.LOW_TAU:
             return Answer.UNKNOWN, None
-        match = match_within(bits1, bits2, self.data_len, self.bound, self.index_len)
+        match = match_within(z1.bits, z2.bits, self.data_len, self.bound, self.index_len)
         if not isinstance(match, HallViolator):
             return Answer.YES, bijection_of(z1, z2, match)
         if self.regime is Regime.TAU_ONE:
@@ -188,10 +184,10 @@ class PairTest:
             both_avoid = self.avoids(z1) and self.avoids(z2)
         return (Answer.NO if both_avoid else Answer.UNKNOWN), None
 
-    def candidates(self, bits: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
-        """The pairs i < j of messages, given by their packed strands, in
-        which the first strand of message i has a partner within the bound
-        in message j, in order: the only pairs that can answer Yes.
+    def candidates(self, messages: Sequence[Message]) -> Iterator[tuple[int, int]]:
+        """The pairs i < j of messages of the params' shape in which the
+        first strand of message i has a partner within the bound in
+        message j, in order: the only pairs that can answer Yes.
 
         The row kernel ``_rows_within`` gives, for the first strand of each
         message but the last, the ascending positions of its partners among
@@ -199,8 +195,8 @@ class PairTest:
         by its one guard rule.  Every message has M strands, so position p
         lies in message 1 + p // M.
         """
-        first = [z[0] for z in bits[:-1]]
-        later = [b for z in bits[1:] for b in z]
+        first = [z.bits[0] for z in messages[:-1]]
+        later = [b for z in messages[1:] for b in z.bits]
         rows = _rows_within(first, later, self.data_len, self.bound, self.index_len)
         m = self.m
         for i, row in enumerate(rows):
@@ -318,7 +314,7 @@ def balls_intersect(z1: Message, z2: Message, params: SystemParams) -> Intersect
     if z1 == z2:
         return IntersectionResult(Answer.YES, tuple((s, s) for s in z1.strands))
     test = PairTest(params)
-    answer, bij = test.decide(z1, z2, z1.bits, z2.bits)
+    answer, bij = test.decide(z1, z2)
     if answer is Answer.UNKNOWN:
         reason = LOW_TAU_REASON if test.regime is Regime.LOW_TAU else UNPROVED_REASON
         return IntersectionResult(answer, reason=reason)
@@ -393,7 +389,7 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
     a bijection.  So with no Yes, the verdict is Indeterminate iff some
     codeword does not avoid.
     """
-    codewords, bits = _validated_code(code, params)
+    codewords = _validated_code(code, params)
     test = PairTest(params)
     flags = test.flags(codewords)
     tag = _regime_tag(test, codewords, flags)
@@ -401,9 +397,9 @@ def is_dna_correcting(code: Sequence[Message], params: SystemParams) -> Verdict:
         return Verdict(VerdictKind.CORRECTING, tag)
     if test.regime is Regime.LOW_TAU:
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
-    for i, j in test.candidates(bits):
+    for i, j in test.candidates(codewords):
         both_avoid = flags[i] and flags[j] if flags else None
-        answer, bij = test.decide(codewords[i], codewords[j], bits[i], bits[j], both_avoid)
+        answer, bij = test.decide(codewords[i], codewords[j], both_avoid)
         if answer is Answer.YES:
             assert bij is not None
             witness = Witness((codewords[i], codewords[j]), bij, test.bound)
@@ -423,7 +419,7 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     """
     if params.e_d != 0:
         raise EdNonZero(f"this test requires e_d = 0, got e_d = {params.e_d}")
-    codewords, _ = _validated_code(code, params)
+    codewords = _validated_code(code, params)
     test = PairTest(params)
     tag = _regime_tag(test, codewords, test.flags(codewords))
     if len(codewords) < 2:
@@ -431,22 +427,22 @@ def is_dna_correcting_ed0(code: Sequence[Message], params: SystemParams) -> Verd
     if tag.regime is Regime.LOW_TAU:
         return Verdict(VerdictKind.INDETERMINATE, tag, reason=LOW_TAU_REASON)
     distance, (za, zb) = min_dna_distance(codewords)
-    threshold = 2 * params.e_i if tag.regime is Regime.TAU_ONE else params.e_i
-    if distance <= threshold:
-        bij = exists_bijection_within(za, zb, (threshold, 0))
-        if bij is None:
+    # with e_d = 0 the bound is (2e_i, 0) at tau = 1 and (e_i, 0) at high
+    # tau: the pair has a bijection within it iff its distance is at most
+    # its first entry, and decide answers Yes with one
+    if distance <= test.bound[0]:
+        answer, bij = test.decide(za, zb)
+        if answer is not Answer.YES:
             raise AssertionError("DNA-distance <= r guarantees a bijection within (r, 0)")
-        witness = Witness((za, zb), bij, (threshold, 0))
+        witness = Witness((za, zb), bij, test.bound)
         return Verdict(VerdictKind.NOT_CORRECTING, tag, witness=witness)
     if tag.regime is Regime.TAU_ONE or all(has_distinct_data(z) for z in codewords):
         return Verdict(VerdictKind.CORRECTING, tag)
     return Verdict(VerdictKind.INDETERMINATE, tag, reason=ED0_MIXED_REASON)
 
 
-def _validated_code(
-    code: Sequence[Message], params: SystemParams
-) -> tuple[tuple[Message, ...], list[tuple[int, ...]]]:
-    """The codewords in canonical order, with their packed strands.
+def _validated_code(code: Sequence[Message], params: SystemParams) -> tuple[Message, ...]:
+    """The codewords in canonical order.
 
     After the shape check every codeword has M strands of one shape, so
     two codewords are equal iff their packed strands are, and packed
@@ -456,8 +452,7 @@ def _validated_code(
     by_bits = {z.bits: z for z in code}
     if len(by_bits) != len(code):
         raise DuplicateCodeword("codewords must be pairwise distinct")
-    bits = sorted(by_bits)
-    return tuple(by_bits[b] for b in bits), bits
+    return tuple(by_bits[b] for b in sorted(by_bits))
 
 
 def _regime_tag(

@@ -516,15 +516,6 @@ def bijection_of(z1: Message, z2: Message, match: Sequence[int]) -> Bijection:
     return tuple((x, right[v]) for x, v in zip(z1.strands, match))
 
 
-def exists_bijection_within(
-    z1: Message, z2: Message, bound: tuple[int, int]
-) -> Optional[Bijection]:
-    """A bijection pairing each strand of Z1 with one of Z2 within ``bound``,
-    or None when no such bijection exists."""
-    result = bijection_within_or_violator(z1, z2, bound)
-    return None if isinstance(result, HallViolator) else result
-
-
 def _lane_distances(
     left: Sequence[int], right: Sequence[int], w: int
 ) -> tuple[int, Iterator[int]]:

@@ -27,7 +27,7 @@ again.  Messages are built by one private builder,
 ``_message_from_packed``: it runs the count, duplicate-strand and
 duplicate-index checks on the ints and makes the message from the
 sorted ints through ``_unchecked_message``.  ``validate_message`` and
-the CLI's reader of parameter-less message files build through it.
+the CLI's one builder, ``cli._message``, build through it.
 ``enumerate_space``, whose index fields are distinct by construction,
 calls ``_unchecked_message`` on each pick of one packed strand per
 column.  The public ``Strand`` and ``Message`` constructors keep all

@@ -824,8 +824,9 @@ def reference_validate_message(raw: Sequence[Union[int, Strand]], params: System
 
 
 def reference_bare_message(block: Sequence[str], index_len: int) -> Message:
-    """A message read without params, as ``distance`` and ``min-distance``
-    read their files: ``Strand.from_string`` per token."""
+    """A message read with no M or L in force, as ``distance`` and
+    ``min-distance`` may read their files: ``Strand.from_string`` per
+    token."""
     return reference_message([Strand.from_string(token, index_len) for token in block])
 
 

@@ -33,9 +33,10 @@ from dnacode import (
 )
 from dnacode.cli import run as cli_run
 from dnacode.matching import (
+    HallViolator,
     assignment_feasible,
+    bijection_within_or_violator,
     bottleneck_bijection,
-    exists_bijection_within,
 )
 from dnacode.metrics import pair_leq, split_distance
 
@@ -158,7 +159,8 @@ def test_criterion_3_high_tau_sufficiency():
                     params = mk_params(m, length, index_len, k, Fraction(budget, k), ei, ed)
                     for i, z1 in enumerate(messages):
                         for z2 in messages[i + 1:]:
-                            if exists_bijection_within(z1, z2, (ei, ed)) is not None:
+                            bij = bijection_within_or_violator(z1, z2, (ei, ed))
+                            if not isinstance(bij, HallViolator):
                                 assert ground_truth(z1, z2, params)
                                 witnessed += 1
         assert witnessed > 1000

@@ -126,6 +126,20 @@ def test_distance_requires_index_len(capsys, tmp_path):
     assert "missing parameters: l" in err
 
 
+@pytest.mark.parametrize("header, spec", [("%params M=3,l=2\n", ""), ("", "M=3,l=2,")])
+def test_distance_commands_check_the_m_in_force(capsys, tmp_path, header, spec):
+    """`distance` and `min-distance` reject a message of another M than
+    the one in force, with the text `intersect` gives for it."""
+    a = write(tmp_path / "a.txt", header + "00001\n01010\n")
+    code = write(tmp_path / "code.txt", header + "\n00001\n01010\n\n00010\n01011\n")
+    for argv in [
+        ["distance", "--a", a, "--b", a, "--params", spec + "K=2"],
+        ["min-distance", "--code", code, "--params", spec + "K=2"],
+        ["intersect", "--a", a, "--b", a, "--params", spec + "K=2,tau=1,ei=1,ed=0"],
+    ]:
+        assert invoke(capsys, *argv) == (2, "", "error: expected 3 strands, got 2\n"), argv
+
+
 def test_min_distance_reports_argmin_pair(capsys, tmp_path):
     code_file = write(tmp_path / "c.txt", "%params l=1\n\n00\n11\n\n01\n10\n\n00\n10\n")
     code, out, _ = invoke(capsys, "min-distance", "--code", code_file)
@@ -558,6 +572,8 @@ def _length_mismatch_cases(tmp_path):
         "simulate --params": (
             ["simulate", "--message", msg, "--seed", "1", "--params", "L=4"], msg, 3, 4
         ),
+        "distance --params": (["distance", "--a", msg, "--b", msg, "--params", "L=4"], msg, 3, 4),
+        "min-distance --params": (["min-distance", "--code", code, "--params", "L=4"], code, 3, 4),
         "member --params": (
             ["member", "--pool", pools[3], "--message", msg, "--params", "L=4"], pools[3], 3, 4
         ),
@@ -568,7 +584,8 @@ def _length_mismatch_cases(tmp_path):
 
 @pytest.mark.parametrize("case", [
     "verify --params", "intersect --params", "intersect b", "oracle-intersect --params",
-    "simulate --params", "member --params", "member shorter pool", "member longer pool",
+    "simulate --params", "distance --params", "min-distance --params", "member --params",
+    "member shorter pool", "member longer pool",
 ])
 def test_token_length_against_the_params_is_checked_once_per_file(capsys, tmp_path, case):
     argv, path, length, params_length = _length_mismatch_cases(tmp_path)[case]
@@ -757,3 +774,41 @@ def test_cli_makes_strand_objects_only_for_a_witness(capsys, tmp_path, monkeypat
     pair = out.splitlines()[2:4]
     witness = {int(t, 2) for line in pair for t in line.split(": ")[1].strip("{}").split(",")}
     assert len(made) <= 2 * p.m and set(made) <= witness
+
+
+def test_cli_checks_each_token_once(capsys, tmp_path, monkeypatch):
+    """``io.read_blocks`` checks and packs each token, and the CLI checks
+    the token length against L, so no command checks a packed strand
+    value again on valid files."""
+    p = mk_params(8, 16, 8, 4, "1", 1, 1)
+    rng = random.Random(3511)
+    code = [random_message(rng, p) for _ in range(40)]
+    z = random_message(rng, p)
+    good = tmp_path / "good.txt"
+    a, b, pool = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "pool.txt"
+    write_text(good, code_lines(code, p))
+    write_text(a, [params_header(p), *message_lines(code[0])])
+    write_text(b, [params_header(p), *message_lines(code[1])])
+    checked = []
+    check = model._check_packed
+
+    def counted(value, length, what):
+        checked.append(value)
+        check(value, length, what)
+
+    monkeypatch.setattr(model, "_check_packed", counted)
+    # the count sees the library validator's per-item check
+    assert validate_message(z.bits, p) == z
+    assert checked == list(z.bits)
+    checked.clear()
+    for argv, first in [
+        (["verify", "--code", good], "CORRECTING"),
+        (["intersect", "--a", a, "--b", b], "NO"),
+        (["distance", "--a", a, "--b", b], "D="),
+        (["min-distance", "--code", good], "D="),
+        (["simulate", "--message", a, "--seed", 5, "--out", pool], "OK"),
+        (["member", "--pool", pool, "--message", a], "YES"),
+    ]:
+        status, out, _ = invoke(capsys, *map(str, argv))
+        assert status == 0 and out.startswith(first), argv
+        assert checked == [], argv

@@ -12,6 +12,7 @@ from dnacode import (
     Answer,
     DuplicateCodeword,
     EdNonZero,
+    HallViolator,
     IntersectionResult,
     ParamMismatch,
     Regime,
@@ -27,7 +28,6 @@ from dnacode import (
     budget_bound,
     classify_regime,
     enumerate_space,
-    exists_bijection_within,
     in_restricted_space,
     is_dna_correcting,
     is_dna_correcting_ed0,
@@ -190,7 +190,7 @@ def two_flag_answer(z1, z2, p, flags1, flags2):
     within (e_i, e_d) is Yes; without one, both messages avoiding strand
     pairs within (2e_i, 2e_d), or both avoiding them within (e_i, e_d)
     with the budget below M*K/(2M-1), is No; anything else is Unknown."""
-    if exists_bijection_within(z1, z2, (p.e_i, p.e_d)) is not None:
+    if not isinstance(bijection_within_or_violator(z1, z2, (p.e_i, p.e_d)), HallViolator):
         return Answer.YES
     (two1, one1), (two2, one2) = flags1, flags2
     return Answer.NO if (two1 and two2) or (one1 and one2) else Answer.UNKNOWN
@@ -391,6 +391,51 @@ def test_ed0_agrees_with_pairwise_verifier_when_both_decide():
         assert by_distance.kind is pairwise.kind, (
             [str(z) for z in code], str(p.tau), p.e_i, by_distance, pairwise,
         )
+
+
+def test_ed0_witness_is_the_matching_within_its_bound():
+    """The e_d = 0 verdict comes from the minimum DNA-distance d of the
+    code, at the threshold r = 2e_i (tau = 1) or e_i (high tau): d <= r
+    is Not correcting, with the argmin pair and the bijection that
+    ``bijection_within_or_violator`` finds within (r, 0); otherwise the
+    code is correcting, at high tau only when every codeword's data
+    fields are distinct."""
+    rng = random.Random(3512)
+    witnessed = {Regime.TAU_ONE: 0, Regime.HIGH_TAU: 0}
+    for _ in range(300):
+        m, length, index_len = rng.choice([(2, 6, 3), (3, 7, 3), (4, 8, 4)])
+        k, tau = rng.choice([(2, "1"), (2, "1/2"), (3, "2/3")])
+        p = mk_params(m, length, index_len, k, tau, rng.randint(1, 2), 0)
+        masks = [0, *(1 << b for b in range(index_len)), 0b11, 0b101]
+        code = {random_message(rng, p) for _ in range(rng.randint(1, 3))}
+        for z in list(code):
+            fields = [(s.index_bits ^ rng.choice(masks), s.data_bits) for s in z.strands]
+            if len({index for index, _ in fields}) == m:
+                code.add(message_of(p, fields))
+        code = list(code)
+        rng.shuffle(code)
+        verdict = is_dna_correcting_ed0(code, p)
+        regime = verdict.regime.regime
+        if len(code) < 2:
+            assert verdict.kind is VerdictKind.CORRECTING
+            continue
+        threshold = 2 * p.e_i if regime is Regime.TAU_ONE else p.e_i
+        d, (za, zb) = min_dna_distance(tuple(sorted(code)))
+        if d <= threshold:
+            bound = (threshold, 0)
+            assert verdict.kind is VerdictKind.NOT_CORRECTING
+            assert verdict.witness == Witness(
+                (za, zb), bijection_within_or_violator(za, zb, bound), bound
+            )
+            witnessed[regime] += 1
+        elif regime is Regime.TAU_ONE or all(
+            len({s.data_bits for s in z.strands}) == m for z in code
+        ):
+            assert verdict == Verdict(VerdictKind.CORRECTING, verdict.regime)
+        else:
+            assert verdict.kind is VerdictKind.INDETERMINATE
+            assert verdict.reason == ED0_MIXED_REASON
+    assert min(witnessed.values()) > 30, witnessed
 
 
 def moved_fields(rng, z, bound):
@@ -608,6 +653,4 @@ def test_validated_code_keeps_the_order_of_sorted_codewords():
         p = mk_params(rng.randint(1, min(4, 1 << index_len)), length, index_len, 2, 1, 1, 0)
         code = list({random_message(rng, p) for _ in range(rng.randint(1, 30))})
         rng.shuffle(code)
-        codewords, bits = _validated_code(code, p)
-        assert codewords == tuple(sorted(code))
-        assert bits == [z.bits for z in codewords]
+        assert _validated_code(code, p) == tuple(sorted(code))

@@ -52,6 +52,23 @@ def test_param_values_are_ascii_digits_only():
     assert parse_param_items("M=10, tau=3/4") == {"M": 10, "tau": Fraction(3, 4)}
 
 
+@pytest.mark.parametrize("text, error", [
+    ("M=1,Q=2", "unknown parameter 'Q' (expected one of M, L, l, K, tau, ei, ed)"),
+    ("m=1", "unknown parameter 'm' (expected one of M, L, l, K, tau, ei, ed)"),
+    ("M=1,L=3,M=1", "repeated parameter 'M'"),
+    ("tau=1, tau=1/2", "repeated parameter 'tau'"),
+])
+def test_param_items_reject_unknown_and_repeated_keys(tmp_path, text, error):
+    with pytest.raises(ValidationError) as caught:
+        parse_param_items(text)
+    assert (type(caught.value), str(caught.value)) == (ValidationError, error)
+    path = tmp_path / "msg.txt"
+    path.write_text(f"# a header\n%params {text}\n000\n", encoding="utf-8")
+    with pytest.raises(FileFormatError) as caught:
+        read_message_file(path)
+    assert str(caught.value) == f"{path}:2: {error}"
+
+
 def test_header_value_error_carries_its_line(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# K below\n%params K=0_2\n000\n", encoding="utf-8")

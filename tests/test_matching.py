@@ -25,7 +25,6 @@ from dnacode import (
     sample_ball,
     bijection_within_or_violator,
     bottleneck_bijection,
-    exists_bijection_within,
     perfect_matching_or_violator,
 )
 from dnacode import matching
@@ -438,23 +437,23 @@ def test_row_kernel_store_follows_the_probe_count():
 
 def test_bijection_examples():
     z = mk_message(2, "001", "010")
-    identity = exists_bijection_within(z, z, (0, 0))
+    identity = bijection_within_or_violator(z, z, (0, 0))
     assert identity == tuple((s, s) for s in z.strands)
 
     z1 = mk_message(2, "001", "010")
     z2 = mk_message(2, "101", "110")
-    bij = exists_bijection_within(z1, z2, (2, 0))
-    assert bij is not None
+    bij = bijection_within_or_violator(z1, z2, (2, 0))
+    assert not isinstance(bij, HallViolator)
     assert {(str(a), str(b)) for a, b in bij} == {("001", "101"), ("010", "110")}
 
-    assert exists_bijection_within(
+    assert bijection_within_or_violator(
         mk_message(2, "000"), mk_message(2, "111"), (1, 1)
-    ) is None
+    ) == HallViolator(frozenset({0}), frozenset())
 
 
 def test_bijection_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        exists_bijection_within(mk_message(1, "00"), mk_message(1, "000"), (0, 0))
+        bijection_within_or_violator(mk_message(1, "00"), mk_message(1, "000"), (0, 0))
 
 
 def test_bijection_or_violator_variants():
@@ -473,9 +472,10 @@ def test_bijection_random_agreement_with_oracle():
         z1 = random_message(rng, p)
         z2 = random_message(rng, p)
         for bound in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]:
-            got = exists_bijection_within(z1, z2, bound)
-            assert (got is not None) == oracle_exists_bijection(z1, z2, bound)
-            if got is not None:
+            got = bijection_within_or_violator(z1, z2, bound)
+            found = not isinstance(got, HallViolator)
+            assert found == oracle_exists_bijection(z1, z2, bound)
+            if found:
                 assert sorted(x for x, _ in got) == list(z1.strands)
                 assert sorted(y for _, y in got) == list(z2.strands)
 
@@ -492,8 +492,8 @@ def test_bijection_threshold_monotone(seed, b1, b2):
     z2 = random_message(rng, p)
     lo = (min(b1[0], b2[0]), min(b1[1], b2[1]))
     hi = (max(b1[0], b2[0]), max(b1[1], b2[1]))
-    if exists_bijection_within(z1, z2, lo) is not None:
-        assert exists_bijection_within(z1, z2, hi) is not None
+    if not isinstance(bijection_within_or_violator(z1, z2, lo), HallViolator):
+        assert not isinstance(bijection_within_or_violator(z1, z2, hi), HallViolator)
 
 
 def test_bottleneck_examples():

@@ -238,6 +238,22 @@ def test_system_params_validation():
         mk_params(1, 65, 1, 2, 1, 1, 1)  # strand too long
 
 
+@pytest.mark.parametrize("m, length, index_len, k, text", [
+    (0, 3, 1, 2, "M and K must be positive"),
+    (1, 3, 1, 0, "M and K must be positive"),
+    (0, 3, 0, 0, "M and K must be positive"),
+    (1, 3, 0, 2, "need 0 < l < L, got l=0, L=3"),
+    (1, 3, 3, 2, "need 0 < l < L, got l=3, L=3"),
+    (1, 3, 4, 2, "need 0 < l < L, got l=4, L=3"),
+])
+def test_system_params_rejects_empty_counts_and_index_fields_out_of_range(
+    m, length, index_len, k, text
+):
+    with pytest.raises(ValidationError) as caught:
+        SystemParams(m, length, index_len, k, 1, 0, 0)
+    assert (type(caught.value), str(caught.value)) == (ValidationError, text)
+
+
 def test_tau_budget_is_an_exact_floor():
     assert mk_params(1, 2, 1, 3, "2/3", 1, 1).tau_budget == 2
     assert mk_params(1, 2, 1, 3, "1/2", 1, 1).tau_budget == 1
@@ -446,9 +462,9 @@ def _reference_strands(block, p):
 
 
 def test_cli_message_inputs_match_the_per_strand_reference():
-    """The blocks `verify` (validate_message) and `distance` /
-    `min-distance` (without params) read: 0/1 tokens of one length,
-    packed as io.read_blocks passes them on."""
+    """The blocks the CLI's one builder reads, under params as `verify`
+    reads them and without M and L as `distance` / `min-distance` may:
+    0/1 tokens of one length, packed as io.read_blocks passes them on."""
     rng = random.Random(1702)
     cases = 0
     for _ in range(600):
@@ -464,12 +480,12 @@ def test_cli_message_inputs_match_the_per_strand_reference():
         want = _outcome(reference_bare_message, block, index_len)
         packed = tuple(int(token, 2) for token in block)
         _assert_same_outcomes(
-            [_outcome(cli._bare_message, packed, length, index_len)], [want], block
+            [_outcome(cli._message, "z.txt", packed, length, index_len)], [want], block
         )
         if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
             p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
             _assert_same_outcomes(
-                [_outcome(cli.validate_message, packed, p)],
+                [_outcome(cli._message, "z.txt", packed, length, index_len, p.m, p.length)],
                 [_outcome(reference_validate_message, _reference_strands(block, p), p)],
                 block,
             )

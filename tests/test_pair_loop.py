@@ -333,7 +333,6 @@ def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
     bound = yes_bound(params)
     kept = 0
     for code in screen_codes(random.Random(str(shape)), params):
-        bits = [z.bits for z in code]
         want = [
             (i, j)
             for i, j in combinations(range(len(code)), 2)
@@ -341,13 +340,13 @@ def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
         ]
         kept += len(want)
         for path in [None, "table", "dict", "scan"]:
-            got, stores = on_path(lambda: list(PairTest(params).candidates(bits)), path)
+            got, stores = on_path(lambda: list(PairTest(params).candidates(code)), path)
             assert got == want, (path, [str(z) for z in code])
             if path and len(code) >= 2:
                 assert stores == ({path} if path != "scan" else set())
     assert kept > 0
     # the guard's own choice on the last code, the largest
-    assert bool(on_path(lambda: list(PairTest(params).candidates(bits)))[1]) is looked_up
+    assert bool(on_path(lambda: list(PairTest(params).candidates(code)))[1]) is looked_up
 
 
 @pytest.mark.parametrize("tau", ["1/2", "3/4"])
@@ -463,7 +462,7 @@ def test_no_row_screens_drop_only_no_pairs(shape):
     n = len(messages)
     answer = {}
     for i, j in combinations(range(n), 2):
-        answer[i, j] = answer[j, i] = test.decide(messages[i], messages[j], bits[i], bits[j])[0]
+        answer[i, j] = answer[j, i] = test.decide(messages[i], messages[j])[0]
     classes = Counter()
     for (i, j), got in answer.items():
         screened = screen_class(bits[i], bits[j], params, test.bound)

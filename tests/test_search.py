@@ -50,6 +50,10 @@ def test_graph_construction_validates_masks():
         CompatibilityGraph(p, vertices, (0b0001, 0b0000, 0b0000, 0b0000))  # self loop
     with pytest.raises(ValidationError):
         CompatibilityGraph(p, vertices, (1 << 4, 0, 0, 0))  # out of range
+    for masks in [(0, 0, 0), (0, 0, 0, 0, 0)]:
+        with pytest.raises(ValidationError) as caught:
+            CompatibilityGraph(p, vertices, masks)
+        assert str(caught.value) == f"adjacency has {len(masks)} masks for 4 vertices"
 
 
 def test_noiseless_graph_is_complete():
