@@ -86,7 +86,6 @@ class SpaceTooLarge(ResourceCapExceeded):
 
 
 class TooLargeForExact(ResourceCapExceeded):
-    def __init__(self, size: int, limit: int):
-        super().__init__(f"exact search limited to {limit} vertices, got {size}")
-        self.size = size
+    def __init__(self, limit: int):
+        super().__init__(f"exact search limited to {limit} vertices, got more than {limit}")
         self.limit = limit

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 # module for the benchmark tracer, which counts pair tests by that name
 from .codec import PairTest, VerdictKind, _bit_indices, balls_intersect, is_dna_correcting
 from .errors import TooLargeForExact, ValidationError
-from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space, space_size
+from .model import DEFAULT_SPACE_CAP, Message, SystemParams, enumerate_space
 
 MAX_EXACT_VERTICES = 64
 
@@ -85,18 +85,15 @@ def build_graph(
 ) -> CompatibilityGraph:
     """Compatibility graph over the (optionally restricted) message space.
 
-    With ``exact``, a space of more than MAX_EXACT_VERTICES messages,
-    which the exact search refuses, raises TooLargeForExact before any
-    pair is decided, by its size alone if unrestricted, else by counting
-    the messages past the first MAX_EXACT_VERTICES + 1 without keeping them.
+    With ``exact``, enumeration stops at the first message past
+    MAX_EXACT_VERTICES, which the exact search refuses: TooLargeForExact
+    is raised once that message is enumerated, before any pair is decided.
     """
-    if exact and restrict is None and (size := space_size(params)) <= cap:
-        _check_exact(size)
     messages = enumerate_space(params, restrict, cap)
     vertices = tuple(islice(messages, MAX_EXACT_VERTICES + 1) if exact else messages)
     n = len(vertices)
     if exact:
-        _check_exact(n + sum(1 for _ in messages))
+        _check_exact(n)
     row = PairTest(params).no_row(vertices)
     full = (1 << n) - 1
     adjacency = tuple(row(i, full >> (i + 1) << (i + 1)) for i in range(n))
@@ -121,7 +118,7 @@ def max_code(graph: CompatibilityGraph, strategy: Strategy) -> tuple[Message, ..
 
 def _check_exact(n: int) -> None:
     if n > MAX_EXACT_VERTICES:
-        raise TooLargeForExact(n, MAX_EXACT_VERTICES)
+        raise TooLargeForExact(MAX_EXACT_VERTICES)
 
 
 def _verified_code(

@@ -1,10 +1,11 @@
 """Compatibility graphs and clique-based code search."""
 
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from dnacode.cli import run
 from dnacode.codec import PairTest
 from dnacode.search import MAX_EXACT_VERTICES, _colour_count, _exact_clique, _greedy_clique
 
+from conftest import run_under_python_O
 from oracles import first_max_clique, mk_params
 
 
@@ -260,47 +262,99 @@ def test_greedy_decides_only_the_rows_it_reads(monkeypatch):
     assert sum(asked) < n * (n - 1) // 2 // 10
 
 
-def test_exact_refuses_a_large_space_before_deciding_a_pair(monkeypatch, capsys, tmp_path):
+# (name, --params, --restrict) of two spaces past MAX_EXACT_VERTICES
+# messages: 352 restricted ones and a whole space of 1,792
+EXACT_REFUSALS = [
+    ("restricted", "M=2,L=5,l=3,K=2,tau=1,ei=1,ed=0", "2,0"),
+    ("whole", "M=2,L=6,l=3,K=2,tau=1,ei=1,ed=0", None),
+]
+REFUSAL_TEXT = "error: exact search limited to 64 vertices, got more than 64\n"
+
+
+def exact_refusals(directory):
+    """Run ``search --strategy exact`` on each of EXACT_REFUSALS with a
+    ``no_row`` that counts its calls and an ``enumerate_space`` that counts
+    the messages it yields; returns per space (name, exit code, stdout,
+    stderr, messages yielded, rows asked for, files written)."""
+    yielded, rows = [0], [0]
+    enumerate_space, no_row = search.enumerate_space, PairTest.no_row
+
+    def counted(*args):
+        for msg in enumerate_space(*args):
+            yielded[0] += 1
+            yield msg
+
+    def counted_rows(self, messages):
+        rows[0] += 1
+        return no_row(self, messages)
+
+    search.enumerate_space, PairTest.no_row = counted, counted_rows
+    results = []
+    try:
+        for name, spec, restrict in EXACT_REFUSALS:
+            yielded[0] = rows[0] = 0
+            out_file, table = directory / f"{name}.txt", directory / f"{name}.csv"
+            argv = ["search", "--strategy", "exact", "--params", spec,
+                    "--out", str(out_file), "--table", str(table)]
+            if restrict:
+                argv += ["--restrict", restrict]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+            written = [f.name for f in (out_file, table) if f.exists()]
+            results.append(
+                (name, code, stdout.getvalue(), stderr.getvalue(), yielded[0], rows[0], written)
+            )
+    finally:
+        search.enumerate_space, PairTest.no_row = enumerate_space, no_row
+    return results
+
+
+EXPECTED_REFUSALS = [
+    (name, 3, "", REFUSAL_TEXT, MAX_EXACT_VERTICES + 1, 0, [])
+    for name, _, _ in EXACT_REFUSALS
+]
+
+
+def test_exact_refuses_a_large_space_before_deciding_a_pair(monkeypatch, tmp_path):
+    # the search stops at the 65th message, restricted or not, decides no
+    # pair, exits 3 and writes nothing
+    assert exact_refusals(tmp_path) == EXPECTED_REFUSALS
+
     def refuse(self, messages):
         raise AssertionError("no pair may be decided")
 
     monkeypatch.setattr(PairTest, "no_row", refuse)
-    # a restricted space keeps its first 65 messages and only counts the
-    # rest: besides those, only the message counted and the one before
-    # it may be alive
-    enumerate_restricted = search.enumerate_space
-    alive = []
-
-    def watched(*args):
-        refs = []
-        for msg in enumerate_restricted(*args):
-            refs.append(weakref.ref(msg))
-            alive.append(sum(ref() is not None for ref in refs))
-            yield msg
-
-    monkeypatch.setattr(search, "enumerate_space", watched)
     restricted = mk_params(2, 5, 3, 2, "1", 1, 0)
-    with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got 352"):
+    with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got more than 64$"):
         run_search(restricted, Strategy.EXACT, restrict=(2, 0))
-    assert len(alive) == 352 and max(alive) <= MAX_EXACT_VERTICES + 3
     # a whole space over the cap is refused by the cap, as any search is
     p = mk_params(2, 6, 3, 2, "1", 1, 0)
     with pytest.raises(SpaceTooLarge):
         run_search(p, Strategy.EXACT, cap=1000)
-
-    def unreachable(*args):
-        raise AssertionError("a whole space is refused by its size alone")
-
-    monkeypatch.setattr(search, "enumerate_space", unreachable)
-    with pytest.raises(TooLargeForExact, match="limited to 64 vertices, got 1792"):
+    with pytest.raises(TooLargeForExact) as caught:
         run_search(p, Strategy.EXACT)
-    out_file, table = tmp_path / "found.txt", tmp_path / "rows.csv"
-    code = run(["search", "--strategy", "exact", "--params", "M=2,L=6,l=3,K=2,tau=1,ei=1,ed=0",
-                "--out", str(out_file), "--table", str(table)])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err == "error: exact search limited to 64 vertices, got 1792\n"
-    assert not out_file.exists() and not table.exists()
+    assert caught.value.limit == MAX_EXACT_VERTICES and not hasattr(caught.value, "size")
+
+
+OPTIMIZED_EXACT_REFUSALS = """
+import tempfile
+from pathlib import Path
+
+from test_search import EXPECTED_REFUSALS, exact_refusals
+
+if __debug__:
+    raise SystemExit("expected python -O")
+with tempfile.TemporaryDirectory() as directory:
+    results = exact_refusals(Path(directory))
+if results != EXPECTED_REFUSALS:
+    raise SystemExit(repr(results))
+"""
+
+
+def test_exact_refuses_a_large_space_before_deciding_a_pair_under_python_O():
+    done = run_under_python_O(OPTIMIZED_EXACT_REFUSALS, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_search_outputs_are_verified_codes():
