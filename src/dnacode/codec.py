@@ -21,10 +21,11 @@ A code is verified without deciding most of its pairs.  A Yes needs a
 bijection within the bound (r1, r2), so the first strand a of codeword i
 needs a partner b in codeword j with index fields within r1 and data
 fields within r2.  The row kernel of ``matching`` gives a's partners
-among the strands of the later codewords, by index-field lookup or by
-scan, and so names every j that can answer Yes with i.  Only these
-candidate pairs are decided, in canonical order, so the first Yes, and
-its bijection, is the one the all-pairs loop finds.  Both steps read
+among the strands of the later codewords only, by index-field lookup or
+by scan, so each pair is screened once, and names every j > i that can
+answer Yes with i.  Only these candidate pairs are decided, in
+canonical order, so the first Yes, and its bijection, is the one the
+all-pairs loop finds.  Both steps read
 the packed strands off the messages: ``PairTest.candidates(codewords)``
 and ``PairTest.decide(z1, z2, both_avoid=None)`` take messages only.
 Every other pair has the one-strand Hall violator ({a}, {}): at tau = 1
@@ -190,19 +191,19 @@ class PairTest:
         message j, in order: the only pairs that can answer Yes.
 
         The row kernel ``_rows_within`` gives, for the first strand of each
-        message but the last, the ascending positions of its partners among
-        the strands of messages 1..n-1, looked up by index field or scanned
-        by its one guard rule.  Every message has M strands, so position p
-        lies in message 1 + p // M.
+        message i but the last, the ascending positions of its partners
+        among the strands of messages i+1..n-1, looked up by index field or
+        scanned by its one guard rule.  The strands of messages 1..n-1 are
+        laid out in turn, M to a message, so position p lies in message
+        1 + p // M, and row i, at step M, starts at message i + 1.
         """
         first = [z.bits[0] for z in messages[:-1]]
         later = [b for z in messages[1:] for b in z.bits]
-        rows = _rows_within(first, later, self.data_len, self.bound, self.index_len)
         m = self.m
+        rows = _rows_within(first, later, self.data_len, self.bound, self.index_len, m)
         for i, row in enumerate(rows):
             for j in dict.fromkeys(1 + p // m for p in row):
-                if j > i:
-                    yield i, j
+                yield i, j
 
     def no_row(self, messages: Sequence[Message]) -> Callable[[int, int], int]:
         """The pair decision over a space of distinct messages, as a row

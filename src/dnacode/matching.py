@@ -50,6 +50,19 @@ hook that costs about twice a ``get`` on the misses most probes are.
 On every path a row comes out sorted, so matchings and witnesses do not
 depend on which path built it.
 
+The kernel's one other argument, ``step``, makes its rows a triangle:
+row u sees only the positions of the other side from u * step on.  The
+verifier's screen asks for step M, so the first strand of codeword i
+meets only the strands of later codewords, and each codeword pair is
+screened once.  The scan starts row u at position u * step.  The store
+holds each slot's positions from the last down, so the first position
+left in a slot is its last entry, and after row u the lookup pops
+positions u * step .. (u + 1) * step - 1 in turn, which the next row no
+longer sees, each in O(1) even when every strand carries the same index
+field.  The rows stay lazy: a code whose first pair answers Yes builds
+one row.  Every other caller keeps step 0, where every row sees the
+whole other side.
+
 Bottleneck questions are threshold decisions: is there a bijection
 between two groups of index values with every Hamming distance at most
 t?  The bitmask Kuhn test ``has_perfect_matching`` answers each, over
@@ -292,8 +305,10 @@ def _index_store(
     right: Sequence[int], data_len: int, index_len: int, probes: int
 ) -> Union[list[Slot], dict[int, list[tuple[int, int]]]]:
     """The (position, data field) pairs of the packed strands of
-    ``right``, in position order, under each ``index_len``-bit index
-    field that carries any, for a lookup that makes ``probes`` probes.
+    ``right``, from the last position down, under each ``index_len``-bit
+    index field that carries any, for a lookup that makes ``probes``
+    probes.  So the first position of a slot is its last entry, which
+    ``_rows_within`` pops when its rows move past it.
 
     The one guard rule: a list with one slot per index field, None where
     no strand carries the field, when its 2^l slots are no more than
@@ -303,11 +318,13 @@ def _index_store(
     mask = (1 << data_len) - 1
     if 1 << index_len > probes:
         by_index: dict[int, list[tuple[int, int]]] = {}
-        for j, b in enumerate(right):
+        for j in reversed(range(len(right))):
+            b = right[j]
             by_index.setdefault(b >> data_len, []).append((j, b & mask))
         return by_index
     table = _index_table(index_len)
-    for j, b in enumerate(right):
+    for j in reversed(range(len(right))):
+        b = right[j]
         index = b >> data_len
         hits = table[index]
         if hits is None:
@@ -323,10 +340,15 @@ def _rows_within(
     data_len: int,
     bound: tuple[int, int],
     index_len: int,
+    step: int = 0,
 ) -> Iterator[list[int]]:
-    """For each packed strand of ``left`` in turn, the ascending positions
-    of the strands of ``right`` within ``bound`` = (r1, r2) of it, for
-    strands with ``index_len``-bit index fields.
+    """For each packed strand left[u] of ``left`` in turn, the ascending
+    positions p >= u * ``step`` of the strands of ``right`` within
+    ``bound`` = (r1, r2) of it, for strands with ``index_len``-bit index
+    fields.  At ``step`` 0 every row sees all of ``right``; at a positive
+    ``step`` the rows form a triangle, row u seeing only the positions
+    from u * step on, as the code verifier's screen wants (a row past the
+    end of ``right`` is empty).
 
     A partner's index field is the strand's XOR a mask of weight at most
     r1.  When those V(l, r1) masks are fewer than both the strands of
@@ -340,13 +362,18 @@ def _rows_within(
     the probes the rows make, read by list subscript, and a dict
     otherwise, read by its bound ``get``.  Each strand of ``right`` is
     found at most once, so the lookup never tests more pairs than a
-    scan.  Otherwise every strand of ``right`` is scanned, with
-    ``model.split_popcount`` written out inline: this is the innermost
-    loop of every pair decision.
+    scan.  Its slots hold their positions from the last down, so after
+    row u it pops positions u * step .. (u + 1) * step - 1 in turn, which
+    the next row no longer sees: each is then the last entry of its
+    slot, and a pop costs O(1) even when every strand carries the same
+    index field.  Otherwise row u scans ``right`` from position
+    u * step, with ``model.split_popcount`` written out inline: this is
+    the innermost loop of every pair decision.
     """
     r1, r2 = bound
     mask = (1 << data_len) - 1
     n_left, n_right = len(left), len(right)
+    start = 0  # the first position the next row sees
     # plain loops: a comprehension pays for a frame per row, more than it
     # saves on the short rows and short scans met here
     # V(l, r1) < 2^l exactly when r1 < l, which is the cheaper test
@@ -370,6 +397,10 @@ def _rows_within(
                                 row.append(j)
                 row.sort()
                 yield row
+                if step:
+                    for b in right[start : start + step]:
+                        store[b >> data_len].pop()
+                    start += step
             return
         get = store.get
         for a in left:
@@ -383,16 +414,21 @@ def _rows_within(
                             row.append(j)
             row.sort()
             yield row
+            if step:
+                for b in right[start : start + step]:
+                    store[b >> data_len].pop()
+                start += step
         return
     for a in left:
         row = []
-        j = 0
-        for b in right:
+        j = start
+        for b in right[start:] if start else right:
             x = a ^ b
             if (x >> data_len).bit_count() <= r1 and (x & mask).bit_count() <= r2:
                 row.append(j)
             j += 1
         yield row
+        start += step
 
 
 def near_masks(

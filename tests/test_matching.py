@@ -267,12 +267,13 @@ def _reference_rows(left, right, data_len, bound):
     ]
 
 
-def _kernel_rows(left, right, data_len, bound, index_len, path):
-    """``_rows_within``'s rows on ``path``, as ``test_codec.on_path``
-    takes it, and the store its lookup used, "table" or "dict", or None
-    when the rows were scanned."""
+def _kernel_rows(left, right, data_len, bound, index_len, path, step=0):
+    """``_rows_within``'s rows at ``step`` on ``path``, as
+    ``test_codec.on_path`` takes it, and the store its lookup used,
+    "table" or "dict", or None when the rows were scanned."""
     rows, stores = on_path(
-        lambda: list(matching._rows_within(left, right, data_len, bound, index_len)), path
+        lambda: list(matching._rows_within(left, right, data_len, bound, index_len, step)),
+        path,
     )
     assert len(stores) <= 1
     return rows, (stores.pop() if stores else None)
@@ -300,9 +301,11 @@ def _kernel_sides(rng, index_len, data_len, size, distinct):
 def row_kernel_agreement():
     """Rows of ``_rows_within`` with the guard as it is and forced to a
     table, a dict and a scan, on sides of 24 strands at each index width
-    from 1 to 11 and every bound: returns the disagreements with
-    ``_reference_rows`` or with the store each path must use, and the
-    number of row sets built on each (path, store)."""
+    from 1 to 11 and every bound, at step 0 (every row sees all of the
+    right side) and at steps 1 and 3 (row u sees positions from u * step
+    on): returns the disagreements with ``_reference_rows`` or with the
+    store each path must use, and the number of row sets built on each
+    (path, store)."""
     disagreements = []
     used = Counter()
     rng = random.Random(1212)
@@ -311,20 +314,28 @@ def row_kernel_agreement():
         for distinct in (True, False):
             for r1 in range(index_len + 1):
                 left, right = _kernel_sides(rng, index_len, data_len, 24, distinct)
+                # at step 3 the last rows start at or past the end of the
+                # right side, so they must come out empty
+                if 3 * (len(left) - 1) < len(right):
+                    disagreements.append(("no empty row", index_len, distinct, r1))
                 for r2 in range(data_len + 1):
                     bound = (r1, r2)
-                    want = _reference_rows(left, right, data_len, bound)
-                    if any(row != sorted(set(row)) for row in want):
+                    full = _reference_rows(left, right, data_len, bound)
+                    if any(row != sorted(set(row)) for row in full):
                         disagreements.append(("reference", index_len, distinct, bound))
-                    for path in (None, "table", "dict", "scan"):
-                        got, store = _kernel_rows(
-                            left, right, data_len, bound, index_len, path
-                        )
-                        # r1 = l has no lookup: its ball is every index field
-                        forced = path if path != "scan" and r1 < index_len else None
-                        if got != want or (path and store != forced):
-                            disagreements.append((index_len, distinct, bound, path, store))
-                        used[path, store] += 1
+                    for step in (0, 1, 3):
+                        want = [[j for j in row if j >= u * step] for u, row in enumerate(full)]
+                        for path in (None, "table", "dict", "scan"):
+                            got, store = _kernel_rows(
+                                left, right, data_len, bound, index_len, path, step
+                            )
+                            # r1 = l has no lookup: its ball is every index field
+                            forced = path if path != "scan" and r1 < index_len else None
+                            if got != want or (path and store != forced):
+                                disagreements.append(
+                                    (index_len, distinct, bound, step, path, store)
+                                )
+                            used[path, store] += 1
     return disagreements, used
 
 

@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -140,7 +141,7 @@ def first_strand_copy(rng, code, params):
     strands drawn above that strand: the pair is screened in whichever
     message comes first, and it has a bijection only by chance."""
     top = (1 << params.index_len) - params.m
-    first = rng.choice([z for z in code if z.strands[0].index_bits < top]).strands[0]
+    first = rng.choice([z for z in code if z.strands[0].index_bits <= top]).strands[0]
     above = rng.sample(range(first.index_bits + 1, 1 << params.index_len), params.m - 1)
     fields = [(i, rng.randrange(1 << params.data_len)) for i in above]
     return message_of(params, [(first.index_bits, first.data_bits)] + fields)
@@ -314,12 +315,17 @@ def screen_codes(rng, params):
     return [codes[0][:size] for size in (0, 1, 2)] + codes
 
 
+# M = 2^l: every codeword carries every index field, so each slot of the
+# screen's store holds one strand of every later codeword, and each row
+# pops one strand from each of M slots
+ALL_INDICES_PARAMS = (4, 5, 2, 4, "1", 0, 1)
+
 # each shape with whether the row kernel's guard looks its largest code
 # up; a two-codeword code screens one first strand, which is scanned
 SCREEN_SHAPES = (
     [(s, True) for s in SCREEN_PARAMS]
     + [(s, False) for s in SCAN_PARAMS]
-    + [(LARGE_M_PARAMS, False)]
+    + [(LARGE_M_PARAMS, False), (ALL_INDICES_PARAMS, True)]
 )
 
 
@@ -347,6 +353,33 @@ def test_screen_yields_the_screened_in_pairs_in_order(shape, looked_up):
     assert kept > 0
     # the guard's own choice on the last code, the largest
     assert bool(on_path(lambda: list(PairTest(params).candidates(code)))[1]) is looked_up
+
+
+def test_screen_stops_at_its_first_row_on_an_early_yes():
+    # codewords 0 and 1 of a 2,000-codeword code are near copies: their
+    # pair is the first the screen yields, and its Yes ends the verdict
+    # before the screen builds a second row
+    params = mk_params(*SCREEN_PARAMS[0])
+    rng = random.Random("early yes")
+    z = min(random_code(rng, params, 20))
+    pair = sorted([z, near_copy(rng, z, params)])
+    code = set(pair)
+    while len(code) < 2000:
+        if (other := random_message(rng, params)) > pair[1]:
+            code.add(other)
+    rows = []
+    real_rows = codec._rows_within
+
+    def counting_rows(*args):
+        for row in real_rows(*args):
+            rows.append(row)
+            yield row
+
+    with mock.patch.object(codec, "_rows_within", counting_rows):
+        got = is_dna_correcting(list(code), params)
+    assert got.kind is VerdictKind.NOT_CORRECTING
+    assert got.witness.pair == tuple(pair)
+    assert len(rows) == 1
 
 
 @pytest.mark.parametrize("tau", ["1/2", "3/4"])
