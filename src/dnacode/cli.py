@@ -18,21 +18,20 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import io
 from .channel import in_ball, oracle_balls_intersect, sample_ball
 from .codec import RegimeTag, balls_intersect, is_dna_correcting
-from .errors import FileFormatError, ResourceCapExceeded, ValidationError
+from .errors import ResourceCapExceeded, ValidationError
 from .io import (
     PARAM_KEYS,
     ParamValue,
     Block,
+    TokenFile,
     code_lines,
     merge_headers,
     parse_param_items,
-    read_code_file,
-    read_message_file,
-    read_pool_file,
     sample_lines,
     tau_text,
     write_text,
@@ -45,6 +44,7 @@ from .model import (
     Message,
     SystemParams,
     _check_strand_shape,
+    _is_digits,
     _message_from_packed,
     _pool_from_counts,
     int_from_string,
@@ -177,15 +177,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(
     args: argparse.Namespace,
-    headers: Mapping[str, dict[str, ParamValue]],
+    files: Sequence[TokenFile],
     block: Optional[Block] = None,
     length: Optional[int] = None,
     need: Sequence[str] = PARAM_KEYS,
 ) -> dict[str, ParamValue]:
-    """The parameters in force: the file headers, keyed by file and
-    required to agree, under --params, with M read off ``block`` and L
-    off its file's token ``length`` where neither gives them."""
-    values = merge_headers(*headers.values(), names=list(headers))
+    """The parameters in force: the headers of ``files``, required to
+    agree, under --params, with M read off ``block`` and L off its
+    file's token ``length`` where neither gives them."""
+    values = merge_headers(*[f.header for f in files], names=[f.path for f in files])
     if args.params:
         values.update(parse_param_items(args.params))
     if block:
@@ -201,52 +201,53 @@ def _resolve(
 
 def _system_params(
     args: argparse.Namespace,
-    headers: Mapping[str, dict[str, ParamValue]],
+    files: Sequence[TokenFile],
     block: Optional[Block] = None,
     length: Optional[int] = None,
 ) -> SystemParams:
-    values = _resolve(args, headers, block, length)
-    return SystemParams(
-        m=values["M"], length=values["L"], index_len=values["l"], k=values["K"],
-        tau=values["tau"], e_i=values["ei"], e_d=values["ed"],
-    )
+    values = _resolve(args, files, block, length)
+    # PARAM_KEYS names the fields of SystemParams in their order
+    return SystemParams(*[values[key] for key in PARAM_KEYS])
 
 
-def _check_token_length(path: str, token_len: Optional[int], length: int) -> None:
-    """Compare the file's token length, None without tokens, with the L in force."""
-    if token_len is not None and token_len != length:
-        message = f"lines have length {token_len} but the parameters say L={length}"
-        raise FileFormatError(message, path=path)
+def _read_message(path: str) -> tuple[TokenFile, Block]:
+    """A message file and its one block."""
+    file = io.read_blocks(path)
+    return file, file.message_block()
 
 
-def _message(
-    path: str,
-    block: Block,
-    length: int,
+def _messages(
+    file: TokenFile,
+    blocks: Sequence[Block],
     index_len: int,
     m: Optional[int] = None,
     L: Optional[int] = None,
-) -> Message:
-    """The message of a block that ``io.read_blocks`` has checked: its
-    values are packed from non-empty 0/1 tokens ``length`` bits wide.
-    The block must have the M in force, when one is, and its file's
-    tokens the L in force, when one is."""
+) -> list[Message]:
+    """The messages of blocks of a checked ``file``: its token length is
+    compared with the L in force, when one is, and its (L, l) shape
+    checked, once for all blocks; each block must have the M in force,
+    when one is."""
+    if not blocks:
+        return []
     if L is not None:
-        _check_token_length(path, length, L)
+        file.check_length(L)
+    length = file.length
     _check_strand_shape(length, index_len)
-    return _message_from_packed(block, length, index_len, m)
+    return [_message_from_packed(block, length, index_len, m) for block in blocks]
+
+
+def _message(
+    file: TokenFile, block: Block, index_len: int, m: Optional[int] = None, L: Optional[int] = None
+) -> Message:
+    """The message of a message file's block, built as ``_messages`` builds it."""
+    return _messages(file, [block], index_len, m, L)[0]
 
 
 def _message_pair(args: argparse.Namespace) -> tuple[Message, Message, SystemParams]:
-    header_a, block_a, length_a = read_message_file(args.a)
-    header_b, block_b, length_b = read_message_file(args.b)
-    params = _system_params(args, {args.a: header_a, args.b: header_b}, block_a, length_a)
+    (a, block_a), (b, block_b) = _read_message(args.a), _read_message(args.b)
+    params = _system_params(args, [a, b], block_a, a.length)
     m, L, index_len = params.m, params.length, params.index_len
-    return (
-        _message(args.a, block_a, length_a, index_len, m, L),
-        _message(args.b, block_b, length_b, index_len, m, L),
-        params,
-    )
+    return _message(a, block_a, index_len, m, L), _message(b, block_b, index_len, m, L), params
 
 
 def _fmt_distance(d: float) -> str:
@@ -268,12 +269,11 @@ def _regime_line(tag: RegimeTag) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> list[str]:
-    header, blocks, length = read_code_file(args.code)
-    params = _system_params(args, {args.code: header}, blocks[0] if blocks else None, length)
-    code = [
-        _message(args.code, block, length, params.index_len, params.m, params.length)
-        for block in blocks
-    ]
+    file = io.read_blocks(args.code)
+    blocks = file.blocks()
+    params = _system_params(args, [file], blocks[0] if blocks else None, file.length)
+    code = _messages(file, blocks, params.index_len, params.m, params.length)
+    del file, blocks  # a TokenFile holds every line of its file: free them first
     verdict = is_dna_correcting(code, params)
     lines = [verdict.kind.name, _regime_line(verdict.regime)]
     if verdict.witness is not None:
@@ -289,22 +289,18 @@ def _cmd_verify(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> list[str]:
-    header_a, block_a, length_a = read_message_file(args.a)
-    header_b, block_b, length_b = read_message_file(args.b)
-    values = _resolve(args, {args.a: header_a, args.b: header_b}, need=["l"])
+    (a, block_a), (b, block_b) = _read_message(args.a), _read_message(args.b)
+    values = _resolve(args, [a, b], need=["l"])
     m, L, index_len = values.get("M"), values.get("L"), values["l"]
-    d = dna_distance(
-        _message(args.a, block_a, length_a, index_len, m, L),
-        _message(args.b, block_b, length_b, index_len, m, L),
-    )
+    d = dna_distance(_message(a, block_a, index_len, m, L), _message(b, block_b, index_len, m, L))
     return [f"D={_fmt_distance(d)}"]
 
 
 def _cmd_min_distance(args: argparse.Namespace) -> list[str]:
-    header, blocks, length = read_code_file(args.code)
-    values = _resolve(args, {args.code: header}, need=["l"])
-    m, L, index_len = values.get("M"), values.get("L"), values["l"]
-    code = [_message(args.code, block, length, index_len, m, L) for block in blocks]
+    file = io.read_blocks(args.code)
+    values = _resolve(args, [file], need=["l"])
+    code = _messages(file, file.blocks(), values["l"], values.get("M"), values.get("L"))
+    del file  # free its lines before the work
     d, (za, zb) = min_dna_distance(code)
     return [f"D={_fmt_distance(d)}", f"pair A: {za}", f"pair B: {zb}"]
 
@@ -325,9 +321,10 @@ def _cmd_oracle_intersect(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[str]:
-    header, block, length = read_message_file(args.message)
-    params = _system_params(args, {args.message: header}, block, length)
-    z = _message(args.message, block, length, params.index_len, params.m, params.length)
+    file, block = _read_message(args.message)
+    params = _system_params(args, [file], block, file.length)
+    z = _message(file, block, params.index_len, params.m, params.length)
+    del file  # free its lines before the work
     sample = sample_ball(z, params, args.seed)
     file_lines, rows = sample_lines(sample, params)
     if args.provenance:
@@ -339,18 +336,19 @@ def _cmd_simulate(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_member(args: argparse.Namespace) -> list[str]:
-    pool_header, counts, pool_length = read_pool_file(args.pool)
-    msg_header, block, length = read_message_file(args.message)
-    headers = {args.pool: pool_header, args.message: msg_header}
-    params = _system_params(args, headers, block, length)
-    _check_token_length(args.pool, pool_length, params.length)
+    pool_file = io.read_blocks(args.pool)
+    counts = pool_file.value_counts()
+    file, block = _read_message(args.message)
+    params = _system_params(args, [pool_file, file], block, file.length)
+    pool_file.check_length(params.length)
     pool = _pool_from_counts(params.length, counts)
-    z = _message(args.message, block, length, params.index_len, params.m, params.length)
+    z = _message(file, block, params.index_len, params.m, params.length)
+    del pool_file, file, counts  # free their lines before the work
     return ["YES" if in_ball(pool, z, params) else "NO"]
 
 
 def _cmd_search(args: argparse.Namespace) -> list[str]:
-    params = _system_params(args, {})
+    params = _system_params(args, [])
     restrict = _parse_restrict(args.restrict, params) if args.restrict else None
     code, row = run_search(params, Strategy(args.strategy), restrict, args.cap)
     file_lines = code_lines(code, params)
@@ -369,13 +367,12 @@ def _parse_restrict(text: str, params: SystemParams) -> tuple[int, int]:
         # pairwise-distinct data fields; index distance never exceeds l
         return (params.index_len, 0)
     r1, _, r2 = text.partition(",")
-    try:
-        return (int_from_string(r1), int_from_string(r2))
-    except ValidationError:
+    if not (_is_digits(r1) and _is_digits(r2)):
         raise ValidationError(
             f"--restrict must be 'r1,r2' with non-negative integers or 'distinct-data', "
             f"got {text!r}"
-        ) from None
+        )
+    return (int_from_string(r1, "--restrict"), int_from_string(r2, "--restrict"))
 
 
 def _append_table_row(path: str, row: SearchRow, restrict_text: Optional[str]) -> None:

@@ -1,22 +1,25 @@
 """Text file formats for messages, codes, and read pools.
 
-All files are UTF-8 text.  Lines starting with '#' are comments; an
+All files are UTF-8 text; a file that does not decode is a
+``FileFormatError``.  Lines starting with '#' are comments; an
 optional header line '%params M=..,L=..,l=..,K=..,tau=p/q,ei=..,ed=..'
 declares parameters (command-line flags override it).  Every other
 non-blank line is a binary string: a message file holds one strand per
 line, a code file separates messages with one blank line, and a pool
 file lists one read per line with repeats expressing multiplicity.
 
-``read_blocks`` reads a file in one pass over its distinct lines: it
-counts the stripped lines, checks the distinct tokens together (0/1
-only, one length) and packs each into an int once.  Only a failed check
-reads the lines one by one, for the line of the first bad token, so
-errors name their line and come in line order.  A message or code file
-comes back as tuples of packed ints in file order, and a pool file as
-the number of lines holding each packed read, each with the file's
-token length; the builders in ``model`` take only ints.  Output goes
-the other way in one step: each line is formatted from its packed value
-by one ``format(v, "0{L}b")``.
+``read_blocks`` is the one file reader.  It reads a file in one pass
+over its distinct lines: it counts the stripped lines, checks the
+distinct tokens together (0/1 only, one length) and packs each into an
+int once.  Only a failed check reads the lines one by one, for the line
+of the first bad token, so errors name their line and come in line
+order.  The ``TokenFile`` it returns gives a code file's blocks as
+tuples of packed ints in file order (``blocks``), a message file's one
+block (``message_block``) and a pool file's number of lines holding
+each packed read (``value_counts``), and compares its token length with
+an L (``check_length``); the builders in ``model`` take only ints.
+Output goes the other way in one step: each line is formatted from its
+packed value by one ``format(v, "0{L}b")``.
 """
 
 from __future__ import annotations
@@ -96,12 +99,13 @@ def merge_headers(
 
 
 class TokenFile(NamedTuple):
-    """A file that ``read_blocks`` has checked: its merged %params
-    ``header``, its one token ``length`` (None when no line is a token),
-    its ``lines`` stripped, how often each stripped line occurs
+    """A file that ``read_blocks`` has checked: its ``path``, its merged
+    %params ``header``, its one token ``length`` (None when no line is a
+    token), its ``lines`` stripped, how often each stripped line occurs
     (``counts``) and the packed value of each distinct token
     (``values``)."""
 
+    path: str
     header: dict[str, ParamValue]
     length: Optional[int]
     lines: list[str]
@@ -124,9 +128,26 @@ class TokenFile(NamedTuple):
             blocks.append(tuple(current))
         return blocks
 
+    def message_block(self) -> Block:
+        """The one block of a message file."""
+        blocks = self.blocks()
+        if len(blocks) != 1:
+            raise FileFormatError(
+                f"expected exactly one message, found {len(blocks)}", path=self.path
+            )
+        return blocks[0]
+
     def value_counts(self) -> dict[int, int]:
         """How many token lines hold each packed value."""
         return dict(zip(self.values.values(), map(self.counts.__getitem__, self.values)))
+
+    def check_length(self, length: int, source: str = "the parameters say") -> None:
+        """Require the tokens, if any, to be ``length`` bits wide: the L
+        that ``source`` gives, the header's or the one in force."""
+        if self.length is not None and self.length != length:
+            raise FileFormatError(
+                f"lines have length {self.length} but {source} L={length}", path=self.path
+            )
 
 
 def read_blocks(path: Union[str, Path]) -> TokenFile:
@@ -149,6 +170,8 @@ def read_blocks(path: Union[str, Path]) -> TokenFile:
             text = fh.read()
     except OSError as e:
         raise FileFormatError(f"cannot read file: {e.strerror or e}", path=name)
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"not UTF-8 text: byte {e.start} ({e.reason})", path=name)
     lines = list(map(str.strip, text.splitlines()))
     counts = Counter(lines)
     tokens: list[str] = []
@@ -182,12 +205,11 @@ def read_blocks(path: Union[str, Path]) -> TokenFile:
         header = merge_headers(header, items, where=f"{name}:{lineno}: ")
     if bad is not None:
         raise bad
-    if token_len is not None and header.get("L", token_len) != token_len:
-        raise FileFormatError(
-            f"lines have length {token_len} but the header says L={header['L']}", path=name
-        )
     values = dict(zip(tokens, map(int, tokens, repeat(2))))
-    return TokenFile(header, token_len, lines, counts, values)
+    file = TokenFile(name, header, token_len, lines, counts, values)
+    if "L" in header:
+        file.check_length(header["L"], "the header says")
+    return file
 
 
 def _first_bad_token(lines: list[str], name: str) -> FileFormatError:
@@ -211,36 +233,6 @@ def _first_bad_token(lines: list[str], name: str) -> FileFormatError:
                 line=lineno,
             )
     raise AssertionError("a token failed its check, so some token line is bad")
-
-
-def read_message_file(path: Union[str, Path]) -> tuple[dict[str, ParamValue], Block, int]:
-    """The header, the one block of packed strands and the token length
-    of a message file."""
-    file = read_blocks(path)
-    blocks = file.blocks()
-    if len(blocks) != 1:
-        raise FileFormatError(
-            f"expected exactly one message, found {len(blocks)}", path=str(path)
-        )
-    return file.header, blocks[0], file.length
-
-
-def read_code_file(
-    path: Union[str, Path]
-) -> tuple[dict[str, ParamValue], list[Block], Optional[int]]:
-    """The header, the blocks of packed strands and the token length of a
-    code file."""
-    file = read_blocks(path)
-    return file.header, file.blocks(), file.length
-
-
-def read_pool_file(
-    path: Union[str, Path]
-) -> tuple[dict[str, ParamValue], dict[int, int], Optional[int]]:
-    """The header, the number of lines holding each packed read and the
-    token length of a pool file."""
-    file = read_blocks(path)
-    return file.header, file.value_counts(), file.length
 
 
 def params_header(params: SystemParams) -> str:

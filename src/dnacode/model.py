@@ -20,14 +20,16 @@ when ``Message.strands`` is first read, and kept.
 Each input is checked once, where the check is cheapest.  File tokens
 are checked and packed by ``io.read_blocks`` (0/1 only, one length per
 file, each distinct token once); the builders here take packed ints
-only, and ``_check_packed`` is their one rule for a packed value of L
-bits (an int, not a bool, in range).  A pool of checked reads and
-counts is built by ``_pool_from_counts`` without checking each read
-again.  Messages are built by one private builder,
-``_message_from_packed``: it runs the count, duplicate-strand and
-duplicate-index checks on the ints and makes the message from the
+only.  ``_check_strand_shape`` is the one shape rule (0 < l < L <= 64)
+of ``Strand``, ``SystemParams`` and the CLI, and ``_check_packed`` the
+one rule for a packed value of L bits (an int, not a bool, in range).
+A pool of checked reads and counts is built by ``_pool_from_counts``
+without checking each read again.  Messages are built by one private
+builder, ``_message_from_packed``: it runs the count, duplicate-strand
+and duplicate-index checks on the ints and makes the message from the
 sorted ints through ``_unchecked_message``.  ``validate_message`` and
-the CLI's one builder, ``cli._message``, build through it.
+the CLI's one builder, ``cli._messages``, which checks a file's shape
+once for all its blocks, build through it.
 ``enumerate_space``, whose index fields are distinct by construction,
 calls ``_unchecked_message`` on each pick of one packed strand per
 column.  The public ``Strand`` and ``Message`` constructors keep all
@@ -38,6 +40,7 @@ shape check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -86,16 +89,29 @@ def bits_from_string(s: str) -> int:
     return int(s, 2) if s else 0
 
 
+def _is_digits(s: str) -> bool:
+    """Whether ``s`` is a non-empty run of ASCII decimal digits."""
+    return s.isascii() and s.isdigit()
+
+
 def int_from_string(s: str, what: str = "value") -> int:
     """A non-negative integer written in ASCII decimal digits.
 
     ``int(s)`` alone would also take a sign (so '-0' and '+3'),
     surrounding whitespace, underscores between digits and non-ASCII
-    decimal digits such as '٢'.
+    decimal digits such as '٢'.  More digits than
+    ``sys.get_int_max_str_digits()``, which ``int`` refuses, is an
+    error whose text gives their count, not the digits.
     """
-    if not (s.isascii() and s.isdigit()):
+    if not _is_digits(s):
         raise ValidationError(f"{what} must be a non-negative integer, got {s!r}")
-    return int(s)
+    try:
+        return int(s)
+    except ValueError:
+        raise ValidationError(
+            f"{what} has {len(s)} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that int() converts"
+        ) from None
 
 
 def tau_from_string(s: str) -> Fraction:
@@ -110,10 +126,9 @@ def tau_from_string(s: str) -> Fraction:
     if s == "1":
         return Fraction(1)
     p, _, q = s.partition("/")
-    try:
-        return Fraction(int_from_string(p), int_from_string(q))
-    except (ValidationError, ZeroDivisionError):
-        raise ValidationError(f"tau must be a fraction p/q or 1, got {s!r}") from None
+    if not (_is_digits(p) and _is_digits(q) and q.strip("0")):
+        raise ValidationError(f"tau must be a fraction p/q or 1, got {s!r}")
+    return Fraction(int_from_string(p, "tau"), int_from_string(q, "tau"))
 
 
 def bits_to_string(bits: int, length: int) -> str:
@@ -146,13 +161,12 @@ def _check_packed(value: object, length: int, what: str) -> None:
 
 
 def _check_strand_shape(length: int, index_len: int) -> None:
-    """Require 0 < index_len < length <= MAX_STRAND_LEN."""
+    """Require 0 < l < L <= MAX_STRAND_LEN, for l = ``index_len`` and
+    L = ``length``: the one shape rule of strands, messages and params."""
     if not 0 < index_len < length:
-        raise ValidationError(
-            f"need 0 < index_len < length, got index_len={index_len}, length={length}"
-        )
+        raise ValidationError(f"need 0 < l < L, got l={index_len}, L={length}")
     if length > MAX_STRAND_LEN:
-        raise ValidationError(f"strand length {length} exceeds {MAX_STRAND_LEN}")
+        raise ValidationError(f"L={length} exceeds {MAX_STRAND_LEN}")
 
 
 @dataclass(frozen=True, order=True)
@@ -317,7 +331,7 @@ def _message_from_packed(
     values: Sequence[int], length: int, index_len: int, m: int | None = None
 ) -> Message:
     """The message of these packed strand values, for a caller that has
-    checked 0 < index_len < length <= MAX_STRAND_LEN and that each value
+    checked the shape by ``_check_strand_shape`` and that each value
     fits in ``length`` bits.
 
     With ``m``, a count other than m raises WrongCount first; then come
@@ -430,12 +444,7 @@ class SystemParams:
             )
         if self.m < 1 or self.k < 1:
             raise ValidationError("M and K must be positive")
-        if not 0 < self.index_len < self.length:
-            raise ValidationError(
-                f"need 0 < l < L, got l={self.index_len}, L={self.length}"
-            )
-        if self.length > MAX_STRAND_LEN:
-            raise ValidationError(f"L={self.length} exceeds {MAX_STRAND_LEN}")
+        _check_strand_shape(self.length, self.index_len)
         if self.m > (1 << self.index_len):
             raise ValidationError(
                 f"M={self.m} exceeds the 2^l={1 << self.index_len} available index fields"

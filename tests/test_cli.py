@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import dnacode
-from dnacode import Message, Strand, ValidationError, model, sample_ball, validate_message
+from dnacode import (
+    Message, Strand, SystemParams, ValidationError, model, sample_ball, validate_message,
+)
 from dnacode.cli import run
 from dnacode.io import code_lines, message_lines, params_header, write_text
 from dnacode.model import bits_to_string, split_popcount
@@ -138,6 +140,32 @@ def test_distance_commands_check_the_m_in_force(capsys, tmp_path, header, spec):
         ["intersect", "--a", a, "--b", a, "--params", spec + "K=2,tau=1,ei=1,ed=0"],
     ]:
         assert invoke(capsys, *argv) == (2, "", "error: expected 3 strands, got 2\n"), argv
+
+
+@pytest.mark.parametrize("length, index_len, text", [
+    (3, 0, "need 0 < l < L, got l=0, L=3"),
+    (3, 3, "need 0 < l < L, got l=3, L=3"),
+    (3, 5, "need 0 < l < L, got l=5, L=3"),
+    (65, 2, "L=65 exceeds 64"),
+])
+def test_one_shape_rule_gives_one_text(capsys, tmp_path, length, index_len, text):
+    """`Strand`, `SystemParams` and every command that builds messages
+    reject an (L, l) shape by the one rule, with its one text."""
+    for build in (lambda: Strand(0, length, index_len),
+                  lambda: SystemParams(1, length, index_len, 2, 1, 0, 0)):
+        with pytest.raises(ValidationError) as caught:
+            build()
+        assert (type(caught.value), str(caught.value)) == (ValidationError, text)
+    a = write(tmp_path / "a.txt", "0" * length + "\n")
+    code = write(tmp_path / "code.txt", "\n".join(["0" * length, "", "1" * length, ""]))
+    spec = f"l={index_len},K=2,tau=1,ei=0,ed=0"
+    for argv in [
+        ["distance", "--a", a, "--b", a, "--params", f"l={index_len}"],
+        ["min-distance", "--code", code, "--params", f"l={index_len}"],
+        ["verify", "--code", code, "--params", spec],
+        ["intersect", "--a", a, "--b", a, "--params", spec],
+    ]:
+        assert invoke(capsys, *argv) == (2, "", f"error: {text}\n"), argv
 
 
 def test_min_distance_reports_argmin_pair(capsys, tmp_path):

@@ -13,9 +13,7 @@ from dnacode.io import (
     message_lines,
     params_header,
     parse_param_items,
-    read_code_file,
-    read_message_file,
-    read_pool_file,
+    read_blocks,
     sample_lines,
     tau_text,
     write_text,
@@ -65,7 +63,7 @@ def test_param_items_reject_unknown_and_repeated_keys(tmp_path, text, error):
     path = tmp_path / "msg.txt"
     path.write_text(f"# a header\n%params {text}\n000\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as caught:
-        read_message_file(path)
+        read_blocks(path)
     assert str(caught.value) == f"{path}:2: {error}"
 
 
@@ -73,7 +71,7 @@ def test_header_value_error_carries_its_line(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# K below\n%params K=0_2\n000\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc:
-        read_message_file(path)
+        read_blocks(path)
     assert exc.value.line == 2 and "K" in str(exc.value)
 
 
@@ -81,23 +79,23 @@ def test_params_header_round_trips_through_a_file(tmp_path):
     p = mk_params(2, 3, 2, 2, "1/2", 1, 0)
     path = tmp_path / "msg.txt"
     write_text(path, [params_header(p)] + message_lines(mk_message(2, "000", "110")))
-    header, block, length = read_message_file(path)
-    assert header == {"M": 2, "L": 3, "l": 2, "K": 2, "tau": Fraction(1, 2), "ei": 1, "ed": 0}
-    assert (block, length) == ((0b000, 0b110), 3)
+    file = read_blocks(path)
+    assert file.header == {"M": 2, "L": 3, "l": 2, "K": 2, "tau": Fraction(1, 2), "ei": 1, "ed": 0}
+    assert (file.message_block(), file.length) == ((0b000, 0b110), 3)
 
 
 def test_message_file_ignores_comments_and_blanks(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("# a comment\n\n000\n# another\n110\n\n", encoding="utf-8")
-    _, block, length = read_message_file(path)
-    assert (block, length) == ((0b000, 0b110), 3)
+    file = read_blocks(path)
+    assert (file.message_block(), file.length) == ((0b000, 0b110), 3)
 
 
 def test_message_file_reports_position_of_bad_lines(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("000\n01x\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc:
-        read_message_file(path)
+        read_blocks(path)
     assert exc.value.line == 2
     assert str(path) in str(exc.value)
     assert ":2:" in str(exc.value)
@@ -107,7 +105,7 @@ def test_ragged_strand_lengths_are_rejected(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("000\n0110\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc:
-        read_message_file(path)
+        read_blocks(path)
     assert exc.value.line == 2
 
 
@@ -115,38 +113,37 @@ def test_header_length_must_match_tokens(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("%params L=4\n000\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
-        read_message_file(path)
+        read_blocks(path)
 
 
 def test_unknown_directive_is_rejected(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("%settings x=1\n000\n", encoding="utf-8")
     with pytest.raises(FileFormatError) as exc:
-        read_message_file(path)
+        read_blocks(path)
     assert exc.value.line == 1
 
 
 def test_repeated_headers_merge_but_must_agree(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("%params M=1\n%params L=3\n000\n", encoding="utf-8")
-    header, _, _ = read_message_file(path)
-    assert header == {"M": 1, "L": 3}
+    assert read_blocks(path).header == {"M": 1, "L": 3}
 
     conflicting = tmp_path / "bad.txt"
     conflicting.write_text("%params M=1\n%params M=2\n000\n", encoding="utf-8")
     with pytest.raises(ParamMismatch):
-        read_message_file(conflicting)
+        read_blocks(conflicting)
 
 
 def test_message_file_requires_exactly_one_block(tmp_path):
     path = tmp_path / "msg.txt"
     path.write_text("000\n\n110\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
-        read_message_file(path)
+        read_blocks(path).message_block()
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")
     with pytest.raises(FileFormatError):
-        read_message_file(empty)
+        read_blocks(empty).message_block()
 
 
 def test_code_file_round_trip(tmp_path):
@@ -154,9 +151,9 @@ def test_code_file_round_trip(tmp_path):
     code = [mk_message(1, "00"), mk_message(1, "11")]
     path = tmp_path / "code.txt"
     write_text(path, code_lines(code, p))
-    header, blocks, length = read_code_file(path)
-    assert header["M"] == 1 and header["tau"] == Fraction(1)
-    assert (blocks, length) == ([(0b00,), (0b11,)], 2)
+    file = read_blocks(path)
+    assert file.header["M"] == 1 and file.header["tau"] == Fraction(1)
+    assert (file.blocks(), file.length) == ([(0b00,), (0b11,)], 2)
 
 
 def _sample_of(reads, length, index_len, seed=0):
@@ -170,8 +167,8 @@ def test_pool_file_round_trip_preserves_multiplicity(tmp_path):
     p = mk_params(1, 2, 1, 3, "1", 1, 0)
     path = tmp_path / "pool.txt"
     write_text(path, sample_lines(_sample_of([0b00, 0b10, 0b00], 2, 1), p)[0])
-    _, counts, length = read_pool_file(path)
-    assert (counts, length) == ({0b00: 2, 0b10: 1}, 2)
+    file = read_blocks(path)
+    assert (file.value_counts(), file.length) == ({0b00: 2, 0b10: 1}, 2)
 
 
 def test_pool_lines_preserve_the_given_order():
@@ -277,10 +274,9 @@ def _error(read, path):
 def test_read_blocks_reports_the_line_a_per_line_reader_reports(tmp_path):
     files = bad_input_files(tmp_path)
     assert len(files) == 2 * (4 * 3 + 2)
-    for name, (kind, path) in files.items():
-        read = read_pool_file if kind == "pool" else read_code_file
+    for name, (_, path) in files.items():
         want = _error(reference_read_blocks, path)
-        assert _error(read, path) == want, name
+        assert _error(read_blocks, path) == want, name
         assert want[0] is FileFormatError, name
 
 
@@ -345,10 +341,15 @@ ERROR_KINDS = [
 ]
 
 
+def _read_message_block(path):
+    """A message file's one block, read as the CLI reads it."""
+    return read_blocks(path).message_block()
+
+
 def reader_agreement(directory, files=400):
-    """Each random file read by the three file readers and by
-    ``reference_read_blocks``: the disagreements, and how many good and
-    bad files were read."""
+    """Each random file read by ``read_blocks``, as a code, pool and
+    message file, and by ``reference_read_blocks``: the disagreements,
+    and how many good and bad files were read."""
     disagreements = []
     seen = dict.fromkeys(["good", "bad", "one block", *ERROR_KINDS], 0)
     rng = random.Random(331)
@@ -363,7 +364,7 @@ def reader_agreement(directory, files=400):
             seen["bad"] += 1
             for what in ERROR_KINDS:
                 seen[what] += what in want[1]
-            for read in (read_message_file, read_code_file, read_pool_file):
+            for read in (read_blocks, _read_message_block):
                 if _error(read, path) != want:
                     disagreements.append((n, read.__name__, _error(read, path), want))
             continue
@@ -371,16 +372,17 @@ def reader_agreement(directory, files=400):
         packed = [tuple(int(token, 2) for token in block) for block in blocks]
         length = len(blocks[0][0]) if blocks else None
         counts = dict(Counter(value for block in packed for value in block))
+        file = read_blocks(path)
         got = {
-            "code": read_code_file(path),
-            "pool": read_pool_file(path),
+            "code": (file.header, file.blocks(), file.length),
+            "pool": (file.header, file.value_counts(), file.length),
         }
         want = {"code": (header, packed, length), "pool": (header, counts, length)}
         if len(blocks) == 1:
             seen["one block"] += 1
-            got["message"] = read_message_file(path)
+            got["message"] = (file.header, _read_message_block(path), file.length)
             want["message"] = (header, packed[0], length)
-        elif _error(read_message_file, path)[1] != (
+        elif _error(_read_message_block, path)[1] != (
             f"{path}: expected exactly one message, found {len(blocks)}"
         ):
             disagreements.append((n, "message block count"))

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 import weakref
+from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from dnacode import (
     validate_message,
 )
 from dnacode import cli
+from dnacode.io import TokenFile
 from dnacode.model import _message_from_packed, bits_from_string, bits_to_string
 
 from oracles import (
@@ -479,13 +481,12 @@ def test_cli_message_inputs_match_the_per_strand_reference():
             block.append(block[0][:-1] + ("1" if block[0][-1] == "0" else "0"))
         want = _outcome(reference_bare_message, block, index_len)
         packed = tuple(int(token, 2) for token in block)
-        _assert_same_outcomes(
-            [_outcome(cli._message, "z.txt", packed, length, index_len)], [want], block
-        )
+        file = TokenFile("z.txt", {}, length, [], Counter(), {})
+        _assert_same_outcomes([_outcome(cli._message, file, packed, index_len)], [want], block)
         if 0 < index_len < length <= 64 and len(block) <= 1 << index_len:
             p = mk_params(len(block), length, index_len, 2, 1, 0, 0)
             _assert_same_outcomes(
-                [_outcome(cli._message, "z.txt", packed, length, index_len, p.m, p.length)],
+                [_outcome(cli._message, file, packed, index_len, p.m, p.length)],
                 [_outcome(reference_validate_message, _reference_strands(block, p), p)],
                 block,
             )
