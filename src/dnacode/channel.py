@@ -43,25 +43,24 @@ loses nothing: the grouping of a pool in ball(Z), restricted to a
 sub-multiset, fits the same capacities, so no pool containing a misfit
 lies in the ball.
 
-The partial pool is held in the source capacities of one
-read-assignment network per message (``matching._read_network``, the
-builder ``in_ball`` uses too), built once over the read universe at the
-full strand capacities, with no read peeled off.  One ``max_flow``, made
-of the same unit augmenting paths as each step, places the forced base;
-from then on, at every accepted depth, both networks carry a maximum
-flow that saturates every source edge.  Adding read i
-raises its source capacity by 1, which raises the max flow by at most 1,
-and by exactly 1 iff the residual network has a path from read node i to
-the sink: the source is a dead end, since its other edges are saturated
-(Ford & Fulkerson 1956).  So a step is one ``_FlowNetwork.augment`` per
-network, which pushes the unit along such a path or changes nothing.  A
-step that net2 rejects undoes net1's path, and a backtrack undoes the
-two paths of the depth it pops.  Undo is LIFO: each path taken back is
-the last one still pushed on its network, so every residual capacity
-returns exactly to its value before that push.  The walk keeps an
-explicit stack, so a pool of thousands of reads needs no recursion.  A
-full pool both flows accept is confirmed with ``in_ball`` against both
-messages before the oracle answers True.
+The partial pool is the flow of one read-assignment network per
+message (``matching._read_network``, the builder ``in_ball`` uses too),
+built once over the read universe at the full strand capacities, with
+no read peeled off.  ``fills``, made of the same unit pushes as each
+step, places the forced base; from then on, at every accepted depth,
+both networks carry a maximum flow that places every read of the
+partial pool.  Adding read i raises the max flow by at most 1, and by
+exactly 1 iff the residual network has a path from read node i to the
+sink that avoids the source (Ford & Fulkerson 1956).  So a step is one
+``_FlowNetwork.push(i)`` per network, which sends the unit along such a
+path or changes nothing.  A step that net2 rejects pops net1's path,
+and a backtrack pops the two paths of the depth it leaves.  Pops are
+LIFO: each path taken back is the last one still pushed on its
+network, so every residual capacity returns exactly to its value
+before that push.  The walk keeps an explicit stack, so a pool of
+thousands of reads needs no recursion.  A full pool both flows accept
+is confirmed with ``in_ball`` against both messages before the oracle
+answers True.
 """
 
 from __future__ import annotations
@@ -292,14 +291,12 @@ def oracle_balls_intersect(
     if count > cap:
         raise SpaceTooLarge(count, cap, what="candidate pools")
 
-    # the partial pool lives in the source capacities of one read network
-    # per message; at every accepted depth all source edges are saturated
-    net1, src1, sink1 = _read_network(universe, z1, params)
-    net2, src2, sink2 = _read_network(universe, z2, params)
-    for i, v in enumerate(universe):
-        src1[i][1] = src2[i][1] = base[v]
-    placed = sum(base.values())
-    if net1.max_flow(0, sink1) < placed or net2.max_flow(0, sink2) < placed:
+    # the partial pool is the flow of one read network per message, which
+    # places every read of it at every accepted depth
+    net1 = _read_network(universe, z1, params)
+    net2 = _read_network(universe, z2, params)
+    copies = [base[v] for v in universe]
+    if not (net1.fills(copies) and net2.fills(copies)):
         return False
 
     # the multisets in combinations_with_replacement order, one read a
@@ -309,25 +306,21 @@ def oracle_balls_intersect(
     i = 0
     while len(picks) < remaining:
         if i < len(universe):
-            src1[i][1] += 1
-            src2[i][1] += 1
-            path1 = net1.augment(src1[i], sink1)
+            path1 = net1.push(i)
             if path1 is not None:
-                path2 = net2.augment(src2[i], sink2)
+                path2 = net2.push(i)
                 if path2 is not None:
                     picks.append(i)
                     paths.append((path1, path2))
                     continue
-                net1.undo(path1)
+                net1.pop(path1)
         elif picks:
             path1, path2 = paths.pop()
-            net1.undo(path1)
-            net2.undo(path2)
+            net1.pop(path1)
+            net2.pop(path2)
             i = picks.pop()
         else:
             return False
-        src1[i][1] -= 1
-        src2[i][1] -= 1
         i += 1
 
     candidate = base + Counter(universe[j] for j in picks)

@@ -4,7 +4,9 @@ The first stdout line of every subcommand is machine-readable
 (CORRECTING / NOT_CORRECTING / INDETERMINATE, YES / NO / UNKNOWN,
 D=<n>, SIZE=<n>, OK, or a pool file); the lines after it are detail,
 and --quiet drops them.  Exit codes: 0 = a verdict was computed
-(whatever it is), 2 = invalid input, 3 = a resource cap was exceeded.
+(whatever it is), 1 = stdout closed before the output was written (as
+in ``dnacode ... | head -1``), 2 = invalid input, 3 = a resource cap
+was exceeded.
 Parameters come from --params key=value lists and/or %params file
 headers; flags override headers, and M and L are inferred from input
 files when omitted.
@@ -16,6 +18,7 @@ import argparse
 import csv
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,6 +50,7 @@ from .model import (
     _is_digits,
     _message_from_packed,
     _pool_from_counts,
+    _quote,
     int_from_string,
     validate_message,
 )
@@ -63,7 +67,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    print("\n".join(lines[:1] if args.quiet else lines))
+    try:
+        print("\n".join(lines[:1] if args.quiet else lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: stdout goes to devnull, as the signal docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
@@ -370,7 +380,7 @@ def _parse_restrict(text: str, params: SystemParams) -> tuple[int, int]:
     if not (_is_digits(r1) and _is_digits(r2)):
         raise ValidationError(
             f"--restrict must be 'r1,r2' with non-negative integers or 'distinct-data', "
-            f"got {text!r}"
+            f"got {_quote(text)}"
         )
     return (int_from_string(r1, "--restrict"), int_from_string(r2, "--restrict"))
 

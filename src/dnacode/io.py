@@ -36,6 +36,7 @@ from .model import (
     Message,
     SystemParams,
     _is_bits,
+    _quote,
     check_bits,
     int_from_string,
     tau_from_string,
@@ -68,11 +69,11 @@ def parse_param_items(
         key, eq, value = part.partition("=")
         key, value = key.strip(), value.strip()
         if not eq or not value:
-            fail(f"expected key=value, got {part!r}")
+            fail(f"expected key=value, got {_quote(part)}")
         if key not in PARAM_KEYS:
-            fail(f"unknown parameter {key!r} (expected one of {', '.join(PARAM_KEYS)})")
+            fail(f"unknown parameter {_quote(key)} (expected one of {', '.join(PARAM_KEYS)})")
         if key in items:
-            fail(f"repeated parameter {key!r}")
+            fail(f"repeated parameter {_quote(key)}")
         try:
             items[key] = tau_from_string(value) if key == "tau" else int_from_string(value, key)
         except ValidationError as e:
@@ -199,7 +200,7 @@ def read_blocks(path: Union[str, Path]) -> TokenFile:
             break
         if not (line == "%params" or line.startswith("%params ")):
             raise FileFormatError(
-                f"unknown directive {line.split()[0]!r}", path=name, line=lineno
+                f"unknown directive {_quote(line.split()[0])}", path=name, line=lineno
             )
         items = parse_param_items(line[len("%params"):], path=name, line=lineno)
         header = merge_headers(header, items, where=f"{name}:{lineno}: ")

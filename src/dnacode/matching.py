@@ -114,18 +114,18 @@ set to what the peel left; when none is left the pool is feasible
 without a flow, as the M*K reads then fill every strand's K places.
 
 One builder, ``_read_network``, lays this network out over given read
-values with their source capacities at 0, and every flow on it is grown
-one unit at a time along augmenting paths (``_FlowNetwork``).
-``assignment_feasible`` hands it the rows its peel read for the values
-left after the peel, so no row is computed twice, sets the source
-capacities to those values' multiplicities and runs ``max_flow``, which
-augments through each source edge until the edge is full or no path
-leads on from its head.  The ball oracle in ``channel`` builds the
-network over its whole read universe with the full strand capacities,
-raises the source capacities one read at a time and pushes each extra
-unit with one ``augment``, taken back with ``undo`` when the walk
-backtracks.  So membership and the oracle share one network layout and
-one flow algorithm.
+values with no flow, and every flow on it grows one unit at a time
+along augmenting paths (``_FlowNetwork``): ``push(i)`` sends one more
+read of value i to the sink or changes nothing, ``pop`` takes it back,
+and ``fills(counts)`` pushes counts[i] reads of each value in turn and
+answers No at the first read it cannot place.  ``assignment_feasible``
+hands the builder the rows its peel read, so no row is computed twice,
+and ends in one ``fills`` of the shared values' multiplicities.  The
+ball oracle in ``channel`` builds the network over its whole read
+universe at the full strand capacities, places its forced copies with
+``fills`` and walks with one ``push`` per read it adds and one ``pop``
+per read it takes back.  So membership and the oracle share one network
+layout and one flow primitive, and only ``_FlowNetwork`` reads edges.
 """
 
 from __future__ import annotations
@@ -784,12 +784,8 @@ def assignment_feasible(pool: ReadPool, z: Message, params: SystemParams) -> boo
                 return False
     if not shared:
         return True
-    net, sources, sink = _read_network(
-        [v for v, _ in shared], z, params, room, slack, shared_rows
-    )
-    for edge, (_, count) in zip(sources, shared):
-        edge[1] = count
-    return net.max_flow(0, sink) == sum(room)
+    net = _read_network([v for v, _ in shared], z, params, room, slack, shared_rows)
+    return net.fills([count for _, count in shared])
 
 
 def _read_network(
@@ -799,11 +795,10 @@ def _read_network(
     room: Optional[Sequence[int]] = None,
     slack: Optional[Sequence[int]] = None,
     rows: Optional[Iterable[Sequence[int]]] = None,
-) -> tuple[_FlowNetwork, list[list[int]], int]:
+) -> _FlowNetwork:
     """The read-assignment network of Z over the given distinct read
-    values, with every value's source edge at capacity 0: returns the
-    network, the source edges in the order of ``values`` and the sink.
-    A caller sets the source capacities to a pool's multiplicities.
+    values, with no flow: source edge i, at capacity 0, leads to
+    ``values[i]``, and a caller pushes a pool's reads through it.
     Strand j takes ``room[j]`` reads, at most ``slack[j]`` of them through
     its noisy slot: K and floor(tau*K) when not given.  ``rows``, when
     given, are the values' ``_rows_within`` rows against Z's strands,
@@ -843,7 +838,7 @@ def _read_network(
         for j in row:
             if j != exact:
                 net.add_edge(i, base + 2 * j, big)
-    return net, net.adj[0], sink
+    return net
 
 
 # the index masks of the row kernel ``_rows_within`` and their number
@@ -855,25 +850,20 @@ _flip_masks = lru_cache(maxsize=32)(_all_flip_masks)
 
 
 class _FlowNetwork:
-    """Integer max flow; edges stored as [to, residual capacity, reverse index].
+    """Unit augmenting paths (Ford & Fulkerson 1956) from node 0, the
+    source, to the last node, the sink; edges stored as [to, residual
+    capacity, reverse index].  Source edge i is the i-th edge out of 0.
 
-    One algorithm, augmenting paths (Ford & Fulkerson 1956), serves every
-    flow.  ``augment`` pushes one unit through a source edge and on along
-    a residual path to the sink, and ``undo`` takes it back: a caller that
-    grows a maximum flow one unit at a time and takes units back in LIFO
-    order uses the two directly.  Once the flow is maximum, raising one
-    source edge by 1 raises the max flow by at most 1, and by exactly 1
-    iff a residual path leads from that edge's head to the sink without
-    re-entering the source: a simple augmenting path leaves the source
-    once, and only the raised edge can carry it out.
-
-    ``max_flow`` augments through each source edge in turn until the edge
-    is full or ``augment`` finds no path from its head.  That is exact.
-    An augmentation raises residual capacity only on the reverses of its
-    path's edges, which leave nodes of the path, and every node of the
-    path reaches the sink.  So a node that cannot reach the sink without
-    passing the source never can later, and once every source edge is
-    full or leads to such a node, no augmenting path is left.
+    ``push(i)`` raises source edge i by one unit and sends it to the
+    sink, or changes nothing; ``pop`` takes a pushed unit back, LIFO.  On
+    a maximum flow, raising one source edge by 1 raises the max flow by 1
+    iff a residual path leads from its head to the sink without passing
+    the source (a simple augmenting path leaves the source once, through
+    the raised edge), so every push keeps the flow maximum.  ``fills`` may
+    stop at the first unit refused: a push raises residual capacity only
+    on the reverses of its path's edges, which leave nodes that reach the
+    sink, so a node that cannot reach the sink without passing the source
+    never can later.
     """
 
     def __init__(self, n: int) -> None:
@@ -883,27 +873,17 @@ class _FlowNetwork:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def max_flow(self, s: int, t: int) -> int:
-        """The flow from ``s`` to ``t`` added to the current residual
-        capacities until no augmenting path is left.  No edge out of
-        ``s`` may lead straight to ``t`` (see ``augment``)."""
-        flow = 0
-        for e in self.adj[s]:
-            while e[1] > 0 and self.augment(e, t) is not None:
-                flow += 1
-        return flow
-
-    def augment(self, e: list[int], t: int) -> list[list[int]] | None:
-        """Push one unit through edge ``e``, which must have residual
-        capacity and a head other than ``t``, and on along a residual
-        path from its head to ``t`` that avoids its tail.  The path is
-        found by depth-first search with an explicit stack, as it can be
-        as long as the network.  Returns the path's edges, ``e`` first,
-        or None with nothing changed when there is no such path."""
+    def push(self, i: int) -> list[list[int]] | None:
+        """Send one more unit through source edge ``i`` and on to the sink
+        along a residual path that avoids the source, found by depth-first
+        search with an explicit stack (a path can be as long as the
+        network).  Returns the path's edges, source edge first, or None
+        with nothing changed."""
         adj = self.adj
-        head = e[0]
+        e = adj[0][i]
+        head, t = e[0], len(adj) - 1
         seen = bytearray(len(adj))
-        seen[adj[head][e[2]][0]] = seen[head] = 1
+        seen[0] = seen[head] = 1
         # path[k] enters the node whose unscanned edges are stack[k]
         path = [e]
         stack = [iter(adj[head])]
@@ -912,6 +892,7 @@ class _FlowNetwork:
                 if f[1] > 0 and not seen[f[0]]:
                     path.append(f)
                     if f[0] == t:
+                        e[1] += 1
                         for g in path:
                             g[1] -= 1
                             adj[g[0]][g[2]][1] += 1
@@ -924,11 +905,17 @@ class _FlowNetwork:
                 path.pop()
         return None
 
-    def undo(self, path: list[list[int]]) -> None:
-        """Take back the unit ``augment`` pushed along ``path``.  Undone in
-        the reverse order of their pushes, paths return every residual
-        capacity exactly to its earlier value."""
+    def pop(self, path: list[list[int]]) -> None:
+        """Take back the unit ``push`` sent along ``path``.  Popped in the
+        reverse order of their pushes, paths restore every residual
+        capacity exactly."""
         adj = self.adj
         for f in path:
             f[1] += 1
             adj[f[0]][f[2]][1] -= 1
+        path[0][1] -= 1
+
+    def fills(self, counts: Iterable[int]) -> bool:
+        """Whether ``counts[i]`` more units fit through each source edge
+        i, pushed in turn; False at the first unit that does not fit."""
+        return all(self.push(i) is not None for i, c in enumerate(counts) for _ in range(c))

@@ -72,6 +72,13 @@ def _is_bits(s: str) -> bool:
     return not s.translate(_DROP_BITS)
 
 
+def _quote(s: str) -> str:
+    """``repr(s)`` for an error text, cut to its first 64 characters and
+    its length: a token no longer than a strand is shown whole."""
+    n = MAX_STRAND_LEN
+    return repr(s) if len(s) <= n else f"{s[:n]!r}... ({len(s)} characters)"
+
+
 def check_bits(s: str) -> None:
     """Reject a string with any character other than 0 and 1.
 
@@ -79,7 +86,7 @@ def check_bits(s: str) -> None:
     underscores, a ``0b`` prefix and non-ASCII digits.
     """
     if not _is_bits(s):
-        raise ValidationError(f"bit string may contain only 0 and 1, got {s!r}")
+        raise ValidationError(f"bit string may contain only 0 and 1, got {_quote(s)}")
 
 
 def bits_from_string(s: str) -> int:
@@ -104,7 +111,7 @@ def int_from_string(s: str, what: str = "value") -> int:
     error whose text gives their count, not the digits.
     """
     if not _is_digits(s):
-        raise ValidationError(f"{what} must be a non-negative integer, got {s!r}")
+        raise ValidationError(f"{what} must be a non-negative integer, got {_quote(s)}")
     try:
         return int(s)
     except ValueError:
@@ -127,7 +134,7 @@ def tau_from_string(s: str) -> Fraction:
         return Fraction(1)
     p, _, q = s.partition("/")
     if not (_is_digits(p) and _is_digits(q) and q.strip("0")):
-        raise ValidationError(f"tau must be a fraction p/q or 1, got {s!r}")
+        raise ValidationError(f"tau must be a fraction p/q or 1, got {_quote(s)}")
     return Fraction(int_from_string(p, "tau"), int_from_string(q, "tau"))
 
 

@@ -1,9 +1,10 @@
 """Adversarial input ends in exit 2 and one error line, never a traceback:
-files that are not UTF-8, integers longer than ``int()`` converts, and
-arbitrary file bytes and --params text."""
+files that are not UTF-8, integers longer than ``int()`` converts, text
+too long to echo in full, and arbitrary file bytes and --params text."""
 
 import contextlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dnacode import SystemParams, ValidationError
 from dnacode.cli import run
 from dnacode.io import PARAM_KEYS
-from dnacode.model import int_from_string, tau_from_string
+from dnacode.model import _quote, int_from_string, tau_from_string
 
 from conftest import run_under_python_O
 
@@ -153,6 +154,42 @@ if failures:
 def test_integers_past_the_digit_limit_are_invalid_input_under_python_O():
     done = run_under_python_O(OPTIMIZED_DIGIT_LIMIT, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+LONG = "x" * 5000
+SEARCH = ["search", "--strategy", "greedy", "--cap", "300", "--params"]
+# each site that echoes the text it refuses, given 5,000 characters of it:
+# an argv, with "{}" for a file holding the text after it, if any
+LONG_ECHOES = {
+    "check_bits": (["verify", "--code", "{}"], "0" * 4999 + "x\n"),
+    "int_from_string": (SEARCH + [f"M={LONG}"], None),
+    "tau_from_string": (SEARCH + [f"tau=1/{LONG}"], None),
+    "_parse_restrict": (SEARCH + [PARAMS, "--restrict", LONG], None),
+    "parse_param_items item": (SEARCH + [LONG], None),
+    "parse_param_items key": (SEARCH + [f"{LONG}=1"], None),
+    "parse_param_items header": (["verify", "--code", "{}"], f"%params {LONG}\n000\n"),
+    "unknown directive": (["verify", "--code", "{}"], f"%{LONG}\n000\n"),
+}
+
+
+@pytest.mark.parametrize("site", LONG_ECHOES)
+def test_a_long_text_is_echoed_cut_to_its_first_64_characters(site):
+    argv, text = LONG_ECHOES[site]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code, out, err = run_captured([str(path) if arg == "{}" else arg for arg in argv])
+    assert (code, out) == (2, ""), err[:300]
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode("utf-8")) < 200, err
+    assert re.search(r"'\.\.\. \(500\d characters\)", err), err
+
+
+def test_quote_keeps_the_repr_of_a_text_no_longer_than_a_strand():
+    for text in ["", "M", "x" * 64, "\t'\"\u00e9" * 16]:
+        assert _quote(text) == repr(text)
+    assert _quote("x" * 65) == repr("x" * 64) + "... (65 characters)"
 
 
 # pieces of files and --params lists: good and bad tokens, directives and

@@ -753,7 +753,7 @@ def test_oracle_agrees_with_the_snapshot_walk_beyond_brute_force():
 
 
 class _LifoCheckedNetwork(matching._FlowNetwork):
-    """Checks that each ``undo`` takes back the last path still pushed and
+    """Checks that each ``pop`` takes back the last path still pushed and
     restores every residual capacity to its value before that push."""
 
     undos = 0
@@ -765,17 +765,17 @@ class _LifoCheckedNetwork(matching._FlowNetwork):
     def residuals(self):
         return [e[1] for row in self.adj for e in row]
 
-    def augment(self, e, t):
+    def push(self, i):
         before = self.residuals()
-        path = super().augment(e, t)
+        path = super().push(i)
         if path is not None:
             self.pushed.append((path, before))
         return path
 
-    def undo(self, path):
+    def pop(self, path):
         last, before = self.pushed.pop()
         assert last is path
-        super().undo(path)
+        super().pop(path)
         assert self.residuals() == before
         _LifoCheckedNetwork.undos += 1
 

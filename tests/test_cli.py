@@ -203,6 +203,45 @@ def test_intersect_unknown_carries_reason_but_exits_zero(capsys, tmp_path):
     assert lines[1].startswith("reason: ")
 
 
+@pytest.mark.parametrize(
+    "text, regime, reason",
+    [
+        # floor(tau*K) = 1 < M*K/(2M-1) = 3/2: a regime with no criterion
+        ("%params M=1,L=2,l=1,K=3,tau=1/3,ei=1,ed=1\n\n00\n\n11\n",
+         "low-tau", "regime not characterized; use oracle"),
+        # 0000 and 0100 are within (2e_i, 2e_d) of each other, so the pair
+        # without a bijection is not proved No
+        ("%params M=2,L=4,l=2,K=2,tau=1/2,ei=1,ed=0\n\n0000\n0100\n\n1011\n1111\n",
+         "high-tau", "necessity unproved outside restricted spaces"),
+    ],
+)
+def test_verify_indeterminate_prints_its_reason(capsys, tmp_path, text, regime, reason):
+    code = write(tmp_path / "code.txt", text)
+    assert invoke(capsys, "verify", "--code", code) == (
+        0, f"INDETERMINATE\nregime: {regime}\nreason: {reason}\n", ""
+    )
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # the pipe's read end is closed before the command starts, so its
+    # first write to stdout fails
+    read, write_end = os.pipe()
+    os.close(read)
+    src = str(Path(dnacode.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "dnacode.cli", "search", "--strategy", "greedy",
+             "--params", "M=3,L=4,l=2,K=2,tau=1,ei=1,ed=0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def near_copy_pair(p, rng):
     """A random message and its near copy: each strand with one index bit
     flipped, to an index neither message uses, and one data bit."""

@@ -73,6 +73,27 @@ def test_graph_normalizes_and_validates():
         BipartiteGraph(1, 1, ((1,),))
 
 
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: BipartiteGraph(-1, 2, ()), "vertex counts must be non-negative"),
+        (lambda: BipartiteGraph(1, -1, ((),)), "vertex counts must be non-negative"),
+        (lambda: BipartiteGraph(2, 2, ((0,),)), "adjacency has 1 rows, expected 2"),
+        (lambda: BipartiteGraph(1, 1, ((1,),)), "neighbor out of range in (1,)"),
+        (lambda: PerfectMatching(((0, 0), (0, 1))), "matching pairs must pair distinct vertices"),
+        (lambda: PerfectMatching(((0, 1), (1, 1))), "matching pairs must pair distinct vertices"),
+        (lambda: HallViolator(frozenset({0}), frozenset({0})),
+         "not a violator: |Y| = 1 <= |N(Y)| = 1"),
+        (lambda: HallViolator(frozenset(), frozenset()),
+         "not a violator: |Y| = 0 <= |N(Y)| = 0"),
+    ],
+)
+def test_graph_types_reject_what_they_cannot_be(make, text):
+    with pytest.raises(ValidationError) as raised:
+        make()
+    assert str(raised.value) == text
+
+
 def test_identity_graph_has_identity_matching():
     g = graph_from_rows((0,), (1,), (2,))
     result = perfect_matching_or_violator(g)
@@ -870,7 +891,7 @@ def _scale_pools(rng, p, seed):
 
 class _RecordingNetwork(matching._FlowNetwork):
     """Records each edge (u, v, capacity) as the flow first sees it: the
-    read network's source capacities are set after its edges are added."""
+    read network's source edge i at the count ``fills`` pushes through it."""
 
     networks: list = []
 
@@ -884,13 +905,15 @@ class _RecordingNetwork(matching._FlowNetwork):
         super().add_edge(u, v, cap)
         self.added.append((u, v, self.adj[u][-1]))
 
-    def max_flow(self, s, t):
+    def fills(self, counts):
+        counts = list(counts)
         if self.edges is None:
-            self.edges = self.current_edges()
-        return super().max_flow(s, t)
+            self.edges = self.current_edges(counts)
+        return super().fills(counts)
 
-    def current_edges(self):
-        return [(u, v, e[1]) for u, v, e in self.added]
+    def current_edges(self, counts):
+        # source edge i, the i-th edge out of node 0, leads to node i + 1
+        return [(u, v, counts[v - 1] if u == 0 else e[1]) for u, v, e in self.added]
 
 
 @pytest.mark.parametrize("e", [(1, 1), (2, 1), (1, 0)])
@@ -908,13 +931,10 @@ def test_assignment_agrees_with_networkx_at_scale(m, tau, e):
         # lays out the reference network edge for edge
         _RecordingNetwork.networks.clear()
         with mock.patch.object(matching, "_FlowNetwork", _RecordingNetwork):
-            net, sources, net_sink = matching._read_network(
-                [v for v, _ in pool.entries], z, p
-            )
-            for edge, (_, count) in zip(sources, pool.entries):
-                edge[1] = count
-            assert net_sink == sink, name
-            assert sorted(net.current_edges()) == sorted(edges), name
+            net = matching._read_network([v for v, _ in pool.entries], z, p)
+            assert len(net.adj) - 1 == sink, name
+            counts = [count for _, count in pool.entries]
+            assert sorted(net.current_edges(counts)) == sorted(edges), name
             _RecordingNetwork.networks.clear()
             got = assignment_feasible(pool, z, p)
         assert got is want, name
@@ -970,11 +990,9 @@ def test_assignment_hands_the_peel_rows_to_the_network(m, e):
         assert with_rows, name
         _RecordingNetwork.networks.clear()
         with mock.patch.object(matching, "_FlowNetwork", _RecordingNetwork):
-            rebuilt, sources, _ = matching._read_network(values, z, p, room, slack)
+            rebuilt = matching._read_network(values, z, p, room, slack)
         counts = dict(pool.entries)
-        for edge, v in zip(sources, values):
-            edge[1] = counts[v]
-        assert rebuilt.current_edges() == net.edges, name
+        assert rebuilt.current_edges([counts[v] for v in values]) == net.edges, name
         built.add(name)
     assert "shared read" in built
 
@@ -1066,6 +1084,40 @@ def test_forced_reads_need_no_flow_network():
     network.assert_called_once_with(1 + 1 + 2 * 2 + 1)
 
 
+class _CountingNetwork(matching._FlowNetwork):
+    pushes = 0
+
+    def push(self, i):
+        _CountingNetwork.pushes += 1
+        return super().push(i)
+
+
+def test_assignment_says_no_at_the_first_read_it_cannot_place():
+    # M = 512 strands at index fields 0..511.  Strands 2k and 2k + 1, for
+    # k < 100, share a data field, so an exact copy of either is within
+    # (1, 0) of both and enters the flow; every other strand has a data
+    # field of its own.  Pair 0 gets K + 1 copies of strand 0 and K of
+    # strand 1, and strand 511 gives up one read: no grouping exists, but
+    # every place count stays at 0 or above, so the peel lets the pool
+    # through.  Pair 0's values come first, so the flow refuses the pool
+    # at their last unit, before it pushes the other 99 pairs' 2K each
+    pytest.importorskip("networkx")
+    pairs, k = 100, 2
+    p = mk_params(512, 24, 11, k, "1", 1, 0)
+    data = [j // 2 if j < 2 * pairs else j for j in range(512)]
+    z = Message(tuple(strand_from_fields(j, d, 24, 11) for j, d in enumerate(data)))
+    reads = [s.bits for s in z.strands for _ in range(k)] + [z.strands[0].bits]
+    reads.remove(z.strands[511].bits)
+    pool = reference_pool(reads, 24)
+    sink = 1 + len(pool.entries) + 2 * 512
+    assert networkx_max_flow(reference_read_network(pool, z, p), sink) < p.pool_size
+    shared_units = 2 * k * pairs + 1
+    _CountingNetwork.pushes = 0
+    with mock.patch.object(matching, "_FlowNetwork", _CountingNetwork):
+        assert assignment_feasible(pool, z, p) is False
+    assert _CountingNetwork.pushes == 2 * k + 1 < shared_units
+
+
 def test_assignment_never_enumerates_an_index_ball_larger_than_m():
     # 2^40 index fields lie within e_i = 40 of a read, against M = 2 strands
     p = mk_params(2, 64, 40, 2, 1, 40, 1)
@@ -1120,21 +1172,24 @@ def _residuals(net):
     return [e[1] for row in net.adj for e in row]
 
 
-def _residual_max_flow(net, sink):
-    """The max flow from node 0 to ``sink`` over ``net``'s residual
-    capacities, by networkx: the residual entries from u to v, a forward
-    edge and the reverse of an edge from v to u, add up."""
+def _residual_max_flow(net, raised=()):
+    """The max flow from node 0 to the last node over ``net``'s residual
+    capacities, with source edge i raised by ``raised[i]``, by networkx:
+    the residual entries from u to v, a forward edge and the reverse of
+    an edge from v to u, add up."""
     caps = Counter()
     for u, row in enumerate(net.adj):
         for e in row:
             caps[u, e[0]] += e[1]
-    return networkx_max_flow([(u, v, c) for (u, v), c in caps.items()], sink)
+    for e, extra in zip(net.adj[0], raised):
+        caps[0, e[0]] += extra
+    return networkx_max_flow([(u, v, c) for (u, v), c in caps.items()], len(net.adj) - 1)
 
 
 def _random_read_network(rng):
-    """The read network of a random message over a random pool of reads
-    near its strands, with every source capacity at its value's count:
-    returns the network, its source edges, the sink and the value count."""
+    """The read network of a random message over the distinct values of
+    a random pool of reads near its strands: returns the network and
+    each value's count, in the order of its source edges."""
     p = mk_params(
         rng.randint(1, 3), 4, 2, rng.randint(1, 3), rng.choice(["1", "1/2", "1/3"]),
         rng.randint(0, 2), rng.randint(0, 2),
@@ -1148,84 +1203,86 @@ def _random_read_network(rng):
              for _ in range(rng.randint(1, p.pool_size))]
     pool = Counter(reads)
     values = sorted(pool)
-    net, sources, sink = matching._read_network(values, z, p)
-    for e, v in zip(sources, values):
-        e[1] = pool[v]
-    return net, sources, sink, len(values)
+    return matching._read_network(values, z, p), [pool[v] for v in values]
 
 
-def _check_step(net, source, sink, n_values):
-    """Augment through ``source`` (just raised by 1) on a network holding a
-    maximum flow: the answer is whether networkx finds a unit more on the
-    residual network, a found path runs from the source to the sink, and
-    undo restores every residual capacity.  Returns "none" when no unit
-    is found, else "reverse" or "forward": whether the path takes a unit
+def _flow_value(net):
+    """The flow out of the source and the flow into the sink, read off
+    the reverse edges of their edges."""
+    adj = net.adj
+    out = sum(adj[e[0]][e[2]][1] for e in adj[0])
+    return out, sum(e[1] for e in adj[-1])
+
+
+def _check_step(net, i, n_values):
+    """Push one unit through source edge ``i`` of a network holding a
+    maximum flow: the answer is whether networkx finds a unit more on
+    the residual network with that edge raised by 1, a found path runs
+    from the source to the sink and adds one unit to the flow, and pop
+    restores every residual capacity.  Returns "none" when no unit is
+    found, else "reverse" or "forward": whether the path takes a unit
     back over a reverse edge."""
     before = _residuals(net)
-    gain = _residual_max_flow(net, sink)
+    flow = _flow_value(net)
+    assert _residual_max_flow(net) == 0
+    gain = _residual_max_flow(net, [0] * i + [1])
     assert gain in (0, 1)
-    path = net.augment(source, sink)
+    path = net.push(i)
     if path is None:
         assert gain == 0
         assert _residuals(net) == before
         return "none"
-    assert gain == 1 and path[0] is source and path[-1][0] == sink
+    sink = len(net.adj) - 1
+    assert gain == 1 and path[0] is net.adj[0][i] and path[-1][0] == sink
     tails = [0] + [e[0] for e in path[:-1]]
     assert len(set(tails)) == len(tails)
     for tail, e in zip(tails, path):
         assert any(f is e for f in net.adj[tail])
-    # the pushed unit leaves the flow maximum
-    assert _residual_max_flow(net, sink) == 0
-    net.undo(path)
+    assert _flow_value(net) == (flow[0] + 1, flow[1] + 1) and flow[0] == flow[1]
+    net.pop(path)
     assert _residuals(net) == before
     # a reverse edge runs back from a slot or strand node to a read node
     return "reverse" if any(1 <= e[0] <= n_values for e in path[1:]) else "forward"
 
 
-def test_augment_finds_a_unit_iff_the_max_flow_gains_one_and_undo_restores_it():
+def test_push_finds_a_unit_iff_the_max_flow_gains_one_and_pop_restores_it():
     pytest.importorskip("networkx")
     rng = random.Random(97)
     found = Counter()
     for _ in range(300):
-        net, sources, sink, n_values = _random_read_network(rng)
-        net.max_flow(0, sink)
-        i = rng.randrange(n_values)
-        sources[i][1] += 1
-        found[_check_step(net, sources[i], sink, n_values)] += 1
+        net, counts = _random_read_network(rng)
+        # every push leaves a maximum flow, placed or not
+        for i, count in enumerate(counts):
+            for _ in range(count):
+                net.push(i)
+        found[_check_step(net, rng.randrange(len(counts)), len(counts))] += 1
     assert set(found) == {"none", "forward", "reverse"}, found
 
 
-def test_max_flow_agrees_with_networkx_from_zero_and_from_a_partial_flow():
+def test_fills_agrees_with_networkx_from_zero_and_from_a_partial_flow():
     pytest.importorskip("networkx")
     rng = random.Random(61)
     partial = 0
+    answers = Counter()
     for _ in range(300):
-        net, sources, sink, _ = _random_read_network(rng)
-        want = _residual_max_flow(net, sink)
+        net, counts = _random_read_network(rng)
+        flow = _residual_max_flow(net, counts)
+        want = flow == sum(counts)
         if rng.random() < 0.5:
-            assert net.max_flow(0, sink) == want
+            assert net.fills(counts) is want
         else:
             # a few units pushed through random source edges, then the rest
-            pushed = 0
-            for _ in range(rng.randint(1, want + 1)):
-                e = rng.choice(sources)
-                if e[1] > 0 and net.augment(e, sink) is not None:
-                    pushed += 1
-            partial += 0 < pushed < want
-            assert _residual_max_flow(net, sink) == want - pushed
-            assert net.max_flow(0, sink) == want - pushed
-        assert _residual_max_flow(net, sink) == 0
-    assert partial >= 30
-
-
-def test_max_flow_follows_a_path_longer_than_the_recursion_limit():
-    n = 5000
-    net = matching._FlowNetwork(n)
-    for u in range(n - 1):
-        net.add_edge(u, u + 1, 2)
-    assert net.max_flow(0, n - 1) == 2
-    assert net.max_flow(0, n - 1) == 0
-    assert all(net.adj[u][-1][1] == 0 for u in range(n - 1))
+            left = list(counts)
+            for _ in range(rng.randint(1, sum(counts))):
+                i = rng.randrange(len(left))
+                if left[i] and net.push(i) is not None:
+                    left[i] -= 1
+            pushed = sum(counts) - sum(left)
+            partial += 0 < pushed < flow
+            assert _residual_max_flow(net, left) == flow - pushed
+            assert net.fills(left) is want
+        answers[want] += 1
+    assert partial >= 30 and answers[True] >= 30 and answers[False] >= 30, (partial, answers)
 
 
 def test_augment_reroutes_a_read_through_a_reverse_edge():
@@ -1237,24 +1294,36 @@ def test_augment_reroutes_a_read_through_a_reverse_edge():
     # nodes: source 0, reads 0000 and 0100 at 1 and 2, the noisy slot and
     # the strand of 0000 at 3 and 4 and of 1100 at 5 and 6, sink 7
     values = [0b0000, 0b0100]
-    net, sources, sink = matching._read_network(values, z, p)
-    sources[1][1] = 1
-    assert net.max_flow(0, sink) == 1
+    net = matching._read_network(values, z, p)
+    assert net.fills([0, 1])
     assert next(e for e in net.adj[3] if e[0] == 4)[1] == 0  # 0100 took the place
-    sources[0][1] += 1
-    assert _check_step(net, sources[0], sink, len(values)) == "reverse"
-    path = net.augment(sources[0], sink)
+    assert _check_step(net, 0, len(values)) == "reverse"
+    path = net.push(0)
     assert [e[0] for e in path] == [1, 4, 3, 2, 5, 6, 7]
+
+
+def test_max_flow_follows_a_path_longer_than_the_recursion_limit():
+    n = 5000
+    net = matching._FlowNetwork(n)
+    # fills raises the source edge by each unit it sends, so it starts at 0
+    for u in range(n - 1):
+        net.add_edge(u, u + 1, 2 if u else 0)
+    assert net.fills([2])
+    assert not net.fills([1])
+    assert all(net.adj[u][-1][1] == 0 for u in range(n - 1))
 
 
 def test_augment_follows_a_path_longer_than_the_recursion_limit():
     n = 5000
     net = matching._FlowNetwork(n)
     for u in range(n - 1):
-        net.add_edge(u, u + 1, 1)
+        net.add_edge(u, u + 1, 2)
     before = _residuals(net)
-    path = net.augment(net.adj[0][0], n - 1)
-    assert len(path) == n - 1
-    assert net.augment(net.adj[0][0], n - 1) is None
-    net.undo(path)
+    paths = [net.push(0), net.push(0)]
+    assert [len(path) for path in paths] == [n - 1, n - 1]
+    assert net.push(0) is None
+    assert all(net.adj[u][-1][1] == 0 for u in range(1, n - 1))
+    for path in reversed(paths):
+        net.pop(path)
     assert _residuals(net) == before
+    assert net.fills([2]) and not net.fills([1])
